@@ -174,14 +174,62 @@ let latency_cmd =
   Cmd.v (Cmd.info "latency" ~doc)
     Term.(const run $ disk_arg $ host_arg $ util_arg $ vld_arg $ quick_arg)
 
-(* --- faults --- *)
+(* --- crash/fault sweeps --- *)
+
+(* One driver for every sweep command: [--seed] defaults to the sweep's
+   own [default] seed, [--repro] judges exactly one cell (exit 2 on a
+   malformed spec), otherwise [config seed] builds the matrix to run.
+   The report is the summary line, then either [ok] or one FAILED line
+   per failure and exit 1. *)
+let sweep_cmd name ~doc ~noun ~ok ~repro_doc ~seed_names ~verdicts sweep
+    ~default ~default_seed (config : (int64 -> 'c) Term.t) =
+  let seed_arg =
+    Arg.(
+      value
+      & opt int (Int64.to_int default_seed)
+      & cli_info Vlog_util.Cli.seed ~extra_names:seed_names
+          ~doc:"master seed for the sweep")
+  in
+  let repro_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "repro" ] ~docv:"SPEC" ~doc:repro_doc)
+  in
+  let run seed jobs repro verdicts config =
+    let seed = Int64.of_int seed in
+    let o =
+      match repro with
+      | None -> Check.Cells.run ~jobs sweep (config seed)
+      | Some spec -> (
+        match
+          Check.Cells.repro sweep (sweep.Check.Cells.with_seed default seed) spec
+        with
+        | Ok o -> o
+        | Error e ->
+          Printf.eprintf "vlsim: %s\n" e;
+          exit 2)
+    in
+    if verdicts then
+      List.iter (fun (c, v) -> Printf.printf "cell %s: %s\n" c v) o.Check.Cells.verdicts;
+    (* "N <noun> (<first tally>): <the other tallies>" *)
+    let tally (l, k) = Printf.sprintf "%d %s" k l in
+    let first = List.hd o.Check.Cells.tallies in
+    Printf.printf "%d %s (%s): %s\n" o.Check.Cells.cells noun (tally first)
+      (String.concat ", " (List.map tally (List.tl o.Check.Cells.tallies)));
+    if o.Check.Cells.failures = [] then print_endline ok
+    else begin
+      List.iter
+        (fun fl -> Format.printf "FAILED %a@." Check.Cells.pp_failure fl)
+        o.Check.Cells.failures;
+      exit 1
+    end
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ seed_arg $ jobs_arg $ repro_arg $ verdicts $ config)
 
 let faults_cmd =
-  let doc =
-    "sweep deterministic fault injections (torn writes, bit rot, transient \
-     reads, grown defects, power cuts) across operation boundaries and check \
-     the recovery invariants"
-  in
+  let open Check.Vld_sweep in
   let plan_arg =
     Arg.(
       value
@@ -191,251 +239,105 @@ let faults_cmd =
             "comma-separated fault kinds to sweep: torn, rot, transient[:n], \
              defect, powercut")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 7101
-      & cli_info Vlog_util.Cli.seed ~extra_names:[ "fault-seed" ]
-          ~doc:"master seed for the sweep")
-  in
   let triggers_arg =
     Arg.(
-      value & opt int 22
+      value & opt int default.triggers
       & info [ "triggers" ] ~doc:"operation boundaries swept per fault kind")
   in
-  let repro_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"SPEC"
-          ~doc:
-            "rerun exactly one failing cell, as printed by a failure: \
-             seed=7101,kind=torn,trigger=5,tail=true,case=37")
-  in
-  let report o =
-    Printf.printf
-      "%d scenarios (%d faults injected): %d power cuts, %d degraded recoveries\n"
-      o.Fault.Sweep.scenarios o.Fault.Sweep.injected o.Fault.Sweep.cut
-      o.Fault.Sweep.degraded;
-    if o.Fault.Sweep.failures = [] then print_endline "all invariants satisfied"
-    else begin
+  let config plan triggers quick seed =
+    let kinds, errors =
+      List.fold_right
+        (fun s (ks, es) ->
+          match Fault.Plan.kind_of_string (String.trim s) with
+          | Ok k -> (k :: ks, es)
+          | Error e -> (ks, e :: es))
+        (String.split_on_char ',' plan)
+        ([], [])
+    in
+    if errors <> [] then begin
+      List.iter (Printf.eprintf "vlsim: %s\n") errors;
+      exit 2
+    end;
+    (match List.filter Fault.Plan.is_drive_kind kinds with
+    | [] -> ()
+    | drive ->
       List.iter
-        (fun fl -> Format.printf "FAILED %a@." Fault.Sweep.pp_failure fl)
-        o.Fault.Sweep.failures;
-      exit 1
-    end
+        (fun k ->
+          Printf.eprintf
+            "vlsim: %s is a whole-drive fault; this single-spindle sweep \
+             cannot express it — use vlsim fssweep, whose volume rigs \
+             inject it into one mirror leg\n"
+            (Fault.Plan.kind_to_string k))
+        drive;
+      exit 2);
+    (match List.filter Fault.Plan.is_nvm_kind kinds with
+    | [] -> ()
+    | nvm ->
+      List.iter
+        (fun k ->
+          Printf.eprintf
+            "vlsim: %s strikes an NVM staging tier; this single-spindle \
+             sweep has none — use vlsim fssweep, whose nvm rigs judge the \
+             staged persistence boundary\n"
+            (Fault.Plan.kind_to_string k))
+        nvm;
+      exit 2);
+    { default with seed; kinds; triggers = (if quick then min triggers 6 else triggers) }
   in
-  let run plan seed triggers quick jobs repro =
-    match repro with
-    | Some spec -> (
-      match Fault.Sweep.parse_repro spec with
-      | Error e ->
-        Printf.eprintf "vlsim: %s\n" e;
-        exit 2
-      | Ok (seed_override, kind, trigger, with_tail, case) ->
-        let cfg =
-          {
-            Fault.Sweep.default with
-            Fault.Sweep.seed =
-              Option.value seed_override ~default:(Int64.of_int seed);
-          }
-        in
-        report (Fault.Sweep.run_scenario cfg ~kind ~trigger ~with_tail ~case))
-    | None ->
-      let kinds, errors =
-        List.fold_right
-          (fun s (ks, es) ->
-            match Fault.Plan.kind_of_string (String.trim s) with
-            | Ok k -> (k :: ks, es)
-            | Error e -> (ks, e :: es))
-          (String.split_on_char ',' plan)
-          ([], [])
-      in
-      if errors <> [] then begin
-        List.iter (Printf.eprintf "vlsim: %s\n") errors;
-        exit 2
-      end;
-      (match List.filter Fault.Plan.is_drive_kind kinds with
-      | [] -> ()
-      | drive ->
-        List.iter
-          (fun k ->
-            Printf.eprintf
-              "vlsim: %s is a whole-drive fault; this single-spindle sweep \
-               cannot express it — use vlsim fssweep, whose volume rigs \
-               inject it into one mirror leg\n"
-              (Fault.Plan.kind_to_string k))
-          drive;
-        exit 2);
-      (match List.filter Fault.Plan.is_nvm_kind kinds with
-      | [] -> ()
-      | nvm ->
-        List.iter
-          (fun k ->
-            Printf.eprintf
-              "vlsim: %s strikes an NVM staging tier; this single-spindle \
-               sweep has none — use vlsim fssweep, whose nvm rigs judge the \
-               staged persistence boundary\n"
-              (Fault.Plan.kind_to_string k))
-          nvm;
-        exit 2);
-      let cfg =
-        {
-          Fault.Sweep.default with
-          Fault.Sweep.seed = Int64.of_int seed;
-          kinds;
-          triggers = (if quick then min triggers 6 else triggers);
-        }
-      in
-      report (Fault.Sweep.run ~jobs cfg)
-  in
-  Cmd.v (Cmd.info "faults" ~doc)
-    Term.(
-      const run $ plan_arg $ seed_arg $ triggers_arg $ quick_arg $ jobs_arg
-      $ repro_arg)
-
-(* --- fssweep --- *)
+  sweep_cmd "faults" sweep ~default ~default_seed:default.seed
+    ~doc:
+      "sweep deterministic fault injections (torn writes, bit rot, transient \
+       reads, grown defects, power cuts) across operation boundaries and check \
+       the recovery invariants"
+    ~noun:"scenarios" ~ok:"all invariants satisfied" ~seed_names:[ "fault-seed" ]
+    ~repro_doc:
+      "rerun exactly one failing cell, as printed by a failure: \
+       seed=7101,kind=torn,trigger=5,tail=true,case=37"
+    ~verdicts:(Term.const false)
+    Term.(const config $ plan_arg $ triggers_arg $ quick_arg)
 
 let fssweep_cmd =
-  let doc =
-    "crash/fault sweep at the file-system level: run a seeded metadata \
-     workload on each (file system x device) rig with a fault plan armed, \
-     freeze the platters, remount, and judge the result with fsck, the \
-     durability oracle, and a remount-idempotence check"
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 9203
-      & cli_info Vlog_util.Cli.seed ~doc:"master seed for the sweep")
-  in
-  let repro_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"SPEC"
-          ~doc:
-            "rerun exactly one failing cell, as printed by a failure: \
-             rig=ufs/vld,seed=9203,kind=torn,trigger=5,case=37")
-  in
-  let report o =
-    Printf.printf
-      "%d scenarios (%d faults injected): %d power cuts, %d degraded \
-       recoveries, %d oracle checks\n"
-      o.Check.Fs_sweep.scenarios o.Check.Fs_sweep.injected o.Check.Fs_sweep.cut
-      o.Check.Fs_sweep.degraded_mounts o.Check.Fs_sweep.oracle_checks;
-    if o.Check.Fs_sweep.failures = [] then
-      print_endline "all file systems recovered consistently"
-    else begin
-      List.iter
-        (fun fl -> Format.printf "FAILED %a@." Check.Fs_sweep.pp_failure fl)
-        o.Check.Fs_sweep.failures;
-      exit 1
-    end
-  in
-  let run seed quick jobs repro =
-    match repro with
-    | Some spec -> (
-      match Check.Fs_sweep.parse_repro spec with
-      | Error e ->
-        Printf.eprintf "vlsim: %s\n" e;
-        exit 2
-      | Ok (rig, seed_override, kind, trigger, case) ->
-        let cfg =
-          {
-            Check.Fs_sweep.default with
-            Check.Fs_sweep.seed =
-              Option.value seed_override ~default:(Int64.of_int seed);
-          }
-        in
-        report (Check.Fs_sweep.run_cell cfg ~rig ~kind ~trigger ~case))
-    | None ->
-      let cfg =
-        if quick then Check.Fs_sweep.smoke else Check.Fs_sweep.default
-      in
-      report
-        (Check.Fs_sweep.run ~jobs
-           { cfg with Check.Fs_sweep.seed = Int64.of_int seed })
-  in
-  Cmd.v (Cmd.info "fssweep" ~doc)
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg $ repro_arg)
-
-(* --- arraysweep --- *)
+  let open Check.Fs_sweep in
+  sweep_cmd "fssweep" sweep ~default ~default_seed:default.seed
+    ~doc:
+      "crash/fault sweep at the file-system level: run a seeded metadata \
+       workload on each (file system x device) rig with a fault plan armed, \
+       freeze the platters, remount, and judge the result with fsck, the \
+       durability oracle, and a remount-idempotence check"
+    ~noun:"scenarios" ~ok:"all file systems recovered consistently" ~seed_names:[]
+    ~repro_doc:
+      "rerun exactly one failing cell, as printed by a failure: \
+       rig=ufs/vld,seed=9203,kind=torn,trigger=5,case=37"
+    ~verdicts:(Term.const false)
+    Term.(
+      const (fun quick seed -> { (if quick then smoke else default) with seed })
+      $ quick_arg)
 
 let arraysweep_cmd =
-  let doc =
-    "whole-drive fault sweep over the queued array data path: drive each \
-     volume shape with windows of outstanding commands while a drive-fault \
-     plan (death, hang, flaky, latent, double-death) fires mid-batch, \
-     mid-drain, or mid-rebuild, then judge with the volume checker, the \
-     durability oracle, and a crash/remount — honest data loss is required \
-     where redundancy cannot cover the fault"
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 9203
-      & cli_info Vlog_util.Cli.seed ~doc:"master seed for the sweep")
-  in
-  let repro_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"SPEC"
-          ~doc:
-            "rerun exactly one cell, as printed by a failure: \
-             array=raid10,seed=9203,fault=death,depth=4,phase=rebuild,case=37")
-  in
+  let open Check.Array_sweep in
   let verdicts_arg =
     Arg.(
       value & flag
       & info [ "verdicts" ]
           ~doc:"print one verdict line per cell (the CI determinism probe)")
   in
-  let report ~verdicts o =
-    if verdicts then
-      List.iter
-        (fun (c, v) -> Printf.printf "cell %s: %s\n" c v)
-        o.Check.Array_sweep.verdicts;
-    Printf.printf
-      "%d cells (%d faults injected): %d honest data losses, %d recoveries, \
-       %d oracle checks\n"
-      o.Check.Array_sweep.cells o.Check.Array_sweep.injected
-      o.Check.Array_sweep.data_loss o.Check.Array_sweep.recovered
-      o.Check.Array_sweep.oracle_checks;
-    if o.Check.Array_sweep.failures = [] then
-      print_endline "every cell reported a verdict and no fault was masked"
-    else begin
-      List.iter
-        (fun fl -> Format.printf "FAILED %a@." Check.Array_sweep.pp_failure fl)
-        o.Check.Array_sweep.failures;
-      exit 1
-    end
-  in
-  let run seed quick jobs repro verdicts =
-    match repro with
-    | Some spec -> (
-      match Check.Array_sweep.parse_repro spec with
-      | Error e ->
-        Printf.eprintf "vlsim: %s\n" e;
-        exit 2
-      | Ok (array, seed_override, fault, depth, phase, case) ->
-        let cfg =
-          {
-            Check.Array_sweep.default with
-            Check.Array_sweep.seed =
-              Option.value seed_override ~default:(Int64.of_int seed);
-          }
-        in
-        report ~verdicts
-          (Check.Array_sweep.run_cell cfg ~array ~fault ~depth ~phase ~case))
-    | None ->
-      let cfg =
-        if quick then Check.Array_sweep.smoke else Check.Array_sweep.default
-      in
-      report ~verdicts
-        (Check.Array_sweep.run ~jobs
-           { cfg with Check.Array_sweep.seed = Int64.of_int seed })
-  in
-  Cmd.v (Cmd.info "arraysweep" ~doc)
-    Term.(const run $ seed_arg $ quick_arg $ jobs_arg $ repro_arg $ verdicts_arg)
+  sweep_cmd "arraysweep" sweep ~default ~default_seed:default.seed
+    ~doc:
+      "whole-drive fault sweep over the queued array data path: drive each \
+       volume shape with windows of outstanding commands while a drive-fault \
+       plan (death, hang, flaky, latent, double-death) fires mid-batch, \
+       mid-drain, or mid-rebuild, then judge with the volume checker, the \
+       durability oracle, and a crash/remount — honest data loss is required \
+       where redundancy cannot cover the fault"
+    ~noun:"cells" ~ok:"every cell reported a verdict and no fault was masked"
+    ~seed_names:[]
+    ~repro_doc:
+      "rerun exactly one cell, as printed by a failure: \
+       array=raid10,seed=9203,fault=death,depth=4,phase=rebuild,case=37"
+    ~verdicts:verdicts_arg
+    Term.(
+      const (fun quick seed -> { (if quick then smoke else default) with seed })
+      $ quick_arg)
 
 (* --- volume --- *)
 

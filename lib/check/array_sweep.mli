@@ -67,78 +67,27 @@ val default : config
 (** The full matrix: {stripe-vld, stripe-regular, raid10} x
     {death, hang:40, flaky:3, latent:16, double-death} x depth
     {1, 4, 16} x {mid-batch, mid-drain, mid-rebuild}, minus the cells
-    that need mirrors (rebuild and double-death on stripes). *)
+    that need mirrors (rebuild and double-death on stripes); seed 9203. *)
 
 val smoke : config
 (** CI-sized slice: depth 4 only, no latent cells. *)
 
-type failure = {
-  f_array : string;
-  f_seed : int64;
-  f_fault : fault;
-  f_depth : int;
-  f_phase : phase;
-  f_case : int;
-  message : string;
+type cell = {
+  array : array_config;
+  fault : fault;
+  depth : int;  (** commands per window *)
+  phase : phase;
+  case : int;  (** position in the matrix; picks victims and triggers *)
 }
 
-val repro_of_failure : failure -> string
-(** ["array=...,seed=...,fault=...,depth=...,phase=...,case=..."]. *)
-
-val parse_repro :
-  string ->
-  (array_config * int64 option * fault * int * phase * int, string) result
-
-val pp_failure : Format.formatter -> failure -> unit
-
-type outcome = {
-  cells : int;
-  injected : int;  (** cells whose plan(s) actually fired *)
-  data_loss : int;  (** cells that honestly reported loss (reads/recover) *)
-  recovered : int;  (** crash/remounts that came back [Ok] *)
-  oracle_checks : int;
-  verdicts : (string * string) list;
-      (** per-cell [(coordinates, "ok" | "data-loss" | "failed")] in
-          matrix order — one line per cell, so a runner can assert every
-          cell reported a verdict and diff runs byte-for-byte *)
-  failures : failure list;
-}
-
-val zero : outcome
-val merge : outcome -> outcome -> outcome
-
-val run_cell :
-  config ->
-  array:array_config ->
-  fault:fault ->
-  depth:int ->
-  phase:phase ->
-  case:int ->
-  outcome
+val sweep : (config, cell) Cells.sweep
 (** One cell: format the volume, prefill every block, install the fault
     per [phase], run [rounds] windows of [depth] writes then [depth]
     reads, settle, judge (volume fsck + oracle + loss honesty), then
-    freeze, [Volume.recover] on fresh drives and judge again. *)
+    freeze, [Volume.recover] on fresh drives and judge again.  The
+    verdict is ["ok"], ["data-loss"] (honestly reported) or ["failed"].
 
-val cells : config -> (array_config * fault * int * phase * int) list
-(** The matrix in canonical order; [case] numbers only the cells present
-    and is a function of coordinates alone (safe to fan out). *)
-
-val run :
-  ?jobs:int ->
-  ?timeout_s:float ->
-  ?cell:
-    (config ->
-    array:array_config ->
-    fault:fault ->
-    depth:int ->
-    phase:phase ->
-    case:int ->
-    outcome) ->
-  config ->
-  outcome
-(** Run the matrix through {!Par.map} on [jobs] workers and merge
-    per-cell outcomes in matrix order — identical output for every
-    [jobs] value.  A worker that crashes, wedges past [timeout_s]
-    (default 300 s, enforced when [jobs > 1]) or raises contributes a
-    structured {!failure} with repro coordinates. *)
+    Coordinates [array,seed,fault,depth,phase,case]; tallies
+    ["faults injected"] (cells whose plans fired), ["honest data losses"],
+    ["recoveries"] (crash/remounts that came back [Ok]) and
+    ["oracle checks"]. *)

@@ -1,5 +1,5 @@
 (* File-system-level crash/fault sweep: the generalization of
-   [Fault.Sweep] (which exercises the virtual log disk alone) one layer
+   [Vld_sweep] (which exercises the virtual log disk alone) one layer
    up.  Each cell of the (rig x fault kind x trigger) matrix runs a
    seeded metadata-heavy workload against a real file system stack with
    a fault plan installed, freezes the platters when the fault cuts the
@@ -211,92 +211,6 @@ let smoke =
     wal_rigs = [ { fs = F_ufs; on = D_nvm W_vld } ];
   }
 
-type failure = {
-  f_rig : string;
-  f_seed : int64;
-  f_kind : Fault.Plan.kind;
-  f_trigger : int;
-  f_case : int;
-  message : string;
-}
-
-let repro_of_failure f =
-  Printf.sprintf "rig=%s,seed=%Ld,kind=%s,trigger=%d,case=%d" f.f_rig f.f_seed
-    (Fault.Plan.kind_to_string f.f_kind)
-    f.f_trigger f.f_case
-
-let pp_failure ppf f =
-  Format.fprintf ppf "[%s %s trigger=%d] %s (--repro %s)" f.f_rig
-    (Fault.Plan.kind_to_string f.f_kind)
-    f.f_trigger f.message (repro_of_failure f)
-
-let parse_repro spec =
-  let ( let* ) = Result.bind in
-  List.fold_left
-    (fun acc field ->
-      let* rig, seed, kind, trigger, case = acc in
-      match String.index_opt field '=' with
-      | None -> Error (Printf.sprintf "malformed repro field %S" field)
-      | Some i -> (
-        let k = String.sub field 0 i in
-        let v = String.sub field (i + 1) (String.length field - i - 1) in
-        match k with
-        | "rig" ->
-          let* r = rig_of_string v in
-          Ok (Some r, seed, kind, trigger, case)
-        | "seed" -> (
-          match Int64.of_string_opt v with
-          | Some s -> Ok (rig, Some s, kind, trigger, case)
-          | None -> Error (Printf.sprintf "bad seed %S" v))
-        | "kind" ->
-          let* kd = Fault.Plan.kind_of_string v in
-          Ok (rig, seed, Some kd, trigger, case)
-        | "trigger" -> (
-          match int_of_string_opt v with
-          | Some n -> Ok (rig, seed, kind, Some n, case)
-          | None -> Error (Printf.sprintf "bad trigger %S" v))
-        | "case" -> (
-          match int_of_string_opt v with
-          | Some n -> Ok (rig, seed, kind, trigger, Some n)
-          | None -> Error (Printf.sprintf "bad case %S" v))
-        | _ -> Error (Printf.sprintf "unknown repro field %S" k)))
-    (Ok (None, None, None, None, None))
-    (String.split_on_char ',' spec)
-  |> function
-  | Error _ as e -> e
-  | Ok (Some rig, seed, Some kind, Some trigger, Some case) ->
-    Ok (rig, seed, kind, trigger, case)
-  | Ok _ -> Error "repro spec needs at least rig=,kind=,trigger=,case="
-
-type outcome = {
-  scenarios : int;
-  injected : int;
-  cut : int;
-  degraded_mounts : int;
-  oracle_checks : int;
-  failures : failure list;
-}
-
-let zero =
-  {
-    scenarios = 0;
-    injected = 0;
-    cut = 0;
-    degraded_mounts = 0;
-    oracle_checks = 0;
-    failures = [];
-  }
-
-let merge a b =
-  {
-    scenarios = a.scenarios + b.scenarios;
-    injected = a.injected + b.injected;
-    cut = a.cut + b.cut;
-    degraded_mounts = a.degraded_mounts + b.degraded_mounts;
-    oracle_checks = a.oracle_checks + b.oracle_checks;
-    failures = a.failures @ b.failures;
-  }
-
 (* ---- Rig plumbing ---- *)
 
 let profile c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
@@ -304,15 +218,16 @@ let profile c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
 let sector_bytes c =
   (profile c).Disk.Profile.geometry.Disk.Geometry.sector_bytes
 
+let buffer_policy rig =
+  match rig.on with
+  | D_regular | D_volume (_, VL_regular) | D_nvm W_regular ->
+    Disk.Track_buffer.Forward_discard
+  | D_vld | D_direct | D_volume (_, VL_vld) | D_nvm W_vld ->
+    Disk.Track_buffer.Whole_track
+
 let make_disk ?store c rig clock =
-  let buffer_policy =
-    match rig.on with
-    | D_regular | D_volume (_, VL_regular) | D_nvm W_regular ->
-      Disk.Track_buffer.Forward_discard
-    | D_vld | D_direct | D_volume (_, VL_vld) | D_nvm W_vld ->
-      Disk.Track_buffer.Whole_track
-  in
-  Disk.Disk_sim.create ~buffer_policy ?store ~profile:(profile c) ~clock ()
+  Disk.Disk_sim.create ~buffer_policy:(buffer_policy rig) ?store
+    ~profile:(profile c) ~clock ()
 
 let spare_blocks = 8
 
@@ -404,64 +319,45 @@ let wrap_vlfs t =
     o_sync_each = vlfs_cfg.Vlfs.sync_writes;
   }
 
-let fresh_dev c rig ~disk ~prng =
-  match rig.on with
+(* A single-drive logical disk over [disk]: formatted fresh, or brought
+   back from the platters by its own recovery. *)
+let fresh_dev c on ~disk ~prng =
+  match on with
   | D_vld ->
     Blockdev.Vld.device
       (Blockdev.Vld.create ~disk ~logical_blocks:c.logical_blocks ~prng ())
   | D_regular ->
     Blockdev.Regular_disk.device
       (Blockdev.Regular_disk.create ~disk ~spare_blocks ())
-  | D_direct -> invalid_arg "direct rigs have no logical-disk layer"
-  | D_volume _ -> invalid_arg "volume rigs build their device in run_volume_cell"
-  | D_nvm _ -> invalid_arg "nvm rigs build their device in run_wal_cell"
+  | D_direct | D_volume _ | D_nvm _ ->
+    invalid_arg "fresh_dev: not a single-drive logical disk"
 
-let fresh_fs c rig ~disk ~clock ~prng =
+let recover_dev on ~disk ~prng =
+  match on with
+  | D_vld -> (
+    match Blockdev.Vld.recover ~disk ~prng () with
+    | Ok (vld, _) -> Ok (Blockdev.Vld.device vld)
+    | Error e -> Error ("vld: " ^ e))
+  | D_regular ->
+    Ok
+      (Blockdev.Regular_disk.device
+         (Blockdev.Regular_disk.create ~disk ~spare_blocks ()))
+  | D_direct | D_volume _ | D_nvm _ ->
+    Error "volume and nvm rigs span more than one drive image"
+
+(* UFS and LFS run over any logical device; VLFS only on the platters. *)
+let format_fs rig ~dev ~clock =
   match rig.fs with
-  | F_vlfs -> wrap_vlfs (Vlfs.format ~disk ~host:Host.free ~clock vlfs_cfg)
-  | F_ufs ->
-    wrap_ufs
-      (Ufs.format ~dev:(fresh_dev c rig ~disk ~prng) ~host:Host.free ~clock
-         ufs_cfg)
-  | F_lfs ->
-    wrap_lfs
-      (Lfs.format ~dev:(fresh_dev c rig ~disk ~prng) ~host:Host.free ~clock
-         lfs_cfg)
+  | F_ufs -> wrap_ufs (Ufs.format ~dev ~host:Host.free ~clock ufs_cfg)
+  | F_lfs -> wrap_lfs (Lfs.format ~dev ~host:Host.free ~clock lfs_cfg)
+  | F_vlfs -> invalid_arg "vlfs runs directly on the platters"
 
-(* Remount from the platters; [notes] surfaces the recovery counters the
-   mount reported (orphans cleared, dangling entries dropped, inodes
+(* Mount a UFS or LFS over [dev]; [notes] surfaces the recovery counters
+   the mount reported (orphans cleared, dangling entries dropped, inodes
    skipped) for fsck presentation. *)
-let mount_fs rig ~disk ~clock ~prng : (ops * (string * int) list, string) result
-    =
-  let ( let* ) = Result.bind in
-  let* dev =
-    match rig.on with
-    | D_direct -> Ok None
-    | D_regular ->
-      Ok
-        (Some
-           (Blockdev.Regular_disk.device
-              (Blockdev.Regular_disk.create ~disk ~spare_blocks ())))
-    | D_vld -> (
-      match Blockdev.Vld.recover ~disk ~prng () with
-      | Ok (vld, _) -> Ok (Some (Blockdev.Vld.device vld))
-      | Error e -> Error ("vld: " ^ e))
-    | D_volume _ ->
-      Error "volume rigs recover all their legs in run_volume_cell"
-    | D_nvm _ -> Error "nvm rigs replay their log in run_wal_cell"
-  in
-  match (rig.fs, dev) with
-  | F_vlfs, None -> (
-    match Vlfs.recover ~disk ~host:Host.free ~config:vlfs_cfg () with
-    | Error e -> Error ("vlfs: " ^ e)
-    | Ok (t, r) ->
-      Ok
-        ( wrap_vlfs t,
-          [
-            ("inodes_skipped", r.Vlfs.inodes_skipped);
-            ("dangling_dropped", r.Vlfs.dangling_dropped);
-          ] ))
-  | F_ufs, Some dev -> (
+let mount_on rig ~dev ~clock : (ops * (string * int) list, string) result =
+  match rig.fs with
+  | F_ufs -> (
     match Ufs.mount ~dev ~host:Host.free ~clock ufs_cfg with
     | Error e -> Error ("ufs: " ^ e)
     | Ok (t, r) ->
@@ -471,7 +367,7 @@ let mount_fs rig ~disk ~clock ~prng : (ops * (string * int) list, string) result
             ("orphans_cleared", r.Ufs.orphans_cleared);
             ("dangling_dropped", r.Ufs.dangling_dropped);
           ] ))
-  | F_lfs, Some dev -> (
+  | F_lfs -> (
     match Lfs.recover ~dev ~host:Host.free ~clock lfs_cfg with
     | Error e -> Error ("lfs: " ^ e)
     | Ok (t, r) ->
@@ -482,7 +378,29 @@ let mount_fs rig ~disk ~clock ~prng : (ops * (string * int) list, string) result
             ("dangling_dropped", r.Lfs.dangling_dropped);
             ("corrupt_items", r.Lfs.corrupt_items);
           ] ))
-  | _ -> Error "rig mismatch"
+  | F_vlfs -> Error "vlfs runs directly on the platters"
+
+let fresh_fs c rig ~disk ~clock ~prng =
+  match rig.fs with
+  | F_vlfs -> wrap_vlfs (Vlfs.format ~disk ~host:Host.free ~clock vlfs_cfg)
+  | F_ufs | F_lfs -> format_fs rig ~dev:(fresh_dev c rig.on ~disk ~prng) ~clock
+
+(* Remount a single-drive rig from its platters. *)
+let mount_fs rig ~disk ~clock ~prng =
+  match (rig.fs, rig.on) with
+  | F_vlfs, D_direct -> (
+    match Vlfs.recover ~disk ~host:Host.free ~config:vlfs_cfg () with
+    | Error e -> Error ("vlfs: " ^ e)
+    | Ok (t, r) ->
+      Ok
+        ( wrap_vlfs t,
+          [
+            ("inodes_skipped", r.Vlfs.inodes_skipped);
+            ("dangling_dropped", r.Vlfs.dangling_dropped);
+          ] ))
+  | F_vlfs, _ | _, D_direct -> Error "rig mismatch"
+  | (F_ufs | F_lfs), on ->
+    Result.bind (recover_dev on ~disk ~prng) (fun dev -> mount_on rig ~dev ~clock)
 
 (* ---- The sweep itself ---- *)
 
@@ -601,128 +519,84 @@ let run_workload (c : config) fso oracle ~wprng ~cut =
   | Disk.Disk_sim.Power_cut -> cut := true
   | Blockdev.Device.Io_error _ | Disk.Disk_sim.Media_failure _ -> ()
 
-let run_plain_cell (c : config) ~rig ~kind ~trigger ~case =
-  let scenario_seed = Int64.add c.seed (Int64.of_int (case * 6029)) in
+(* ---- Rigs: how each stack is built, frozen and remounted ---- *)
+
+(* A remounted stack: its file system, the checkers that judge it (fsck
+   first, then any rig-specific one), and a way to freeze it again for
+   the idempotence remount. *)
+type mounted = {
+  m_fs : ops;
+  m_checks : unit -> (string * Report.t) list;
+  m_freeze : unit -> image;
+}
+
+(* A frozen image: remount it on fresh drives, arming the given
+   recovery-time plan first; [Error] is the cell's failure message. *)
+and image = Fault.Plan.t option -> (mounted, string) result
+
+(* What one rig contributes to a cell; the judging pipeline in [judge]
+   is shared by all of them. *)
+type built = {
+  b_fs : ops;  (* freshly formatted, ready for the workload *)
+  b_arm : Fault.Plan.t -> unit;  (* install the workload-time plan *)
+  b_recovery_faults : bool;
+      (* recovery-time kinds strike the first remount rather than the
+         workload *)
+  b_park : (string -> unit) -> unit;  (* after a clean shutdown *)
+  b_freeze : unit -> image;
+  b_allowed : Report.category list;  (* findings tolerated beyond [Unflushed] *)
+  b_mode : Oracle.mode;
+}
+
+let snapshot disk = Disk.Sector_store.snapshot (Disk.Disk_sim.store disk)
+
+(* Honest media findings are owed where the plan hurt a sole copy. *)
+let media_findings = [ Report.Io_unreadable; Report.Bad_checksum ]
+
+let oracle_mode = function
+  | Fault.Plan.Power_cut | Fault.Plan.Torn_write | Fault.Plan.Transient_read _
+  | Fault.Plan.Drive_hang _ | Fault.Plan.Drive_flaky _ | Fault.Plan.Nvm_cut
+  | Fault.Plan.Nvm_torn | Fault.Plan.Nvm_destage_cut | Fault.Plan.Nvm_full ->
+    Oracle.Strict
+  | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect | Fault.Plan.Drive_death
+  | Fault.Plan.Latent_sectors _ ->
+    Oracle.Lax
+
+(* A plain rig: one drive, the file system on a VLD, a regular disk or
+   (VLFS) the platters themselves. *)
+let plain c rig ~kind ~scenario_seed ~prng =
   let clock = Clock.create () in
   let disk = make_disk c rig clock in
-  let prng = Prng.create ~seed:scenario_seed in
   let fso = fresh_fs c rig ~disk ~clock ~prng:(Prng.split prng) in
-  let plan = Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 1L) in
-  if workload_time kind then Fault.Plan.install plan disk;
-  let oracle = Oracle.create ~sector_bytes:(sector_bytes c) in
-  let cut = ref false in
-  run_workload c fso oracle ~wprng:(Prng.split prng) ~cut;
-  Fault.Plan.flush plan;
-  let frozen = Disk.Sector_store.snapshot (Disk.Disk_sim.store disk) in
-  let fails = ref [] in
-  let failf fmt =
-    Printf.ksprintf
-      (fun message ->
-        fails :=
-          {
-            f_rig = rig_name rig;
-            f_seed = c.seed;
-            f_kind = kind;
-            f_trigger = trigger;
-            f_case = case;
-            message;
-          }
-          :: !fails)
-      fmt
-  in
-  let degraded = ref false in
-  let oracle_checks = ref 0 in
-  let recovery_plan = ref None in
-  let mount_from store ~faulty =
+  let rec image store recovery_plan =
     let clock2 = Clock.create () in
     let disk2 = make_disk ~store c rig clock2 in
-    if faulty then begin
-      let p =
-        Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 2L)
-      in
-      Fault.Plan.install p disk2;
-      recovery_plan := Some p
-    end;
+    Option.iter (fun p -> Fault.Plan.install p disk2) recovery_plan;
     match
       mount_fs rig ~disk:disk2 ~clock:clock2
         ~prng:(Prng.create ~seed:scenario_seed)
     with
-    | Error e ->
-      failf "mount aborted: %s" e;
-      None
-    | Ok (fso2, _notes) -> Some (fso2, disk2)
-  in
-  (match mount_from frozen ~faulty:(not (workload_time kind)) with
-  | None -> ()
-  | Some (fso2, disk2) ->
-    (match fso2.o_mode () with
-    | `Degraded _ -> degraded := true
-    | `Rw -> ());
-    (* fsck: clean, except honest media findings where the plan hurt a
-       sole copy. *)
-    let report = fso2.o_check () in
-    (* [Unflushed] is informational everywhere: a freshly recovered FS
-       legitimately holds state the next checkpoint will persist. *)
-    let allowed =
-      Report.Unflushed
-      ::
-      (match kind with
-      | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect | Fault.Plan.Torn_write
-        ->
-        [ Report.Io_unreadable; Report.Bad_checksum ]
-      | _ -> [])
-    in
-    List.iter
-      (fun (f : Report.finding) ->
-        if not (List.mem f.Report.category allowed) then
-          failf "fsck: [%s] %s"
-            (Report.category_to_string f.Report.category)
-            f.Report.detail)
-      report.Report.findings;
-    (* Durability oracle. *)
-    let mode =
-      match kind with
-      | Fault.Plan.Power_cut | Fault.Plan.Torn_write
-      | Fault.Plan.Transient_read _ | Fault.Plan.Drive_hang _
-      | Fault.Plan.Drive_flaky _ | Fault.Plan.Nvm_cut | Fault.Plan.Nvm_torn
-      | Fault.Plan.Nvm_destage_cut | Fault.Plan.Nvm_full ->
-        Oracle.Strict
-      | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect | Fault.Plan.Drive_death
-      | Fault.Plan.Latent_sectors _ ->
-        Oracle.Lax
-    in
-    incr oracle_checks;
-    List.iter
-      (fun m -> failf "oracle: %s" m)
-      (Oracle.check oracle ~mode (view_of fso2));
-    (* Recovery idempotence: remounting the recovered platters changes
-       nothing. *)
-    let again = Disk.Sector_store.snapshot (Disk.Disk_sim.store disk2) in
-    (match mount_from again ~faulty:false with
-    | None -> ()
-    | Some (fso3, _) ->
-      let signature f =
-        List.map
-          (fun n ->
-            (n, match f.o_size n with Ok s -> s | Error _ -> -1))
-          (List.sort compare (f.o_files ()))
-      in
-      if signature fso2 <> signature fso3 then
-        failf "remount is not idempotent (namespace or sizes changed)";
-      let deg f = match f.o_mode () with `Degraded _ -> true | `Rw -> false in
-      if deg fso2 <> deg fso3 then failf "degraded mode is not idempotent"));
-  let injected =
-    Fault.Plan.fired plan
-    ||
-    match !recovery_plan with Some p -> Fault.Plan.fired p | None -> false
+    | Error e -> Error ("mount aborted: " ^ e)
+    | Ok (fso2, _notes) ->
+      Ok
+        {
+          m_fs = fso2;
+          m_checks = (fun () -> [ ("fsck", fso2.o_check ()) ]);
+          m_freeze = (fun () -> image (snapshot disk2));
+        }
   in
   {
-    scenarios = 1;
-    injected = (if injected then 1 else 0);
-    cut = (if !cut then 1 else 0);
-    degraded_mounts = (if !degraded then 1 else 0);
-    oracle_checks = !oracle_checks;
-    failures = List.rev !fails;
+    b_fs = fso;
+    b_arm = (fun p -> Fault.Plan.install p disk);
+    b_recovery_faults = true;
+    b_park = ignore;
+    b_freeze = (fun () -> image (snapshot disk));
+    b_allowed =
+      (match kind with
+      | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect | Fault.Plan.Torn_write ->
+        media_findings
+      | _ -> []);
+    b_mode = oracle_mode kind;
   }
 
 let vol_shape = function
@@ -734,76 +608,32 @@ let vol_leg_kind = function
   | VL_vld -> Volume.Vld_leg
   | VL_regular -> Volume.Regular_leg
 
-(* A volume cell: same workload and judging protocol, but the file
-   system runs on a [Volume] over several drives and the fault plan is
-   installed on one victim leg (rotating with the case number).  A
-   mirrored volume must mask the fault completely: fsck and the
-   volume's own mirror-consistency walk may show nothing beyond
+(* A volume rig: the file system runs on a [Volume] over several drives
+   and the fault plan is installed on one victim leg (rotating with the
+   case number).  A mirrored volume must mask the fault completely: fsck
+   and the volume's own mirror-consistency walk may show nothing beyond
    [Unflushed], and the oracle runs in [Redundant] mode (strict plus
    reread stability across legs).  A stripe has no redundancy, so it is
    judged like single-copy media. *)
-let run_volume_cell (c : config) ~rig ~layout ~leg ~kind ~trigger ~case =
+let volume c rig ~layout ~leg ~kind ~case ~scenario_seed ~prng =
   let vlayout = vol_shape layout in
   let lkind = vol_leg_kind leg in
   let n = Volume.n_legs vlayout in
-  let scenario_seed = Int64.add c.seed (Int64.of_int (case * 6029)) in
   let clock = Clock.create () in
   let disks = Array.init n (fun _ -> make_disk c rig clock) in
   let spare () = make_disk c rig clock in
-  let prng = Prng.create ~seed:scenario_seed in
   let vol =
     Volume.create ~spare ~layout:vlayout ~leg_kind:lkind
       ~logical_blocks:c.logical_blocks ~disks ~prng:(Prng.split prng) ()
   in
-  let fso =
-    match rig.fs with
-    | F_ufs ->
-      wrap_ufs (Ufs.format ~dev:(Volume.device vol) ~host:Host.free ~clock ufs_cfg)
-    | F_lfs ->
-      wrap_lfs (Lfs.format ~dev:(Volume.device vol) ~host:Host.free ~clock lfs_cfg)
-    | F_vlfs -> invalid_arg "vlfs has no volume rig"
-  in
-  let victim = case mod n in
-  let plan = Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 1L) in
-  Fault.Plan.install plan disks.(victim);
-  let oracle = Oracle.create ~sector_bytes:(sector_bytes c) in
-  let cut = ref false in
-  run_workload c fso oracle ~wprng:(Prng.split prng) ~cut;
-  Fault.Plan.flush plan;
-  (* A clean shutdown parks the volume too: suspects resolve or retire,
-     rebuilds finish, dirty regions drain.  A power cut skips straight
-     to the frozen platters, mid-flight state and all. *)
-  if not !cut then Volume.settle vol;
-  let freeze v =
-    Array.map
-      (fun d -> Disk.Sector_store.snapshot (Disk.Disk_sim.store d))
-      (Volume.disks v)
-  in
-  let frozen = freeze vol in
-  let fails = ref [] in
-  let failf fmt =
-    Printf.ksprintf
-      (fun message ->
-        fails :=
-          {
-            f_rig = rig_name rig;
-            f_seed = c.seed;
-            f_kind = kind;
-            f_trigger = trigger;
-            f_case = case;
-            message;
-          }
-          :: !fails)
-      fmt
-  in
-  let degraded = ref false in
-  let oracle_checks = ref 0 in
+  let fso = format_fs rig ~dev:(Volume.device vol) ~clock in
   let mirrored =
     match vlayout with
     | Volume.Stripe _ -> false
     | Volume.Mirror _ | Volume.Stripe_of_mirrors _ -> true
   in
-  let mount_from stores =
+  let freeze v = Array.map snapshot (Volume.disks v) in
+  let rec image stores _ =
     let clock2 = Clock.create () in
     let disks2 = Array.map (fun st -> make_disk ~store:st c rig clock2) stores in
     let spare2 () = make_disk c rig clock2 in
@@ -812,93 +642,36 @@ let run_volume_cell (c : config) ~rig ~layout ~leg ~kind ~trigger ~case =
         ~logical_blocks:c.logical_blocks ~disks:disks2
         ~prng:(Prng.create ~seed:scenario_seed) ()
     with
-    | Error e ->
-      failf "volume recover: %s" e;
-      None
+    | Error e -> Error ("volume recover: " ^ e)
     | Ok (vol2, _rep) -> (
       (* finish any rebuild the recovery started for a dead-on-arrival
          leg before judging: redundancy must be restorable, not just
          restored-in-principle *)
       Volume.settle vol2;
-      let dev2 = Volume.device vol2 in
-      let mounted =
-        match rig.fs with
-        | F_ufs -> (
-          match Ufs.mount ~dev:dev2 ~host:Host.free ~clock:clock2 ufs_cfg with
-          | Error e -> Error ("ufs: " ^ e)
-          | Ok (t, _) -> Ok (wrap_ufs t))
-        | F_lfs -> (
-          match Lfs.recover ~dev:dev2 ~host:Host.free ~clock:clock2 lfs_cfg with
-          | Error e -> Error ("lfs: " ^ e)
-          | Ok (t, _) -> Ok (wrap_lfs t))
-        | F_vlfs -> Error "vlfs has no volume rig"
-      in
-      match mounted with
-      | Error e ->
-        failf "mount aborted: %s" e;
-        None
-      | Ok fso2 -> Some (vol2, fso2))
+      match mount_on rig ~dev:(Volume.device vol2) ~clock:clock2 with
+      | Error e -> Error ("mount aborted: " ^ e)
+      | Ok (fso2, _notes) ->
+        Ok
+          {
+            m_fs = fso2;
+            m_checks =
+              (fun () ->
+                let fsck = fso2.o_check () in
+                [ ("fsck", fsck); ("volume", Volume_check.check vol2) ]);
+            m_freeze = (fun () -> image (freeze vol2));
+          })
   in
-  (match mount_from frozen with
-  | None -> ()
-  | Some (vol2, fso2) ->
-    (match fso2.o_mode () with
-    | `Degraded _ -> degraded := true
-    | `Rw -> ());
-    let allowed =
-      Report.Unflushed
-      :: (if mirrored then [] else [ Report.Io_unreadable; Report.Bad_checksum ])
-    in
-    let judge label (report : Report.t) =
-      List.iter
-        (fun (f : Report.finding) ->
-          if not (List.mem f.Report.category allowed) then
-            failf "%s: [%s] %s" label
-              (Report.category_to_string f.Report.category)
-              f.Report.detail)
-        report.Report.findings
-    in
-    judge "fsck" (fso2.o_check ());
-    judge "volume" (Volume_check.check vol2);
-    let mode =
-      if mirrored then Oracle.Redundant
-      else
-        match kind with
-        | Fault.Plan.Power_cut | Fault.Plan.Torn_write
-        | Fault.Plan.Transient_read _ | Fault.Plan.Drive_hang _
-        | Fault.Plan.Drive_flaky _ | Fault.Plan.Nvm_cut | Fault.Plan.Nvm_torn
-        | Fault.Plan.Nvm_destage_cut | Fault.Plan.Nvm_full ->
-          Oracle.Strict
-        | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect
-        | Fault.Plan.Drive_death | Fault.Plan.Latent_sectors _ ->
-          Oracle.Lax
-    in
-    incr oracle_checks;
-    List.iter
-      (fun m -> failf "oracle: %s" m)
-      (Oracle.check oracle ~mode (view_of fso2));
-    (* Recovery idempotence, volume edition: recovering the recovered
-       legs' platters again changes nothing. *)
-    let again = freeze vol2 in
-    match mount_from again with
-    | None -> ()
-    | Some (_, fso3) ->
-      let signature f =
-        List.map
-          (fun nm -> (nm, match f.o_size nm with Ok s -> s | Error _ -> -1))
-          (List.sort compare (f.o_files ()))
-      in
-      if signature fso2 <> signature fso3 then
-        failf "remount is not idempotent (namespace or sizes changed)";
-      let deg f = match f.o_mode () with `Degraded _ -> true | `Rw -> false in
-      if deg fso2 <> deg fso3 then failf "degraded mode is not idempotent");
   {
-    scenarios = 1;
-    injected = (if Fault.Plan.fired plan then 1 else 0);
-    cut = (if !cut then 1 else 0);
-    degraded_mounts = (if !degraded then 1 else 0);
-    oracle_checks = !oracle_checks;
-    failures = List.rev !fails;
+    b_fs = fso;
+    b_arm = (fun p -> Fault.Plan.install p disks.(case mod n));
+    b_recovery_faults = false;
+    (* A clean shutdown parks the volume too: suspects resolve or retire,
+       rebuilds finish, dirty regions drain.  A power cut skips straight
+       to the frozen platters, mid-flight state and all. *)
+    b_park = (fun _ -> Volume.settle vol);
+    b_freeze = (fun () -> image (freeze vol));
+    b_allowed = (if mirrored then [] else media_findings);
+    b_mode = (if mirrored then Oracle.Redundant else oracle_mode kind);
   }
 
 (* NVM-WAL rig parameters.  The log is deliberately small so destaging
@@ -909,19 +682,17 @@ let run_volume_cell (c : config) ~rig ~layout ~leg ~kind ~trigger ~case =
 let wal_log_bytes = 64 * 1024
 let wal_tiny_log_bytes = 20 * 1024
 
-(* A WAL cell: the same workload and judging protocol as a plain cell,
-   but the file system's device is an [Nvm_wal] staging tier over the
-   logical disk, and the fault plan watches the tier's own counters —
+(* A WAL rig: the file system's device is an [Nvm_wal] staging tier over
+   the logical disk, and the fault plan watches the tier's own counters —
    NVM persist barriers for [Nvm_cut]/[Nvm_torn], backing-disk writes
    for [Nvm_destage_cut]/[Nvm_full].  The freeze captures both failure
    domains (the platters and the NVM's persisted image); the remount
    replays the NVM log over the disk before the FS's own recovery runs.
-   Every NVM kind is a power-cut flavor — no media damage — so the
-   oracle runs in [Strict] mode: a write that returned [Ok] crossed the
-   persist barrier and must survive, while volatile-front residue
-   belongs to operations that never returned. *)
-let run_wal_cell (c : config) ~rig ~backing ~kind ~trigger ~case =
-  let scenario_seed = Int64.add c.seed (Int64.of_int (case * 6029)) in
+   Every NVM kind is a power-cut flavor — no media damage — so fsck owes
+   a clean bill and the oracle runs in [Strict] mode: a write that
+   returned [Ok] crossed the persist barrier and must survive, while
+   volatile-front residue belongs to operations that never returned. *)
+let wal c rig ~backing ~kind ~scenario_seed =
   let wal_config =
     {
       Nvm.Nvm_wal.default_config with
@@ -932,233 +703,186 @@ let run_wal_cell (c : config) ~rig ~backing ~kind ~trigger ~case =
           | _ -> wal_log_bytes);
     }
   in
-  let make_inner ~disk ~fresh =
-    match backing with
-    | W_vld ->
-      if fresh then
-        Ok
-          (Blockdev.Vld.device
-             (Blockdev.Vld.create ~disk ~logical_blocks:c.logical_blocks
-                ~prng:(Prng.create ~seed:scenario_seed) ()))
-      else (
-        match
-          Blockdev.Vld.recover ~disk ~prng:(Prng.create ~seed:scenario_seed) ()
-        with
-        | Ok (vld, _) -> Ok (Blockdev.Vld.device vld)
-        | Error e -> Error ("vld: " ^ e))
-    | W_regular ->
-      Ok
-        (Blockdev.Regular_disk.device
-           (Blockdev.Regular_disk.create ~disk ~spare_blocks ()))
-  in
-  let fs_fresh ~dev ~clock =
-    match rig.fs with
-    | F_ufs -> wrap_ufs (Ufs.format ~dev ~host:Host.free ~clock ufs_cfg)
-    | F_lfs -> wrap_lfs (Lfs.format ~dev ~host:Host.free ~clock lfs_cfg)
-    | F_vlfs -> invalid_arg "vlfs has no nvm rig"
-  in
-  let fs_mount ~dev ~clock =
-    match rig.fs with
-    | F_ufs -> (
-      match Ufs.mount ~dev ~host:Host.free ~clock ufs_cfg with
-      | Error e -> Error ("ufs: " ^ e)
-      | Ok (t, _) -> Ok (wrap_ufs t))
-    | F_lfs -> (
-      match Lfs.recover ~dev ~host:Host.free ~clock lfs_cfg with
-      | Error e -> Error ("lfs: " ^ e)
-      | Ok (t, _) -> Ok (wrap_lfs t))
-    | F_vlfs -> Error "vlfs has no nvm rig"
-  in
+  let on = match backing with W_vld -> D_vld | W_regular -> D_regular in
   let clock = Clock.create () in
   let disk = make_disk c rig clock in
-  let prng = Prng.create ~seed:scenario_seed in
   let nvm = Nvm.Nvm_sim.create ~clock () in
-  let fails = ref [] in
-  let failf fmt =
-    Printf.ksprintf
-      (fun message ->
-        fails :=
-          {
-            f_rig = rig_name rig;
-            f_seed = c.seed;
-            f_kind = kind;
-            f_trigger = trigger;
-            f_case = case;
-            message;
-          }
-          :: !fails)
-      fmt
+  let inner =
+    fresh_dev c on ~disk ~prng:(Prng.create ~seed:scenario_seed)
   in
-  match make_inner ~disk ~fresh:true with
-  | Error e ->
-    failf "format aborted: %s" e;
-    { zero with scenarios = 1; failures = List.rev !fails }
-  | Ok inner ->
-    let wal = Nvm.Nvm_wal.create ~config:wal_config ~nvm ~inner () in
-    let fso = fs_fresh ~dev:(Nvm.Nvm_wal.device wal) ~clock in
-    let plan =
-      Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 1L)
-    in
+  let wal = Nvm.Nvm_wal.create ~config:wal_config ~nvm ~inner () in
+  let fso = format_fs rig ~dev:(Nvm.Nvm_wal.device wal) ~clock in
+  let rec image (dstore, nimg) _ =
+    let clock2 = Clock.create () in
+    let disk2 = make_disk ~store:dstore c rig clock2 in
+    match recover_dev on ~disk:disk2 ~prng:(Prng.create ~seed:scenario_seed) with
+    | Error e -> Error ("mount aborted: " ^ e)
+    | Ok inner2 -> (
+      let nvm2 = Nvm.Nvm_sim.create ~image:nimg ~clock:clock2 () in
+      match Nvm.Nvm_wal.recover ~config:wal_config ~nvm:nvm2 ~inner:inner2 () with
+      | Error e ->
+        Error
+          (Format.asprintf "wal replay aborted: %a" Blockdev.Device.pp_io_error e)
+      | Ok (wal2, _report) -> (
+        match mount_on rig ~dev:(Nvm.Nvm_wal.device wal2) ~clock:clock2 with
+        | Error e -> Error ("mount aborted: " ^ e)
+        | Ok (fso2, _notes) ->
+          Ok
+            {
+              m_fs = fso2;
+              m_checks = (fun () -> [ ("fsck", fso2.o_check ()) ]);
+              (* the second replay rewrites what the first already
+                 destaged *)
+              m_freeze =
+                (fun () -> image (snapshot disk2, Nvm.Nvm_sim.snapshot nvm2));
+            }))
+  in
+  {
+    b_fs = fso;
     (* One plan, both failure domains: whichever counter the kind
        watches decides where it strikes. *)
-    Fault.Plan.install plan disk;
-    Fault.Plan.install_nvm plan nvm;
-    let oracle = Oracle.create ~sector_bytes:(sector_bytes c) in
-    let cut = ref false in
-    run_workload c fso oracle ~wprng:(Prng.split prng) ~cut;
-    Fault.Plan.flush plan;
+    b_arm =
+      (fun p ->
+        Fault.Plan.install p disk;
+        Fault.Plan.install_nvm p nvm);
+    b_recovery_faults = false;
     (* A clean shutdown parks the staging tier too: everything staged
        destages and the log resets.  A power cut freezes both domains
        mid-flight. *)
-    if not !cut then (
-      match Nvm.Nvm_wal.drain wal with
-      | Ok () -> ()
-      | Error e ->
-        failf "clean-shutdown drain failed: %s"
-          (Format.asprintf "%a" Blockdev.Device.pp_io_error e));
-    let frozen = (Disk.Sector_store.snapshot (Disk.Disk_sim.store disk),
-                  Nvm.Nvm_sim.snapshot nvm)
-    in
-    let degraded = ref false in
-    let oracle_checks = ref 0 in
-    let mount_from (dstore, nimg) =
-      let clock2 = Clock.create () in
-      let disk2 = make_disk ~store:dstore c rig clock2 in
-      match make_inner ~disk:disk2 ~fresh:false with
-      | Error e ->
-        failf "mount aborted: %s" e;
-        None
-      | Ok inner2 -> (
-        let nvm2 = Nvm.Nvm_sim.create ~image:nimg ~clock:clock2 () in
-        match Nvm.Nvm_wal.recover ~config:wal_config ~nvm:nvm2 ~inner:inner2 ()
-        with
+    b_park =
+      (fun fail ->
+        match Nvm.Nvm_wal.drain wal with
+        | Ok () -> ()
         | Error e ->
-          failf "wal replay aborted: %s"
-            (Format.asprintf "%a" Blockdev.Device.pp_io_error e);
-          None
-        | Ok (wal2, _report) -> (
-          match fs_mount ~dev:(Nvm.Nvm_wal.device wal2) ~clock:clock2 with
-          | Error e ->
-            failf "mount aborted: %s" e;
-            None
-          | Ok fso2 -> Some (fso2, disk2, nvm2)))
-    in
-    (match mount_from frozen with
-    | None -> ()
-    | Some (fso2, disk2, nvm2) ->
-      (match fso2.o_mode () with
-      | `Degraded _ -> degraded := true
-      | `Rw -> ());
-      (* NVM kinds never damage media, so fsck owes a clean bill beyond
-         the usual informational [Unflushed]. *)
-      let allowed = [ Report.Unflushed ] in
-      List.iter
-        (fun (f : Report.finding) ->
-          if not (List.mem f.Report.category allowed) then
-            failf "fsck: [%s] %s"
-              (Report.category_to_string f.Report.category)
-              f.Report.detail)
-        (fso2.o_check ()).Report.findings;
-      let mode = Oracle.Strict in
-      incr oracle_checks;
-      List.iter
-        (fun m -> failf "oracle: %s" m)
-        (Oracle.check oracle ~mode (view_of fso2));
-      (* Recovery idempotence, staged edition: freezing both domains of
-         the recovered pair and replaying again changes nothing — the
-         second replay rewrites what the first already destaged. *)
-      let again = (Disk.Sector_store.snapshot (Disk.Disk_sim.store disk2),
-                   Nvm.Nvm_sim.snapshot nvm2)
-      in
-      match mount_from again with
-      | None -> ()
-      | Some (fso3, _, _) ->
-        let signature f =
-          List.map
-            (fun n -> (n, match f.o_size n with Ok s -> s | Error _ -> -1))
-            (List.sort compare (f.o_files ()))
-        in
-        if signature fso2 <> signature fso3 then
-          failf "remount is not idempotent (namespace or sizes changed)";
-        let deg f = match f.o_mode () with `Degraded _ -> true | `Rw -> false in
-        if deg fso2 <> deg fso3 then failf "degraded mode is not idempotent");
-    {
-      scenarios = 1;
-      injected = (if Fault.Plan.fired plan then 1 else 0);
-      cut = (if !cut then 1 else 0);
-      degraded_mounts = (if !degraded then 1 else 0);
-      oracle_checks = !oracle_checks;
-      failures = List.rev !fails;
-    }
+          fail
+            (Format.asprintf "clean-shutdown drain failed: %a"
+               Blockdev.Device.pp_io_error e));
+    b_freeze = (fun () -> image (snapshot disk, Nvm.Nvm_sim.snapshot nvm));
+    b_allowed = [];
+    b_mode = Oracle.Strict;
+  }
 
-let run_cell (c : config) ~rig ~kind ~trigger ~case =
-  match rig.on with
-  | D_volume (layout, leg) ->
-    run_volume_cell c ~rig ~layout ~leg ~kind ~trigger ~case
-  | D_nvm backing -> run_wal_cell c ~rig ~backing ~kind ~trigger ~case
-  | D_vld | D_regular | D_direct -> run_plain_cell c ~rig ~kind ~trigger ~case
+(* ---- The judge ---- *)
 
-(* The matrix in canonical order.  [case] counts only the cells actually
-   present (excluded rig/kind pairs are skipped before numbering), is a
-   function of the cell's position alone, and thus never depends on
-   which cells have already executed — what makes the sweep safe to fan
-   out across workers.  The volume slice follows the single-spindle
-   slice, so existing case numbers (and saved repro strings) stay
-   stable. *)
-let cells (c : config) =
-  let cells = ref [] in
-  let case = ref 0 in
-  let add rigs kinds triggers =
+type cell = { rig : rig; kind : Fault.Plan.kind; trigger : int; case : int }
+
+let degraded fso = match fso.o_mode () with `Degraded _ -> true | `Rw -> false
+
+(* One cell: build the rig, run the workload under the plan, freeze,
+   remount, then fsck (plus the rig's own checkers), the durability
+   oracle, and remount idempotence. *)
+let judge (c : config) { rig; kind; trigger; case } log =
+  let failf fmt = Cells.failf log fmt in
+  let scenario_seed = Int64.add c.seed (Int64.of_int (case * 6029)) in
+  let prng = Prng.create ~seed:scenario_seed in
+  let b =
+    match rig.on with
+    | D_volume (layout, leg) ->
+      volume c rig ~layout ~leg ~kind ~case ~scenario_seed ~prng
+    | D_nvm backing -> wal c rig ~backing ~kind ~scenario_seed
+    | D_vld | D_regular | D_direct -> plain c rig ~kind ~scenario_seed ~prng
+  in
+  let plan = Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 1L) in
+  let at_recovery = b.b_recovery_faults && not (workload_time kind) in
+  if not at_recovery then b.b_arm plan;
+  let oracle = Oracle.create ~sector_bytes:(sector_bytes c) in
+  let cut = ref false in
+  run_workload c b.b_fs oracle ~wprng:(Prng.split prng) ~cut;
+  Fault.Plan.flush plan;
+  if not !cut then b.b_park (failf "%s");
+  let frozen = b.b_freeze () in
+  let recovery_plan =
+    if at_recovery then
+      Some (Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 2L))
+    else None
+  in
+  let was_degraded = ref false in
+  let oracle_checks = ref 0 in
+  (match frozen recovery_plan with
+  | Error e -> failf "%s" e
+  | Ok m -> (
+    was_degraded := degraded m.m_fs;
+    (* [Unflushed] is informational everywhere: a freshly recovered FS
+       legitimately holds state the next checkpoint will persist. *)
+    let allowed = Report.Unflushed :: b.b_allowed in
     List.iter
-      (fun rig ->
+      (fun (label, (report : Report.t)) ->
         List.iter
+          (fun (f : Report.finding) ->
+            if not (List.mem f.Report.category allowed) then
+              failf "%s: [%s] %s" label
+                (Report.category_to_string f.Report.category)
+                f.Report.detail)
+          report.Report.findings)
+      (m.m_checks ());
+    incr oracle_checks;
+    List.iter (failf "oracle: %s") (Oracle.check oracle ~mode:b.b_mode (view_of m.m_fs));
+    (* Recovery idempotence: remounting the recovered platters changes
+       nothing. *)
+    match m.m_freeze () None with
+    | Error e -> failf "%s" e
+    | Ok m3 ->
+      let signature f =
+        List.map
+          (fun n -> (n, match f.o_size n with Ok s -> s | Error _ -> -1))
+          (List.sort compare (f.o_files ()))
+      in
+      if signature m.m_fs <> signature m3.m_fs then
+        failf "remount is not idempotent (namespace or sizes changed)";
+      if degraded m.m_fs <> degraded m3.m_fs then
+        failf "degraded mode is not idempotent"));
+  let injected =
+    Fault.Plan.fired plan
+    || Option.fold ~none:false ~some:Fault.Plan.fired recovery_plan
+  in
+  {
+    Cells.tallies =
+      [ Bool.to_int injected; Bool.to_int !cut; Bool.to_int !was_degraded;
+        !oracle_checks ];
+    verdict = "ok";
+  }
+
+(* The matrix in canonical order: the single-spindle slice, then the
+   volume slice, then the NVM-WAL slice, so existing case numbers (and
+   saved repro strings) stay stable as slices grow.  Excluded rig/kind
+   pairs are skipped before numbering. *)
+let cells (c : config) =
+  let slice rigs kinds triggers =
+    List.concat_map
+      (fun rig ->
+        List.concat_map
           (fun kind ->
-            if not (excluded rig kind) then
-              List.iter
-                (fun trigger ->
-                  incr case;
-                  cells := (rig, kind, trigger, !case) :: !cells)
-                triggers)
+            if excluded rig kind then []
+            else List.map (fun trigger case -> { rig; kind; trigger; case }) triggers)
           kinds)
       rigs
   in
-  add c.rigs c.kinds c.triggers;
-  add c.vol_rigs c.vol_kinds c.vol_triggers;
-  add c.wal_rigs c.wal_kinds c.wal_triggers;
-  List.rev !cells
+  slice c.rigs c.kinds c.triggers
+  @ slice c.vol_rigs c.vol_kinds c.vol_triggers
+  @ slice c.wal_rigs c.wal_kinds c.wal_triggers
 
-(* A worker that died (crash, wedge, exception) degrades to a per-cell
-   failure carrying the same repro coordinates a judged failure would. *)
-let worker_failure (c : config) (rig, kind, trigger, case) reason =
+let sweep =
   {
-    zero with
-    scenarios = 1;
-    failures =
-      [
-        {
-          f_rig = rig_name rig;
-          f_seed = c.seed;
-          f_kind = kind;
-          f_trigger = trigger;
-          f_case = case;
-          message = Par.reason_to_string reason;
-        };
-      ];
+    Cells.keys = [ "rig"; "seed"; "kind"; "trigger"; "case" ];
+    coords =
+      (fun c x ->
+        [ rig_name x.rig; Int64.to_string c.seed;
+          Fault.Plan.kind_to_string x.kind; string_of_int x.trigger;
+          string_of_int x.case ]);
+    cell_of =
+      (fun get ->
+        let ( let* ) = Result.bind in
+        let* rig = rig_of_string (get "rig") in
+        let* kind = Fault.Plan.kind_of_string (get "kind") in
+        let* trigger = Cells.int_value "trigger" (get "trigger") in
+        let* case = Cells.int_value "case" (get "case") in
+        Ok { rig; kind; trigger; case });
+    with_seed = (fun c seed -> { c with seed });
+    cells;
+    tallies =
+      [ "faults injected"; "power cuts"; "degraded recoveries"; "oracle checks" ];
+    judge;
   }
-
-let run ?(jobs = 1) ?(timeout_s = 300.) ?cell (c : config) =
-  let cell_fn = match cell with None -> run_cell | Some f -> f in
-  let cells = cells c in
-  let results =
-    Par.map ~timeout_s ~jobs
-      (fun (rig, kind, trigger, case) -> cell_fn c ~rig ~kind ~trigger ~case)
-      cells
-  in
-  List.fold_left2
-    (fun acc cl -> function
-      | Ok o -> merge acc o
-      | Error (e : Par.error) -> merge acc (worker_failure c cl e.Par.reason))
-    zero cells results
 
 (* ---- Seeded degraded-mount demonstrations ---- *)
 
@@ -1373,7 +1097,7 @@ let make_image ~fs ~corrupt : (Image.header * Disk.Sector_store.t, string) resul
   let* () =
     match rig.fs with
     | F_ufs ->
-      let t = Ufs.format ~dev:(fresh_dev c rig ~disk ~prng) ~host:Host.free
+      let t = Ufs.format ~dev:(fresh_dev c rig.on ~disk ~prng) ~host:Host.free
           ~clock ufs_cfg
       in
       seed_files
@@ -1408,7 +1132,7 @@ let make_image ~fs ~corrupt : (Image.header * Disk.Sector_store.t, string) resul
           Disk.Sector_store.rot store ~lba ~sectors:1 prng;
           Ok ()))
     | F_lfs -> (
-      let t = Lfs.format ~dev:(fresh_dev c rig ~disk ~prng) ~host:Host.free
+      let t = Lfs.format ~dev:(fresh_dev c rig.on ~disk ~prng) ~host:Host.free
           ~clock lfs_cfg
       in
       seed_files
@@ -1489,14 +1213,10 @@ let fsck_image (h : Image.header) store : (fsck_result, string) result =
   let* profile = parse_profile h.Image.profile in
   let* rig = rig_of_string (h.Image.fs ^ "/" ^ h.Image.dev) in
   let clock = Clock.create () in
-  let buffer_policy =
-    match rig.on with
-    | D_regular | D_volume (_, VL_regular) | D_nvm W_regular ->
-      Disk.Track_buffer.Forward_discard
-    | D_vld | D_direct | D_volume (_, VL_vld) | D_nvm W_vld ->
-      Disk.Track_buffer.Whole_track
+  let disk =
+    Disk.Disk_sim.create ~buffer_policy:(buffer_policy rig) ~store ~profile
+      ~clock ()
   in
-  let disk = Disk.Disk_sim.create ~buffer_policy ~store ~profile ~clock () in
   let* fso, notes =
     mount_fs rig ~disk ~clock ~prng:(Prng.create ~seed:0x5EC7L)
   in

@@ -1,4 +1,4 @@
-(** File-system-level crash/fault sweep: the {!Fault.Sweep} idea lifted
+(** File-system-level crash/fault sweep: the {!Vld_sweep} idea lifted
     one layer up.  Each cell runs a seeded metadata-heavy workload on a
     full stack (file system x logical-disk layer) with a fault plan
     installed, freezes the platters, remounts on a fresh drive, and
@@ -73,71 +73,23 @@ val smoke : config
     plus two mirrored-volume drive-death cells and four NVM-WAL cells
     (torn NVM record and crash mid-destage on the staged-VLD rig). *)
 
-type failure = {
-  f_rig : string;
-  f_seed : int64;
-  f_kind : Fault.Plan.kind;
-  f_trigger : int;
-  f_case : int;
-  message : string;
+type cell = {
+  rig : rig;
+  kind : Fault.Plan.kind;
+  trigger : int;  (** I/O count after which the fault arms *)
+  case : int;  (** position in the matrix; perturbs the scenario seed *)
 }
 
-val repro_of_failure : failure -> string
-(** Machine-readable spec, ["rig=...,seed=...,kind=...,trigger=...,case=..."]. *)
+val sweep : (config, cell) Cells.sweep
+(** One cell: workload under fault, freeze, remount, fsck (plus the
+    volume checker on volume rigs), oracle, idempotence.  Every rig runs
+    the same judging pipeline; a rig only says how its stack is built,
+    frozen and remounted, which fsck findings its media may honestly
+    show, and which oracle mode applies.
 
-val parse_repro :
-  string ->
-  (rig * int64 option * Fault.Plan.kind * int * int, string) result
-
-val pp_failure : Format.formatter -> failure -> unit
-
-type outcome = {
-  scenarios : int;
-  injected : int;         (** scenarios whose fault actually fired *)
-  cut : int;              (** scenarios ended by a simulated power cut *)
-  degraded_mounts : int;  (** recoveries that came up read-only *)
-  oracle_checks : int;
-  failures : failure list;
-}
-
-val merge : outcome -> outcome -> outcome
-
-val run_cell :
-  config ->
-  rig:rig ->
-  kind:Fault.Plan.kind ->
-  trigger:int ->
-  case:int ->
-  outcome
-(** One scenario: workload under fault, freeze, remount, fsck, oracle,
-    idempotence.  [case] perturbs the scenario seed. *)
-
-val cells : config -> (rig * Fault.Plan.kind * int * int) list
-(** The (rig, kind, trigger, case) matrix in canonical order.  [case]
-    numbers only the cells actually present (excluded pairs are skipped
-    before numbering) and is a function of a cell's coordinates alone,
-    independent of execution order. *)
-
-val run :
-  ?jobs:int ->
-  ?timeout_s:float ->
-  ?cell:
-    (config ->
-    rig:rig ->
-    kind:Fault.Plan.kind ->
-    trigger:int ->
-    case:int ->
-    outcome) ->
-  config ->
-  outcome
-(** Run the whole matrix through {!Par.map} on [jobs] workers (default
-    [1]: in-process, no fork) and merge per-cell outcomes in matrix
-    order — identical result for every [jobs] value.  A cell whose
-    worker crashes, raises, or exceeds [timeout_s] (default 300 s,
-    enforced only when [jobs > 1]) contributes a structured {!failure}
-    with its repro coordinates instead of killing the sweep.  [cell]
-    overrides the cell body — tests use it to plant deliberately
-    crashing or hanging cells. *)
+    Coordinates [rig,seed,kind,trigger,case]; tallies ["faults injected"],
+    ["power cuts"], ["degraded recoveries"] (remounts that came up
+    read-only) and ["oracle checks"]. *)
 
 val degraded_demo : fs_kind -> (unit, string) result
 (** Seeded corruption of one live inode's sole metadata copy on an

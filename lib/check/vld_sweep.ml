@@ -1,4 +1,5 @@
 open Vlog_util
+module Plan = Fault.Plan
 
 type config = {
   seed : int64;
@@ -25,84 +26,8 @@ let default =
     tail_modes = [ false; true ];
   }
 
-type failure = {
-  seed : int64;
-  kind : Plan.kind;
-  trigger : int;
-  with_tail : bool;
-  case : int;
-  message : string;
-}
-
-(* A failure must be machine-reproducible: the repro string round-trips
-   through {!parse_repro} into the exact [run_scenario] cell. *)
-let repro_of_failure f =
-  Printf.sprintf "seed=%Ld,kind=%s,trigger=%d,tail=%b,case=%d" f.seed
-    (Plan.kind_to_string f.kind) f.trigger f.with_tail f.case
-
-let pp_failure ppf f =
-  Format.fprintf ppf "[%s trigger=%d tail=%b] %s (--repro %s)"
-    (Plan.kind_to_string f.kind) f.trigger f.with_tail f.message
-    (repro_of_failure f)
-
-let parse_repro spec =
-  let ( let* ) = Result.bind in
-  let fields = String.split_on_char ',' spec in
-  List.fold_left
-    (fun acc field ->
-      let* seed, kind, trigger, tail, case = acc in
-      match String.index_opt field '=' with
-      | None -> Error (Printf.sprintf "malformed repro field %S" field)
-      | Some i -> (
-        let k = String.sub field 0 i in
-        let v = String.sub field (i + 1) (String.length field - i - 1) in
-        match k with
-        | "seed" -> (
-          match Int64.of_string_opt v with
-          | Some s -> Ok (Some s, kind, trigger, tail, case)
-          | None -> Error (Printf.sprintf "bad seed %S" v))
-        | "kind" ->
-          let* kd = Plan.kind_of_string v in
-          Ok (seed, Some kd, trigger, tail, case)
-        | "trigger" -> (
-          match int_of_string_opt v with
-          | Some n -> Ok (seed, kind, Some n, tail, case)
-          | None -> Error (Printf.sprintf "bad trigger %S" v))
-        | "tail" -> (
-          match bool_of_string_opt v with
-          | Some b -> Ok (seed, kind, trigger, Some b, case)
-          | None -> Error (Printf.sprintf "bad tail %S" v))
-        | "case" -> (
-          match int_of_string_opt v with
-          | Some n -> Ok (seed, kind, trigger, tail, Some n)
-          | None -> Error (Printf.sprintf "bad case %S" v))
-        | _ -> Error (Printf.sprintf "unknown repro field %S" k)))
-    (Ok (None, None, None, None, None))
-    fields
-  |> function
-  | Error _ as e -> e
-  | Ok (seed, Some kind, Some trigger, Some tail, Some case) ->
-    Ok (seed, kind, trigger, tail, case)
-  | Ok _ -> Error "repro spec needs at least kind=,trigger=,tail=,case="
-
-type outcome = {
-  scenarios : int;
-  injected : int;
-  cut : int;
-  degraded : int;
-  failures : failure list;
-}
-
-let zero = { scenarios = 0; injected = 0; cut = 0; degraded = 0; failures = [] }
-
-let merge a b =
-  {
-    scenarios = a.scenarios + b.scenarios;
-    injected = a.injected + b.injected;
-    cut = a.cut + b.cut;
-    degraded = a.degraded + b.degraded;
-    failures = a.failures @ b.failures;
-  }
+let smoke =
+  { default with kinds = [ Plan.Torn_write; Plan.Power_cut ]; triggers = 3 }
 
 let profile c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
 
@@ -133,7 +58,9 @@ let workload_time = function
    regress at most this many logical blocks. *)
 let max_blast_radius = 16
 
-let run_scenario (c : config) ~kind ~trigger ~with_tail ~case =
+type cell = { kind : Plan.kind; trigger : int; with_tail : bool; case : int }
+
+let judge (c : config) { kind; trigger; with_tail; case } log =
   let scenario_seed = Int64.add c.seed (Int64.of_int (case * 7919)) in
   let clock = Clock.create () in
   let disk = fresh_disk c clock in
@@ -172,13 +99,7 @@ let run_scenario (c : config) ~kind ~trigger ~with_tail ~case =
    with Disk.Disk_sim.Power_cut -> cut := true);
   Plan.flush plan;
   let frozen = Disk.Sector_store.snapshot (Disk.Disk_sim.store disk) in
-  let fail = ref [] in
-  let failf fmt =
-    Printf.ksprintf
-      (fun message ->
-        fail := { seed = c.seed; kind; trigger; with_tail; case; message } :: !fail)
-      fmt
-  in
+  let failf fmt = Cells.failf log fmt in
   (* Strict cells must recover the model exactly; only damage to the sole
      copy of map state (bit rot) is allowed to regress entries. *)
   let strict = match kind with Plan.Bit_rot -> false | _ -> true in
@@ -259,58 +180,40 @@ let run_scenario (c : config) ~kind ~trigger ~with_tail ~case =
     || match !recovery_plan with Some p -> Plan.fired p | None -> false
   in
   {
-    scenarios = 1;
-    injected = (if injected then 1 else 0);
-    cut = (if !cut then 1 else 0);
-    degraded = (if !degraded then 1 else 0);
-    failures = List.rev !fail;
+    Cells.tallies =
+      [ Bool.to_int injected; Bool.to_int !cut; Bool.to_int !degraded ];
+    verdict = "ok";
   }
 
-(* The matrix in canonical order.  [case] is a function of the cell's
-   position alone (tail-major, then kind, then trigger), so a cell's
-   seed derives from its coordinates and never from which cells ran
-   before it — the property that makes the sweep safe to fan out. *)
+(* The matrix in canonical order: tail-major, then kind, then trigger. *)
 let cells (c : config) =
-  let cells = ref [] in
-  let case = ref 0 in
-  List.iter
+  List.concat_map
     (fun with_tail ->
-      List.iter
+      List.concat_map
         (fun kind ->
-          for trigger = 0 to c.triggers - 1 do
-            incr case;
-            cells := (kind, trigger, with_tail, !case) :: !cells
-          done)
+          List.init c.triggers (fun trigger case ->
+              { kind; trigger; with_tail; case }))
         c.kinds)
-    c.tail_modes;
-  List.rev !cells
+    c.tail_modes
 
-(* A worker that died (crash, wedge, exception) degrades to a per-cell
-   failure carrying the same repro coordinates a judged failure would. *)
-let worker_failure (c : config) (kind, trigger, with_tail, case) reason =
+let sweep =
   {
-    zero with
-    scenarios = 1;
-    failures =
-      [
-        { seed = c.seed; kind; trigger; with_tail; case;
-          message = Par.reason_to_string reason };
-      ];
+    Cells.keys = [ "seed"; "kind"; "trigger"; "tail"; "case" ];
+    coords =
+      (fun c x ->
+        [ Int64.to_string c.seed; Plan.kind_to_string x.kind;
+          string_of_int x.trigger; string_of_bool x.with_tail;
+          string_of_int x.case ]);
+    cell_of =
+      (fun get ->
+        let ( let* ) = Result.bind in
+        let* kind = Plan.kind_of_string (get "kind") in
+        let* trigger = Cells.int_value "trigger" (get "trigger") in
+        let* with_tail = Cells.bool_value "tail" (get "tail") in
+        let* case = Cells.int_value "case" (get "case") in
+        Ok { kind; trigger; with_tail; case });
+    with_seed = (fun c seed -> { c with seed });
+    cells;
+    tallies = [ "faults injected"; "power cuts"; "degraded recoveries" ];
+    judge;
   }
-
-let run ?(jobs = 1) ?(timeout_s = 300.) ?scenario (c : config) =
-  let scenario =
-    match scenario with None -> run_scenario | Some f -> f
-  in
-  let cells = cells c in
-  let results =
-    Par.map ~timeout_s ~jobs
-      (fun (kind, trigger, with_tail, case) ->
-        scenario c ~kind ~trigger ~with_tail ~case)
-      cells
-  in
-  List.fold_left2
-    (fun acc cell -> function
-      | Ok o -> merge acc o
-      | Error (e : Par.error) -> merge acc (worker_failure c cell e.Par.reason))
-    zero cells results

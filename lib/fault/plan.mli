@@ -5,7 +5,7 @@
     a simulated drive.  Everything downstream (which sector tears, which
     bit rots) flows from the plan's own {!Vlog_util.Prng.t}, so a
     scenario is reproducible from [(kind, trigger, seed)] alone.  Plans
-    are how the sweep harness ({!Sweep}) and the [vlsim faults] command
+    are how the sweeps in [lib/check] and the [vlsim faults] command
     damage a drive on purpose. *)
 
 type kind =

@@ -94,53 +94,55 @@ let test_oracle_uncommitted_create_may_vanish () =
    roundtrip. *)
 let test_clean_roundtrip rig () =
   let o =
-    Fs_sweep.run_cell Fs_sweep.default ~rig ~kind:Fault.Plan.Power_cut
-      ~trigger:max_int ~case:71
+    Cells.judge Fs_sweep.sweep Fs_sweep.default
+      { Fs_sweep.rig; kind = Fault.Plan.Power_cut; trigger = max_int; case = 71 }
   in
-  Alcotest.(check int) "one scenario" 1 o.Fs_sweep.scenarios;
-  Alcotest.(check int) "no fault fired" 0 o.Fs_sweep.injected;
-  Alcotest.(check int) "oracle ran" 1 o.Fs_sweep.oracle_checks;
-  match o.Fs_sweep.failures with
+  Alcotest.(check int) "one scenario" 1 o.Cells.cells;
+  Alcotest.(check int) "no fault fired" 0 (Cells.tally o "faults injected");
+  Alcotest.(check int) "oracle ran" 1 (Cells.tally o "oracle checks");
+  match o.Cells.failures with
   | [] -> ()
-  | f :: _ -> Alcotest.failf "clean roundtrip failed: %s" f.Fs_sweep.message
+  | f :: _ -> Alcotest.failf "clean roundtrip failed: %s" f.Cells.message
 
 (* ---- The full sweep (the acceptance matrix) ---- *)
 
 let test_full_sweep () =
-  let o = Fs_sweep.run ~jobs:(Par.default_jobs ()) Fs_sweep.default in
-  Alcotest.(check bool) "at least 150 scenarios" true (o.Fs_sweep.scenarios >= 150);
-  Alcotest.(check bool) "faults actually fired" true (o.Fs_sweep.injected > 100);
-  Alcotest.(check bool) "power cuts exercised" true (o.Fs_sweep.cut > 0);
-  Alcotest.(check int) "every scenario oracle-checked" o.Fs_sweep.scenarios
-    o.Fs_sweep.oracle_checks;
-  match o.Fs_sweep.failures with
+  let o = Cells.run ~jobs:(Par.default_jobs ()) Fs_sweep.sweep Fs_sweep.default in
+  Alcotest.(check bool) "at least 150 scenarios" true (o.Cells.cells >= 150);
+  Alcotest.(check bool) "faults actually fired" true
+    (Cells.tally o "faults injected" > 100);
+  Alcotest.(check bool) "power cuts exercised" true (Cells.tally o "power cuts" > 0);
+  Alcotest.(check int) "every scenario oracle-checked" o.Cells.cells
+    (Cells.tally o "oracle checks");
+  match o.Cells.failures with
   | [] -> ()
   | f :: _ ->
-    Alcotest.failf "%d failures, first: %s (repro %s)"
-      (List.length o.Fs_sweep.failures)
-      f.Fs_sweep.message
-      (Fs_sweep.repro_of_failure f)
+    Alcotest.failf "%d failures, first: %a" (List.length o.Cells.failures)
+      Cells.pp_failure f
+
+(* A cell's coordinates under [c] as its repro spec. *)
+let spec_of s c cell =
+  Cells.repro_of_failure
+    { Cells.coords = List.combine s.Cells.keys (s.Cells.coords c cell);
+      message = "" }
 
 let test_repro_roundtrip () =
-  let f =
-    {
-      Fs_sweep.f_rig = "lfs/vld";
-      f_seed = 77L;
-      f_kind = Fault.Plan.Torn_write;
-      f_trigger = 9;
-      f_case = 41;
-      message = "whatever";
-    }
+  let c = { Fs_sweep.default with Fs_sweep.seed = 77L } in
+  let cell =
+    match Fs_sweep.rig_of_string "lfs/vld" with
+    | Ok rig ->
+      { Fs_sweep.rig; kind = Fault.Plan.Torn_write; trigger = 9; case = 41 }
+    | Error e -> Alcotest.fail e
   in
-  match Fs_sweep.parse_repro (Fs_sweep.repro_of_failure f) with
+  match Cells.parse_repro Fs_sweep.sweep Fs_sweep.default (spec_of Fs_sweep.sweep c cell) with
   | Error e -> Alcotest.fail e
-  | Ok (rig, seed, kind, trigger, case) ->
-    Alcotest.(check string) "rig" "lfs/vld" (Fs_sweep.rig_name rig);
-    Alcotest.(check (option int64)) "seed" (Some 77L) seed;
+  | Ok (c', cell') ->
+    Alcotest.(check string) "rig" "lfs/vld" (Fs_sweep.rig_name cell'.Fs_sweep.rig);
+    Alcotest.(check int64) "seed" 77L c'.Fs_sweep.seed;
     Alcotest.(check string) "kind" "torn"
-      (Fault.Plan.kind_to_string kind);
-    Alcotest.(check int) "trigger" 9 trigger;
-    Alcotest.(check int) "case" 41 case
+      (Fault.Plan.kind_to_string cell'.Fs_sweep.kind);
+    Alcotest.(check int) "trigger" 9 cell'.Fs_sweep.trigger;
+    Alcotest.(check int) "case" 41 cell'.Fs_sweep.case
 
 (* ---- Degraded read-only mounts from seeded corruption ---- *)
 
@@ -275,51 +277,37 @@ let test_vlfs_recover_idempotent () =
    spec print/parse cycle: a cell whose spec does not roundtrip cannot
    be reproduced from a CI failure line. *)
 let test_array_repro_roundtrip () =
-  let c = Array_sweep.default in
+  let s = Array_sweep.sweep and c = Array_sweep.default in
   List.iter
-    (fun (array, fault, depth, phase, case) ->
-      let f =
-        {
-          Array_sweep.f_array = Array_sweep.array_to_string array;
-          f_seed = c.Array_sweep.seed;
-          f_fault = fault;
-          f_depth = depth;
-          f_phase = phase;
-          f_case = case;
-          message = "";
-        }
-      in
-      let spec = Array_sweep.repro_of_failure f in
-      match Array_sweep.parse_repro spec with
-      | Ok (a', s', f', d', p', c') ->
-        if
-          a' <> array || s' <> Some c.Array_sweep.seed || f' <> fault
-          || d' <> depth || p' <> phase || c' <> case
-        then Alcotest.failf "repro %S did not roundtrip" spec
+    (fun cell ->
+      let spec = spec_of s c cell in
+      match Cells.parse_repro s c spec with
+      | Ok back ->
+        if back <> (c, cell) then Alcotest.failf "repro %S did not roundtrip" spec
       | Error e -> Alcotest.failf "repro %S did not parse: %s" spec e)
-    (Array_sweep.cells c)
+    (Cells.cells s c)
 
 (* One queued-array cell per judging regime, end to end: a raid10 cell
    that must mask a mid-batch leg death, and a double-death cell that
    must see honest loss.  Both must return a verdict and no failure. *)
 let array_cell array fault phase ~want_loss () =
   let c = { Array_sweep.smoke with Array_sweep.rounds = 6 } in
-  let case =
+  let cell =
     match
       List.find_opt
-        (fun (a, f, _, p, _) -> a = array && f = fault && p = phase)
-        (Array_sweep.cells c)
+        (fun (x : Array_sweep.cell) ->
+          x.array = array && x.fault = fault && x.phase = phase)
+        (Cells.cells Array_sweep.sweep c)
     with
-    | Some (_, _, _, _, n) -> n
+    | Some x -> x
     | None -> Alcotest.fail "cell not in the smoke matrix"
   in
-  let o = Array_sweep.run_cell c ~array ~fault ~depth:4 ~phase ~case in
-  Alcotest.(check int) "one cell" 1 o.Array_sweep.cells;
-  (match o.Array_sweep.failures with
+  let o = Cells.judge Array_sweep.sweep c cell in
+  Alcotest.(check int) "one cell" 1 o.Cells.cells;
+  (match o.Cells.failures with
   | [] -> ()
-  | f :: _ ->
-    Alcotest.failf "cell failed: %s" (Format.asprintf "%a" Array_sweep.pp_failure f));
-  match o.Array_sweep.verdicts with
+  | f :: _ -> Alcotest.failf "cell failed: %a" Cells.pp_failure f);
+  match o.Cells.verdicts with
   | [ (_, v) ] ->
     Alcotest.(check string) "verdict"
       (if want_loss then "data-loss" else "ok")

@@ -10,7 +10,7 @@
 
    The generalization of this sweep to injected media faults — torn
    writes, bit rot, transient read errors, grown defects, power cuts at
-   every operation boundary — lives in [Fault.Sweep] and runs from
+   every operation boundary — lives in [Check.Vld_sweep] and runs from
    test_fault.ml. *)
 
 open Vlog_util

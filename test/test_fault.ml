@@ -223,19 +223,23 @@ let test_rot_reads_error_not_garbage () =
 (* --- the systematic sweep --- *)
 
 let test_fault_sweep () =
-  let o = Fault.Sweep.run ~jobs:(Par.default_jobs ()) Fault.Sweep.default in
+  let open Check in
+  let o =
+    Cells.run ~jobs:(Par.default_jobs ()) Vld_sweep.sweep Vld_sweep.default
+  in
   List.iter
-    (fun f -> Format.printf "FAILED %a@." Fault.Sweep.pp_failure f)
-    o.Fault.Sweep.failures;
-  Alcotest.(check int) "invariants" 0 (List.length o.Fault.Sweep.failures);
-  Alcotest.(check bool) "at least 200 scenarios" true (o.Fault.Sweep.scenarios >= 200);
+    (fun f -> Format.printf "FAILED %a@." Cells.pp_failure f)
+    o.Cells.failures;
+  Alcotest.(check int) "invariants" 0 (List.length o.Cells.failures);
+  Alcotest.(check bool) "at least 200 scenarios" true (o.Cells.cells >= 200);
+  let injected = Cells.tally o "faults injected" in
   Alcotest.(check bool)
-    (Printf.sprintf "at least 200 injected faults (got %d)" o.Fault.Sweep.injected)
-    true
-    (o.Fault.Sweep.injected >= 200);
-  Alcotest.(check bool) "power cuts exercised" true (o.Fault.Sweep.cut > 0);
+    (Printf.sprintf "at least 200 injected faults (got %d)" injected)
+    true (injected >= 200);
+  Alcotest.(check bool) "power cuts exercised" true
+    (Cells.tally o "power cuts" > 0);
   Alcotest.(check bool) "degraded recoveries exercised" true
-    (o.Fault.Sweep.degraded > 0)
+    (Cells.tally o "degraded recoveries" > 0)
 
 (* ---- fault-spec parse/print roundtrips ---- *)
 

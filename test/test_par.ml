@@ -135,102 +135,129 @@ let test_progress_hooks () =
   Alcotest.(check (list int)) "every item finished" [ 0; 1; 2; 3 ]
     (List.sort compare !done_)
 
-(* --- the sweeps through the pool --- *)
+(* --- the sweeps through the harness --- *)
 
-let small_fault_config =
-  {
-    Fault.Sweep.default with
-    Fault.Sweep.kinds = [ Fault.Plan.Torn_write; Fault.Plan.Power_cut ];
-    triggers = 3;
-  }
+open Check
 
-let test_fault_sweep_jobs_invariant () =
-  let o1 = Fault.Sweep.run ~jobs:1 small_fault_config in
-  let o3 = Fault.Sweep.run ~jobs:3 small_fault_config in
-  Alcotest.(check bool) "12 cells" true (o1.Fault.Sweep.scenarios = 12);
-  Alcotest.(check bool) "jobs=3 = jobs=1" true (o1 = o3)
+(* One harness test set, run over every sweep. *)
+type sweep = Sweep : string * ('c, 'cell) Cells.sweep * 'c -> sweep
 
-let test_fs_sweep_jobs_invariant () =
-  let o1 = Check.Fs_sweep.run ~jobs:1 Check.Fs_sweep.smoke in
-  let o4 = Check.Fs_sweep.run ~jobs:4 Check.Fs_sweep.smoke in
-  (* 8 single-spindle/volume cells + 4 NVM-WAL cells *)
-  Alcotest.(check bool) "12 cells" true (o1.Check.Fs_sweep.scenarios = 12);
-  Alcotest.(check bool) "jobs=4 = jobs=1" true (o1 = o4)
+let smoke =
+  [
+    Sweep ("fault", Vld_sweep.sweep, Vld_sweep.smoke);
+    Sweep ("fs", Fs_sweep.sweep, Fs_sweep.smoke);
+    Sweep ("array", Array_sweep.sweep, Array_sweep.smoke);
+  ]
+
+let defaults =
+  [
+    Sweep ("fault", Vld_sweep.sweep, Vld_sweep.default);
+    Sweep ("fs", Fs_sweep.sweep, Fs_sweep.default);
+    Sweep ("array", Array_sweep.sweep, Array_sweep.default);
+  ]
+
+let jobs_invariant (Sweep (_, s, c)) () =
+  let o1 = Cells.run ~jobs:1 s c in
+  let o2 = Cells.run ~jobs:2 s c in
+  Alcotest.(check int) "every cell judged"
+    (List.length (Cells.cells s c))
+    o1.Cells.cells;
+  Alcotest.(check bool) "jobs=2 = jobs=1" true (o1 = o2)
 
 (* Order-independent seeding (the property that justifies fanning out):
    every cell's outcome must be the same whether the matrix runs
    forward or reversed.  A cell that leaked PRNG state to its successor
    would diverge here. *)
-let test_cell_order_independent () =
-  let c = small_fault_config in
-  let cells = Fault.Sweep.cells c in
-  let run_one (kind, trigger, with_tail, case) =
-    Fault.Sweep.run_scenario c ~kind ~trigger ~with_tail ~case
-  in
-  let forward = List.map run_one cells in
-  let reversed = List.rev_map run_one (List.rev cells) in
+let order_independent (Sweep (_, s, c)) () =
+  let cells = Cells.cells s c in
+  let forward = List.map (Cells.judge s c) cells in
+  let reversed = List.rev_map (Cells.judge s c) (List.rev cells) in
   Alcotest.(check bool) "reversed execution, identical outcomes" true
     (forward = reversed)
 
-let test_fs_cell_order_independent () =
-  let c = Check.Fs_sweep.smoke in
-  let cells = Check.Fs_sweep.cells c in
-  let run_one (rig, kind, trigger, case) =
-    Check.Fs_sweep.run_cell c ~rig ~kind ~trigger ~case
-  in
-  let forward = List.map run_one cells in
-  let reversed = List.rev_map run_one (List.rev cells) in
-  Alcotest.(check bool) "reversed execution, identical outcomes" true
-    (forward = reversed)
+(* A cell's coordinates as its repro spec. *)
+let printed s c cell =
+  Cells.repro_of_failure
+    { Cells.coords = List.combine s.Cells.keys (s.Cells.coords c cell);
+      message = "" }
 
 (* A sweep whose cells crash or wedge must degrade those cells to
    structured failures with live repro coordinates and keep going. *)
 let test_sweep_survives_crashing_cells () =
-  let c =
-    {
-      Fault.Sweep.default with
-      Fault.Sweep.kinds = [ Fault.Plan.Torn_write ];
-      triggers = 4;
-      tail_modes = [ false ];
-    }
-  in
-  let scenario cfg ~kind ~trigger ~with_tail ~case =
-    if case = 2 then failwith "deliberate crash"
-    else if case = 3 then (
-      while true do
-        ignore (Sys.opaque_identity case)
-      done;
-      assert false)
-    else Fault.Sweep.run_scenario cfg ~kind ~trigger ~with_tail ~case
-  in
-  let o = Fault.Sweep.run ~jobs:2 ~timeout_s:1.0 ~scenario c in
-  Alcotest.(check int) "all 4 cells accounted for" 4 o.Fault.Sweep.scenarios;
-  Alcotest.(check int) "two structured failures" 2
-    (List.length o.Fault.Sweep.failures);
   List.iter
-    (fun (f : Fault.Sweep.failure) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "failure names a planted cell (case %d)" f.Fault.Sweep.case)
-        true
-        (List.mem f.Fault.Sweep.case [ 2; 3 ]);
-      (* The repro string must round-trip back to the failing cell. *)
-      match Fault.Sweep.parse_repro (Fault.Sweep.repro_of_failure f) with
-      | Ok (_, kind, trigger, with_tail, case) ->
-        Alcotest.(check bool) "repro coordinates round-trip" true
-          (kind = f.Fault.Sweep.kind
-          && trigger = f.Fault.Sweep.trigger
-          && with_tail = f.Fault.Sweep.with_tail
-          && case = f.Fault.Sweep.case)
-      | Error e -> Alcotest.failf "repro failed to parse: %s" e)
-    o.Fault.Sweep.failures;
-  let messages =
-    List.map (fun (f : Fault.Sweep.failure) -> f.Fault.Sweep.message)
-      o.Fault.Sweep.failures
-  in
-  Alcotest.(check bool) "crash message survives" true
-    (List.exists (contains ~needle:"deliberate crash") messages);
-  Alcotest.(check bool) "timeout reported as such" true
-    (List.exists (contains ~needle:"timed out") messages)
+    (fun (Sweep (name, s, c)) ->
+      let cells = Cells.cells s c in
+      let crash = List.nth cells 1 and wedge = List.nth cells 2 in
+      let judge _c cell _log =
+        if cell = crash then failwith "deliberate crash"
+        else if cell = wedge then (
+          while true do
+            ignore (Sys.opaque_identity cell)
+          done;
+          assert false)
+        else
+          { Cells.tallies = List.map (fun _ -> 0) s.Cells.tallies;
+            verdict = "ok" }
+      in
+      let o = Cells.run ~jobs:2 ~timeout_s:0.5 { s with judge } c in
+      Alcotest.(check int)
+        (name ^ ": every cell accounted for")
+        (List.length cells) o.Cells.cells;
+      (match o.Cells.failures with
+      | [ f1; f2 ] ->
+        (* The repro string must parse back to the failing cell. *)
+        List.iter
+          (fun (f, cell, needle) ->
+            Alcotest.(check bool)
+              (name ^ ": repro names the planted cell")
+              true
+              (Cells.parse_repro s c (Cells.repro_of_failure f)
+              = Ok (c, cell));
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S reported" name needle)
+              true
+              (contains ~needle f.Cells.message))
+          [ (f1, crash, "deliberate crash"); (f2, wedge, "timed out") ]
+      | fs ->
+        Alcotest.failf "%s: %d failures, expected two" name (List.length fs));
+      Alcotest.(check int)
+        (name ^ ": planted cells are failed verdicts")
+        2
+        (List.length
+           (List.filter (fun (_, v) -> v = "failed") o.Cells.verdicts)))
+    smoke
+
+(* Every cell of every default matrix survives the print/parse cycle: a
+   cell whose coordinates do not roundtrip cannot be reproduced from a CI
+   failure line. *)
+let test_repro_roundtrip () =
+  List.iter
+    (fun (Sweep (name, s, c)) ->
+      List.iter
+        (fun cell ->
+          let spec = printed s c cell in
+          match Cells.parse_repro s c spec with
+          | Ok back ->
+            if back <> (c, cell) then
+              Alcotest.failf "%s: repro %S did not roundtrip" name spec
+          | Error e -> Alcotest.failf "%s: repro %S did not parse: %s" name spec e)
+        (Cells.cells s c))
+    defaults
+
+(* A misspelled key must be an error, never a silently ignored field. *)
+let test_misspelled_key_rejected () =
+  List.iter
+    (fun (Sweep (name, s, c)) ->
+      let spec =
+        String.concat ","
+          (List.map
+             (fun kv -> if String.sub kv 0 5 = "seed=" then "sed=1" else kv)
+             (String.split_on_char ',' (printed s c (List.hd (Cells.cells s c)))))
+      in
+      match Cells.parse_repro s c spec with
+      | Ok _ -> Alcotest.failf "%s accepted %S" name spec
+      | Error _ -> ())
+    defaults
 
 let suites =
   let tc = Alcotest.test_case in
@@ -249,12 +276,20 @@ let suites =
         tc "progress hooks fire once per item" `Quick test_progress_hooks;
       ] );
     ( "par:sweeps",
-      [
-        tc "fault sweep is jobs-invariant" `Quick test_fault_sweep_jobs_invariant;
-        tc "fs sweep is jobs-invariant" `Quick test_fs_sweep_jobs_invariant;
-        tc "fault cells are order-independent" `Quick test_cell_order_independent;
-        tc "fs cells are order-independent" `Quick test_fs_cell_order_independent;
-        tc "crashing and wedged cells degrade to repro failures" `Quick
-          test_sweep_survives_crashing_cells;
-      ] );
+      List.concat_map
+        (fun (Sweep (name, _, _) as sw) ->
+          [
+            tc (name ^ " sweep is jobs-invariant") `Quick (jobs_invariant sw);
+            tc (name ^ " cells are order-independent") `Quick
+              (order_independent sw);
+          ])
+        smoke
+      @ [
+          tc "crashing and wedged cells degrade to repro failures" `Quick
+            test_sweep_survives_crashing_cells;
+          tc "repro coordinates roundtrip over every default matrix" `Quick
+            test_repro_roundtrip;
+          tc "misspelled repro key is rejected by every sweep" `Quick
+            test_misspelled_key_rejected;
+        ] );
   ]
