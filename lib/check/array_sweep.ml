@@ -130,14 +130,13 @@ let block_of_name n =
    logical block, always present, its content whatever the volume reads
    back (errors surface honestly as [`Io]). *)
 let view_of c vol =
+  let dev = Volume.device vol in
   {
     Oracle.v_files = (fun () -> List.init c.logical_blocks bname);
     v_size = (fun _ -> Some (Volume.block_bytes vol));
     v_read_block =
       (fun name _fb ->
-        let b = block_of_name name in
-        let at = Clock.now (Volume.clock vol) in
-        match Volume.read_result_at vol ~at b with
+        match dev.Blockdev.Device.read (block_of_name name) with
         | Ok (data, _) -> Ok data
         | Error _ -> Error `Io);
   }
@@ -198,6 +197,7 @@ let judge (c : config) { array; fault; depth; phase; case } log =
       ~layout ~leg_kind ~logical_blocks:c.logical_blocks ~disks
       ~prng:(Prng.split prng) ()
   in
+  let dev = Volume.device vol in
   let bb = Volume.block_bytes vol in
   let failf fmt = Cells.failf log fmt in
   let now () = Clock.now clock in
@@ -302,10 +302,10 @@ let judge (c : config) { array; fault; depth; phase; case } log =
         let ids =
           List.map
             (fun b ->
-              (b, Volume.submit_req vol (Blockdev.Device.Write (b, buf tag))))
+              (b, dev.Blockdev.Device.submit (Blockdev.Device.Write (b, buf tag))))
             blocks
         in
-        let acks = Volume.drain_reqs vol in
+        let acks = dev.Blockdev.Device.drain () in
         List.filter_map
           (fun (b, id) ->
             match List.assoc_opt id acks with
@@ -328,9 +328,9 @@ let judge (c : config) { array; fault; depth; phase; case } log =
     (match phase with
     | P_drain ->
       List.iter
-        (fun b -> ignore (Volume.submit_req vol (Blockdev.Device.Read b)))
+        (fun b -> ignore (dev.Blockdev.Device.submit (Blockdev.Device.Read b)))
         rblocks;
-      ignore (Volume.drain_reqs vol)
+      ignore (dev.Blockdev.Device.drain ())
     | P_batch | P_rebuild ->
       ignore (Volume.read_batch_report vol ~at:(now ()) rblocks));
     if phase = P_rebuild then Volume.idle vol 8.
@@ -344,10 +344,11 @@ let judge (c : config) { array; fault; depth; phase; case } log =
   let required = loss_required array fault phase in
   (* Online judgement. *)
   let scan_failures v =
+    let dev = Volume.device v in
     List.length
       (List.filter
          (fun b ->
-           match Volume.read_result_at v ~at:(Clock.now (Volume.clock v)) b with
+           match dev.Blockdev.Device.read b with
            | Ok _ -> false
            | Error _ -> true)
          (List.init c.logical_blocks Fun.id))

@@ -91,6 +91,26 @@ let groups_of c =
 
 let rounds ~scale = match scale with Rigs.Quick -> 8 | Rigs.Full -> 32
 
+(* One closed-loop round: exactly [depth] distinct random blocks per
+   group (logical block b lives at group b mod k), so every spindle's
+   queue holds a full window and the round's completion barrier is over
+   balanced legs — purely random block picks would bottleneck each
+   round on the multinomial max. *)
+let pick_round prng ~k ~depth ~bs =
+  List.concat
+    (List.init k (fun g ->
+         let seen = Hashtbl.create depth in
+         List.init depth (fun i ->
+             let rec fresh () =
+               let j = Prng.int prng blocks_per_group in
+               if Hashtbl.mem seen j then fresh ()
+               else begin
+                 Hashtbl.add seen j ();
+                 j
+               end
+             in
+             (g + (k * fresh ()), Bytes.make bs (Char.chr (33 + (i mod 93)))))))
+
 (* Closed-loop driver: each round scatters one batch of random
    single-block writes — [depth] per group, so every spindle sees the
    cell's queue depth — arriving at the previous batch's completion
@@ -122,28 +142,8 @@ let run_cell ?(seed = 0) ~scale c =
   let batch = c.depth * k in
   let total = ref 0 in
   let t0 = Clock.now clock in
-  (* Each round scatters exactly [depth] distinct random blocks per
-     group (logical block b lives at group b mod k), so every spindle's
-     queue holds a full window and the round's completion barrier is
-     over balanced legs — purely random block picks would bottleneck
-     each round on the multinomial max. *)
-  let pick_round () =
-    List.concat
-      (List.init k (fun g ->
-           let seen = Hashtbl.create c.depth in
-           List.init c.depth (fun i ->
-               let rec fresh () =
-                 let j = Prng.int prng blocks_per_group in
-                 if Hashtbl.mem seen j then fresh ()
-                 else begin
-                   Hashtbl.add seen j ();
-                   j
-                 end
-               in
-               (g + (k * fresh ()), Bytes.make bs (Char.chr (33 + (i mod 93)))))))
-  in
   for _ = 1 to rounds ~scale do
-    let items = pick_round () in
+    let items = pick_round prng ~k ~depth:c.depth ~bs in
     let at = Clock.now clock in
     (match Volume.write_batch vol ~owner:"fg" ~at items with
     | Ok _ -> ()
@@ -313,26 +313,10 @@ let run_fault_mode ?(seed = 0) ~scale mode =
         ~seed:(Int64.of_int (0xf1a + seed))
     in
     Fault.Plan.install p disks.(0));
-  let depth = fault_depth in
-  let pick_round () =
-    List.concat
-      (List.init k (fun g ->
-           let seen = Hashtbl.create depth in
-           List.init depth (fun i ->
-               let rec fresh () =
-                 let j = Prng.int prng blocks_per_group in
-                 if Hashtbl.mem seen j then fresh ()
-                 else begin
-                   Hashtbl.add seen j ();
-                   j
-                 end
-               in
-               (g + (k * fresh ()), Bytes.make bs (Char.chr (33 + (i mod 93)))))))
-  in
   let done_ = ref 0 and failed = ref 0 in
   let t0 = Clock.now clock in
   for _ = 1 to rounds ~scale do
-    let items = pick_round () in
+    let items = pick_round prng ~k ~depth:fault_depth ~bs in
     let rep = Volume.write_batch_report vol ~owner:"fg" ~at:(Clock.now clock) items in
     done_ := !done_ + List.length rep.Volume.wr_written;
     failed := !failed + List.length rep.Volume.wr_failed;

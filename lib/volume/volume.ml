@@ -102,13 +102,6 @@ type leg = {
 
 let leg_uid_counter = ref 0
 
-type host_req = {
-  hr_tag : int;
-  hr_at : float;
-  hr_owner : string option;
-  hr_req : Blockdev.Device.req;
-}
-
 type t = {
   layout : layout;
   leg_kind : leg_kind;
@@ -123,7 +116,8 @@ type t = {
   prng : Prng.t;
   mutable spare : (unit -> Disk.Disk_sim.t) option;
   mutable host_next : int;  (* next host-level request tag *)
-  mutable host_q : host_req list;  (* pending host requests, reversed *)
+  mutable host_q : (int * float * Blockdev.Device.req) list;
+      (* pending host requests (tag, arrival, request), reversed *)
   mutable host_done : (int * Blockdev.Device.ack) list;  (* reversed *)
 }
 
@@ -244,46 +238,31 @@ let dedup_legs legs =
 
 (* Pure mechanical previews for the leg queue's scheduler (SATF cost,
    elevator cylinder).  A VLD read prices the mapped physical location;
-   a VLD write is eager — it lands near the head wherever that is. *)
+   a VLD write is eager — it lands near the head wherever that is, as
+   does an unmapped VLD read (answered from the in-memory map, no
+   seek).  A regular leg's remaps are rare; its home location is near
+   enough to price. *)
 
 let leg_spb t leg =
   t.block_bytes / (Disk.Disk_sim.geometry leg.disk).Disk.Geometry.sector_bytes
 
-let read_lba t leg gb =
-  let spb = leg_spb t leg in
+let target_lba t leg gb ~write =
   match leg.impl with
+  | Vld _ when write -> None
   | Vld v -> (
     match Vlog.Virtual_log.lookup (Blockdev.Vld.vlog v) gb with
-    | Some pba -> Some (pba * spb)
-    | None -> None (* unmapped: answered from the in-memory map, no seek *))
-  | Reg _ -> Some (gb * spb) (* remaps are rare; near enough to price *)
+    | Some pba -> Some (pba * leg_spb t leg)
+    | None -> None)
+  | Reg _ -> Some (gb * leg_spb t leg)
 
-let read_estimate t leg gb =
-  match read_lba t leg gb with
+let target_cost t leg = function
   | None -> 0.
   | Some lba -> Disk.Disk_sim.estimate_access leg.disk ~lba ~sectors:(leg_spb t leg)
 
-let read_cylinder t leg gb =
-  match read_lba t leg gb with
+let target_cylinder leg = function
   | None -> Disk.Disk_sim.current_cylinder leg.disk
   | Some lba ->
-    (Disk.Geometry.addr_of_lba (Disk.Disk_sim.geometry leg.disk) lba)
-      .Disk.Geometry.cyl
-
-let write_estimate t leg gb =
-  let spb = leg_spb t leg in
-  match leg.impl with
-  | Vld _ -> 0.
-  | Reg _ -> Disk.Disk_sim.estimate_access leg.disk ~lba:(gb * spb) ~sectors:spb
-
-let write_cylinder t leg gb =
-  match leg.impl with
-  | Vld _ -> Disk.Disk_sim.current_cylinder leg.disk
-  | Reg _ ->
-    (Disk.Geometry.addr_of_lba
-       (Disk.Disk_sim.geometry leg.disk)
-       (gb * leg_spb t leg))
-      .Disk.Geometry.cyl
+    (Disk.Geometry.addr_of_lba (Disk.Disk_sim.geometry leg.disk) lba).Disk.Geometry.cyl
 
 (* Classify a leg failure for the queue's in-flight policy: while the
    drive reports itself hanging or flaky the error is transient — the
@@ -313,45 +292,59 @@ let leg_queue ~vol_policy ~queue_policy ~prng disk =
     ~retry_backoff:(vol_policy.timeout_ms /. 8.)
     ~retry_jitter:prng ~stall_budget_ms:vol_policy.timeout_ms ~disk ()
 
-(* Submit one leg command; the full device-level logic (VLD placement +
-   map commit, regular-disk remap) runs as the command's service.  The
-   structured io_error is smuggled out through a per-command ref. *)
+(* One submitted leg command within a scatter. *)
+type sub = {
+  s_leg : leg;
+  s_gen : int;  (* leg generation at submit; a swap orphans the sub *)
+  s_suspect : bool;  (* leg was [`Suspect] at dispatch *)
+  s_tag : int;
+  s_err : Blockdev.Device.io_error option ref;
+}
 
-let submit_leg_write t leg ~at ?owner gb buf =
-  let err = ref None in
-  let op =
-    Disk.Disk_queue.Hosted
-      {
-        cost = (fun () -> write_estimate t leg gb);
-        cylinder = (fun () -> write_cylinder t leg gb);
-        service =
-          (fun () ->
-            match leg_write leg gb buf with
-            | Ok c -> (Disk.Disk_queue.Wrote gb, c.Io.breakdown)
-            | Error e ->
-              err := Some e;
-              (Disk.Disk_queue.Failed (media_err leg e), Breakdown.zero));
-      }
-  in
-  (Disk.Disk_queue.submit ~at ?owner leg.q op, err)
+let failed_service leg err e =
+  err := Some e;
+  (Disk.Disk_queue.Failed (media_err leg e), Breakdown.zero)
 
-let submit_leg_read t leg ~at ?owner gb =
+(* Submit one leg command — a write of [buf], or a read when [buf] is
+   [None]; the full device-level logic (VLD placement + map commit,
+   regular-disk remap) runs as the command's service.  The structured
+   io_error is smuggled out through [s_err]. *)
+let submit_leg t leg ~at ?owner gb buf =
   let err = ref None in
+  (* two literal records, so the preview closures need not capture the
+     command's kind: a leg command's closures outlive minor collections *)
   let op =
-    Disk.Disk_queue.Hosted
-      {
-        cost = (fun () -> read_estimate t leg gb);
-        cylinder = (fun () -> read_cylinder t leg gb);
-        service =
-          (fun () ->
-            match leg_read leg gb with
-            | Ok (data, c) -> (Disk.Disk_queue.Data data, c.Io.breakdown)
-            | Error e ->
-              err := Some e;
-              (Disk.Disk_queue.Failed (media_err leg e), Breakdown.zero));
-      }
+    match buf with
+    | Some buf ->
+      Disk.Disk_queue.Hosted
+        {
+          cost = (fun () -> target_cost t leg (target_lba t leg gb ~write:true));
+          cylinder = (fun () -> target_cylinder leg (target_lba t leg gb ~write:true));
+          service =
+            (fun () ->
+              match leg_write leg gb buf with
+              | Ok c -> (Disk.Disk_queue.Wrote gb, c.Io.breakdown)
+              | Error e -> failed_service leg err e);
+        }
+    | None ->
+      Disk.Disk_queue.Hosted
+        {
+          cost = (fun () -> target_cost t leg (target_lba t leg gb ~write:false));
+          cylinder = (fun () -> target_cylinder leg (target_lba t leg gb ~write:false));
+          service =
+            (fun () ->
+              match leg_read leg gb with
+              | Ok (data, c) -> (Disk.Disk_queue.Data data, c.Io.breakdown)
+              | Error e -> failed_service leg err e);
+        }
   in
-  (Disk.Disk_queue.submit ~at ?owner leg.q op, err)
+  {
+    s_leg = leg;
+    s_gen = leg.gen;
+    s_suspect = leg.state = `Suspect;
+    s_tag = Disk.Disk_queue.submit ~at ?owner leg.q op;
+    s_err = err;
+  }
 
 (* ---- Failure handling, revival, rebuild ---- *)
 
@@ -376,11 +369,7 @@ let start_rebuild_on t leg disk =
   Trace.incr t.trace "vol.rebuilds_started"
 
 let group_of t leg =
-  let found = ref t.groups.(0) in
-  Array.iter
-    (fun group -> if Array.exists (fun l -> l == leg) group then found := group)
-    t.groups;
-  !found
+  Option.get (Array.find_opt (Array.exists (fun l -> l == leg)) t.groups)
 
 (* A retired resilver target must not survive a crash looking like a
    replica: its platters hold a half-built copy with no on-media record
@@ -397,11 +386,15 @@ let evict_leg t leg =
     t.prng;
   Trace.incr t.trace "vol.legs_evicted"
 
-let kill_leg t leg =
-  let was_rebuilding = leg.state = `Rebuilding in
+(* Mark a leg dead; the generation bump orphans its in-flight commands. *)
+let retire t leg =
   leg.state <- `Dead;
   leg.gen <- leg.gen + 1;
-  Trace.incr t.trace "vol.leg_deaths";
+  Trace.incr t.trace "vol.leg_deaths"
+
+let kill_leg t leg =
+  let was_rebuilding = leg.state = `Rebuilding in
+  retire t leg;
   if was_rebuilding then evict_leg t leg;
   (* a spare can only help while some other leg of the group still holds
      a full copy to resilver from: a peer that is itself mid-resilver
@@ -449,18 +442,11 @@ let note_failure t leg =
    mapped source block's bytes are written; a provable source hole is
    propagated as a trim, so a fresh VLD leg is not flooded with zeroes. *)
 let copy_block t group ~to_ ~counter gb =
-  let src =
-    Array.fold_left
-      (fun acc leg ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          if leg != to_ && leg.state = `Healthy && not (Hashtbl.mem leg.drl gb)
-          then Some leg
-          else None)
-      None group
-  in
-  match src with
+  match
+    Array.find_opt
+      (fun leg -> leg != to_ && leg.state = `Healthy && not (Hashtbl.mem leg.drl gb))
+      group
+  with
   | None -> Error `No_source
   | Some src ->
     if leg_skip_unmapped src && not (leg_mapped src gb) then begin
@@ -574,7 +560,8 @@ let rebuild_tick_with t leg ~copy =
            comes back drains it, one that never does retires the leg *)
         rebuild_blocked t leg)
 
-let sync_copy t group ~to_ gb =
+(* One rebuild copy, as the tick sees it. *)
+let rebuild_copy t group ~to_ gb =
   match copy_block t group ~to_ ~counter:"vol.rebuild_copies" gb with
   | Ok () -> `Copied
   | Error `Unreadable -> `Unreadable
@@ -582,7 +569,7 @@ let sync_copy t group ~to_ gb =
 
 (* Blocking (foreground) rebuild unit — the admin path. *)
 let rebuild_tick t group leg =
-  rebuild_tick_with t leg ~copy:(sync_copy t group ~to_:leg)
+  rebuild_tick_with t leg ~copy:(rebuild_copy t group ~to_:leg)
 
 (* One copy as a low-priority background tag on the target leg,
    serviced in the leg's own window starting at [at].  The source read
@@ -600,10 +587,7 @@ let queued_copy t group ~to_ ~at gb =
         cylinder = (fun () -> Disk.Disk_sim.current_cylinder to_.disk);
         service =
           (fun () ->
-            (match copy_block t group ~to_ ~counter:"vol.rebuild_copies" gb with
-            | Ok () -> res := `Copied
-            | Error `Unreadable -> res := `Unreadable
-            | Error (`No_source | `Write_failed | `Source_busy) -> res := `Blocked);
+            res := rebuild_copy t group ~to_ gb;
             ( (match !res with
               | `Blocked ->
                 Disk.Disk_queue.Failed { Disk.Disk_sim.error_lba = 0; transient = false }
@@ -616,11 +600,8 @@ let queued_copy t group ~to_ ~at gb =
   !res
 
 let iter_legs t f = Array.iter (fun group -> Array.iter (f group) group) t.groups
-
-let rebuild_active t =
-  let any = ref false in
-  iter_legs t (fun _ leg -> if leg.state = `Rebuilding then any := true);
-  !any
+let exists_leg t p = Array.exists (Array.exists p) t.groups
+let rebuild_active t = exists_leg t (fun leg -> leg.state = `Rebuilding)
 
 (* Background resilvering during granted idle time: queued copies in
    each rebuilding leg's own window, [from] to [deadline], leaving the
@@ -730,9 +711,7 @@ let rebuild_to_completion t =
            survive a crash as a trusted-looking husk. *)
         iter_legs t (fun _ leg ->
             if leg.state = `Rebuilding then begin
-              leg.state <- `Dead;
-              leg.gen <- leg.gen + 1;
-              Trace.incr t.trace "vol.leg_deaths";
+              retire t leg;
               Trace.incr t.trace "vol.rebuild_abandoned";
               evict_leg t leg
             end)
@@ -748,13 +727,11 @@ let rebuild_to_completion t =
    cannot be allowed to survive a crash as a resync primary. *)
 let settle t =
   let unsettled () =
-    let any = ref false in
-    iter_legs t (fun _ leg ->
+    exists_leg t (fun leg ->
         match leg.state with
-        | `Suspect | `Rebuilding -> any := true
-        | `Healthy -> if Hashtbl.length leg.drl > 0 then any := true
-        | `Dead -> ());
-    !any
+        | `Suspect | `Rebuilding -> true
+        | `Healthy -> Hashtbl.length leg.drl > 0
+        | `Dead -> false)
   in
   let rec go n =
     probe_suspects t;
@@ -784,15 +761,6 @@ let locate t b =
   let k = Array.length t.groups in
   (b mod k, b / k)
 
-(* One submitted leg command within a scatter. *)
-type sub = {
-  s_leg : leg;
-  s_gen : int;  (* leg generation at submit; a swap orphans the sub *)
-  s_suspect : bool;  (* leg was [`Suspect] at dispatch *)
-  s_tag : int;
-  s_err : Blockdev.Device.io_error option ref;
-}
-
 (* The write scatter of one group block. *)
 type wtx = {
   wt_block : int;  (* logical block, for error reporting *)
@@ -811,19 +779,14 @@ let submit_group_write t ~at ?owner gi gb ~block buf =
   let degraded = ref false in
   Array.iter
     (fun leg ->
-      let dispatch suspect =
-        let tag, err = submit_leg_write t leg ~at ?owner gb buf in
-        subs :=
-          { s_leg = leg; s_gen = leg.gen; s_suspect = suspect; s_tag = tag; s_err = err }
-          :: !subs
-      in
+      let dispatch () = subs := submit_leg t leg ~at ?owner gb (Some buf) :: !subs in
       match leg.state with
       | `Dead -> ()
       | `Rebuilding ->
         (* the cursor sweep will copy everything at or past it from a
            peer; only the already-rebuilt region must be kept current *)
-        if gb < leg.cursor then dispatch false
-      | `Healthy -> dispatch false
+        if gb < leg.cursor then dispatch ()
+      | `Healthy -> dispatch ()
       | `Suspect ->
         if at < leg.retry_after then begin
           (* in backoff: leave it alone, log the miss.  A DRL entry
@@ -834,7 +797,7 @@ let submit_group_write t ~at ?owner gi gb ~block buf =
           if Array.length group > 1 then Hashtbl.replace leg.drl gb ();
           degraded := true
         end
-        else dispatch true)
+        else dispatch ())
     group;
   {
     wt_block = block;
@@ -955,25 +918,12 @@ let submit_group_read t ~at ?owner gi gb ~block =
   let candidates =
     List.stable_sort (fun a b -> compare (tier a) (tier b)) candidates
   in
-  match candidates with
-  | [] -> { rt_block = block; rt_gi = gi; rt_gb = gb; rt_first = None; rt_rest = [] }
-  | leg :: rest ->
-    let tag, err = submit_leg_read t leg ~at ?owner gb in
-    {
-      rt_block = block;
-      rt_gi = gi;
-      rt_gb = gb;
-      rt_first =
-        Some
-          {
-            s_leg = leg;
-            s_gen = leg.gen;
-            s_suspect = leg.state = `Suspect;
-            s_tag = tag;
-            s_err = err;
-          };
-      rt_rest = rest;
-    }
+  let first, rest =
+    match candidates with
+    | [] -> (None, [])
+    | leg :: rest -> (Some (submit_leg t leg ~at ?owner gb None), rest)
+  in
+  { rt_block = block; rt_gi = gi; rt_gb = gb; rt_first = first; rt_rest = rest }
 
 (* Gather one read scatter, failing over through the remaining
    candidates in their own windows.  Once one candidate has been tried,
@@ -1034,18 +984,9 @@ let gather_group_read t (ctbl : ctbl) ~at ?owner rtx =
         (Error (err_of tried), start)
       else begin
         Clock.warp t.clock start;
-        let tag, err = submit_leg_read t leg ~at:start ?owner rtx.rt_gb in
-        let s =
-          {
-            s_leg = leg;
-            s_gen = leg.gen;
-            s_suspect = leg.state = `Suspect;
-            s_tag = tag;
-            s_err = err;
-          }
-        in
+        let s = submit_leg t leg ~at:start ?owner rtx.rt_gb None in
         let cs = run_leg t leg ~at:start in
-        attempt tried failed s (List.assoc tag cs) rest
+        attempt tried failed s (List.assoc s.s_tag cs) rest
       end
   in
   match rtx.rt_first with
@@ -1075,12 +1016,24 @@ type read_report = {
   rr_failed : block_error list;
 }
 
-(* Service the write scatter of one host request: all group blocks'
-   commands are submitted at the arrival instant, every involved leg is
-   serviced once in its own window (the leg's queue policy reorders
-   within the window), and the gathers run in block order.  The
-   operation completes at the latest awaited leg across all blocks. *)
-let exec_writes_report t ~at ?owner items =
+let check t block count =
+  if block < 0 || count <= 0 || block + count > t.logical_blocks then
+    invalid_arg "Volume: logical block range out of bounds"
+
+let check_write t (block, buf) =
+  check t block 1;
+  if Bytes.length buf <> t.block_bytes then
+    invalid_arg "Volume.write: buffer must be exactly one block"
+
+(* The write engine — every write enters the legs through here.  The
+   whole batch is validated before anything is scattered, then all
+   group blocks' commands are submitted at the arrival instant, every
+   involved leg is serviced once in its own window (the leg's queue
+   policy reorders within the window), and the gathers run in block
+   order.  The batch completes at the latest awaited leg across all
+   blocks, where the clock is left. *)
+let write_batch_report t ?owner ~at items =
+  List.iter (check_write t) items;
   Clock.warp t.clock at;
   let txs =
     List.map
@@ -1116,15 +1069,10 @@ let exec_writes_report t ~at ?owner items =
     wr_bd = !bd;
   }
 
-let exec_writes t ~at ?owner items =
-  let r = exec_writes_report t ~at ?owner items in
-  match r.wr_failed with
-  | [] -> Ok r.wr_bd
-  | f :: _ -> Error f.be_error
-
-(* Read scatter: the first candidate of every block is submitted at the
-   arrival instant; failover rounds run per block at gather time. *)
-let exec_reads_report t ~at ?owner blocks =
+(* The read engine: the first candidate of every block is submitted at
+   the arrival instant; failover rounds run per block at gather time. *)
+let read_batch_report t ?owner ~at blocks =
+  List.iter (fun b -> check t b 1) blocks;
   Clock.warp t.clock at;
   let txs =
     List.map
@@ -1151,8 +1099,14 @@ let exec_reads_report t ~at ?owner blocks =
   Clock.warp t.clock !completion;
   { rr_data = List.rev !data; rr_failed = List.rev !failed }
 
-let exec_reads t ~at ?owner blocks =
-  let r = exec_reads_report t ~at ?owner blocks in
+let write_batch t ?owner ~at items =
+  let r = write_batch_report t ?owner ~at items in
+  match r.wr_failed with
+  | [] -> Ok r.wr_bd
+  | f :: _ -> Error f.be_error
+
+let read_batch t ?owner ~at blocks =
+  let r = read_batch_report t ?owner ~at blocks in
   match r.rr_failed with
   | [] -> Ok (List.map (fun (_, d, bd) -> (d, bd)) r.rr_data)
   | f :: _ -> Error f.be_error
@@ -1203,26 +1157,23 @@ let mk ?(policy = default_policy) ?queue_policy ?spare ~layout ~leg_kind
             mk_leg ~vol_policy:policy ~queue_policy ~group_blocks
               disks.((gi * m) + li) gi li))
   in
-  let t =
-    {
-      layout;
-      leg_kind;
-      policy;
-      queue_policy;
-      logical_blocks;
-      group_blocks;
-      block_bytes = leg_block_bytes groups.(0).(0);
-      groups;
-      clock = Disk.Disk_sim.clock disks.(0);
-      trace = Disk.Disk_sim.trace disks.(0);
-      prng;
-      spare;
-      host_next = 0;
-      host_q = [];
-      host_done = [];
-    }
-  in
-  t
+  {
+    layout;
+    leg_kind;
+    policy;
+    queue_policy;
+    logical_blocks;
+    group_blocks;
+    block_bytes = leg_block_bytes groups.(0).(0);
+    groups;
+    clock = Disk.Disk_sim.clock disks.(0);
+    trace = Disk.Disk_sim.trace disks.(0);
+    prng;
+    spare;
+    host_next = 0;
+    host_q = [];
+    host_done = [];
+  }
 
 let create ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disks
     ~prng () =
@@ -1361,11 +1312,15 @@ let recover ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disk
           | None -> ());
     Ok (t, report)
 
-(* ---- The Device face ---- *)
+(* ---- The one I/O core ----
 
-let check t block count =
-  if block < 0 || count <= 0 || block + count > t.logical_blocks then
-    invalid_arg "Volume: logical block range out of bounds"
+   Every host-level operation — the device record's synchronous
+   closures, its native submit/drain queue and [write_result_at] — is
+   one [Blockdev.Device.req] run by [exec]: it is validated before its
+   [vol.*] device span opens, and it enters the legs through the
+   first-error forms of the two batch engines at its own arrival
+   instant.  The clock is left at the request's completion, so
+   [Clock.now - at] is its latency. *)
 
 let dev_span t name block count =
   if Trace.enabled t.trace then
@@ -1374,150 +1329,99 @@ let dev_span t name block count =
       name
   else Io.no_span
 
-let read_result_at t ?owner ~at block =
-  check t block 1;
+let exec t ?owner ~at (req : Blockdev.Device.req) : Blockdev.Device.ack =
+  let bb = t.block_bytes in
+  let name, block, count =
+    match req with
+    | Read b -> ("vol.read", b, 1)
+    | Read_run (b, n) -> ("vol.read_run", b, n)
+    | Write (b, buf) ->
+      check_write t (b, buf);
+      ("vol.write", b, 1)
+    | Write_run (b, buf) ->
+      if Bytes.length buf = 0 || Bytes.length buf mod bb <> 0 then
+        invalid_arg "Volume.write_run: buffer must be whole blocks";
+      ("vol.write_run", b, Bytes.length buf / bb)
+  in
+  check t block count;
   Clock.warp t.clock at;
-  let sp = dev_span t "vol.read" block 1 in
-  match exec_reads t ~at ?owner [ block ] with
-  | Ok [ (data, bd) ] ->
-    Trace.exit t.trace ~bd sp;
-    Ok (data, Io.make ~span:sp bd)
-  | Ok _ -> assert false
-  | Error e ->
-    Trace.exit t.trace sp;
-    Error e
+  let sp = dev_span t name block count in
+  let ack : Blockdev.Device.ack =
+    match req with
+    | Read _ | Read_run _ -> (
+      match read_batch t ?owner ~at (List.init count (fun i -> block + i)) with
+      | Error e -> Error e
+      | Ok pieces ->
+        let data, bd =
+          match pieces with
+          | [ piece ] -> piece
+          | _ ->
+            let out = Bytes.create (count * bb) in
+            let bd = ref Breakdown.zero in
+            List.iteri
+              (fun i (d, cost) ->
+                Bytes.blit d 0 out (i * bb) bb;
+                bd := Breakdown.add !bd cost)
+              pieces;
+            (out, !bd)
+        in
+        Ok (Data (data, Io.make ~span:sp bd)))
+    | Write (_, buf) | Write_run (_, buf) -> (
+      let piece i = if count = 1 then buf else Bytes.sub buf (i * bb) bb in
+      match write_batch t ?owner ~at (List.init count (fun i -> (block + i, piece i))) with
+      | Error e -> Error e
+      | Ok bd -> Ok (Done (Io.make ~span:sp bd)))
+  in
+  (match ack with
+  | Ok (Data (_, c) | Done c) -> Trace.exit t.trace ~bd:c.Io.breakdown sp
+  | Error _ -> Trace.exit t.trace sp);
+  ack
+
+let data_of : Blockdev.Device.ack -> _ = function
+  | Ok (Data (d, c)) -> Ok (d, c)
+  | Ok (Done _) -> assert false
+  | Error e -> Error e
+
+let done_of : Blockdev.Device.ack -> _ = function
+  | Ok (Done c) -> Ok c
+  | Ok (Data _) -> assert false
+  | Error e -> Error e
 
 let write_result_at t ?owner ~at block buf =
-  check t block 1;
-  if Bytes.length buf <> t.block_bytes then
-    invalid_arg "Volume.write: buffer must be exactly one block";
-  Clock.warp t.clock at;
-  let sp = dev_span t "vol.write" block 1 in
-  match exec_writes t ~at ?owner [ (block, buf) ] with
-  | Ok bd ->
-    Trace.exit t.trace ~bd sp;
-    Ok (Io.make ~span:sp bd)
-  | Error e ->
-    Trace.exit t.trace sp;
-    Error e
-
-let read_run_result_at t ?owner ~at block count =
-  check t block count;
-  Clock.warp t.clock at;
-  let sp = dev_span t "vol.read_run" block count in
-  let blocks = List.init count (fun i -> block + i) in
-  match exec_reads t ~at ?owner blocks with
-  | Ok pieces ->
-    let out = Bytes.create (count * t.block_bytes) in
-    let bd = ref Breakdown.zero in
-    List.iteri
-      (fun i (data, cost) ->
-        Bytes.blit data 0 out (i * t.block_bytes) t.block_bytes;
-        bd := Breakdown.add !bd cost)
-      pieces;
-    Trace.exit t.trace ~bd:!bd sp;
-    Ok (out, Io.make ~span:sp !bd)
-  | Error e ->
-    Trace.exit t.trace sp;
-    Error e
-
-let write_run_result_at t ?owner ~at block buf =
-  if Bytes.length buf = 0 || Bytes.length buf mod t.block_bytes <> 0 then
-    invalid_arg "Volume.write_run: buffer must be whole blocks";
-  let count = Bytes.length buf / t.block_bytes in
-  check t block count;
-  Clock.warp t.clock at;
-  let sp = dev_span t "vol.write_run" block count in
-  let items =
-    List.init count (fun i ->
-        (block + i, Bytes.sub buf (i * t.block_bytes) t.block_bytes))
-  in
-  match exec_writes t ~at ?owner items with
-  | Ok bd ->
-    Trace.exit t.trace ~bd sp;
-    Ok (Io.make ~span:sp bd)
-  | Error e ->
-    Trace.exit t.trace sp;
-    Error e
-
-let write_batch t ?owner ~at items =
-  Clock.warp t.clock at;
-  exec_writes t ~at ?owner items
-
-let read_batch t ?owner ~at blocks =
-  Clock.warp t.clock at;
-  exec_reads t ~at ?owner blocks
-
-let write_batch_report t ?owner ~at items =
-  Clock.warp t.clock at;
-  exec_writes_report t ~at ?owner items
-
-let read_batch_report t ?owner ~at blocks =
-  Clock.warp t.clock at;
-  exec_reads_report t ~at ?owner blocks
-
-let read_result t block = read_result_at t ~at:(Clock.now t.clock) block
-let write_result t block buf = write_result_at t ~at:(Clock.now t.clock) block buf
-
-let read_run_result t block count =
-  read_run_result_at t ~at:(Clock.now t.clock) block count
-
-let write_run_result t block buf =
-  write_run_result_at t ~at:(Clock.now t.clock) block buf
+  done_of (exec t ?owner ~at (Write (block, buf)))
 
 (* ---- Native host queue ----
 
-   Unlike the [sync_queue] host FIFO the volume used to wrap, the
-   native front keeps per-request arrival timestamps: requests drain in
-   submission order, each starting at its own arrival on whatever legs
-   it touches, so requests on disjoint spindles overlap and requests on
-   the same spindle pipeline through [busy_until].  Arrivals may lie
-   anywhere on the timeline (a closed-loop driver submits the
-   replacement op at the completion instant of its predecessor, which
-   can precede the clock after a barrier). *)
+   Each request keeps the arrival stamped at [submit] (a
+   [Device.sync_queue] FIFO would serve everything at the barrier):
+   requests drain in submission order, each starting at its own arrival
+   on whatever legs it touches, so requests on disjoint spindles
+   overlap and requests on the same spindle pipeline through
+   [busy_until]. *)
 
-let submit_req ?at ?owner t req =
-  let at = match at with Some a -> a | None -> Clock.now t.clock in
+let host_submit t req =
   let tag = t.host_next in
   t.host_next <- tag + 1;
-  t.host_q <- { hr_tag = tag; hr_at = at; hr_owner = owner; hr_req = req } :: t.host_q;
+  t.host_q <- (tag, Clock.now t.clock, req) :: t.host_q;
   tag
 
-let exec_req t ~at ?owner : Blockdev.Device.req -> Blockdev.Device.ack = function
-  | Blockdev.Device.Read b -> (
-    match read_result_at t ?owner ~at b with
-    | Ok (d, c) -> Ok (Blockdev.Device.Data (d, c))
-    | Error e -> Error e)
-  | Blockdev.Device.Read_run (b, n) -> (
-    match read_run_result_at t ?owner ~at b n with
-    | Ok (d, c) -> Ok (Blockdev.Device.Data (d, c))
-    | Error e -> Error e)
-  | Blockdev.Device.Write (b, buf) -> (
-    match write_result_at t ?owner ~at b buf with
-    | Ok c -> Ok (Blockdev.Device.Done c)
-    | Error e -> Error e)
-  | Blockdev.Device.Write_run (b, buf) -> (
-    match write_run_result_at t ?owner ~at b buf with
-    | Ok c -> Ok (Blockdev.Device.Done c)
-    | Error e -> Error e)
-
-let poll_reqs t =
+let host_poll t =
   let acks = List.rev t.host_done in
   t.host_done <- [];
   acks
 
-let drain_reqs t =
+let host_drain t =
   let reqs = List.rev t.host_q in
   t.host_q <- [];
   let end_ = ref (Clock.now t.clock) in
   List.iter
-    (fun hr ->
-      let ack = exec_req t ~at:hr.hr_at ?owner:hr.hr_owner hr.hr_req in
+    (fun (tag, at, req) ->
+      let ack = exec t ~at req in
       end_ := Float.max !end_ (Clock.now t.clock);
-      t.host_done <- (hr.hr_tag, ack) :: t.host_done)
+      t.host_done <- (tag, ack) :: t.host_done)
     reqs;
   Clock.warp t.clock !end_;
-  poll_reqs t
+  host_poll t
 
 let trim t block =
   check t block 1;
@@ -1564,13 +1468,14 @@ let device t =
     block_bytes = t.block_bytes;
     n_blocks = t.logical_blocks;
     trace = t.trace;
-    read = read_result t;
-    read_run = read_run_result t;
-    write = write_result t;
-    write_run = write_run_result t;
-    submit = (fun req -> submit_req t req);
-    poll = (fun () -> poll_reqs t);
-    drain = (fun () -> drain_reqs t);
+    read = (fun b -> data_of (exec t ~at:(Clock.now t.clock) (Read b)));
+    read_run = (fun b n -> data_of (exec t ~at:(Clock.now t.clock) (Read_run (b, n))));
+    write = (fun b buf -> done_of (exec t ~at:(Clock.now t.clock) (Write (b, buf))));
+    write_run =
+      (fun b buf -> done_of (exec t ~at:(Clock.now t.clock) (Write_run (b, buf))));
+    submit = host_submit t;
+    poll = (fun () -> host_poll t);
+    drain = (fun () -> host_drain t);
     trim = trim t;
     idle = idle t;
     utilization = (fun () -> utilization t);
@@ -1611,18 +1516,11 @@ let drl_size t =
   iter_legs t (fun _ leg -> n := !n + Hashtbl.length leg.drl);
   !n
 
-let degraded t =
-  let d = ref false in
-  iter_legs t (fun _ leg -> if leg.state <> `Healthy then d := true);
-  !d
+let degraded t = exists_leg t (fun leg -> leg.state <> `Healthy)
 
 let kill t ~group ~leg =
   let l = t.groups.(group).(leg) in
-  if l.state <> `Dead then begin
-    l.state <- `Dead;
-    l.gen <- l.gen + 1;
-    Trace.incr t.trace "vol.leg_deaths"
-  end
+  if l.state <> `Dead then retire t l
 
 let start_rebuild t ~group ~leg =
   let l = t.groups.(group).(leg) in

@@ -108,76 +108,34 @@ val recover :
 
 val device : t -> Blockdev.Device.t
 (** The volume as a block device.  [submit]/[poll]/[drain] are native:
-    requests drain in submission order, each starting at its own arrival
-    timestamp on whatever legs it touches, so requests on disjoint
-    spindles overlap in simulated time.  [idle] pumps rebuild background
-    copies and the VLD legs' compactors, each in its leg's own window. *)
+    each request is stamped with its arrival at [submit], and requests
+    drain in submission order, each starting at its own arrival on
+    whatever legs it touches, so requests on disjoint spindles overlap
+    in simulated time.  [idle] pumps rebuild background copies and the
+    VLD legs' compactors, each in its leg's own window. *)
 
-(** {1 Native host queue}
+(** {1 Timestamped batch I/O}
 
-    The same submit/poll/drain the device record wraps, with arrival
-    timestamps and tenant attribution exposed.  [submit_req ?at ?owner]
-    enqueues a request arriving at [at] (default now; may lie anywhere
-    on the timeline — a closed-loop driver submits each replacement op
-    at its predecessor's completion instant).  [owner] tags every disk
-    command the request scatters, feeding per-tenant latency histograms
-    in the legs' trace sinks. *)
+    The two batch engines every volume operation goes through — the
+    device record's closures and host queue included.  Each call
+    scatters a whole set of blocks arriving at [at] — every involved
+    leg services its commands in one window (its queue policy reorders
+    within), which is how a host drives the legs' queues to depth > 1 —
+    and leaves the clock {e at the batch's completion}, so
+    [Clock.now - at] is its wall latency.  [at] may lie anywhere on the
+    timeline: a closed-loop driver submits each replacement op at its
+    predecessor's completion instant.  [owner] tags every disk command
+    the batch scatters, feeding per-tenant latency histograms in the
+    legs' trace sinks.  Every block must lie inside the volume and
+    every write buffer must be exactly one block, or the call raises
+    [Invalid_argument] before anything is submitted.
 
-val submit_req : ?at:float -> ?owner:string -> t -> Blockdev.Device.req -> int
-val poll_reqs : t -> (int * Blockdev.Device.ack) list
-val drain_reqs : t -> (int * Blockdev.Device.ack) list
-
-(** {1 Timestamped operations}
-
-    The engine underneath the host queue, for drivers that need exact
-    per-operation completion instants: each call executes one operation
-    arriving at [at] and leaves the clock {e at that operation's
-    completion}, so [Clock.now - at] is the operation's wall latency.
-    The batch forms scatter a whole set of blocks at one arrival — every
-    involved leg services its commands in one window (its queue policy
-    reorders within), which is how a host drives the legs' queues to
-    depth > 1. *)
-
-val read_result_at :
-  t ->
-  ?owner:string ->
-  at:float ->
-  int ->
-  (Bytes.t * Vlog_util.Io.completion, Blockdev.Device.io_error) result
-
-val write_result_at :
-  t ->
-  ?owner:string ->
-  at:float ->
-  int ->
-  Bytes.t ->
-  (Vlog_util.Io.completion, Blockdev.Device.io_error) result
-
-val write_batch :
-  t ->
-  ?owner:string ->
-  at:float ->
-  (int * Bytes.t) list ->
-  (Vlog_util.Breakdown.t, Blockdev.Device.io_error) result
-(** All writes arrive at [at]; the result breakdown is the sum of the
-    mechanical work of every successful leg command, while the clock
-    ends at the batch completion (the latest awaited leg). *)
-
-val read_batch :
-  t ->
-  ?owner:string ->
-  at:float ->
-  int list ->
-  ((Bytes.t * Vlog_util.Breakdown.t) list, Blockdev.Device.io_error) result
-
-(** {2 Structured batch reports}
-
-    [write_batch]/[read_batch] report only the first failing block.
     When a leg faults {e mid-window} the batch gathers partially — some
     blocks land (possibly degraded), others fail — and a degraded-mode
     retry must know exactly which, or it will re-submit commands that
-    already completed.  The [_report] variants return the full
-    per-block outcome instead of first-error-wins. *)
+    already completed.  The [_report] forms return that full per-block
+    outcome; [write_batch]/[read_batch] and [write_result_at] report
+    only the first failing block. *)
 
 type block_error = { be_block : int; be_error : Blockdev.Device.io_error }
 
@@ -201,6 +159,34 @@ val write_batch_report :
   t -> ?owner:string -> at:float -> (int * Bytes.t) list -> write_report
 
 val read_batch_report : t -> ?owner:string -> at:float -> int list -> read_report
+
+val write_batch :
+  t ->
+  ?owner:string ->
+  at:float ->
+  (int * Bytes.t) list ->
+  (Vlog_util.Breakdown.t, Blockdev.Device.io_error) result
+(** The result breakdown is the sum of the mechanical work of every
+    successful leg command, while the clock ends at the batch
+    completion (the latest awaited leg). *)
+
+val read_batch :
+  t ->
+  ?owner:string ->
+  at:float ->
+  int list ->
+  ((Bytes.t * Vlog_util.Breakdown.t) list, Blockdev.Device.io_error) result
+
+val write_result_at :
+  t ->
+  ?owner:string ->
+  at:float ->
+  int ->
+  Bytes.t ->
+  (Vlog_util.Io.completion, Blockdev.Device.io_error) result
+(** One block written as the device's [write] does — under a
+    [vol.write] trace span — but arriving at [at] and attributed to
+    [owner]. *)
 
 (** {1 Failure management} *)
 

@@ -286,10 +286,264 @@ let test_stripe_fans_out () =
        read4)
     true (read4 < read1)
 
+module D = Blockdev.Device
+
+(* The native host queue: requests submitted to disjoint spindles of a
+   stripe and drained at one barrier overlap in simulated time, so the
+   drain finishes well before the same writes issued one at a time. *)
+let test_host_queue_overlaps_spindles () =
+  let mk () =
+    let clock = Clock.create () in
+    let disks = Array.init 4 (fun _ -> mk_disk clock) in
+    let vol =
+      Volume.create ~layout:(Volume.Stripe 4) ~leg_kind:Volume.Regular_leg
+        ~logical_blocks ~disks ~prng:(Prng.create ~seed:45L) ()
+    in
+    (Volume.device vol, clock)
+  in
+  (* block 5i lives on leg i mod 4 *)
+  let blocks = List.init 8 (fun i -> i * 5) in
+  let seq_dev, seq_clock = mk () in
+  let t0 = Clock.now seq_clock in
+  List.iter (fun b -> ignore (D.write seq_dev b (fill seq_dev (tag_of b)))) blocks;
+  let seq_ms = Clock.now seq_clock -. t0 in
+  let dev, clock = mk () in
+  let t0 = Clock.now clock in
+  let tags =
+    List.map (fun b -> dev.D.submit (D.Write (b, fill dev (tag_of b)))) blocks
+  in
+  let acks = dev.D.drain () in
+  let queued_ms = Clock.now clock -. t0 in
+  Alcotest.(check (list int))
+    "one ack per tag, in submission order" tags (List.map fst acks);
+  List.iter
+    (fun (_, ack) ->
+      match ack with
+      | Ok (D.Done _) -> ()
+      | Ok (D.Data _) -> Alcotest.fail "write acked with data"
+      | Error e -> Alcotest.failf "queued write failed: %a" D.pp_io_error e)
+    acks;
+  Alcotest.(check (list int))
+    "drain leaves nothing to poll" [] (List.map fst (dev.D.poll ()));
+  List.iter
+    (fun b ->
+      let data, _ = D.read dev b in
+      Alcotest.(check char)
+        (Printf.sprintf "block %d reads back" b)
+        (tag_of b) (Bytes.get data 0))
+    blocks;
+  Alcotest.(check bool)
+    (Printf.sprintf "disjoint spindles overlap (queued %.3f ms, sequential %.3f ms)"
+       queued_ms seq_ms)
+    true (queued_ms < seq_ms)
+
+(* Batches are held to the same block-range and block-size contract as
+   single operations: nothing past the volume's end or before block 0
+   is read or written. *)
+let test_batch_range_checked () =
+  let clock = Clock.create () in
+  let disks = Array.init 4 (fun _ -> mk_disk clock) in
+  let vol =
+    Volume.create ~layout:(Volume.Stripe 4) ~leg_kind:Volume.Vld_leg
+      ~logical_blocks:10 ~disks ~prng:(Prng.create ~seed:46L) ()
+  in
+  let blk c = Bytes.make (Volume.block_bytes vol) c in
+  let at = Clock.now clock in
+  let range = Invalid_argument "Volume: logical block range out of bounds" in
+  let size = Invalid_argument "Volume.write: buffer must be exactly one block" in
+  let raises what exn f = Alcotest.check_raises what exn (fun () -> ignore (f ())) in
+  raises "write_batch past the end" range (fun () ->
+      Volume.write_batch vol ~at [ (10, blk 'x'); (11, blk 'x') ]);
+  raises "read_batch past the end" range (fun () -> Volume.read_batch vol ~at [ 10; 11 ]);
+  raises "write_batch before block 0" range (fun () ->
+      Volume.write_batch vol ~at [ (-1, blk 'x') ]);
+  raises "write_batch_report past the end" range (fun () ->
+      Volume.write_batch_report vol ~at [ (0, blk 'x'); (10, blk 'x') ]);
+  raises "read_batch_report past the end" range (fun () ->
+      Volume.read_batch_report vol ~at [ 10 ]);
+  raises "write_batch short buffer" size (fun () ->
+      Volume.write_batch vol ~at [ (3, Bytes.make 7 'x') ]);
+  raises "write_result_at past the end" range (fun () ->
+      Volume.write_result_at vol ~at 10 (blk 'x'));
+  match Volume.write_batch vol ~at [ (9, blk 'z') ] with
+  | Error e -> Alcotest.failf "last block unwritable: %a" D.pp_io_error e
+  | Ok _ -> (
+    match Volume.read_batch vol ~at:(Clock.now clock) [ 9 ] with
+    | Ok [ (d, _) ] -> Alcotest.(check char) "last block reads back" 'z' (Bytes.get d 0)
+    | Ok _ -> Alcotest.fail "read_batch returned the wrong number of blocks"
+    | Error e -> Alcotest.failf "last block unreadable: %a" D.pp_io_error e)
+
+(* ---- golden pin of simulated behaviour ----
+
+   One scripted run through every I/O face of the volume: device
+   write/write_run/read_run on a RAID-10, a submit/drain window on a
+   stripe, a structured batch whose mirror leg dies mid-window, a read
+   that fails over past a dead drive, a timestamped write whose arrival
+   lies behind the clock, idle windows pumping a throttled rebuild onto
+   a spare, the blocking rebuild sweep, and the first-error batch
+   forms.  The digest covers the final clocks, every leg's timeline,
+   every drive's counters, the [vol.*] counters, each operation's
+   latency and every recorded span, so any change to the data path's
+   simulated behaviour shows up.  The expected string was recorded
+   before the volume's I/O faces were rebuilt on one core. *)
+
+let golden_digest () =
+  let out = Buffer.create 4096 in
+  let line fmt = Printf.bprintf out (fmt ^^ "\n") in
+  let lat what clock at = line "%s %h" what (Clock.now clock -. at) in
+  let err e = Format.asprintf "%a" D.pp_io_error e in
+  let md5 d = Digest.to_hex (Digest.bytes d) in
+  let ack_line what = function
+    | Ok (D.Data (d, c)) -> line "%s data %s %h" what (md5 d) (Breakdown.total c.Io.breakdown)
+    | Ok (D.Done c) -> line "%s done %h" what (Breakdown.total c.Io.breakdown)
+    | Error e -> line "%s error %s" what (err e)
+  in
+  let data r = Result.map (fun (d, c) -> D.Data (d, c)) r in
+  let done_ r = Result.map (fun c -> D.Done c) r in
+  let finish vol sink =
+    line "clock %h" (Clock.now (Volume.clock vol));
+    for g = 0 to Volume.n_groups vol - 1 do
+      for l = 0 to Volume.legs_per_group vol - 1 do
+        line "leg %d.%d %s busy=%h drl=%d" g l
+          (Volume.state_to_string (Volume.state_of vol ~group:g ~leg:l))
+          (Volume.leg_busy_until vol ~group:g ~leg:l)
+          (Volume.leg_drl_size vol ~group:g ~leg:l)
+      done
+    done;
+    Array.iter
+      (fun d ->
+        let s = Disk.Disk_sim.stats d in
+        line "drive r=%d w=%d sr=%d sw=%d hits=%d rf=%d wf=%d busy=%h" s.reads s.writes
+          s.sectors_read s.sectors_written s.buffer_hits s.read_faults s.write_faults
+          s.busy_ms)
+      (Volume.disks vol);
+    List.iter
+      (fun (name, v) ->
+        if String.length name > 4 && String.sub name 0 4 = "vol." then line "%s=%d" name v)
+      (Trace.counters sink);
+    List.iter
+      (fun (s : Trace.span_record) ->
+        line "span %s %h %h %h" s.name s.start_ms s.end_ms (Breakdown.total s.bd))
+      (Trace.spans sink)
+  in
+  let traced_disk ~sink clock () =
+    Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track ~trace:sink
+      ~profile ~clock ()
+  in
+  (* RAID-10 of VLD legs with a hot spare *)
+  let clock = Clock.create () in
+  let sink = Trace.create ~clock () in
+  let mk = traced_disk ~sink clock in
+  let disks = Array.init 4 (fun _ -> mk ()) in
+  let vol =
+    Volume.create ~spare:mk ~layout:(Volume.Stripe_of_mirrors (2, 2))
+      ~leg_kind:Volume.Vld_leg ~logical_blocks:64 ~disks ~prng:(Prng.create ~seed:47L) ()
+  in
+  let dev = Volume.device vol in
+  let bb = dev.D.block_bytes in
+  for b = 0 to 7 do
+    let at = Clock.now clock in
+    ack_line "write" (done_ (dev.D.write b (fill dev (tag_of b))));
+    lat "write" clock at
+  done;
+  let at = Clock.now clock in
+  ack_line "write_run"
+    (done_ (dev.D.write_run 8 (Bytes.init (4 * bb) (fun i -> Char.chr (i mod 251)))));
+  lat "write_run" clock at;
+  let at = Clock.now clock in
+  ack_line "read_run" (data (dev.D.read_run 0 12));
+  lat "read_run" clock at;
+  (* a mirror leg of group 0 dies inside a batch window *)
+  let plan = Fault.Plan.create Fault.Plan.Drive_death ~trigger:2 ~seed:7L in
+  Fault.Plan.install plan disks.(1);
+  let at = Clock.now clock in
+  let rep =
+    Volume.write_batch_report vol ~owner:"fg" ~at
+      (List.init 12 (fun i -> ((i * 5) mod 32, fill dev (tag_of (i + 10)))))
+  in
+  lat "batch" clock at;
+  line "batch written=[%s] failed=%d degraded=%b bd=%h"
+    (String.concat ";" (List.map string_of_int rep.Volume.wr_written))
+    (List.length rep.Volume.wr_failed) rep.Volume.wr_degraded
+    (Breakdown.total rep.Volume.wr_bd);
+  (* group 1's first leg dies outright: its reads fail over to leg 1 *)
+  Fault.Plan.install
+    (Fault.Plan.create Fault.Plan.Drive_death ~trigger:0 ~seed:8L)
+    disks.(2);
+  List.iter
+    (fun b ->
+      let at = Clock.now clock in
+      ack_line "failover" (data (dev.D.read b));
+      lat "failover" clock at)
+    [ 1; 3; 5 ];
+  (* a timestamped write arriving behind the clock *)
+  let at = Clock.now clock -. 3. in
+  ack_line "write_at" (done_ (Volume.write_result_at vol ~owner:"late" ~at 6 (fill dev 'L')));
+  lat "write_at" clock at;
+  let rebuild_states what =
+    line "%s %s %s" what
+      (Volume.state_to_string (Volume.state_of vol ~group:0 ~leg:1))
+      (Volume.state_to_string (Volume.state_of vol ~group:1 ~leg:0))
+  in
+  for _ = 1 to 3 do
+    Volume.idle vol 10.
+  done;
+  rebuild_states "after idle";
+  Volume.rebuild_step vol ~copies:6;
+  rebuild_states "after step";
+  let at = Clock.now clock in
+  (match Volume.read_batch vol ~owner:"fg" ~at [ 0; 1; 2; 3; 30; 31 ] with
+  | Ok pieces ->
+    List.iter (fun (d, bd) -> line "read_batch %s %h" (md5 d) (Breakdown.total bd)) pieces
+  | Error e -> line "read_batch error %s" (err e));
+  lat "read_batch" clock at;
+  let at = Clock.now clock in
+  (match Volume.write_batch vol ~at [ (4, fill dev 'w'); (9, fill dev 'x') ] with
+  | Ok bd -> line "write_batch %h" (Breakdown.total bd)
+  | Error e -> line "write_batch error %s" (err e));
+  lat "write_batch" clock at;
+  finish vol sink;
+  (* host queue on a stripe: several submits, one drain *)
+  let clock = Clock.create () in
+  let sink = Trace.create ~clock () in
+  let disks = Array.init 4 (fun _ -> traced_disk ~sink clock ()) in
+  let vol =
+    Volume.create ~layout:(Volume.Stripe 4) ~leg_kind:Volume.Vld_leg ~logical_blocks:32
+      ~disks ~prng:(Prng.create ~seed:48L) ()
+  in
+  let dev = Volume.device vol in
+  let at = Clock.now clock in
+  let reqs =
+    [
+      D.Write (0, fill dev 'a');
+      D.Write (1, fill dev 'b');
+      D.Write_run (2, Bytes.make (3 * bb) 'c');
+      D.Read 1;
+      D.Read_run (0, 5);
+      D.Write (7, fill dev 'd');
+    ]
+  in
+  let tags = List.map dev.D.submit reqs in
+  List.iter (fun (tag, ack) -> ack_line (Printf.sprintf "drain %d" tag) ack) (dev.D.drain ());
+  line "tags [%s]" (String.concat ";" (List.map string_of_int tags));
+  lat "drain" clock at;
+  finish vol sink;
+  Digest.to_hex (Digest.string (Buffer.contents out))
+
+let golden_expected = "4b860b347317469f4eb7ef509c6274f2"
+
+let test_golden_pin () =
+  Alcotest.(check string) "simulated behaviour unchanged" golden_expected (golden_digest ())
+
 let suites =
   [
+    ( "volume:golden", [ Alcotest.test_case "every I/O face pin" `Quick test_golden_pin ] );
     ( "volume",
       [
+        Alcotest.test_case "host queue: acks in order, spindles overlap" `Quick
+          test_host_queue_overlaps_spindles;
+        Alcotest.test_case "batches are range- and size-checked" `Quick
+          test_batch_range_checked;
         Alcotest.test_case "death: failover, degraded writes, rebuild" `Quick
           test_death_failover_and_rebuild;
         Alcotest.test_case "hung leg: bounded stall" `Quick

@@ -72,7 +72,7 @@ let test_mirror_batch_death_mid_window () =
     failed;
   List.iter
     (fun b ->
-      match Volume.read_result_at vol ~at:(Clock.now clock) b with
+      match (Volume.device vol).Blockdev.Device.read b with
       | Ok (d, _) ->
         Alcotest.(check char)
           (Printf.sprintf "block %d holds the new content" b)
@@ -119,7 +119,7 @@ let test_batch_retry_residue () =
   Volume.settle vol;
   List.iter
     (fun b ->
-      match Volume.read_result_at vol ~at:(Clock.now clock) b with
+      match (Volume.device vol).Blockdev.Device.read b with
       | Ok (d, _) ->
         let c = Bytes.get d 0 in
         if c <> 'A' && c <> 'B' then
@@ -142,7 +142,7 @@ let test_batch_retry_residue () =
   List.iter
     (fun b ->
       let want = if List.mem b failed1 then 'C' else 'B' in
-      match Volume.read_result_at vol ~at:(Clock.now clock) b with
+      match (Volume.device vol).Blockdev.Device.read b with
       | Ok (d, _) ->
         Alcotest.(check char)
           (Printf.sprintf "block %d applied once" b)
@@ -197,7 +197,7 @@ let test_rebuild_under_hung_source () =
       (Volume.state_to_string s));
   check_clean "after rebuild under hang" vol;
   for b = 0 to logical_blocks - 1 do
-    match Volume.read_result_at vol ~at:(Clock.now clock) b with
+    match (Volume.device vol).Blockdev.Device.read b with
     | Ok (d, _) ->
       let c = Bytes.get d 0 in
       if c <> 'A' && c <> 'F' then
