@@ -1,74 +1,40 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section, plus the ablation benches, and (with [micro]) runs
-   Bechamel micro-benchmarks of the core operations.
+   evaluation section, the ablation benches and the repository's own
+   studies, and (with [micro]) runs Bechamel micro-benchmarks of the
+   core operations.
 
    Usage:
-     dune exec bench/main.exe                 # all tables+figures, full scale
+     dune exec bench/main.exe                 # every experiment, then micro
      dune exec bench/main.exe -- --quick      # smoke-test sizes
      dune exec bench/main.exe -- fig8 table2  # a subset
      dune exec bench/main.exe -- --jobs 4     # fan cells out to 4 workers
-     dune exec bench/main.exe -- micro        # Bechamel micro-benchmarks
-     dune exec bench/main.exe -- --json out.json fig8   # machine-readable timings
+     dune exec bench/main.exe -- micro        # only the Bechamel micro-benchmarks
+     dune exec bench/main.exe -- --json out.jsonl fig8 nvm   # run records
      dune exec bench/main.exe -- qdepth       # latency-under-load curves
      dune exec bench/main.exe -- array        # 16-spindle array study
+     dune exec bench/main.exe -- array-faults # fault-under-load curves
      dune exec bench/main.exe -- nvm          # NVM staging-tier study
-                                              # (standalone: own JSON schemas)
+     dune exec bench/main.exe -- --seed 7 qdepth   # re-salt the seeded studies
 
-   Experiments (and, for the big grids, their individual cells) run
-   through the [Par] worker pool; [--jobs N] sets the pool width
-   (default: detected cores, or $VLSIM_JOBS).  Results are merged in
-   input order, so the tables are byte-identical for every N.
+   Every experiment is a [Suite] plan: its jobs (for the big grids and
+   the studies, one per cell) run through the [Par] worker pool; [--jobs
+   N] sets the pool width (default: detected cores, or $VLSIM_JOBS).
+   Results are merged in input order, so the tables are byte-identical
+   for every N.
 
-   [--json FILE] writes one record per experiment run:
-     [{"name": "fig8", "wall_s": 1.23, "elapsed_s": 2.46,
-       "sim_ms": 56789.123, "scale": "quick", "jobs": 2}, ...]
+   [--json FILE] writes one run record per experiment, one per line:
+     {"name":"fig8","wall_s":1.23,"elapsed_s":2.46,"sim_ms":56789.123,
+      "scale":"quick","jobs":2,"cores":2,"result":[...]}
    where [wall_s] is the experiment's host wall-clock span (first of its
    jobs dispatched to last finished), [elapsed_s] the summed in-worker
-   compute seconds of its jobs, and [sim_ms] the simulated milliseconds
-   it consumed (delta of [Vlog_util.Clock.advanced_total] around each
-   job).  The schema is documented in DESIGN.md; CI's bench-smoke job
-   validates it, and the par-determinism job diffs the [jobs]-invariant
-   fields between a sequential and a parallel run. *)
+   compute seconds of its jobs, [sim_ms] the simulated milliseconds it
+   consumed (delta of [Vlog_util.Clock.advanced_total] around each job),
+   [cores] the host's detected core count, and [result] the
+   experiment's own payload ([Suite.timing.t_result]; [null] for
+   table-only experiments).  The schema is documented in DESIGN.md and
+   checked by .github/check_bench.py. *)
 
 open Experiments
-
-let scale = ref Rigs.Full
-let json_out : string option ref = ref None
-
-let write_json path jobs (timings : Suite.timing list) =
-  let oc = open_out path in
-  let scale_s = match !scale with Rigs.Quick -> "quick" | Rigs.Full -> "full" in
-  let n = List.length timings in
-  output_string oc "[\n";
-  List.iteri
-    (fun i (t : Suite.timing) ->
-      (* Experiments that report per-cell percentiles (fig8) add a
-         [cells] array; the scalar fields stay exactly as before. *)
-      let cells =
-        match t.Suite.t_cells with
-        | [] -> ""
-        | cs ->
-          let m = List.length cs in
-          ", \"cells\": ["
-          ^ String.concat ""
-              (List.mapi
-                 (fun j (label, p50, p99) ->
-                   Printf.sprintf
-                     "{\"label\": %S, \"p50_ms\": %.6f, \"p99_ms\": %.6f}%s"
-                     label p50 p99
-                     (if j = m - 1 then "" else ", "))
-                 cs)
-          ^ "]"
-      in
-      Printf.fprintf oc
-        "  {\"name\": %S, \"wall_s\": %.6f, \"elapsed_s\": %.6f, \"sim_ms\": \
-         %.3f, \"scale\": %S, \"jobs\": %d%s}%s\n"
-        t.Suite.t_name t.Suite.t_wall_s t.Suite.t_elapsed_s t.Suite.t_sim_ms
-        scale_s jobs cells
-        (if i = n - 1 then "" else ","))
-    timings;
-  output_string oc "]\n";
-  close_out oc
 
 (* ---- Bechamel micro-benchmarks of the core operations ---- *)
 
@@ -178,113 +144,54 @@ let () =
   in
   let open Vlog_util in
   let jobs_opt, args = get (Cli.extract_int Cli.jobs ~min:1 args) in
-  let jobs = ref (match jobs_opt with Some j -> j | None -> Par.default_jobs ()) in
+  let jobs = match jobs_opt with Some j -> j | None -> Par.default_jobs () in
   let json_path, args = get (Cli.extract Cli.json args) in
-  json_out := json_path;
-  let seed_opt, args = get (Cli.extract_int Cli.seed ~min:0 args) in
-  let quick = List.mem "--quick" args in
-  if quick then scale := Rigs.Quick;
+  let seed, args = get (Cli.extract_int Cli.seed ~min:0 args) in
+  let scale = if List.mem "--quick" args then Rigs.Quick else Rigs.Full in
   let names = List.filter (fun a -> a <> "--quick") args in
-  let want_micro = List.mem "micro" names in
-  let names = List.filter (fun a -> a <> "micro") names in
-  let want_qdepth = List.mem "qdepth" names in
-  let names = List.filter (fun a -> a <> "qdepth") names in
-  let want_array = List.mem "array" names in
-  let names = List.filter (fun a -> a <> "array") names in
-  let want_nvm = List.mem "nvm" names in
-  let names = List.filter (fun a -> a <> "nvm") names in
-  let want_faults = List.mem "--faults" names in
-  let names = List.filter (fun a -> a <> "--faults") names in
-  if want_faults && not want_array then begin
-    prerr_endline "--faults only applies to the array experiment";
-    exit 2
-  end;
-  let standalones =
-    (if want_qdepth then 1 else 0)
-    + (if want_array then 1 else 0)
-    + (if want_nvm then 1 else 0)
-  in
-  if standalones > 0 && (names <> [] || want_micro || standalones > 1) then begin
-    prerr_endline
-      "qdepth, array and nvm write their own per-cell JSON schemas; run \
-       each without other experiments";
-    exit 2
-  end;
-  if want_array then begin
-    let results =
-      Array_bench.run ?seed:seed_opt ~faults:want_faults ~jobs:!jobs
-        ~scale:!scale ()
-    in
-    print_string (Array_bench.render results);
-    print_newline ();
-    (match !json_out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Array_bench.to_json ~scale:!scale ~jobs:!jobs results);
-      close_out oc
-    | None -> ());
-    exit 0
-  end;
-  if want_nvm then begin
-    let results = Nvm_bench.run ?seed:seed_opt ~jobs:!jobs ~scale:!scale () in
-    print_string (Table.render (Nvm_bench.table_of results));
-    print_newline ();
-    Printf.printf
-      "criteria: latency_ratio %.1fx (>=10: %s), overload_ratio %.2fx \
-       (<=1.25: %s)\n"
-      results.Nvm_bench.criteria.Nvm_bench.latency_ratio
-      (if results.Nvm_bench.criteria.Nvm_bench.latency_ok then "ok" else "FAIL")
-      results.Nvm_bench.criteria.Nvm_bench.overload_ratio
-      (if results.Nvm_bench.criteria.Nvm_bench.overload_ok then "ok" else "FAIL");
-    (match !json_out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Nvm_bench.to_json ~scale:!scale ~jobs:!jobs results);
-      close_out oc
-    | None -> ());
-    exit 0
-  end;
-  if want_qdepth then begin
-    let results = Qdepth.run ?seed:seed_opt ~jobs:!jobs ~scale:!scale () in
-    print_string (Table.render (Qdepth.table_of results));
-    print_newline ();
-    (match !json_out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Qdepth.to_json ~scale:!scale ~jobs:!jobs results);
-      close_out oc
-    | None -> ());
-    exit 0
-  end;
+  (* No names: every experiment, then micro.  [micro] alone: only micro. *)
+  let want_micro = names = [] || List.mem "micro" names in
   let to_run =
-    match names with
-    | [] -> Suite.names
-    | names ->
-      List.iter
-        (fun n ->
-          if not (List.mem n Suite.names) then begin
-            Printf.eprintf "unknown experiment %s (known: %s)\n" n
-              (String.concat ", " Suite.names);
-            exit 2
-          end)
-        names;
-      names
+    if names = [] then Suite.names else List.filter (fun a -> a <> "micro") names
   in
+  List.iter
+    (fun n ->
+      if not (List.mem n Suite.names) then begin
+        Printf.eprintf "unknown experiment %s (known: %s)\n" n
+          (String.concat ", " Suite.names);
+        exit 2
+      end)
+    to_run;
   (if to_run <> [] then
      let progress ~completed ~total ~label =
        Printf.eprintf "[%d/%d] %s\n%!" completed total label
      in
      let timings =
-       Suite.run ~jobs:!jobs ~timeout_s:3600. ~progress ~scale:!scale
-         ~names:to_run ()
+       Suite.run ~jobs ~timeout_s:3600. ~progress ?seed ~scale ~names:to_run ()
      in
      List.iter
        (fun (t : Suite.timing) ->
          print_string t.Suite.t_output;
          Printf.printf "[%s: %.1fs]\n\n%!" t.Suite.t_name t.Suite.t_wall_s)
        timings;
-     (match !json_out with
-     | Some path -> write_json path !jobs timings
+     (match json_path with
+     | Some path ->
+       let oc = open_out path in
+       List.iter
+         (fun (t : Suite.timing) ->
+           output_string oc
+             (Json.to_string
+                (Obj
+                   [
+                     ("name", String t.Suite.t_name); ("wall_s", Float t.Suite.t_wall_s);
+                     ("elapsed_s", Float t.Suite.t_elapsed_s); ("sim_ms", Float t.Suite.t_sim_ms);
+                     ("scale", String (match scale with Rigs.Quick -> "quick" | Rigs.Full -> "full"));
+                     ("jobs", Int jobs); ("cores", Int (Par.detected_cores ()));
+                     ("result", t.Suite.t_result);
+                   ]));
+           output_char oc '\n')
+         timings;
+       close_out oc
      | None -> ());
      let failed =
        List.concat_map (fun (t : Suite.timing) -> t.Suite.t_failures) timings
@@ -293,4 +200,4 @@ let () =
        List.iter (Printf.eprintf "FAILED %s\n") failed;
        exit 1
      end);
-  if want_micro || names = [] then micro ()
+  if want_micro then micro ()

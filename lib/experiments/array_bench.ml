@@ -61,17 +61,6 @@ type fault_row = {
   fr_rebuilt : bool;  (** rebuild-flaky: resilver finished during the run *)
 }
 
-type result = {
-  r_cells : cell_result list;
-  r_rebuild : rebuild_row list;
-  r_budget : float;
-  r_within_budget : bool;
-  r_fairness : Tenant.result;
-  r_scale_x : float;
-      (** widest striped-VLD aggregate IOPS over single-spindle, deepest queue *)
-  r_faults : fault_row list;  (** [] unless the fault study was requested *)
-}
-
 let profile = Disk.Profile.with_cylinders Disk.Profile.st19101 4
 let blocks_per_group = 128
 
@@ -175,6 +164,11 @@ let run_cell ?(seed = 0) ~scale c =
 
 let rebuild_budget = 3.0
 
+let rebuild_mode_label = function
+  | `Healthy -> "healthy"
+  | `Throttled -> "throttled"
+  | `Blocking -> "blocking"
+
 (* Foreground open-loop single writes at a fixed spacing over a 2-way
    VLD mirror, under three rebuild regimes: no rebuild at all; the
    queued background rebuild throttled to [policy.rebuild_util] of the
@@ -243,11 +237,7 @@ let run_rebuild ?(seed = 0) ~scale mode =
   in
   let lats = List.rev !lats in
   {
-    rb_mode =
-      (match mode with
-      | `Healthy -> "healthy"
-      | `Throttled -> "throttled"
-      | `Blocking -> "blocking");
+    rb_mode = rebuild_mode_label mode;
     rb_n = List.length lats;
     rb_mean_ms = Stats.mean lats;
     rb_p99_ms = Stats.percentile 0.99 lats;
@@ -266,6 +256,8 @@ let run_rebuild ?(seed = 0) ~scale mode =
    IOPS grid, so the three rows are directly comparable. *)
 
 let fault_depth = 4
+
+let fault_modes = [ `Healthy; `One_dead; `Rebuild_flaky ]
 
 let fault_mode_label = function
   | `Healthy -> "healthy"
@@ -372,75 +364,19 @@ let scalability results =
   let base = iops Svld 1 in
   if base > 0. then iops Svld widest /. base else 0.
 
-let run ?(seed = 0) ?(faults = false) ~jobs ~scale () =
-  let cs = cells ~scale in
-  let cell_results =
-    List.map2
-      (fun c -> function
-        | Ok r -> r
-        | Error (e : Par.error) ->
-          failwith
-            (Printf.sprintf "array cell %s: %s" (cell_label c)
-               (Par.reason_to_string e.Par.reason)))
-      cs
-      (Par.map ~jobs ~timeout_s:3600. (fun c -> run_cell ~seed ~scale c) cs)
-  in
-  let modes = [ `Healthy; `Throttled; `Blocking ] in
-  let rebuild =
-    List.map2
-      (fun m -> function
-        | Ok r -> r
-        | Error (e : Par.error) ->
-          failwith
-            (Printf.sprintf "array rebuild %s: %s"
-               (match m with
-               | `Healthy -> "healthy"
-               | `Throttled -> "throttled"
-               | `Blocking -> "blocking")
-               (Par.reason_to_string e.Par.reason)))
-      modes
-      (Par.map ~jobs ~timeout_s:3600. (fun m -> run_rebuild ~seed ~scale m) modes)
-  in
-  let healthy_p99 =
-    List.fold_left
-      (fun a r -> if r.rb_mode = "healthy" then r.rb_p99_ms else a)
-      0. rebuild
-  in
-  let throttled_p99 =
-    List.fold_left
-      (fun a r -> if r.rb_mode = "throttled" then r.rb_p99_ms else a)
-      0. rebuild
-  in
-  let fault_rows =
-    if not faults then []
-    else
-      let fmodes = [ `Healthy; `One_dead; `Rebuild_flaky ] in
-      List.map2
-        (fun m -> function
-          | Ok r -> r
-          | Error (e : Par.error) ->
-            failwith
-              (Printf.sprintf "array faults %s: %s" (fault_mode_label m)
-                 (Par.reason_to_string e.Par.reason)))
-        fmodes
-        (Par.map ~jobs ~timeout_s:3600.
-           (fun m -> run_fault_mode ~seed ~scale m)
-           fmodes)
-  in
-  {
-    r_cells = cell_results;
-    r_rebuild = rebuild;
-    r_budget = rebuild_budget;
-    r_within_budget =
-      healthy_p99 > 0. && throttled_p99 <= rebuild_budget *. healthy_p99;
-    r_fairness = Tenant.run ~jobs (fairness_config ~scale);
-    r_scale_x = scalability cell_results;
-    r_faults = fault_rows;
-  }
+(* --- the study as jobs, and its report --- *)
 
-(* --- rendering --- *)
+type part = Cell of cell_result | Rebuild of rebuild_row | Fairness of Tenant.result
 
-let table_of r =
+let jobs ?seed ~scale () =
+  List.map (fun c -> (cell_label c, fun () -> Cell (run_cell ?seed ~scale c))) (cells ~scale)
+  @ List.map
+      (fun m ->
+        ("rebuild/" ^ rebuild_mode_label m, fun () -> Rebuild (run_rebuild ?seed ~scale m)))
+      [ `Healthy; `Throttled; `Blocking ]
+  @ [ ("fairness", fun () -> Fairness (Tenant.run ~jobs:1 (fairness_config ~scale))) ]
+
+let table_of cells =
   let t =
     Table.create ~title:"array: aggregate small-write IOPS (closed loop)"
       ~columns:[ "rig"; "spindles"; "depth"; "iops"; "p50 ms"; "p99 ms" ]
@@ -456,137 +392,115 @@ let table_of r =
           Table.cell_ms c.c_p50_ms;
           Table.cell_ms c.c_p99_ms;
         ])
-    r.r_cells;
+    cells;
   t
 
-let render r =
+let report parts =
+  let cells = List.filter_map (function Cell c -> Some c | _ -> None) parts in
+  let rebuild = List.filter_map (function Rebuild r -> Some r | _ -> None) parts in
+  let f =
+    match List.find_map (function Fairness f -> Some f | _ -> None) parts with
+    | Some f -> f
+    | None -> invalid_arg "Array_bench.report: no fairness part"
+  in
+  let p99 mode =
+    List.fold_left (fun a r -> if r.rb_mode = mode then r.rb_p99_ms else a) 0. rebuild
+  in
+  let healthy_p99 = p99 "healthy" in
+  let within_budget =
+    healthy_p99 > 0. && p99 "throttled" <= rebuild_budget *. healthy_p99
+  in
+  let scale_x = scalability cells in
   let b = Buffer.create 2048 in
-  Buffer.add_string b (Table.render (table_of r));
-  Buffer.add_string b
-    (Printf.sprintf "\nscalability: widest striped-VLD = %.1fx single spindle\n"
-       r.r_scale_x);
-  Buffer.add_string b
-    "\nrebuild interference (2-way VLD mirror, foreground p99):\n";
+  Buffer.add_string b (Table.render (table_of cells));
+  Printf.bprintf b "\nscalability: widest striped-VLD = %.1fx single spindle\n" scale_x;
+  Buffer.add_string b "\nrebuild interference (2-way VLD mirror, foreground p99):\n";
   List.iter
     (fun rb ->
-      Buffer.add_string b
-        (Printf.sprintf "  %-10s p99 %s  mean %s  progress %d%s\n" rb.rb_mode
-           (Table.cell_ms rb.rb_p99_ms)
-           (Table.cell_ms rb.rb_mean_ms)
-           rb.rb_progress
-           (if rb.rb_completed then " (rebuilt)" else "")))
-    r.r_rebuild;
-  Buffer.add_string b
-    (Printf.sprintf "  throttled within budget (%.1fx healthy p99): %b\n"
-       r.r_budget r.r_within_budget);
-  if r.r_faults <> [] then begin
-    Buffer.add_string b
-      (Printf.sprintf
-         "\nfault-under-load (raid10 2x2 VLD, closed loop, depth %d):\n"
-         fault_depth);
-    List.iter
-      (fun fr ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "  %-14s %6.0f iops  p50 %s  p99 %s  max %s  (%d ok, %d failed%s)\n"
-             fr.fr_mode fr.fr_iops
-             (Table.cell_ms fr.fr_p50_ms)
-             (Table.cell_ms fr.fr_p99_ms)
-             (Table.cell_ms fr.fr_max_ms)
-             fr.fr_n fr.fr_failed
-             (if fr.fr_rebuilt then ", rebuilt" else "")))
-      r.r_faults
-  end;
-  let f = r.r_fairness in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\ntenants: %d ops across %d tenants, %.0f IOPS aggregate, fairness p99 \
-        max/min %.2f, tput max/min %.2f\n"
-       f.Tenant.total_ops
-       (List.length f.Tenant.per_tenant)
-       f.Tenant.agg_iops f.Tenant.fairness.Tenant.p99_ratio
-       f.Tenant.fairness.Tenant.tput_ratio);
-  Buffer.contents b
+      Printf.bprintf b "  %-10s p99 %s  mean %s  progress %d%s\n" rb.rb_mode
+        (Table.cell_ms rb.rb_p99_ms)
+        (Table.cell_ms rb.rb_mean_ms)
+        rb.rb_progress
+        (if rb.rb_completed then " (rebuilt)" else ""))
+    rebuild;
+  Printf.bprintf b "  throttled within budget (%.1fx healthy p99): %b\n" rebuild_budget
+    within_budget;
+  Printf.bprintf b
+    "\ntenants: %d ops across %d tenants, %.0f IOPS aggregate, fairness p99 max/min \
+     %.2f, tput max/min %.2f\n"
+    f.Tenant.total_ops
+    (List.length f.Tenant.per_tenant)
+    f.Tenant.agg_iops f.Tenant.fairness.Tenant.p99_ratio f.Tenant.fairness.Tenant.tput_ratio;
+  let cell c =
+    Json.Obj
+      [
+        ("rig", String (rig_to_string c.c_cell.rig)); ("spindles", Int c.c_cell.spindles);
+        ("depth", Int c.c_cell.depth); ("iops", Float c.c_iops); ("n", Int c.c_n);
+        ("mean_ms", Float c.c_mean_ms); ("p50_ms", Float c.c_p50_ms);
+        ("p99_ms", Float c.c_p99_ms); ("max_ms", Float c.c_max_ms);
+      ]
+  in
+  let mode rb =
+    Json.Obj
+      [
+        ("mode", String rb.rb_mode); ("n", Int rb.rb_n); ("mean_ms", Float rb.rb_mean_ms);
+        ("p99_ms", Float rb.rb_p99_ms); ("progress", Int rb.rb_progress);
+        ("completed", Bool rb.rb_completed);
+      ]
+  in
+  let tenant (s : Tenant.tenant_stats) =
+    Json.Obj
+      [
+        ("tenant", Int s.Tenant.tenant); ("ops", Int s.Tenant.ops);
+        ("mean_ms", Float s.Tenant.mean_ms); ("p50_ms", Float s.Tenant.p50_ms);
+        ("p99_ms", Float s.Tenant.p99_ms); ("tput_iops", Float s.Tenant.tput_iops);
+      ]
+  in
+  ( Buffer.contents b,
+    Json.Obj
+      [
+        ("cells", List (List.map cell cells));
+        ( "scalability",
+          Obj [ ("svld_widest_over_single", Float scale_x); ("criterion_8x", Bool (scale_x >= 8.)) ]
+        );
+        ( "rebuild",
+          Obj
+            [
+              ("budget_x_healthy_p99", Float rebuild_budget); ("within_budget", Bool within_budget);
+              ("modes", List (List.map mode rebuild));
+            ] );
+        ( "fairness",
+          Obj
+            [
+              ("tenants", Int (List.length f.Tenant.per_tenant));
+              ("total_ops", Int f.Tenant.total_ops); ("agg_iops", Float f.Tenant.agg_iops);
+              ("p99_ratio", Float f.Tenant.fairness.Tenant.p99_ratio);
+              ("tput_ratio", Float f.Tenant.fairness.Tenant.tput_ratio);
+              ("per_tenant", List (List.map tenant f.Tenant.per_tenant));
+            ] );
+      ] )
 
-let to_json ~scale ~jobs r =
-  let b = Buffer.create 4096 in
-  let scale_s = match scale with Rigs.Quick -> "quick" | Rigs.Full -> "full" in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"experiment\": \"array\", \"scale\": %S, \"jobs\": %d, \"cores\": \
-        %d,\n"
-       scale_s jobs (Par.detected_cores ()));
-  Buffer.add_string b "  \"cells\": [\n";
-  let n = List.length r.r_cells in
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"rig\": %S, \"spindles\": %d, \"depth\": %d, \"iops\": %.3f, \
-            \"n\": %d, \"mean_ms\": %.6f, \"p50_ms\": %.6f, \"p99_ms\": %.6f, \
-            \"max_ms\": %.6f}%s\n"
-           (rig_to_string c.c_cell.rig)
-           c.c_cell.spindles c.c_cell.depth c.c_iops c.c_n c.c_mean_ms c.c_p50_ms
-           c.c_p99_ms c.c_max_ms
-           (if i = n - 1 then "" else ",")))
-    r.r_cells;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"scalability\": {\"svld_widest_over_single\": %.3f, \
-        \"criterion_8x\": %b},\n"
-       r.r_scale_x (r.r_scale_x >= 8.));
-  Buffer.add_string b
-    (Printf.sprintf "  \"rebuild\": {\"budget_x_healthy_p99\": %.1f, \
-                     \"within_budget\": %b, \"modes\": [\n"
-       r.r_budget r.r_within_budget);
-  let nr = List.length r.r_rebuild in
-  List.iteri
-    (fun i rb ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"mode\": %S, \"n\": %d, \"mean_ms\": %.6f, \"p99_ms\": %.6f, \
-            \"progress\": %d, \"completed\": %b}%s\n"
-           rb.rb_mode rb.rb_n rb.rb_mean_ms rb.rb_p99_ms rb.rb_progress
-           rb.rb_completed
-           (if i = nr - 1 then "" else ",")))
-    r.r_rebuild;
-  Buffer.add_string b "  ]},\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"faults\": {\"ran\": %b, \"depth\": %d, \"modes\": [\n"
-       (r.r_faults <> []) fault_depth);
-  let nf = List.length r.r_faults in
-  List.iteri
-    (fun i fr ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"mode\": %S, \"n\": %d, \"failed\": %d, \"iops\": %.3f, \
-            \"mean_ms\": %.6f, \"p50_ms\": %.6f, \"p99_ms\": %.6f, \
-            \"max_ms\": %.6f, \"rebuilt\": %b}%s\n"
-           fr.fr_mode fr.fr_n fr.fr_failed fr.fr_iops fr.fr_mean_ms fr.fr_p50_ms
-           fr.fr_p99_ms fr.fr_max_ms fr.fr_rebuilt
-           (if i = nf - 1 then "" else ",")))
-    r.r_faults;
-  Buffer.add_string b "  ]},\n";
-  let f = r.r_fairness in
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"fairness\": {\"tenants\": %d, \"total_ops\": %d, \"agg_iops\": \
-        %.3f, \"p99_ratio\": %.4f, \"tput_ratio\": %.4f, \"per_tenant\": [\n"
-       (List.length f.Tenant.per_tenant)
-       f.Tenant.total_ops f.Tenant.agg_iops f.Tenant.fairness.Tenant.p99_ratio
-       f.Tenant.fairness.Tenant.tput_ratio);
-  let nt = List.length f.Tenant.per_tenant in
-  List.iteri
-    (fun i (s : Tenant.tenant_stats) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"tenant\": %d, \"ops\": %d, \"mean_ms\": %.6f, \"p50_ms\": \
-            %.6f, \"p99_ms\": %.6f, \"tput_iops\": %.3f}%s\n"
-           s.Tenant.tenant s.Tenant.ops s.Tenant.mean_ms s.Tenant.p50_ms
-           s.Tenant.p99_ms s.Tenant.tput_iops
-           (if i = nt - 1 then "" else ",")))
-    f.Tenant.per_tenant;
-  Buffer.add_string b "  ]}\n}\n";
-  Buffer.contents b
+let fault_report rows =
+  let b = Buffer.create 512 in
+  Printf.bprintf b "fault-under-load (raid10 2x2 VLD, closed loop, depth %d):\n" fault_depth;
+  List.iter
+    (fun fr ->
+      Printf.bprintf b "  %-14s %6.0f iops  p50 %s  p99 %s  max %s  (%d ok, %d failed%s)\n"
+        fr.fr_mode fr.fr_iops
+        (Table.cell_ms fr.fr_p50_ms)
+        (Table.cell_ms fr.fr_p99_ms)
+        (Table.cell_ms fr.fr_max_ms)
+        fr.fr_n fr.fr_failed
+        (if fr.fr_rebuilt then ", rebuilt" else ""))
+    rows;
+  let mode fr =
+    Json.Obj
+      [
+        ("mode", String fr.fr_mode); ("n", Int fr.fr_n); ("failed", Int fr.fr_failed);
+        ("iops", Float fr.fr_iops); ("mean_ms", Float fr.fr_mean_ms);
+        ("p50_ms", Float fr.fr_p50_ms); ("p99_ms", Float fr.fr_p99_ms);
+        ("max_ms", Float fr.fr_max_ms); ("rebuilt", Bool fr.fr_rebuilt);
+      ]
+  in
+  ( Buffer.contents b,
+    Json.Obj [ ("depth", Int fault_depth); ("modes", List (List.map mode rows)) ] )

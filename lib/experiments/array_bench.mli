@@ -12,7 +12,8 @@
     Two companion studies ride along: foreground p99 under rebuild
     (healthy vs. throttled background resilver vs. the blocking cursor
     sweep, with a stated p99 budget), and the sharded multi-tenant
-    fairness run ({!Tenant.run}). *)
+    fairness run ({!Tenant.run}).  The fault-under-load curves
+    ({!run_fault_mode}) are a separate experiment, [array-faults]. *)
 
 type rig = Svld | Sreg | Raid10
 
@@ -57,18 +58,6 @@ type fault_row = {
   fr_rebuilt : bool;  (** rebuild-flaky: resilver finished during the run *)
 }
 
-type result = {
-  r_cells : cell_result list;
-  r_rebuild : rebuild_row list;
-  r_budget : float;  (** foreground p99 budget, × the healthy p99 *)
-  r_within_budget : bool;  (** throttled p99 ≤ budget × healthy p99 *)
-  r_fairness : Tenant.result;
-  r_scale_x : float;
-      (** widest striped-VLD aggregate IOPS over single-spindle *)
-  r_faults : fault_row list;
-      (** degraded-mode curves; [] unless [~faults:true] was passed *)
-}
-
 val rebuild_budget : float
 (** 3.0: throttled rebuild must hold foreground p99 within 3× healthy. *)
 
@@ -80,21 +69,27 @@ val run_fault_mode :
   [ `Healthy | `One_dead | `Rebuild_flaky ] ->
   fault_row
 (** One degraded-mode service state of the fault-under-load study
-    ([bench -- array --faults]): closed-loop small writes on a
+    ([bench -- array-faults]): closed-loop small writes on a
     4-spindle raid10 with every leg healthy, one leg dead with no
     spare, or a resilver pumped in idle windows while the surviving
     source runs flaky bursts. *)
 
-val run :
-  ?seed:int -> ?faults:bool -> jobs:int -> scale:Rigs.scale -> unit -> result
+type part = Cell of cell_result | Rebuild of rebuild_row | Fairness of Tenant.result
 
-val table_of : result -> Vlog_util.Table.t
-val render : result -> string
-(** IOPS table plus the scalability, rebuild and fairness summaries. *)
+val jobs : ?seed:int -> scale:Rigs.scale -> unit -> (string * (unit -> part)) list
+(** The study as {!Suite} jobs: one per grid cell, one per rebuild
+    mode, and one fairness run ({!Tenant.run} with [~jobs:1]).
+    Labels are the cell label, [rebuild/<mode>] and [fairness]. *)
 
-val to_json : scale:Rigs.scale -> jobs:int -> result -> string
-(** One JSON object: top-level [experiment], [scale], [jobs], [cores]
-    (the host's detected core count), then [cells] records,
-    [scalability] (with the ≥8× criterion), [rebuild] modes + budget
-    verdict, and [fairness] with per-tenant rows and the spread
-    ratios. *)
+val report : part list -> string * Vlog_util.Json.t
+(** Merge the finished {!jobs}: the IOPS table plus the scalability,
+    rebuild and fairness summaries, and the JSON object with keys
+    [cells], [scalability] (with the ≥8× criterion), [rebuild] (modes
+    and the budget verdict) and [fairness] (per-tenant rows and the
+    spread ratios). *)
+
+val fault_modes : [ `Healthy | `One_dead | `Rebuild_flaky ] list
+val fault_mode_label : [ `Healthy | `One_dead | `Rebuild_flaky ] -> string
+
+val fault_report : fault_row list -> string * Vlog_util.Json.t
+(** The fault-under-load section and [{"depth": ..., "modes": [...]}]. *)

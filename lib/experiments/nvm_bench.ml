@@ -38,6 +38,8 @@ let staged = function
 
 type cell = { rk : rig_kind; burst : int; destage_util : float }
 
+let cell_label c = Printf.sprintf "%s/%d/%.2f" (rig_label c.rk) c.burst c.destage_util
+
 type row = {
   r_cell : cell;
   n_sync : int;
@@ -56,8 +58,6 @@ type criteria = {
   overload_ratio : float;
   overload_ok : bool;
 }
-
-type result = { rows : row list; criteria : criteria }
 
 let block_bytes = 4096
 let file_blocks = 64
@@ -194,7 +194,7 @@ let make_stack c seed =
       | Some w -> (Nvm.Nvm_wal.status w).Nvm.Nvm_wal.st_log_capacity);
   }
 
-let run_cell ~scale ~seed c =
+let run_cell ?(seed = 0) ~scale c =
   let st = make_stack c (seed_of ~seed c) in
   for slot = 0 to file_blocks - 1 do
     st.sk_write slot
@@ -275,23 +275,7 @@ let criteria_of ~scale rows =
     overload_ok = overload_ratio <= 1.25;
   }
 
-let run ?(seed = 0) ~jobs ~scale () =
-  let cs = cells ~scale in
-  let results = Par.map ~jobs (fun c -> run_cell ~scale ~seed c) cs in
-  let rows =
-    List.map2
-      (fun c -> function
-        | Ok row -> row
-        | Error (e : Par.error) ->
-          failwith
-            (Printf.sprintf "nvm bench cell %s/%d/%.2f: %s" (rig_label c.rk)
-               c.burst c.destage_util
-               (Par.reason_to_string e.Par.reason)))
-      cs results
-  in
-  { rows; criteria = criteria_of ~scale rows }
-
-let table_of r =
+let table_of rows =
   let t =
     Table.create
       ~title:
@@ -319,36 +303,34 @@ let table_of r =
           (if row.burst_fit then "yes" else "no");
           Table.cell_f ~decimals:0 row.overload_ops_s;
         ])
-    r.rows;
+    rows;
   t
 
-let to_json ~scale ~jobs r =
-  let b = Buffer.create 4096 in
-  let scale_s = match scale with Rigs.Quick -> "quick" | Rigs.Full -> "full" in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"experiment\": \"nvm\", \"scale\": %S, \"jobs\": %d, \"cores\": %d,\n \
-        \"cells\": [\n"
-       scale_s jobs (Par.detected_cores ()));
-  let n = List.length r.rows in
-  List.iteri
-    (fun i row ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"rig\": %S, \"burst\": %d, \"destage_util\": %.2f, \"n_sync\": \
-            %d, \"sync_mean_ms\": %.6f, \"sync_p50_ms\": %.6f, \
-            \"sync_p99_ms\": %.6f, \"sync_max_ms\": %.6f, \"burst_fit\": %b, \
-            \"burst_mean_ms\": %.3f, \"overload_ops_s\": %.3f}%s\n"
-           (rig_label row.r_cell.rk)
-           row.r_cell.burst row.r_cell.destage_util row.n_sync row.sync_mean_ms
-           row.sync_p50_ms row.sync_p99_ms row.sync_max_ms row.burst_fit
-           row.burst_mean_ms row.overload_ops_s
-           (if i = n - 1 then "" else ",")))
-    r.rows;
-  Buffer.add_string b
-    (Printf.sprintf
-       " ],\n \"criteria\": {\"latency_ratio\": %.3f, \"latency_ok\": %b, \
-        \"overload_ratio\": %.3f, \"overload_ok\": %b}}\n"
-       r.criteria.latency_ratio r.criteria.latency_ok r.criteria.overload_ratio
-       r.criteria.overload_ok);
-  Buffer.contents b
+let report ~scale rows =
+  let c = criteria_of ~scale rows in
+  let verdict ok = if ok then "ok" else "FAIL" in
+  let cell row =
+    Json.Obj
+      [
+        ("rig", String (rig_label row.r_cell.rk)); ("burst", Int row.r_cell.burst);
+        ("destage_util", Float row.r_cell.destage_util); ("n_sync", Int row.n_sync);
+        ("sync_mean_ms", Float row.sync_mean_ms); ("sync_p50_ms", Float row.sync_p50_ms);
+        ("sync_p99_ms", Float row.sync_p99_ms); ("sync_max_ms", Float row.sync_max_ms);
+        ("burst_fit", Bool row.burst_fit); ("burst_mean_ms", Float row.burst_mean_ms);
+        ("overload_ops_s", Float row.overload_ops_s);
+      ]
+  in
+  ( Table.render (table_of rows)
+    ^ Printf.sprintf
+        "\ncriteria: latency_ratio %.1fx (>=10: %s), overload_ratio %.2fx (<=1.25: %s)\n"
+        c.latency_ratio (verdict c.latency_ok) c.overload_ratio (verdict c.overload_ok),
+    Json.Obj
+      [
+        ("cells", List (List.map cell rows));
+        ( "criteria",
+          Obj
+            [
+              ("latency_ratio", Float c.latency_ratio); ("latency_ok", Bool c.latency_ok);
+              ("overload_ratio", Float c.overload_ratio); ("overload_ok", Bool c.overload_ok);
+            ] );
+      ] )

@@ -1,4 +1,4 @@
-(** The NVM staging-tier study ([bench -- nvm], standalone).
+(** The NVM staging-tier study ([bench -- nvm]).
 
     Sync-small-write latency and burst-absorption curves across four
     rigs — plain VLD (UFS, every write pays the disk), NVRAM-LFS (the
@@ -10,7 +10,7 @@
     budget), then a sustained-overload phase with no idle at all, where
     a full log makes every append pay the disk cost it was hiding.
 
-    The acceptance criteria ride along in the JSON: at burst sizes that
+    The acceptance criteria ride along in the report: at burst sizes that
     fit the log, the staged-VLD rig's sync-write latency must be at
     least 10x below plain VLD's, and its sustained-overload throughput
     within 1.25x of plain VLD's. *)
@@ -21,6 +21,9 @@ val rig_label : rig_kind -> string
 (** ["vld"], ["nvram-lfs"], ["nvm-ufs"], ["nvm-vld"]. *)
 
 type cell = { rk : rig_kind; burst : int; destage_util : float }
+
+val cell_label : cell -> string
+(** [rig/burst/util], e.g. ["nvm-vld/64/1.00"]. *)
 
 type row = {
   r_cell : cell;
@@ -44,17 +47,15 @@ type criteria = {
   overload_ok : bool;  (** [overload_ratio <= 1.25] *)
 }
 
-type result = { rows : row list; criteria : criteria }
-
 val cells : scale:Rigs.scale -> cell list
 (** The rig x burst x duty-cycle matrix; unstaged rigs carry a single
     duty-cycle slot (the knob means nothing to them). *)
 
-val run : ?seed:int -> jobs:int -> scale:Rigs.scale -> unit -> result
-(** Run every cell through {!Par.map} on [jobs] workers; rows come back
-    in matrix order, identical for every [jobs] value. *)
+val run_cell : ?seed:int -> scale:Rigs.scale -> cell -> row
+(** One cell: warmup, [rounds] bursts with their idle gaps, then the
+    overload phase.  [seed] (default 0) salts the cell's PRNG seeds. *)
 
-val table_of : result -> Vlog_util.Table.t
-val to_json : scale:Rigs.scale -> jobs:int -> result -> string
-(** One top-level object: [{"experiment": "nvm", "scale": ..., "jobs":
-    ..., "cores": ..., "cells": [...], "criteria": {...}}]. *)
+val report : scale:Rigs.scale -> row list -> string * Vlog_util.Json.t
+(** The rows (in {!cells} order) with their {!criteria}: the rendered
+    table plus a [criteria:] verdict line, and the JSON object
+    [{"cells": [...], "criteria": {...}}]. *)

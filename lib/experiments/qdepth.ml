@@ -243,20 +243,6 @@ let run_cell ?(seed = 0) ~scale (c : cell) =
   in
   { r_cell = c; base_ops_s; sat_ops_s; rows }
 
-let run ?seed ~jobs ~scale () =
-  let cs = cells ~scale in
-  let results =
-    Par.map ~jobs ~timeout_s:3600. (fun c -> run_cell ?seed ~scale c) cs
-  in
-  List.map2
-    (fun c -> function
-      | Ok r -> r
-      | Error (e : Par.error) ->
-        failwith
-          (Printf.sprintf "qdepth cell %s: %s" (cell_label c)
-             (Par.reason_to_string e.Par.reason)))
-    cs results
-
 let table_of results =
   let t =
     Table.create
@@ -289,31 +275,18 @@ let table_of results =
     results;
   t
 
-let to_json ~scale ~jobs results =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[\n";
-  let scale_s = match scale with Rigs.Quick -> "quick" | Rigs.Full -> "full" in
-  let rows =
-    List.concat_map (fun r -> List.map (fun row -> (r, row)) r.rows) results
+let report results =
+  let obj r row =
+    Json.Obj
+      [
+        ("fs", String (fs_to_string r.r_cell.fs));
+        ("policy", String (Disk.Disk_queue.policy_to_string r.r_cell.policy));
+        ("depth", Int r.r_cell.depth); ("load", Float row.load);
+        ("rate_ops_s", Float row.rate_ops_s); ("throughput_ops_s", Float row.throughput_ops_s);
+        ("n", Int row.n); ("mean_ms", Float row.mean_ms); ("p50_ms", Float row.p50_ms);
+        ("p99_ms", Float row.p99_ms); ("p999_ms", Float row.p999_ms); ("max_ms", Float row.max_ms);
+        ("base_ops_s", Float r.base_ops_s); ("sat_ops_s", Float r.sat_ops_s);
+      ]
   in
-  let n = List.length rows in
-  List.iteri
-    (fun i (r, row) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"fs\": %S, \"policy\": %S, \"depth\": %d, \"load\": %.3f, \
-            \"rate_ops_s\": %.3f, \"throughput_ops_s\": %.3f, \"n\": %d, \
-            \"mean_ms\": %.6f, \"p50_ms\": %.6f, \"p99_ms\": %.6f, \
-            \"p999_ms\": %.6f, \"max_ms\": %.6f, \"base_ops_s\": %.3f, \
-            \"sat_ops_s\": %.3f, \"scale\": %S, \"jobs\": %d, \
-            \"cores\": %d}%s\n"
-           (fs_to_string r.r_cell.fs)
-           (Disk.Disk_queue.policy_to_string r.r_cell.policy)
-           r.r_cell.depth row.load row.rate_ops_s row.throughput_ops_s row.n
-           row.mean_ms row.p50_ms row.p99_ms row.p999_ms row.max_ms
-           r.base_ops_s r.sat_ops_s scale_s jobs
-           (Par.detected_cores ())
-           (if i = n - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "]\n";
-  Buffer.contents b
+  ( Table.render (table_of results),
+    Json.List (List.concat_map (fun r -> List.map (obj r) r.rows) results) )

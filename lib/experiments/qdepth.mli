@@ -11,8 +11,8 @@
     replays Poisson arrivals at multiples of the {e depth-1 FIFO}
     saturation rate of the same stream, reporting achieved throughput
     and p50/p99/p999 completion latency per offered load.  Everything is
-    derived from the cell coordinates, so cells parallelize through
-    {!Par.map} with byte-identical output for any [--jobs]. *)
+    derived from the cell coordinates, so cells run as independent
+    {!Suite} jobs with byte-identical output for any [--jobs]. *)
 
 type fs = Ufs | Lfs | Vlfs
 
@@ -47,17 +47,10 @@ val depths : int list
 val cells : scale:Rigs.scale -> cell list
 
 val run_cell : ?seed:int -> scale:Rigs.scale -> cell -> result
+(** [seed] (default 0) salts every derived PRNG seed of the cell. *)
 
-val run : ?seed:int -> jobs:int -> scale:Rigs.scale -> unit -> result list
-(** All cells through the parallel pool, in {!cells} order.  [seed]
-    (default 0) salts every cell's derived PRNG seeds.  A crashed cell
-    raises [Failure]. *)
-
-val table_of : result list -> Vlog_util.Table.t
-
-val to_json : scale:Rigs.scale -> jobs:int -> result list -> string
-(** One JSON array with a record per (cell × row): keys [fs], [depth],
-    [policy], [load], [rate_ops_s], [throughput_ops_s], [n], [mean_ms],
-    [p50_ms], [p99_ms], [p999_ms], [max_ms], [base_ops_s], [sat_ops_s],
-    [scale], [jobs], [cores] (the host's detected core count, so a
-    recorded run says what hardware produced its [jobs] choice). *)
+val report : result list -> string * Vlog_util.Json.t
+(** The rendered table, and one JSON object per (cell × row) with keys
+    [fs], [policy], [depth], [load], [rate_ops_s], [throughput_ops_s],
+    [n], [mean_ms], [p50_ms], [p99_ms], [p999_ms], [max_ms],
+    [base_ops_s], [sat_ops_s]. *)

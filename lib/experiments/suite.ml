@@ -3,10 +3,11 @@
    Every experiment is decomposed into one or more independent jobs,
    each returning a rendered payload; the whole run is one flat job list
    through [Par.map], so figures and cells from different experiments
-   fill the worker pool together.  Sub-splittable figures (fig8's
-   utilization sweep, fig10/fig11's idle grids) contribute one job per
-   cell and a merge function that regroups cell results into the
-   figure's table; everything else is a single job rendering its own
+   fill the worker pool together.  Sub-splittable experiments (fig8's
+   utilization sweep, fig10/fig11's idle grids, the qdepth, array,
+   array-faults and nvm studies) contribute one job per cell and a merge
+   function that regroups cell results into the rendered tables and a
+   JSON result; everything else is a single job rendering its own
    output.  Because every cell derives its state from its own
    coordinates (constant rig seeds, per-cell PRNGs), the merged output
    is byte-identical whatever [jobs] is. *)
@@ -19,29 +20,29 @@ type timing = {
   t_wall_s : float;
   t_elapsed_s : float;
   t_sim_ms : float;
-  t_cells : (string * float * float) list;
+  t_result : Json.t;
   t_failures : string list;
 }
 
-(* A plan is either one job or a fan-out with a typed merge.  ['r] is
-   existential: it never crosses the module boundary, only the wire
-   (where it is marshalled, so it must be closure-free data). *)
-(* [cells] (optional) distills per-cell latency percentiles out of the
-   sub-results for the machine-readable side channel ([bench --json]):
-   (label, p50 ms, p99 ms) triples, to ride next to the rendered
-   output. *)
+(* A plan is either one job rendering a table, or a fan-out whose typed
+   merge returns the rendered text and the experiment's JSON result.
+   ['r] is existential: it never crosses the module boundary, only the
+   wire (where it is marshalled, so it must be closure-free data). *)
 type plan =
   | Single of (unit -> string)
   | Split : {
       subs : (string * (unit -> 'r)) list;
-      merge : 'r list -> string;
-      cells : ('r list -> (string * float * float) list) option;
+      merge : 'r list -> string * Json.t;
     }
       -> plan
 
 let render t = Table.render t
 
-let plan ~scale name : plan =
+(* Jobs are labelled [name[cell]]; [grid] makes one job per cell. *)
+let sub name (label, job) = (Printf.sprintf "%s[%s]" name label, job)
+let grid name label run cells = List.map (fun c -> sub name (label c, fun () -> run c)) cells
+
+let plan ?seed ~scale name : plan =
   let table (run : ?scale:Rigs.scale -> unit -> Table.t) =
     Single (fun () -> render (run ~scale ()))
   in
@@ -55,24 +56,21 @@ let plan ~scale name : plan =
     let cells = Fig8.cells ~scale in
     Split
       {
-        subs =
-          List.map
-            (fun c -> (Printf.sprintf "fig8[%s]" (Fig8.cell_label c),
-                       fun () -> Fig8.run_cell ~scale c))
-            cells;
+        subs = grid name Fig8.cell_label (Fig8.run_cell ~scale) cells;
         merge =
           (fun points ->
-            render (Fig8.table_of (Fig8.collate (List.combine cells points))));
-        cells =
-          Some
-            (fun points ->
-              List.filter_map
-                (fun (c, p) ->
-                  Option.map
-                    (fun (p : Fig8.point) ->
-                      (Fig8.cell_label c, p.Fig8.p50_ms, p.Fig8.p99_ms))
-                    p)
-                (List.combine cells points));
+            let pts = List.combine cells points in
+            let cell (c, p) =
+              Option.map
+                (fun (p : Fig8.point) ->
+                  Json.Obj
+                    [
+                      ("label", String (Fig8.cell_label c)); ("p50_ms", Float p.Fig8.p50_ms);
+                      ("p99_ms", Float p.Fig8.p99_ms);
+                    ])
+                p
+            in
+            (render (Fig8.table_of (Fig8.collate pts)), Json.List (List.filter_map cell pts)));
       }
   | "table2" ->
     (* One measurement feeds both Table 2 and Figure 9. *)
@@ -84,31 +82,22 @@ let plan ~scale name : plan =
     let cells = Fig10.cells ~scale in
     Split
       {
-        subs =
-          List.map
-            (fun c -> (Printf.sprintf "fig10[%s]" (Fig10.cell_label c),
-                       fun () -> Fig10.run_cell ~scale c))
-            cells;
+        subs = grid name Fig10.cell_label (Fig10.run_cell ~scale) cells;
         merge =
           (fun points ->
-            render
-              (Fig10.table_of ~title:"Figure 10: LFS (with NVRAM) latency vs idle interval"
-                 (Fig10.collate (List.combine cells points))));
-        cells = None;
+            ( render
+                (Fig10.table_of ~title:"Figure 10: LFS (with NVRAM) latency vs idle interval"
+                   (Fig10.collate (List.combine cells points))),
+              Json.Null ));
       }
   | "fig11" ->
     let cells = Fig11.cells ~scale in
     Split
       {
-        subs =
-          List.map
-            (fun c -> (Printf.sprintf "fig11[%s]" (Fig11.cell_label c),
-                       fun () -> Fig11.run_cell ~scale c))
-            cells;
+        subs = grid name Fig11.cell_label (Fig11.run_cell ~scale) cells;
         merge =
           (fun points ->
-            render (Fig11.table_of (Fig11.collate (List.combine cells points))));
-        cells = None;
+            (render (Fig11.table_of (Fig11.collate (List.combine cells points))), Json.Null));
       }
   | "apps" -> table Apps.run
   | "vlfs" ->
@@ -124,13 +113,44 @@ let plan ~scale name : plan =
   | "ablation-compact" -> table Ablations.compaction_policy
   | "ablation-blocksize" -> table Ablations.block_size
   | "ablation-mapbatch" -> table Ablations.map_batching
+  | "qdepth" ->
+    Split
+      {
+        subs =
+          grid name Qdepth.cell_label (Qdepth.run_cell ?seed ~scale) (Qdepth.cells ~scale);
+        merge = Qdepth.report;
+      }
+  | "array" ->
+    Split
+      {
+        subs = List.map (sub name) (Array_bench.jobs ?seed ~scale ());
+        merge = Array_bench.report;
+      }
+  | "array-faults" ->
+    Split
+      {
+        subs =
+          grid name Array_bench.fault_mode_label
+            (Array_bench.run_fault_mode ?seed ~scale)
+            Array_bench.fault_modes;
+        merge = Array_bench.fault_report;
+      }
+  | "nvm" ->
+    Split
+      {
+        subs =
+          grid name Nvm_bench.cell_label (Nvm_bench.run_cell ?seed ~scale)
+            (Nvm_bench.cells ~scale);
+        merge = Nvm_bench.report ~scale;
+      }
   | other -> invalid_arg ("Suite.plan: unknown experiment " ^ other)
 
 let names =
   [
     "table1"; "fig1"; "fig2"; "fig6"; "fig7"; "fig8"; "table2"; "fig10";
     "fig11"; "apps"; "vlfs"; "volume"; "ablation-mode"; "ablation-compact";
-    "ablation-blocksize"; "ablation-mapbatch";
+    "ablation-blocksize"; "ablation-mapbatch"; "qdepth"; "array";
+    "array-faults"; "nvm";
   ]
 
 (* Type erasure at the job boundary: sub-results travel marshalled, and
@@ -139,8 +159,7 @@ let names =
 type erased = {
   e_name : string;
   e_subs : (string * (unit -> string)) list;
-  e_merge : string list -> string;
-  e_cells : string list -> (string * float * float) list;
+  e_merge : string list -> string * Json.t;
 }
 
 let erase e_name = function
@@ -148,20 +167,14 @@ let erase e_name = function
     {
       e_name;
       e_subs = [ (e_name, f) ];
-      e_merge = String.concat "";
-      e_cells = (fun _ -> []);
+      e_merge = (fun frags -> (String.concat "" frags, Json.Null));
     }
-  | Split { subs; merge; cells } ->
-    let unmarshal frags = List.map (fun s -> Marshal.from_string s 0) frags in
+  | Split { subs; merge } ->
     {
       e_name;
       e_subs =
         List.map (fun (lbl, f) -> (lbl, fun () -> Marshal.to_string (f ()) [])) subs;
-      e_merge = (fun frags -> merge (unmarshal frags));
-      e_cells =
-        (match cells with
-        | None -> fun _ -> []
-        | Some f -> fun frags -> f (unmarshal frags));
+      e_merge = (fun frags -> merge (List.map (fun s -> Marshal.from_string s 0) frags));
     }
 
 (* What one job ships back: payload plus its own compute and simulated
@@ -169,8 +182,8 @@ let erase e_name = function
 type job_out = { jo_payload : string; jo_elapsed_s : float; jo_sim_ms : float }
 
 let run ?(jobs = 1) ?timeout_s ?(progress = fun ~completed:_ ~total:_ ~label:_ -> ())
-    ~scale ~names:wanted () =
-  let plans = List.map (fun n -> erase n (plan ~scale n)) wanted in
+    ?seed ~scale ~names:wanted () =
+  let plans = List.map (fun n -> erase n (plan ?seed ~scale n)) wanted in
   let flat =
     List.concat
       (List.mapi
@@ -215,11 +228,12 @@ let run ?(jobs = 1) ?timeout_s ?(progress = fun ~completed:_ ~total:_ ~label:_ -
           mine
       in
       let oks = List.filter_map (fun (_, _, _, r) -> Result.to_option r) mine in
-      let t_output =
+      let t_output, t_result =
         if failures = [] then e.e_merge (List.map (fun j -> j.jo_payload) oks)
         else
-          Printf.sprintf "(%s: %d of %d jobs failed; no output)\n" e.e_name
-            (List.length failures) (List.length mine)
+          ( Printf.sprintf "(%s: %d of %d jobs failed; no output)\n" e.e_name
+              (List.length failures) (List.length mine),
+            Json.Null )
       in
       let sum f = List.fold_left (fun a j -> a +. f j) 0. oks in
       let span =
@@ -237,10 +251,7 @@ let run ?(jobs = 1) ?timeout_s ?(progress = fun ~completed:_ ~total:_ ~label:_ -
         t_wall_s = span;
         t_elapsed_s = sum (fun j -> j.jo_elapsed_s);
         t_sim_ms = sum (fun j -> j.jo_sim_ms);
-        t_cells =
-          (if failures = [] then
-             e.e_cells (List.map (fun j -> j.jo_payload) oks)
-           else []);
+        t_result;
         t_failures = failures;
       })
     plans

@@ -251,61 +251,43 @@ let histogram sink name =
 
 (* --- JSONL export --- *)
 
-(* Shortest decimal that round-trips: parsing the printed value yields
-   the original float, so exact-sum checks survive the serialization. *)
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else
-    let s = Printf.sprintf "%.15g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let bd_json (bd : Breakdown.t) =
-  Printf.sprintf "{\"scsi\":%s,\"locate\":%s,\"transfer\":%s,\"other\":%s}"
-    (json_float bd.Breakdown.scsi) (json_float bd.Breakdown.locate)
-    (json_float bd.Breakdown.transfer) (json_float bd.Breakdown.other)
-
-let attrs_json attrs =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> json_string k ^ ":" ^ json_string v) attrs)
-  ^ "}"
-
 let to_jsonl sink =
   match sink with
   | None -> ""
   | Some s ->
     let b = Buffer.create 4096 in
-    let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b l; Buffer.add_char b '\n') fmt in
+    let line fields =
+      Buffer.add_string b (Json.to_string (Json.Obj fields));
+      Buffer.add_char b '\n'
+    in
     let sps = spans sink in
-    line "{\"type\":\"meta\",\"version\":1,\"clock_ms\":%s,\"spans\":%d}"
-      (json_float (Clock.now s.clock)) (List.length sps);
+    line
+      [
+        ("type", String "meta"); ("version", Int 1); ("clock_ms", Float (Clock.now s.clock));
+        ("spans", Int (List.length sps));
+      ];
     List.iter
       (fun r ->
+        let bd = r.bd in
         line
-          "{\"type\":\"span\",\"id\":%d,\"parent\":%d,\"name\":%s,\"start\":%s,\"end\":%s,\"bd\":%s,\"children\":%d%s%s}"
-          r.id r.parent (json_string r.name) (json_float r.start_ms)
-          (json_float r.end_ms) (bd_json r.bd) r.n_children
-          (if r.unaccounted then ",\"unaccounted\":true" else "")
-          (if r.attrs = [] then "" else ",\"attrs\":" ^ attrs_json r.attrs))
+          ([
+             ("type", Json.String "span"); ("id", Int r.id); ("parent", Int r.parent);
+             ("name", String r.name); ("start", Float r.start_ms); ("end", Float r.end_ms);
+             ( "bd",
+               Obj
+                 [
+                   ("scsi", Float bd.Breakdown.scsi); ("locate", Float bd.Breakdown.locate);
+                   ("transfer", Float bd.Breakdown.transfer); ("other", Float bd.Breakdown.other);
+                 ] );
+             ("children", Int r.n_children);
+           ]
+          @ (if r.unaccounted then [ ("unaccounted", Json.Bool true) ] else [])
+          @
+          if r.attrs = [] then []
+          else [ ("attrs", Obj (List.map (fun (k, v) -> (k, Json.String v)) r.attrs)) ]))
       sps;
     List.iter
-      (fun (k, v) -> line "{\"type\":\"counter\",\"name\":%s,\"value\":%d}" (json_string k) v)
+      (fun (k, v) -> line [ ("type", String "counter"); ("name", String k); ("value", Int v) ])
       (counters sink);
     let hist_names =
       Hashtbl.fold (fun k _ acc -> k :: acc) s.hists [] |> List.sort String.compare
@@ -313,14 +295,14 @@ let to_jsonl sink =
     List.iter
       (fun name ->
         let h = Hashtbl.find s.hists name in
+        let open Histogram in
         line
-          "{\"type\":\"hist\",\"name\":%s,\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s}"
-          (json_string name) (Histogram.count h) (json_float (Histogram.sum h))
-          (json_float (Histogram.min_value h))
-          (json_float (Histogram.max_value h))
-          (json_float (Histogram.percentile h 50.))
-          (json_float (Histogram.percentile h 90.))
-          (json_float (Histogram.percentile h 99.)))
+          [
+            ("type", String "hist"); ("name", String name); ("count", Int (count h));
+            ("sum", Float (sum h)); ("min", Float (min_value h)); ("max", Float (max_value h));
+            ("p50", Float (percentile h 50.)); ("p90", Float (percentile h 90.));
+            ("p99", Float (percentile h 99.));
+          ])
       hist_names;
     Buffer.contents b
 

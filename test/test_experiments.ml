@@ -206,27 +206,32 @@ let test_ablation_blocksize_matched_is_best () =
   Alcotest.(check bool) "model ordering" true (skips 8 < skips 1);
   table_nonempty (Ablations.block_size ~scale:Rigs.Quick ())
 
-(* The experiment suite through the worker pool: the rendered tables and
-   the simulated-time accounting must be identical whether the cells run
-   in-process or fanned out to workers. *)
+(* The experiment suite through the worker pool: the rendered tables,
+   the JSON results and the simulated-time accounting must be identical
+   whether the cells run in-process or fanned out to workers. *)
 let test_suite_jobs_invariant () =
-  let run jobs =
-    match
-      Suite.run ~jobs ~timeout_s:600. ~scale:Rigs.Quick ~names:[ "fig8" ] ()
-    with
-    | [ t ] -> t
-    | _ -> Alcotest.fail "expected exactly one timing"
-  in
+  let names = [ "fig8"; "qdepth"; "array"; "array-faults"; "nvm" ] in
+  let run jobs = Suite.run ~jobs ~timeout_s:600. ~scale:Rigs.Quick ~names () in
   let seq = run 1 and par = run 4 in
-  Alcotest.(check string) "rendered output identical" seq.Suite.t_output
-    par.Suite.t_output;
-  (* Summation order differs between the in-process and forked paths
-     (the sequential path accumulates the global simulated clock across
-     cells), so simulated time agrees to the JSON schema's millisecond
-     precision rather than to the last bit. *)
-  Alcotest.(check (float 0.001)) "simulated time identical" seq.Suite.t_sim_ms
-    par.Suite.t_sim_ms;
-  Alcotest.(check (list string)) "no failures" [] (seq.Suite.t_failures @ par.Suite.t_failures)
+  Alcotest.(check (list string)) "one timing per name" names
+    (List.map (fun t -> t.Suite.t_name) par);
+  List.iter2
+    (fun (s : Suite.timing) (p : Suite.timing) ->
+      let name = s.Suite.t_name in
+      Alcotest.(check string) (name ^ ": rendered output identical") s.Suite.t_output
+        p.Suite.t_output;
+      Alcotest.(check string) (name ^ ": JSON result identical")
+        (Vlog_util.Json.to_string s.Suite.t_result)
+        (Vlog_util.Json.to_string p.Suite.t_result);
+      (* Summation order differs between the in-process and forked paths
+         (the sequential path accumulates the global simulated clock
+         across cells), so simulated time agrees to the millisecond
+         rather than to the last bit. *)
+      Alcotest.(check (float 0.001)) (name ^ ": simulated time identical")
+        s.Suite.t_sim_ms p.Suite.t_sim_ms;
+      Alcotest.(check (list string)) (name ^ ": no failures") []
+        (s.Suite.t_failures @ p.Suite.t_failures))
+    seq par
 
 let suites =
   [

@@ -204,6 +204,29 @@ let test_table_cells () =
   Alcotest.(check string) "x" "2.5x" (Table.cell_x 2.5);
   Alcotest.(check string) "pct" "42.0%" (Table.cell_pct 0.42)
 
+(* ---- Json ---- *)
+
+let test_json_escaping () =
+  Alcotest.(check string) "quote, backslash, control characters"
+    {|"a\"b\\c\nd\te\u0001f\u001f"|}
+    (Json.to_string (Json.String "a\"b\\c\nd\te\001f\031"))
+
+let test_json_non_finite () =
+  Alcotest.(check string) "nan and infinities print as null" "[null,null,null,1.0,0.1]"
+    (Json.to_string
+       (Json.List
+          [ Float Float.nan; Float Float.infinity; Float Float.neg_infinity; Float 1.; Float 0.1 ]))
+
+let test_json_key_order () =
+  Alcotest.(check string) "keys in list order, compact"
+    {|{"z":1,"a":[true,false,null],"m":{"y":"s","b":-2}}|}
+    (Json.to_string
+       (Json.Obj
+          [
+            ("z", Int 1); ("a", List [ Bool true; Bool false; Null ]);
+            ("m", Obj [ ("y", String "s"); ("b", Int (-2)) ]);
+          ]))
+
 (* ---- property tests ---- *)
 
 let qcheck_tests =
@@ -229,6 +252,11 @@ let qcheck_tests =
         let a = { scsi = a1; locate = a2; transfer = a3; other = a4 } in
         let b = { scsi = b1; locate = b2; transfer = b3; other = b4 } in
         abs_float (total (add a b) -. (total a +. total b)) < 1e-9);
+    Test.make ~name:"json float round-trips" ~count:1000
+      (map Int64.float_of_bits int64)
+      (fun f ->
+        assume (Float.is_finite f);
+        Float.equal (float_of_string (Json.to_string (Json.Float f))) f);
     Test.make ~name:"checksum roundtrip stability on bytes" ~count:200 (string_of_size Gen.(0 -- 200))
       (fun s -> Checksum.string s = Checksum.bytes (Bytes.of_string s));
   ]
@@ -280,6 +308,12 @@ let suites =
         Alcotest.test_case "renders" `Quick test_table_renders;
         Alcotest.test_case "rejects wide row" `Quick test_table_rejects_wide_row;
         Alcotest.test_case "cells" `Quick test_table_cells;
+      ] );
+    ( "util:json",
+      [
+        Alcotest.test_case "escaping" `Quick test_json_escaping;
+        Alcotest.test_case "non-finite is null" `Quick test_json_non_finite;
+        Alcotest.test_case "key order" `Quick test_json_key_order;
       ] );
     ("util:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]
