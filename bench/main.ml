@@ -113,22 +113,38 @@ let micro () =
       ]
   in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:(Some 500) () in
-  let instances = Instance.[ monotonic_clock ] in
+  (* Time and minor-heap words per run, side by side: the eager
+     allocator's hot path is meant to allocate nothing beyond its result.
+     Words are read with [Gc.minor_words], like Bechamel's
+     [minor_allocated] but exact on OCaml 5 too, where [Gc.quick_stat]
+     misses the words allocated since the last minor collection. *)
+  let minor_words =
+    let module M = struct
+      type witness = unit
+
+      let label () = "minor-words"
+      let unit () = "w"
+      let make () = ()
+      let load () = ()
+      let unload () = ()
+      let get () = Gc.minor_words ()
+    end in
+    Measure.instance (module M) (Measure.register (module M))
+  in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let results, _ = (Analyze.merge ols instances [ results ], raw) in
+  let results =
+    Analyze.merge ols instances (List.map (fun i -> Analyze.all ols i raw) instances)
+  in
   let window =
     match Notty_unix.winsize Unix.stdout with
     | Some (w, h) -> { Bechamel_notty.w; h }
     | None -> { Bechamel_notty.w = 100; h = 1 }
   in
-  let () =
-    Bechamel_notty.Unit.add Instance.monotonic_clock
-      (Measure.unit Instance.monotonic_clock)
-  in
+  List.iter (fun i -> Bechamel_notty.Unit.add i (Measure.unit i)) instances;
   let img = Bechamel_notty.Multiple.image_of_ols_results ~rect:window ~predictor:Measure.run results in
   Notty_unix.eol img |> Notty_unix.output_image
 

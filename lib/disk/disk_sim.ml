@@ -44,6 +44,7 @@ exception Media_failure of media_error
 
 type t = {
   profile : Profile.t;
+  sector_ms : float;
   clock : Clock.t;
   store : Sector_store.t;
   buffer : Track_buffer.t;
@@ -67,6 +68,7 @@ let create ?(buffer_policy = Track_buffer.Forward_discard) ?store ?(trace = Trac
   in
   {
     profile;
+    sector_ms = Profile.sector_ms profile;
     clock;
     store;
     buffer = Track_buffer.create buffer_policy;
@@ -133,24 +135,30 @@ let move_cost t ~cyl ~track =
   if cyl <> t.cyl then Float.max seek switch else switch
 
 (* Rotational frame: sector s of global track T is under the head when the
-   platter phase (in sector units) equals (s + skew * T) mod n. *)
-let sector_position_at t ~track_index ~at =
+   platter phase (in sector units) equals (s + skew * T) mod n.  Split in
+   two steps: the phase depends only on the arrival time, the skew step
+   only on the track, so a caller costing every track of a cylinder at
+   one arrival time can take the phase once. *)
+let[@inline] platter_phase t ~at =
+  Float.rem (at /. t.sector_ms) (float_of_int (sectors_per_track t))
+
+let[@inline] position_of_phase t ~track_index phase =
   let n = sectors_per_track t in
-  let sector_time = Profile.sector_ms t.profile in
-  let phase = Float.rem (at /. sector_time) (float_of_int n) in
   let skewed = phase -. float_of_int (t.profile.Profile.track_skew * track_index mod n) in
   let pos = Float.rem skewed (float_of_int n) in
   if pos < 0. then pos +. float_of_int n else pos
 
+let[@inline] sector_position_at t ~track_index ~at =
+  position_of_phase t ~track_index (platter_phase t ~at)
+
 (* Delay from a known rotational position: one subtraction, one
    remainder, one multiply — the closed form the eager allocator
    evaluates per candidate after computing the track's position once. *)
-let rotational_delay_from t ~pos ~sector =
+let[@inline] rotational_delay_from t ~pos ~sector =
   let n = float_of_int (sectors_per_track t) in
-  let sector_time = Profile.sector_ms t.profile in
   let dist = Float.rem (float_of_int sector -. pos) n in
   let dist = if dist < 0. then dist +. n else dist in
-  dist *. sector_time
+  dist *. t.sector_ms
 
 let rotational_delay_to t ~track_index ~sector ~at =
   rotational_delay_from t ~pos:(sector_position_at t ~track_index ~at) ~sector
@@ -201,7 +209,7 @@ let access_piece t (addr, piece) =
   in
   Clock.advance t.clock rot;
   let locate = Clock.now t.clock -. locate_start in
-  let xfer = float_of_int piece *. Profile.sector_ms t.profile in
+  let xfer = float_of_int piece *. t.sector_ms in
   Clock.advance t.clock xfer;
   let bd = Breakdown.add (Breakdown.of_locate locate) (Breakdown.of_transfer xfer) in
   Trace.exit t.trace ~bd sp;
@@ -222,7 +230,7 @@ let estimate_access t ~lba ~sectors =
       rotational_delay_to t ~track_index ~sector:addr.Geometry.sector
         ~at:(Clock.now t.clock +. mv)
     in
-    let xfer = float_of_int sectors *. Profile.sector_ms t.profile in
+    let xfer = float_of_int sectors *. t.sector_ms in
     let switches =
       float_of_int (List.length rest_pieces) *. t.profile.Profile.head_switch_ms
     in
@@ -304,7 +312,7 @@ let read_checked ?(scsi = true) t ~lba ~sectors =
           if Trace.enabled t.trace then Trace.enter t.trace "disk.buffer_hit"
           else Io.no_span
         in
-        let xfer = float_of_int piece *. Profile.sector_ms t.profile in
+        let xfer = float_of_int piece *. t.sector_ms in
         Clock.advance t.clock xfer;
         t.st.c_buffer_hits <- t.st.c_buffer_hits + 1;
         Trace.incr t.trace "disk.buffer_hits";

@@ -4,7 +4,9 @@
     consume simulated time.  Time is a [float] count of milliseconds since
     the start of the run — the unit the paper reports latencies in. *)
 
-type t
+type t = private { mutable now : float }
+(** Readable in place: [c.now] is {!now} without boxing the result, for
+    hot paths that must not allocate. *)
 
 val create : unit -> t
 (** A clock at time 0. *)

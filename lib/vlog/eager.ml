@@ -2,6 +2,17 @@ open Vlog_util
 
 type mode = Nearest | Sweep
 
+(* Every float the indexed search reads or writes.  OCaml stores an
+   all-float record flat, so reading these constants and updating the
+   running best allocates nothing. *)
+type frame = {
+  sector_ms : float;
+  sectors : float;  (* sectors per track *)
+  head_switch_ms : float;
+  mutable arrival : float;  (* now + lead time of the search in progress *)
+  mutable best_cost : float;
+}
+
 type t = {
   disk : Disk.Disk_sim.t;
   freemap : Freemap.t;
@@ -11,11 +22,19 @@ type t = {
   mutable active_track : int option;
   mutable exclusion : (int -> bool) option;
   mutable soft_exclusion : (int -> bool) option;
+  seek_ms : Float.Array.t;  (* seek time by cylinder distance *)
+  sectors_per_track : int;
+  track_skew : int;
+  frame : frame;
+  mutable best_block : int;  (* the block [frame.best_cost] belongs to, or -1 *)
 }
 
 let create ?(mode = Sweep) ?(switch_free_fraction = 0.25) ~disk ~freemap () =
   if switch_free_fraction < 0. || switch_free_fraction >= 1. then
     invalid_arg "Eager.create: switch_free_fraction must be in [0,1)";
+  let profile = Disk.Disk_sim.profile disk in
+  let g = Freemap.geometry freemap in
+  let spt = g.Disk.Geometry.sectors_per_track in
   {
     disk;
     freemap;
@@ -25,6 +44,18 @@ let create ?(mode = Sweep) ?(switch_free_fraction = 0.25) ~disk ~freemap () =
     active_track = None;
     exclusion = None;
     soft_exclusion = None;
+    seek_ms = Float.Array.init g.Disk.Geometry.cylinders (Disk.Profile.seek_ms profile);
+    sectors_per_track = spt;
+    track_skew = profile.Disk.Profile.track_skew;
+    frame =
+      {
+        sector_ms = Disk.Profile.sector_ms profile;
+        sectors = float_of_int spt;
+        head_switch_ms = profile.Disk.Profile.head_switch_ms;
+        arrival = 0.;
+        best_cost = infinity;
+      };
+    best_block = -1;
   }
 
 let mode t = t.mode
@@ -38,13 +69,45 @@ let cylinder t track = Freemap.cylinder_of_track t.freemap track
 let track_move_cost t track =
   Disk.Disk_sim.move_cost t.disk ~cyl:(cylinder t track) ~track:(surface t track)
 
+(* The search below allocates nothing: every float it computes stays
+   inside one function body or an [@inline] helper, the running best
+   lives in [t.frame], and the clock is read as a field ([Clock.now]
+   would box its result).  The default build compiles every library
+   module opaque, so any float crossing a module boundary is boxed; that
+   is why these helpers restate [Disk.Disk_sim]'s move cost and
+   rotational formula (platter phase per arrival, skew step per track,
+   delay from a position) over [t.frame].  [Reference] goes through
+   [Disk.Disk_sim] itself, so the oracle tests pin the two bit for bit. *)
+
+let[@inline] move_cost t track =
+  let cyl = cylinder t track and cur = Disk.Disk_sim.current_cylinder t.disk in
+  let switch =
+    if surface t track <> Disk.Disk_sim.current_track t.disk then t.frame.head_switch_ms
+    else 0.
+  in
+  if cyl <> cur then Float.max (Float.Array.get t.seek_ms (abs (cyl - cur))) switch
+  else switch
+
+let[@inline] platter_phase f at = Float.rem (at /. f.sector_ms) f.sectors
+
+let[@inline] position t ~phase track =
+  let f = t.frame in
+  let skewed = phase -. float_of_int (t.track_skew * track mod t.sectors_per_track) in
+  let pos = Float.rem skewed f.sectors in
+  if pos < 0. then pos +. f.sectors else pos
+
+let[@inline] delay f ~pos sector =
+  let dist = Float.rem (float_of_int sector -. pos) f.sectors in
+  let dist = if dist < 0. then dist +. f.sectors else dist in
+  dist *. f.sector_ms
+
 (* In-track block index whose start sector is the cyclically next to pass
    under the head when the rotational position is [pos]: the smallest
    slot k with k * sectors_per_block >= pos, which is [blocks_per_track]
    (i.e. wrap to slot 0) when the head is already past the last block
    boundary.  The float ceiling is corrected with exact comparisons so
    the result never disagrees with the per-block float costs. *)
-let first_slot_at_or_after t pos =
+let[@inline] first_slot_at_or_after t pos =
   let spb = float_of_int (Freemap.sectors_per_block t.freemap) in
   let k = ref (int_of_float (Float.ceil (pos /. spb))) in
   if !k < 0 then k := 0;
@@ -52,42 +115,48 @@ let first_slot_at_or_after t pos =
   while float_of_int !k *. spb < pos do incr k done;
   !k
 
-(* Cheapest (move + rotation) free block of one track, via the freemap's
-   allocation index: the track's rotational position is computed once
-   (closed form), the winning block is the cyclically next free slot —
-   no fold over occupied blocks.  [cutoff] prunes: once the rotational
-   lower bound (delay to the next block boundary, free or not) pushes
-   the track's cost to [cutoff] or beyond, no block in it can improve on
-   the caller's best candidate and the scan is skipped.  [lead_time]
-   models delay (e.g. SCSI processing) before the mechanical access can
-   start. *)
-let best_in_track_indexed t ~move ~cutoff ~lead_time track =
-  if Freemap.free_in_track t.freemap track = 0 then None
-  else begin
-    let arrival = Clock.now (Disk.Disk_sim.clock t.disk) +. lead_time +. move in
-    let pos = Disk.Disk_sim.sector_position_at t.disk ~track_index:track ~at:arrival in
-    let bpt = Freemap.blocks_per_track t.freemap in
-    let spb = Freemap.sectors_per_block t.freemap in
+(* Offer the cheapest free block of [track], for a head that gets there
+   after [move] at platter phase [phase], to the running best
+   ([t.frame.best_cost], [t.best_block]).  Via the freemap's allocation
+   index: the winning block is the cyclically next free slot, with no
+   fold over occupied blocks.  The rotational lower bound (delay to the
+   next block boundary, free or not) skips the index query when even
+   that cannot beat the best.  Ties keep the earlier offer. *)
+let[@inline] offer_track t ~move ~phase track =
+  if Freemap.free_in_track t.freemap track > 0 then begin
+    let f = t.frame in
+    let pos = position t ~phase track in
     let slot =
       let k = first_slot_at_or_after t pos in
-      if k >= bpt then 0 else k
+      if k >= Freemap.blocks_per_track t.freemap then 0 else k
     in
-    (* Rotational lower bound: even the very next block boundary is
-       [rot_lb] away, so every free block costs at least [move + rot_lb]. *)
-    let rot_lb = Disk.Disk_sim.rotational_delay_from t.disk ~pos ~sector:(slot * spb) in
-    if move +. rot_lb >= cutoff then None
-    else
-      match Freemap.nearest_free_in_track t.freemap ~track ~slot with
-      | None -> None
-      | Some block ->
-        let sector = Freemap.start_sector_of_block t.freemap block in
-        let rot = Disk.Disk_sim.rotational_delay_from t.disk ~pos ~sector in
-        Some (move +. rot, block)
+    if move +. delay f ~pos (slot * Freemap.sectors_per_block t.freemap) < f.best_cost
+    then begin
+      let block = Freemap.nearest_free_in_track t.freemap ~track ~slot in
+      let cost = move +. delay f ~pos (Freemap.start_sector_of_block t.freemap block) in
+      if cost < f.best_cost then begin
+        f.best_cost <- cost;
+        t.best_block <- block
+      end
+    end
   end
 
+(* Cheapest free block of one track, or -1; its cost is left in
+   [t.frame.best_cost].  [lead_time] models delay (e.g. SCSI processing)
+   before the mechanical access can start. *)
+let best_block_in_track t ~lead_time track =
+  let f = t.frame in
+  let move = move_cost t track in
+  f.best_cost <- infinity;
+  t.best_block <- -1;
+  offer_track t ~move
+    ~phase:(platter_phase f ((Disk.Disk_sim.clock t.disk).Clock.now +. lead_time +. move))
+    track;
+  t.best_block
+
 let best_in_track t ~lead_time track =
-  best_in_track_indexed t ~move:(track_move_cost t track) ~cutoff:infinity ~lead_time
-    track
+  let block = best_block_in_track t ~lead_time track in
+  if block < 0 then None else Some (t.frame.best_cost, block)
 
 let locate_cost t block =
   let track = Freemap.track_of_block t.freemap block in
@@ -96,55 +165,51 @@ let locate_cost t block =
   let sector = Freemap.start_sector_of_block t.freemap block in
   move +. Disk.Disk_sim.rotational_delay_to t.disk ~track_index:track ~sector ~at:arrival
 
+(* One cylinder of the greedy search.  Fully-occupied cylinders and those
+   whose bare seek already reaches the best cost are skipped.  Every
+   track of the cylinder has one of two move costs, staying on the
+   current surface or paying the head switch, so both moves and the
+   platter phase at both arrivals are computed once per cylinder; a
+   track whose move alone reaches the best cost is skipped. *)
+let eval_cylinder t ~exclude_tracks ~cur ~cur_surface c =
+  if Freemap.free_in_cylinder t.freemap c > 0 then begin
+    let f = t.frame in
+    let seek = Float.Array.get t.seek_ms (abs (c - cur)) in
+    if seek < f.best_cost then begin
+      let move_same = if c <> cur then Float.max seek 0. else 0. in
+      let move_switch =
+        if c <> cur then Float.max seek f.head_switch_ms else f.head_switch_ms
+      in
+      let phase_same = platter_phase f (f.arrival +. move_same) in
+      let phase_switch = platter_phase f (f.arrival +. move_switch) in
+      let tpc = (Freemap.geometry t.freemap).Disk.Geometry.tracks_per_cylinder in
+      for s = 0 to tpc - 1 do
+        let track = (c * tpc) + s in
+        if not (exclude_tracks track) then begin
+          let same = s = cur_surface in
+          let move = if same then move_same else move_switch in
+          if move < f.best_cost then
+            offer_track t ~move ~phase:(if same then phase_same else phase_switch) track
+        end
+      done
+    end
+  end
+
 (* Greedy nearest-free-block search over cylinders in the mode's order,
    generated incrementally (no per-allocation list of all cylinders).
-   Pruning, all of it sound with respect to the reference search below:
-   fully-occupied cylinders are skipped via the per-cylinder free counts;
-   a cylinder whose bare seek already reaches the best cost is skipped
-   (and in [Nearest] order, where remaining distances only grow, the
-   whole search stops there); a track whose move cost — seek and head
-   switch, hoisted per cylinder so every track of it is costed against
-   the same arrival basis — reaches the best cost is skipped; and the
-   rotational lower bound inside [best_in_track_indexed] prunes the rest.
-   Ties keep the earliest candidate in search order, exactly like the
-   reference fold. *)
+   All pruning is sound with respect to the reference search below: in
+   [Nearest] order, where remaining distances only grow, the whole
+   search stops once the bare seek reaches the best cost.  Ties keep the
+   earliest candidate in search order, exactly like the reference fold.
+   Returns the block, or -1. *)
 let greedy t ~exclude_tracks ~lead_time =
-  let g = Freemap.geometry t.freemap in
-  let cylinders = g.Disk.Geometry.cylinders in
-  let tpc = g.Disk.Geometry.tracks_per_cylinder in
+  let cylinders = (Freemap.geometry t.freemap).Disk.Geometry.cylinders in
   let cur = Disk.Disk_sim.current_cylinder t.disk in
   let cur_surface = Disk.Disk_sim.current_track t.disk in
-  let profile = Disk.Disk_sim.profile t.disk in
-  let hs = profile.Disk.Profile.head_switch_ms in
-  let best_block = ref (-1) in
-  let best_cost = ref infinity in
-  let eval_cylinder c =
-    if Freemap.free_in_cylinder t.freemap c > 0 then begin
-      let seek = Disk.Profile.seek_ms profile (abs (c - cur)) in
-      if seek < !best_cost then begin
-        (* The two move costs any track of this cylinder can have,
-           computed once: staying on the current surface, or paying the
-           head switch. *)
-        let move_same = if c <> cur then Float.max seek 0. else 0. in
-        let move_switch = if c <> cur then Float.max seek hs else hs in
-        let base = c * tpc in
-        for s = 0 to tpc - 1 do
-          let track = base + s in
-          if not (exclude_tracks track) then begin
-            let move = if s = cur_surface then move_same else move_switch in
-            if move < !best_cost then
-              match
-                best_in_track_indexed t ~move ~cutoff:!best_cost ~lead_time track
-              with
-              | Some (cost, block) when cost < !best_cost ->
-                best_cost := cost;
-                best_block := block
-              | Some _ | None -> ()
-          end
-        done
-      end
-    end
-  in
+  let f = t.frame in
+  f.arrival <- (Disk.Disk_sim.clock t.disk).Clock.now +. lead_time;
+  f.best_cost <- infinity;
+  t.best_block <- -1;
   (match t.mode with
   | Nearest ->
     (* Current cylinder, then +/-1, +/-2, ...; distances of remaining
@@ -153,11 +218,13 @@ let greedy t ~exclude_tracks ~lead_time =
     let d = ref 0 in
     let stop = ref false in
     while (not !stop) && !d < cylinders do
-      if !best_block >= 0 && Disk.Profile.seek_ms profile !d >= !best_cost then
+      if t.best_block >= 0 && Float.Array.get t.seek_ms !d >= f.best_cost then
         stop := true
       else begin
-        if cur + !d < cylinders then eval_cylinder (cur + !d);
-        if !d > 0 && cur - !d >= 0 then eval_cylinder (cur - !d);
+        if cur + !d < cylinders then
+          eval_cylinder t ~exclude_tracks ~cur ~cur_surface (cur + !d);
+        if !d > 0 && cur - !d >= 0 then
+          eval_cylinder t ~exclude_tracks ~cur ~cur_surface (cur - !d);
         incr d
       end
     done
@@ -170,14 +237,14 @@ let greedy t ~exclude_tracks ~lead_time =
     let stop = ref false in
     while (not !stop) && !d < cylinders do
       let min_rem_dist = if cur = 0 then !d else if !d = 0 then 0 else 1 in
-      if !best_block >= 0 && Disk.Profile.seek_ms profile min_rem_dist >= !best_cost
-      then stop := true
+      if t.best_block >= 0 && Float.Array.get t.seek_ms min_rem_dist >= f.best_cost then
+        stop := true
       else begin
-        eval_cylinder ((cur + !d) mod cylinders);
+        eval_cylinder t ~exclude_tracks ~cur ~cur_surface ((cur + !d) mod cylinders);
         incr d
       end
     done);
-  if !best_block < 0 then None else Some !best_block
+  t.best_block
 
 (* The original O(cylinders * tracks * blocks) search, kept as the
    equivalence oracle: property tests assert the indexed search above
@@ -244,12 +311,14 @@ module Reference = struct
   let search = greedy
 end
 
-let search = greedy
+let search t ~exclude_tracks ~lead_time =
+  let block = greedy t ~exclude_tracks ~lead_time in
+  if block < 0 then None else Some block
 
 let still_empty t track =
   Freemap.free_in_track t.freemap track = Freemap.blocks_per_track t.freemap
 
-let free_fraction t track =
+let[@inline] free_fraction t track =
   float_of_int (Freemap.free_in_track t.freemap track)
   /. float_of_int (Freemap.blocks_per_track t.freemap)
 
@@ -273,13 +342,14 @@ let next_empty_track t ~exclude_tracks =
     t.empty_tracks <- List.filter (fun x -> x <> nearest) t.empty_tracks;
     Some nearest
 
+(* The block the empty-track fill policy picks, or -1. *)
 let rec from_active_track t ~exclude_tracks ~lead_time =
   match t.active_track with
   | Some tr
     when (not (exclude_tracks tr))
          && free_fraction t tr > t.switch_free_fraction
          && Freemap.free_in_track t.freemap tr > 0 ->
-    Option.map snd (best_in_track t ~lead_time tr)
+    best_block_in_track t ~lead_time tr
   | Some _ ->
     t.active_track <- None;
     from_active_track t ~exclude_tracks ~lead_time
@@ -287,8 +357,16 @@ let rec from_active_track t ~exclude_tracks ~lead_time =
     match next_empty_track t ~exclude_tracks with
     | Some tr ->
       t.active_track <- Some tr;
-      Option.map snd (best_in_track t ~lead_time tr)
-    | None -> None)
+      best_block_in_track t ~lead_time tr
+    | None -> -1)
+
+let attempt t ~greedy_only ~lead_time exclude_tracks =
+  if Freemap.free_total t.freemap = 0 then -1
+  else
+    let filled =
+      if greedy_only then -1 else from_active_track t ~exclude_tracks ~lead_time
+    in
+    if filled >= 0 then filled else greedy t ~exclude_tracks ~lead_time
 
 let choose ?(exclude_tracks = no_exclusion) ?(greedy_only = false) ?(lead_time = 0.) t =
   let hard =
@@ -296,28 +374,20 @@ let choose ?(exclude_tracks = no_exclusion) ?(greedy_only = false) ?(lead_time =
     | None -> exclude_tracks
     | Some masked -> fun tr -> masked tr || exclude_tracks tr
   in
-  let attempt exclude_tracks =
-    if Freemap.free_total t.freemap = 0 then None
-    else
-      let filled =
-        if greedy_only then None else from_active_track t ~exclude_tracks ~lead_time
-      in
-      match filled with
-      | Some _ as r -> r
-      | None -> greedy t ~exclude_tracks ~lead_time
-  in
   let chosen =
     match t.soft_exclusion with
-    | None -> attempt hard
-    | Some soft -> (
+    | None -> attempt t ~greedy_only ~lead_time hard
+    | Some soft ->
       (* Prefer honoring the soft mask; fall back to the hard mask alone
          when nothing else is free. *)
-      match attempt (fun tr -> hard tr || soft tr) with
-      | Some _ as r -> r
-      | None -> attempt hard)
+      let chosen = attempt t ~greedy_only ~lead_time (fun tr -> hard tr || soft tr) in
+      if chosen >= 0 then chosen else attempt t ~greedy_only ~lead_time hard
   in
-  if chosen <> None then Trace.incr (Disk.Disk_sim.trace t.disk) "eager.choices";
-  chosen
+  if chosen < 0 then None
+  else begin
+    Trace.incr (Disk.Disk_sim.trace t.disk) "eager.choices";
+    Some chosen
+  end
 
 let active_track t = t.active_track
 

@@ -62,8 +62,11 @@ val search : t -> exclude_tracks:(int -> bool) -> lead_time:float -> int option
     mode's order and pruned by per-cylinder free counts, the seek lower
     bound, the hoisted per-cylinder move cost, and a rotational lower
     bound; the best block of a track comes from the freemap's free
-    bitset in O(words), not from a fold over all blocks.  Pure: does not
-    advance the clock, move the head, or touch allocator state. *)
+    bitset in O(words), not from a fold over all blocks.  The platter
+    phase is computed twice per cylinder (same surface, head switch),
+    not once per track.  Pure: does not advance the clock, move the
+    head, or touch allocator state.  Allocates nothing but its [Some]
+    result, and neither does {!choose} when it fills the active track. *)
 
 val best_in_track : t -> lead_time:float -> int -> (float * int) option
 (** Cheapest (cost, block) among the free blocks of one track, or [None]

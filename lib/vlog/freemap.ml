@@ -146,60 +146,48 @@ let free_in_cylinder t cyl = t.free_per_cyl.(cyl)
 let occupied_in_track t track = t.blocks_per_track - t.free_per_track.(track)
 let utilization t = 1. -. (float_of_int t.free_total /. float_of_int t.n_blocks)
 
-(* Trailing zero count of a nonzero word; the scanners below touch at
-   most a couple of words per query, so a branchy version is fine. *)
-let ctz64 v =
+(* Trailing zero count of a nonzero 32-bit word held in a native int;
+   the scanners below touch at most a couple of words per query, so a
+   branchy version is fine, and native ints keep it allocation-free. *)
+let ctz v =
   let n = ref 0 and v = ref v in
-  if Int64.logand !v 0xFFFFFFFFL = 0L then begin
-    n := !n + 32;
-    v := Int64.shift_right_logical !v 32
-  end;
-  if Int64.logand !v 0xFFFFL = 0L then begin
+  if !v land 0xFFFF = 0 then begin
     n := !n + 16;
-    v := Int64.shift_right_logical !v 16
+    v := !v lsr 16
   end;
-  if Int64.logand !v 0xFFL = 0L then begin
+  if !v land 0xFF = 0 then begin
     n := !n + 8;
-    v := Int64.shift_right_logical !v 8
+    v := !v lsr 8
   end;
-  if Int64.logand !v 0xFL = 0L then begin
+  if !v land 0xF = 0 then begin
     n := !n + 4;
-    v := Int64.shift_right_logical !v 4
+    v := !v lsr 4
   end;
-  if Int64.logand !v 0x3L = 0L then begin
+  if !v land 0x3 = 0 then begin
     n := !n + 2;
-    v := Int64.shift_right_logical !v 2
+    v := !v lsr 2
   end;
-  if Int64.logand !v 0x1L = 0L then incr n;
+  if !v land 0x1 = 0 then incr n;
   !n
 
-(* First free block in [lo, hi), or -1.  Word-at-a-time over the bitset;
-   track ranges are not word-aligned (9 blocks/track on the HP profile),
-   so the first and last word are masked. *)
+(* First free block in [lo, hi), or -1.  Scans the bitset 32 bits at a
+   time as native ints (the index is padded to whole 64-bit words, so
+   every 32-bit word read is in bounds); track ranges are not
+   word-aligned (9 blocks/track on the HP profile), so the first and
+   last word are masked. *)
 let first_free_in_range t ~lo ~hi =
   if lo >= hi then -1
   else begin
-    let w0 = lo lsr 6 and w1 = (hi - 1) lsr 6 in
-    let rec go w =
-      if w > w1 then -1
-      else begin
-        let v = Bytes.get_int64_le t.free_bits (w lsl 3) in
-        let v =
-          if w = w0 then Int64.logand v (Int64.shift_left Int64.minus_one (lo land 63))
-          else v
-        in
-        let v =
-          if w = w1 then begin
-            let live = hi - (w lsl 6) in
-            if live >= 64 then v
-            else Int64.logand v (Int64.sub (Int64.shift_left 1L live) 1L)
-          end
-          else v
-        in
-        if v = 0L then go (w + 1) else (w lsl 6) + ctz64 v
-      end
-    in
-    go w0
+    let w0 = lo lsr 5 and w1 = (hi - 1) lsr 5 in
+    let w = ref w0 and found = ref (-1) in
+    while !found < 0 && !w <= w1 do
+      let v = Int32.to_int (Bytes.get_int32_le t.free_bits (!w lsl 2)) land 0xFFFF_FFFF in
+      let v = if !w = w0 then v land (-1 lsl (lo land 31)) else v in
+      let live = hi - (!w lsl 5) in
+      let v = if live < 32 then v land ((1 lsl live) - 1) else v in
+      if v <> 0 then found := (!w lsl 5) + ctz v else incr w
+    done;
+    !found
   end
 
 let first_free_at_or_after t ~track ~slot =
@@ -221,11 +209,7 @@ let nearest_free_in_track t ~track ~slot =
     invalid_arg "Freemap.nearest_free_in_track: slot out of range";
   let base = track * t.blocks_per_track in
   let b = first_free_in_range t ~lo:(base + slot) ~hi:(base + t.blocks_per_track) in
-  if b >= 0 then Some b
-  else begin
-    let b = first_free_in_range t ~lo:base ~hi:(base + slot) in
-    if b >= 0 then Some b else None
-  end
+  if b >= 0 then b else first_free_in_range t ~lo:base ~hi:(base + slot)
 
 (* Consistency of the redundant representations; used by tests and
    debugging, not by the hot path. *)

@@ -74,12 +74,13 @@ val first_free_at_or_after : t -> track:int -> slot:int -> int option
 (** First free block of [track] whose in-track index is >= [slot]
     ([slot] in [0, blocks_per_track]), or [None].  Word-level scan. *)
 
-val nearest_free_in_track : t -> track:int -> slot:int -> int option
+val nearest_free_in_track : t -> track:int -> slot:int -> int
 (** Cyclically-first free block of [track] at or after [slot] ([slot] in
     [0, blocks_per_track)), wrapping to the track start: exactly the
     block whose start sector next passes under the head when the head
-    sits at the rotational position of slot [slot].  [None] iff the
-    track has no free block. *)
+    sits at the rotational position of slot [slot].  [-1] iff the track
+    has no free block.  Allocates nothing: it sits on the eager
+    allocator's per-track path. *)
 
 val index_consistent : t -> bool
 (** Whole-structure audit of the index invariants above; test/debug

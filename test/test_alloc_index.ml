@@ -40,8 +40,8 @@ let check_queries_agree fm =
       Alcotest.check opt "first_free_at_or_after"
         (naive_first_free fm ~track ~slot)
         (Freemap.first_free_at_or_after fm ~track ~slot);
-      Alcotest.check opt "nearest_free_in_track"
-        (naive_nearest fm ~track ~slot)
+      Alcotest.(check int) "nearest_free_in_track"
+        (Option.value ~default:(-1) (naive_nearest fm ~track ~slot))
         (Freemap.nearest_free_in_track fm ~track ~slot)
     done;
     (* [first_free_at_or_after] also accepts slot = blocks_per_track. *)
@@ -98,10 +98,9 @@ let test_bad_blocks_never_returned () =
     if s mod 2 = 0 then Freemap.mark_bad fm s
   done;
   for slot = 0 to per - 1 do
-    (match Freemap.nearest_free_in_track fm ~track:0 ~slot with
-    | Some b -> Alcotest.(check bool) "not bad" false (Freemap.is_bad fm b)
-    | None -> Alcotest.fail "odd slots are free");
-    ()
+    let b = Freemap.nearest_free_in_track fm ~track:0 ~slot in
+    if b < 0 then Alcotest.fail "odd slots are free";
+    Alcotest.(check bool) "not bad" false (Freemap.is_bad fm b)
   done;
   (* A grown defect is permanent: not free, and release refuses. *)
   Alcotest.(check bool) "bad not free" false (Freemap.is_free fm 0);
@@ -168,6 +167,72 @@ let drive_and_compare profile mode ~utilization ~seed =
 let test_search_equivalence profile mode utilization seed () =
   drive_and_compare profile mode ~utilization ~seed
 
+(* ---- Allocation pin: eager placement allocates nothing ---- *)
+
+(* Minor-heap words per call of [f], over 1000 calls after a warm-up. *)
+let words_per_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. 1000.
+
+(* An allocator at 95 % with the head parked mid-disk and the clock away
+   from phase 0, so the search costs real seeks, head switches and
+   rotations. *)
+let busy_allocator profile mode =
+  let clock = Clock.create () in
+  let disk = Disk.Disk_sim.create ~profile ~clock () in
+  let g = Disk.Disk_sim.geometry disk in
+  let fm = Freemap.create ~geometry:g ~sectors_per_block:8 in
+  Freemap.random_occupy fm (Prng.create ~seed:0x95L) ~utilization:0.95;
+  let mid = Freemap.n_blocks fm / 2 in
+  ignore
+    (Disk.Disk_sim.write ~scsi:false disk ~lba:(Freemap.lba_of_block fm mid)
+       (Bytes.make (8 * g.Disk.Geometry.sector_bytes) 'p'));
+  Clock.advance clock 12.345;
+  (fm, Eager.create ~mode ~disk ~freemap:fm ())
+
+(* The [Some] result, two words, is the only allocation allowed. *)
+let max_words_per_call = 2.
+
+let check_words name words =
+  if words > max_words_per_call then
+    Alcotest.failf "%s allocates %.1f minor words per call (at most %.0f)" name words
+      max_words_per_call
+
+let test_search_allocation_free profile () =
+  List.iter
+    (fun (mode, label) ->
+      let _, eager = busy_allocator profile mode in
+      let no_mask _ = false in
+      List.iter
+        (fun lead_time ->
+          check_words
+            (Printf.sprintf "search %s lead %.2f" label lead_time)
+            (words_per_call (fun () ->
+                 Eager.search eager ~exclude_tracks:no_mask ~lead_time)))
+        [ 0.; 0.37 ])
+    [ (Eager.Nearest, "nearest"); (Eager.Sweep, "sweep") ]
+
+let test_fill_allocation_free profile () =
+  let fm, eager = busy_allocator profile Eager.Sweep in
+  (* Empty one track so the fill policy has a track to fill. *)
+  let per = Freemap.blocks_per_track fm in
+  let track = Freemap.n_tracks fm / 3 in
+  for b = track * per to ((track + 1) * per) - 1 do
+    if not (Freemap.is_free fm b) then Freemap.release fm b
+  done;
+  Eager.rescan_empty_tracks eager;
+  ignore (Eager.choose eager);
+  Alcotest.(check (option int)) "filling the emptied track" (Some track)
+    (Eager.active_track eager);
+  check_words "choose (active track)" (words_per_call (fun () -> Eager.choose eager));
+  check_words "choose (active track, lead time)"
+    (words_per_call (fun () -> Eager.choose ~lead_time:0.37 eager));
+  Alcotest.(check (option int)) "still filling it" (Some track) (Eager.active_track eager)
+
 (* ---- Pre-encoded entry images ---- *)
 
 let image_of entries ~pos ~len =
@@ -227,8 +292,9 @@ let qcheck_tests =
     Test.make
       ~name:"mark_bad keeps the index consistent and the search oracle exact"
       ~count:40
-      (list_of_size Gen.(5 -- 120) (pair (int_range 0 2) small_nat))
-      (fun ops ->
+      (triple (float_bound_exclusive 1000.) small_nat
+         (list_of_size Gen.(5 -- 120) (pair (int_range 0 2) small_nat)))
+      (fun (clock_ms, head, ops) ->
         let clock = Clock.create () in
         let disk = Disk.Disk_sim.create ~profile:st ~clock () in
         let fm =
@@ -264,20 +330,39 @@ let qcheck_tests =
           if Freemap.is_free fm b <> free.(b) || Freemap.is_bad fm b <> bad.(b)
           then model_agrees := false
         done;
+        (* Park the head on a random block and the clock at a random time,
+           so the per-cylinder platter phase is checked away from phase 0. *)
+        let sector_bytes = (Disk.Disk_sim.geometry disk).Disk.Geometry.sector_bytes in
+        ignore
+          (Disk.Disk_sim.write ~scsi:false disk
+             ~lba:(Freemap.lba_of_block fm (head mod n))
+             (Bytes.make (8 * sector_bytes) 'h'));
+        Clock.advance clock clock_ms;
         (* Retired blocks must be invisible to the allocator, and the
            indexed search must still equal the reference fold exactly. *)
-        let eager = Eager.create ~mode:Eager.Nearest ~disk ~freemap:fm () in
         let no_mask _ = false in
+        let lead_times = [ 0.; 0.13; 0.47 ] in
         let search_agrees =
-          Eager.search eager ~exclude_tracks:no_mask ~lead_time:0.
-          = Eager.Reference.search eager ~exclude_tracks:no_mask ~lead_time:0.
+          List.for_all
+            (fun mode ->
+              let eager = Eager.create ~mode ~disk ~freemap:fm () in
+              List.for_all
+                (fun lead_time ->
+                  Eager.search eager ~exclude_tracks:no_mask ~lead_time
+                  = Eager.Reference.search eager ~exclude_tracks:no_mask ~lead_time)
+                lead_times)
+            [ Eager.Nearest; Eager.Sweep ]
         in
+        let eager = Eager.create ~disk ~freemap:fm () in
         let bests_agree = ref true in
         for track = 0 to Freemap.n_tracks fm - 1 do
-          if
-            Eager.best_in_track eager ~lead_time:0.21 track
-            <> Eager.Reference.best_in_track eager ~lead_time:0.21 track
-          then bests_agree := false
+          List.iter
+            (fun lead_time ->
+              if
+                Eager.best_in_track eager ~lead_time track
+                <> Eager.Reference.best_in_track eager ~lead_time track
+              then bests_agree := false)
+            lead_times
         done;
         !model_agrees && search_agrees && !bests_agree);
   ]
@@ -293,6 +378,12 @@ let suites =
         tc "queries: randomized (HP97560)" `Quick (test_queries_random hp);
         tc "queries: grown defects excluded" `Quick test_bad_blocks_never_returned;
         tc "image encode = slice encode" `Quick test_image_encode_equivalence;
+        tc "search allocates nothing (ST19101)" `Quick (test_search_allocation_free st);
+        tc "search allocates nothing (HP97560)" `Quick (test_search_allocation_free hp);
+        tc "active-track choose allocates nothing (ST19101)" `Quick
+          (test_fill_allocation_free st);
+        tc "active-track choose allocates nothing (HP97560)" `Quick
+          (test_fill_allocation_free hp);
       ] );
     ( "alloc-equivalence",
       [
