@@ -67,6 +67,9 @@ let micro () =
     }
   in
   let encoded = Vlog.Map_codec.encode_node ~block_bytes:4096 node in
+  (* A block body as every on-disk seal digests it: 4096 bytes less the
+     8-byte checksum slot. *)
+  let body = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
   (* Eager allocation at 95% utilization — where the indexed search has
      to prune hardest.  Same freemap state for every variant; [search]
      is pure, so each run does the full search from scratch. *)
@@ -92,6 +95,11 @@ let micro () =
                ignore (Vlog.Map_codec.encode_node ~block_bytes:4096 node)));
         Test.make ~name:"map-node-decode"
           (Staged.stage (fun () -> ignore (Vlog.Map_codec.decode_node encoded)));
+        Test.make ~name:"checksum-4k"
+          (Staged.stage (fun () ->
+               ignore
+                 (Vlog_util.Checksum.add_words Vlog_util.Checksum.empty body ~pos:0
+                    ~len:4088)));
         Test.make ~name:"analytic-cylinder-model"
           (Staged.stage (fun () ->
                ignore (Models.Cylinder_model.locate_ms Rigs.seagate ~p:0.2)));

@@ -106,8 +106,7 @@ let encode_checkpoint_of ~block_bytes ~gen ~seals ~n_inodes ~segment_blocks
   Array.iteri
     (fun c loc -> Bytes.set_int32_le cp (32 + (c * 4)) (Int32.of_int loc))
     chunk_loc;
-  Bytes.set_int64_le cp (block_bytes - 8)
-    (Checksum.add_words Checksum.empty cp ~pos:0 ~len:(block_bytes - 8));
+  Checksum.seal cp ~pos:0 ~len:(block_bytes - 8);
   cp
 
 type checkpoint = {
@@ -121,10 +120,7 @@ type checkpoint = {
 let decode_checkpoint ~block_bytes buf =
   if Bytes.length buf <> block_bytes then None
   else if not (String.equal (Bytes.sub_string buf 0 8) checkpoint_magic) then None
-  else if
-    Bytes.get_int64_le buf (block_bytes - 8)
-    <> Checksum.add_words Checksum.empty buf ~pos:0 ~len:(block_bytes - 8)
-  then None
+  else if not (Checksum.sealed buf ~pos:0 ~len:(block_bytes - 8)) then None
   else
     let i32 off = Int32.to_int (Bytes.get_int32_le buf off) in
     let n_chunks = i32 28 in
@@ -384,8 +380,7 @@ let encode_summary t items ~count seg ~gen =
       Bytes.set_int32_le buf (off + 8) (Int32.of_int b);
       Bytes.set_int64_le buf (off + 12) cksum)
     items;
-  Bytes.set_int64_le buf (t.block_bytes - 8)
-    (Checksum.add_words Checksum.empty buf ~pos:0 ~len:(t.block_bytes - 8));
+  Checksum.seal buf ~pos:0 ~len:(t.block_bytes - 8);
   buf
 
 type summary_item = { it_blkid : blkid; it_cksum : int64 }
@@ -394,10 +389,7 @@ type summary = { sm_seg : int; sm_gen : int; sm_items : summary_item list }
 let decode_summary ~block_bytes ~seg buf =
   if Bytes.length buf <> block_bytes then None
   else if not (String.equal (Bytes.sub_string buf 0 8) summary_magic) then None
-  else if
-    Bytes.get_int64_le buf (block_bytes - 8)
-    <> Checksum.add_words Checksum.empty buf ~pos:0 ~len:(block_bytes - 8)
-  then None
+  else if not (Checksum.sealed buf ~pos:0 ~len:(block_bytes - 8)) then None
   else
     let i32 off = Int32.to_int (Bytes.get_int32_le buf off) in
     if i32 8 <> seg then None

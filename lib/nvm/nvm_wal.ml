@@ -18,16 +18,14 @@ let encode_header ~base_seq =
   let buf = Bytes.make header_bytes '\000' in
   Bytes.blit_string hdr_magic 0 buf 0 4;
   Bytes.set_int64_le buf 4 base_seq;
-  Bytes.set_int64_le buf 12 (Checksum.add_words Checksum.empty buf ~pos:0 ~len:12);
+  Checksum.seal buf ~pos:0 ~len:12;
   buf
 
 let parse_header img =
   if Bytes.length img < header_bytes then None
   else if Bytes.sub_string img 0 4 <> hdr_magic then None
-  else
-    let crc = Checksum.add_words Checksum.empty img ~pos:0 ~len:12 in
-    if Bytes.get_int64_le img 12 <> crc then None
-    else Some (Bytes.get_int64_le img 4)
+  else if not (Checksum.sealed img ~pos:0 ~len:12) then None
+  else Some (Bytes.get_int64_le img 4)
 
 module Record = struct
   type t = { seq : int64; block : int; payload : Bytes.t }
@@ -42,8 +40,7 @@ module Record = struct
     Bytes.set_int64_le buf 12 (Int64.of_int block);
     Bytes.set_int64_le buf 20 (Int64.of_int plen);
     Bytes.blit payload 0 buf rec_hdr plen;
-    let crc = Checksum.add_words Checksum.empty buf ~pos:0 ~len:(rec_hdr + plen) in
-    Bytes.set_int64_le buf (rec_hdr + plen) crc;
+    Checksum.seal buf ~pos:0 ~len:(rec_hdr + plen);
     buf
 
   let decode buf ~pos =
@@ -63,13 +60,11 @@ module Record = struct
         let plen = Int64.to_int plen in
         let size = encoded_size ~payload_len:plen in
         if pos + size > total then None
+        else if not (Checksum.sealed buf ~pos ~len:(rec_hdr + plen)) then None
         else
-          let crc = Checksum.add_words Checksum.empty buf ~pos ~len:(rec_hdr + plen) in
-          if Bytes.get_int64_le buf (pos + rec_hdr + plen) <> crc then None
-          else
-            Some
-              ( { seq; block = Int64.to_int block; payload = Bytes.sub buf (pos + rec_hdr) plen },
-                pos + size )
+          Some
+            ( { seq; block = Int64.to_int block; payload = Bytes.sub buf (pos + rec_hdr) plen },
+              pos + size )
 end
 
 (* ---- Replay scan --------------------------------------------------- *)

@@ -79,17 +79,13 @@ let encode_superblock_of ~block_bytes ~gen ~n_inodes ~dir_blocks =
   Array.iteri
     (fun i b -> Bytes.set_int32_le sb (24 + (i * 4)) (Int32.of_int b))
     dir_blocks;
-  Bytes.set_int64_le sb (block_bytes - 8)
-    (Checksum.add_words Checksum.empty sb ~pos:0 ~len:(block_bytes - 8));
+  Checksum.seal sb ~pos:0 ~len:(block_bytes - 8);
   sb
 
 let decode_superblock ~block_bytes buf =
   if Bytes.length buf <> block_bytes then None
   else if not (String.equal (Bytes.sub_string buf 0 8) superblock_magic) then None
-  else if
-    Bytes.get_int64_le buf (block_bytes - 8)
-    <> Checksum.add_words Checksum.empty buf ~pos:0 ~len:(block_bytes - 8)
-  then None
+  else if not (Checksum.sealed buf ~pos:0 ~len:(block_bytes - 8)) then None
   else
     let i32 off = Int32.to_int (Bytes.get_int32_le buf off) in
     let count = i32 20 in

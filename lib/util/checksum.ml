@@ -3,82 +3,81 @@ type t = int64
 let empty = 0xCBF29CE484222325L
 let prime = 0x100000001B3L
 
-let add_byte h b =
-  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) prime
+external big_endian : unit -> bool = "%big_endian"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
-(* The bulk path keeps the hash as a (hi, lo) pair of 32-bit values in
-   native ints: Int64 arithmetic boxes every intermediate, which on a
-   4 KB block means ~12k allocations per digest.  The FNV prime is
-   2^40 + 0x1B3, so h * prime mod 2^64 decomposes into native-int
-   shifts and one small multiply, every intermediate fitting in 63 bits:
+(* The one update rule, h := (h xor x) * prime, as a byte step and a
+   word step.  Both are inlined into loops that keep the hash in a local
+   [ref]: a non-escaping int64 ref is a mutable variable that ocamlopt
+   keeps unboxed, so a digest allocates only its boxed result.  The ref
+   must never be captured by a closure or passed to a non-inlined
+   function, or every step boxes again. *)
+let[@inline] step h x = Int64.mul (Int64.logxor h x) prime
+let[@inline] add_byte h b = step h (Int64.of_int (b land 0xff))
 
-     low 32  = (lo * 0x1B3) mod 2^32
-     high 32 = (lo * 0x1B3) / 2^32 + hi * 0x1B3 + lo * 2^8   (mod 2^32)
+(* Words are little-endian on every host, so a digest is a property of
+   the bytes alone. *)
+let[@inline] word_le buf o =
+  let w = get64u buf o in
+  if big_endian () then bswap64 w else w
 
-   (the hi * 2^32 * 2^40 term is congruent to 0 mod 2^64). *)
-let mask32 = 0xFFFFFFFF
+let check_range name buf ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg name
+
+let[@inline] fold_bytes h buf ~pos ~len =
+  let h = ref h in
+  for i = pos to pos + len - 1 do
+    h := add_byte !h (Char.code (Bytes.unsafe_get buf i))
+  done;
+  !h
+
+(* FNV-1a over the region as little-endian 64-bit words, trailing bytes
+   one at a time.  The caller checks the range once; that check is what
+   makes the unchecked loads safe. *)
+let[@inline] fold_words h buf ~pos ~len =
+  let h = ref h in
+  let words_end = pos + (len land lnot 7) in
+  let o = ref pos in
+  while !o < words_end do
+    h := step !h (word_le buf !o);
+    o := !o + 8
+  done;
+  fold_bytes !h buf ~pos:words_end ~len:(pos + len - words_end)
 
 let add_sub_bytes h buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
-    invalid_arg "Checksum.add_sub_bytes";
-  let hi = ref (Int64.to_int (Int64.shift_right_logical h 32) land mask32) in
-  let lo = ref (Int64.to_int (Int64.logand h 0xFFFFFFFFL)) in
-  for i = pos to pos + len - 1 do
-    let l = !lo lxor Char.code (Bytes.unsafe_get buf i) in
-    let a = l * 0x1B3 in
-    hi := ((a lsr 32) + (!hi * 0x1B3) + (l lsl 8)) land mask32;
-    lo := a land mask32
-  done;
-  Int64.logor (Int64.shift_left (Int64.of_int !hi) 32) (Int64.of_int !lo)
+  check_range "Checksum.add_sub_bytes" buf ~pos ~len;
+  fold_bytes h buf ~pos ~len
 
 let add_bytes h buf = add_sub_bytes h buf ~pos:0 ~len:(Bytes.length buf)
 
-(* FNV-1a consuming the region as little-endian 64-bit words (trailing
-   bytes one at a time): the same prime and update rule, but one step
-   per word, so a block digest costs 1/8th of the byte walk.  Values
-   differ from [add_sub_bytes] over the same region — the two are
-   distinct checksums.  Detection is no weaker for the block use case:
-   each step h -> (h xor w) * prime is a bijection of the accumulator
-   for fixed input, so any single corrupted word changes the final
-   value deterministically, and multi-word corruption survives only by
-   the same 2^-64 accident as under the byte walk. *)
 let add_words h buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
-    invalid_arg "Checksum.add_words";
-  let hi = ref (Int64.to_int (Int64.shift_right_logical h 32) land mask32) in
-  let lo = ref (Int64.to_int (Int64.logand h 0xFFFFFFFFL)) in
-  let n_words = len / 8 in
-  for w = 0 to n_words - 1 do
-    let o = pos + (w * 8) in
-    let wlo =
-      Bytes.get_uint16_le buf o lor (Bytes.get_uint16_le buf (o + 2) lsl 16)
-    in
-    let whi =
-      Bytes.get_uint16_le buf (o + 4) lor (Bytes.get_uint16_le buf (o + 6) lsl 16)
-    in
-    let l = !lo lxor wlo in
-    let h' = !hi lxor whi in
-    let a = l * 0x1B3 in
-    hi := ((a lsr 32) + (h' * 0x1B3) + (l lsl 8)) land mask32;
-    lo := a land mask32
-  done;
-  for i = pos + (n_words * 8) to pos + len - 1 do
-    let l = !lo lxor Char.code (Bytes.unsafe_get buf i) in
-    let a = l * 0x1B3 in
-    hi := ((a lsr 32) + (!hi * 0x1B3) + (l lsl 8)) land mask32;
-    lo := a land mask32
-  done;
-  Int64.logor (Int64.shift_left (Int64.of_int !hi) 32) (Int64.of_int !lo)
+  check_range "Checksum.add_words" buf ~pos ~len;
+  fold_words h buf ~pos ~len
+
+(* The seal is stored and compared as an unboxed int64, so sealing and
+   verifying allocate nothing.  The checked store and load guard the
+   8-byte slot. *)
+let seal buf ~pos ~len =
+  check_range "Checksum.seal" buf ~pos ~len;
+  let d = fold_words empty buf ~pos ~len in
+  set64 buf (pos + len) (if big_endian () then bswap64 d else d)
+
+let sealed buf ~pos ~len =
+  check_range "Checksum.sealed" buf ~pos ~len;
+  let d = fold_words empty buf ~pos ~len in
+  let stored = get64 buf (pos + len) in
+  (if big_endian () then bswap64 stored else stored) = d
 
 let add_string h s =
-  let h = ref h in
-  String.iter (fun c -> h := add_byte !h (Char.code c)) s;
-  !h
+  add_sub_bytes h (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 let add_int h x =
   let h = ref h in
   for shift = 0 to 7 do
-    h := add_byte !h ((x lsr (shift * 8)) land 0xff)
+    h := add_byte !h (x lsr (shift * 8))
   done;
   !h
 

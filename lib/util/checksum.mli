@@ -24,7 +24,24 @@ val add_words : t -> Bytes.t -> pos:int -> len:int -> t
     block codecs digest 4 KB bodies with this.  Any single corrupted
     word is still detected deterministically: each step is a bijection
     of the accumulator for fixed input, so states that diverge once
-    never reconverge on an identical suffix. *)
+    never reconverge on an identical suffix.
+
+    Words are read little-endian on every host, so the digest depends
+    only on the bytes.  The range is checked once, up front; the loads
+    inside are unchecked, and the hash stays in an unboxed local, so a
+    call allocates only its boxed result.
+    @raise Invalid_argument if the region is not inside [buf]. *)
+
+val seal : Bytes.t -> pos:int -> len:int -> unit
+(** [seal buf ~pos ~len] stores [add_words empty buf ~pos ~len],
+    little-endian, in the 8 bytes at [pos + len].  Allocates nothing.
+    @raise Invalid_argument if the region or its seal slot is not inside
+    [buf]. *)
+
+val sealed : Bytes.t -> pos:int -> len:int -> bool
+(** [sealed buf ~pos ~len] is [true] iff the 8 bytes at [pos + len] hold
+    the seal {!seal} would store there.  Allocates nothing.
+    @raise Invalid_argument as {!seal}. *)
 
 val add_string : t -> string -> t
 val add_int : t -> int -> t

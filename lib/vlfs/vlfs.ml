@@ -89,14 +89,12 @@ let first_part_ptrs t = (t.block_bytes - inode_header_bytes - 8) / 4
 let ptrs_per_part t = (t.block_bytes - 8) / 4
 
 let seal_part t buf =
-  Bytes.set_int64_le buf (t.block_bytes - 8)
-    (Checksum.add_words Checksum.empty buf ~pos:0 ~len:(t.block_bytes - 8));
+  Checksum.seal buf ~pos:0 ~len:(t.block_bytes - 8);
   buf
 
 let part_checksum_ok t buf =
   Bytes.length buf = t.block_bytes
-  && Bytes.get_int64_le buf (t.block_bytes - 8)
-     = Checksum.add_words Checksum.empty buf ~pos:0 ~len:(t.block_bytes - 8)
+  && Checksum.sealed buf ~pos:0 ~len:(t.block_bytes - 8)
 
 let parts_needed t nblocks =
   if nblocks <= first_part_ptrs t then 1

@@ -23,19 +23,6 @@ let checksum_bytes = 8
 let max_entries ~block_bytes =
   (block_bytes - header_bytes - (max_ptrs * ptr_bytes) - checksum_bytes) / 4
 
-(* Block bodies are digested word-wise: per-byte FNV is the single
-   biggest CPU cost of a map-node write, and the word variant detects
-   the same corruptions (see [Checksum.add_words]). *)
-let put_checksum buf =
-  let body_len = Bytes.length buf - checksum_bytes in
-  Bytes.set_int64_le buf body_len
-    (Checksum.add_words Checksum.empty buf ~pos:0 ~len:body_len)
-
-let checksum_ok buf =
-  let body_len = Bytes.length buf - checksum_bytes in
-  Bytes.get_int64_le buf body_len
-  = Checksum.add_words Checksum.empty buf ~pos:0 ~len:body_len
-
 (* A little-endian 32-bit store from a native int: [Bytes.set_int32_le]
    boxes its [Int32.t] argument, which on the hot encode path means one
    allocation per map entry. *)
@@ -75,8 +62,9 @@ let put_prelude buf n ~n_ptrs ~len =
   header_bytes + (n_ptrs * ptr_bytes)
 
 let finish_node buf ~entries_end =
-  Bytes.fill buf entries_end (Bytes.length buf - checksum_bytes - entries_end) '\000';
-  put_checksum buf
+  let body_len = Bytes.length buf - checksum_bytes in
+  Bytes.fill buf entries_end (body_len - entries_end) '\000';
+  Checksum.seal buf ~pos:0 ~len:body_len
 
 let check_fit buf ~n_ptrs ~len =
   let need = header_bytes + (n_ptrs * ptr_bytes) + (len * 4) + checksum_bytes in
@@ -131,7 +119,7 @@ let decode_node buf =
   let len = Bytes.length buf in
   if len < header_bytes + checksum_bytes then None
   else if Bytes.sub_string buf 0 8 <> node_magic then None
-  else if not (checksum_ok buf) then None
+  else if not (Checksum.sealed buf ~pos:0 ~len:(len - checksum_bytes)) then None
   else begin
     let n_ptrs = Bytes.get_uint16_le buf 22 in
     let n_entries = Int32.to_int (Bytes.get_int32_le buf 32) in
@@ -186,14 +174,14 @@ let encode_tail ~block_bytes t =
   Bytes.set_int32_le buf 24 (Int32.of_int t.entries_per_piece);
   Bytes.set_int32_le buf 28 (Int32.of_int t.logical_blocks);
   Bytes.set_int32_le buf 32 (Int32.of_int t.sectors_per_block);
-  put_checksum buf;
+  Checksum.seal buf ~pos:0 ~len:(block_bytes - checksum_bytes);
   buf
 
 let decode_tail buf =
   let len = Bytes.length buf in
   if len < 48 then None
   else if Bytes.sub_string buf 0 8 <> tail_magic then None
-  else if not (checksum_ok buf) then None
+  else if not (Checksum.sealed buf ~pos:0 ~len:(len - checksum_bytes)) then None
   else
     Some
       {

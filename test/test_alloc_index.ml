@@ -169,15 +169,6 @@ let test_search_equivalence profile mode utilization seed () =
 
 (* ---- Allocation pin: eager placement allocates nothing ---- *)
 
-(* Minor-heap words per call of [f], over 1000 calls after a warm-up. *)
-let words_per_call f =
-  ignore (Sys.opaque_identity (f ()));
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  (Gc.minor_words () -. before) /. 1000.
-
 (* An allocator at 95 % with the head parked mid-disk and the clock away
    from phase 0, so the search costs real seeks, head switches and
    rotations. *)
@@ -211,7 +202,7 @@ let test_search_allocation_free profile () =
         (fun lead_time ->
           check_words
             (Printf.sprintf "search %s lead %.2f" label lead_time)
-            (words_per_call (fun () ->
+            (Test_util.words_per_call (fun () ->
                  Eager.search eager ~exclude_tracks:no_mask ~lead_time)))
         [ 0.; 0.37 ])
     [ (Eager.Nearest, "nearest"); (Eager.Sweep, "sweep") ]
@@ -228,9 +219,9 @@ let test_fill_allocation_free profile () =
   ignore (Eager.choose eager);
   Alcotest.(check (option int)) "filling the emptied track" (Some track)
     (Eager.active_track eager);
-  check_words "choose (active track)" (words_per_call (fun () -> Eager.choose eager));
+  check_words "choose (active track)" (Test_util.words_per_call (fun () -> Eager.choose eager));
   check_words "choose (active track, lead time)"
-    (words_per_call (fun () -> Eager.choose ~lead_time:0.37 eager));
+    (Test_util.words_per_call (fun () -> Eager.choose ~lead_time:0.37 eager));
   Alcotest.(check (option int)) "still filling it" (Some track) (Eager.active_track eager)
 
 (* ---- Pre-encoded entry images ---- *)

@@ -136,6 +136,118 @@ let test_checksum_incremental () =
 let test_checksum_int_encoding () =
   Alcotest.(check bool) "int differs" true (Checksum.add_int Checksum.empty 1 <> Checksum.add_int Checksum.empty 256)
 
+(* Known answers, recorded before the word kernel was rewritten.  Every
+   stored seal (LFS summaries and checkpoints, VLD map nodes and tail,
+   UFS superblock, VLFS inode parts, NVM WAL records) and every per-block
+   digest in an LFS summary is an [add_words] digest, so any drift here
+   is an on-disk format change. *)
+
+let pattern n = Bytes.init n (fun i -> Char.chr (((i * 131) + 7) land 0xff))
+let page = pattern 4100
+let kat_seed = 0x0123456789ABCDEFL
+
+(* (name, digest in hex, computation) *)
+let checksum_kats =
+  let words ?(seed = Checksum.empty) ~pos len () =
+    Checksum.add_words seed page ~pos ~len
+  in
+  List.mapi
+    (fun len want -> (Printf.sprintf "words len %d" len, want, words ~pos:0 len))
+    [
+      "cbf29ce484222325"; "af63ba4c8601b2c6"; "0827dc07b4e1f724"; "bdb20a185bf6faab";
+      "4c81626444ab3241"; "ab0c8260aee68156"; "8cc34a4931ae7940"; "de50935f6b78323b";
+      "940cc3d74cfc64c6"; "8e159fd7d0df5cbb"; "4e1ab4b7eb897e7b"; "40df72853aa1b9ba";
+      "dd68aa62a0cd7996"; "065342973d25dc27"; "e556affce755bccb"; "080a04bd16b01cce";
+    ]
+  @ [
+      ("words len 4088", "5e58efbcd3603728", words ~pos:0 4088);
+      ("words len 4096", "9b77a3c88ea59125", words ~pos:0 4096);
+      ("words pos 3 len 12", "97adc8a4c328fd27", words ~pos:3 12);
+      ("words pos 5 len 4093", "cd8fad434d6c21a5", words ~pos:5 4093);
+      ("words seeded len 4088", "a83d1c88e3ca4c3a", words ~seed:kat_seed ~pos:0 4088);
+      ("words seeded pos 1 len 13", "e53a12b1d6889aa7", words ~seed:kat_seed ~pos:1 13);
+      ("sub_bytes len 0", "cbf29ce484222325", fun () -> Checksum.add_sub_bytes Checksum.empty page ~pos:0 ~len:0);
+      ("sub_bytes pos 3 len 100", "9513e2ae9780878d", fun () -> Checksum.add_sub_bytes Checksum.empty page ~pos:3 ~len:100);
+      ("sub_bytes seeded len 4096", "b748046a6e4addef", fun () -> Checksum.add_sub_bytes kat_seed page ~pos:0 ~len:4096);
+      ("bytes 4096", "982d801461094325", fun () -> Checksum.bytes (pattern 4096));
+      ("string empty", "cbf29ce484222325", fun () -> Checksum.string "");
+      ("string hello", "a430d84680aabd0b", fun () -> Checksum.string "hello");
+      ("add_string seeded", "9610552e14f59c6a", fun () -> Checksum.add_string kat_seed "vlog\000\255");
+      ("add_int 0", "a8c7f832281a39c5", fun () -> Checksum.add_int Checksum.empty 0);
+      ("add_int 0x1234", "07b32d0dc6fdf72b", fun () -> Checksum.add_int Checksum.empty 0x1234);
+      ("add_int -1", "8cf59a8bfca461bd", fun () -> Checksum.add_int Checksum.empty (-1));
+      ("add_int max_int", "ee7f1e610b288a87", fun () -> Checksum.add_int kat_seed max_int);
+      ("add_int min_int", "a8c83832281aa685", fun () -> Checksum.add_int Checksum.empty min_int);
+      ("add_int64 0", "a8c7f832281a39c5", fun () -> Checksum.add_int64 Checksum.empty 0L);
+      ("add_int64 min_int", "a8c7783228196045", fun () -> Checksum.add_int64 Checksum.empty Int64.min_int);
+      ("add_int64 seeded", "912fdcf2f5dd7e2e", fun () -> Checksum.add_int64 kat_seed 0x8000_0000_0000_0001L);
+    ]
+
+let test_checksum_known_answers () =
+  List.iter
+    (fun (name, want, digest) ->
+      Alcotest.(check string) name want (Checksum.to_hex (digest ())))
+    checksum_kats
+
+(* Definitional folds the kernel must equal: one FNV-1a step per
+   [Bytes.get_int64_le] word (then per trailing byte), and one per byte. *)
+let fnv_prime = 0x100000001B3L
+let fnv_step h x = Int64.mul (Int64.logxor h x) fnv_prime
+
+let reference_bytes h buf ~pos ~len =
+  let h = ref h in
+  for i = pos to pos + len - 1 do
+    h := fnv_step !h (Int64.of_int (Char.code (Bytes.get buf i)))
+  done;
+  !h
+
+let reference_words h buf ~pos ~len =
+  let n = len / 8 in
+  let h = ref h in
+  for w = 0 to n - 1 do
+    h := fnv_step !h (Bytes.get_int64_le buf (pos + (w * 8)))
+  done;
+  reference_bytes !h buf ~pos:(pos + (n * 8)) ~len:(len - (n * 8))
+
+let test_checksum_seal () =
+  let buf = pattern 4096 in
+  Checksum.seal buf ~pos:0 ~len:4088;
+  Alcotest.(check int64) "stored little-endian"
+    (Checksum.add_words Checksum.empty buf ~pos:0 ~len:4088)
+    (Bytes.get_int64_le buf 4088);
+  Alcotest.(check bool) "sealed" true (Checksum.sealed buf ~pos:0 ~len:4088);
+  Bytes.set buf 17 (Char.chr (Char.code (Bytes.get buf 17) lxor 4));
+  Alcotest.(check bool) "flip detected" false (Checksum.sealed buf ~pos:0 ~len:4088);
+  Alcotest.check_raises "no room for the seal" (Invalid_argument "index out of bounds")
+    (fun () -> Checksum.seal buf ~pos:8 ~len:4088);
+  Alcotest.check_raises "region outside buf" (Invalid_argument "Checksum.sealed")
+    (fun () -> ignore (Checksum.sealed buf ~pos:(-1) ~len:8))
+
+(* Minor-heap words per call of [f], over 1000 calls after a warm-up. *)
+let words_per_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. 1000.
+
+(* The hash stays unboxed inside the loops: a 4 KiB digest allocates
+   only its boxed int64 result (3 words), and a seal or its check
+   nothing at all. *)
+let test_checksum_allocation () =
+  let buf = pattern 4096 in
+  let digest () = Checksum.add_words Checksum.empty buf ~pos:0 ~len:4088 in
+  let within name limit words =
+    if words > limit then
+      Alcotest.failf "%s: %.2f minor words per call, at most %.0f allowed" name words limit
+  in
+  within "add_words 4 KiB" 3. (words_per_call digest);
+  within "add_sub_bytes 4 KiB" 3.
+    (words_per_call (fun () -> Checksum.add_sub_bytes Checksum.empty buf ~pos:0 ~len:4096));
+  within "seal" 0. (words_per_call (fun () -> Checksum.seal buf ~pos:0 ~len:4088));
+  within "sealed" 0. (words_per_call (fun () -> Checksum.sealed buf ~pos:0 ~len:4088))
+
 (* ---- Breakdown ---- *)
 
 let test_breakdown_total () =
@@ -229,6 +341,21 @@ let test_json_key_order () =
 
 (* ---- property tests ---- *)
 
+(* A seed and a region [pos, pos + len) of a random buffer, len 0–4100
+   (any residue mod 8), with slack on both sides. *)
+let checksum_region =
+  let open QCheck in
+  let gen =
+    Gen.(
+      int_range 0 4100 >>= fun len ->
+      int_range 0 23 >>= fun pos ->
+      int_range 0 9 >>= fun slack ->
+      bytes_size (return (pos + len + slack)) >>= fun buf ->
+      int64 >|= fun seed -> (seed, buf, pos, len))
+  in
+  make gen ~print:(fun (seed, buf, pos, len) ->
+      Printf.sprintf "seed %Lx, %d-byte buffer, pos %d, len %d" seed (Bytes.length buf) pos len)
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -259,6 +386,12 @@ let qcheck_tests =
         Float.equal (float_of_string (Json.to_string (Json.Float f))) f);
     Test.make ~name:"checksum roundtrip stability on bytes" ~count:200 (string_of_size Gen.(0 -- 200))
       (fun s -> Checksum.string s = Checksum.bytes (Bytes.of_string s));
+    Test.make ~name:"checksum add_words = per-word fold" ~count:300 checksum_region
+      (fun (seed, buf, pos, len) ->
+        Checksum.add_words seed buf ~pos ~len = reference_words seed buf ~pos ~len);
+    Test.make ~name:"checksum add_sub_bytes = byte walk" ~count:300 checksum_region
+      (fun (seed, buf, pos, len) ->
+        Checksum.add_sub_bytes seed buf ~pos ~len = reference_bytes seed buf ~pos ~len);
   ]
 
 let suites =
@@ -291,6 +424,9 @@ let suites =
         Alcotest.test_case "sensitive" `Quick test_checksum_sensitive;
         Alcotest.test_case "incremental" `Quick test_checksum_incremental;
         Alcotest.test_case "int encoding" `Quick test_checksum_int_encoding;
+        Alcotest.test_case "known answers" `Quick test_checksum_known_answers;
+        Alcotest.test_case "seal and sealed" `Quick test_checksum_seal;
+        Alcotest.test_case "allocates only its result" `Quick test_checksum_allocation;
       ] );
     ( "util:breakdown",
       [
