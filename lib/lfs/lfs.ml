@@ -31,6 +31,24 @@ type blkid =
   | Imap_chunk of int
   | Summary of int (* segment *)
 
+(* Monomorphic keys: no [caml_hash] or [compare_val] on the write path. *)
+module Blkid_tbl = struct
+  let equal x y =
+    match (x, y) with
+    | Data (a, b), Data (c, d) | Inode_part (a, b), Inode_part (c, d) -> a = c && b = d
+    | Imap_chunk a, Imap_chunk c | Summary a, Summary c -> a = c
+    | _ -> false
+
+  (* Tables index by the low bits: keep the operands there, the tag above. *)
+  let hash = function
+    | Data (a, b) -> ((a * 65599) + b) land max_int
+    | Inode_part (a, b) -> ((a * 65599) + b) lxor (1 lsl 24) land max_int
+    | Imap_chunk a -> a lxor (2 lsl 24) land max_int
+    | Summary a -> a lxor (3 lsl 24) land max_int
+
+  include Hashtbl.Make (struct type t = blkid let equal = equal let hash = hash end)
+end
+
 type lnode = {
   inum : int;
   mutable size : int;
@@ -47,6 +65,8 @@ type t = {
   block_bytes : int;
   n_segments : int;
   owners : blkid option array; (* per device block *)
+  digests : Bytes.t; (* 8 bytes per block: digest of what [append] put there *)
+  on_media : Bytes.t; (* 1 byte per block: the platter holds what [digests] describes *)
   files : (string, lnode) Hashtbl.t;
   by_inum : (int, lnode) Hashtbl.t;
   file_dir_slot : (int, int * int) Hashtbl.t; (* inum -> (dir block idx, slot) *)
@@ -55,14 +75,12 @@ type t = {
   imap : (int, int array) Hashtbl.t; (* inum -> inode part device blocks *)
   imap_chunk_loc : int array;
   imap_entries_per_chunk : int;
-  pending : (blkid, Bytes.t) Hashtbl.t;
+  pending : Bytes.t Blkid_tbl.t;
   mutable pending_order : blkid list; (* newest first *)
   dirty_inodes : (int, unit) Hashtbl.t;
   dirty_chunks : (int, unit) Hashtbl.t;
   mutable open_seg : int; (* -1 = none *)
-  mutable open_items : (blkid * int64) list; (* newest first, with block checksum *)
   mutable open_count : int;
-  open_map : (blkid, int) Hashtbl.t; (* appended block -> its [seg_buf] slot, for reads *)
   seg_buf : Bytes.t; (* the open segment's data run, [seg_capacity] blocks *)
   spill : Bytes.t; (* one block: the slot past [seg_capacity], see [append] *)
   live : int array; (* per segment: blocks [is_live] holds for *)
@@ -149,6 +167,8 @@ let blank ~dev ~host ~clock cfg ~n_segments =
     block_bytes;
     n_segments;
     owners = Array.make dev.Blockdev.Device.n_blocks None;
+    digests = Bytes.make (8 * dev.Blockdev.Device.n_blocks) '\000';
+    on_media = Bytes.make dev.Blockdev.Device.n_blocks '\000';
     files = Hashtbl.create 256;
     by_inum = Hashtbl.create 256;
     file_dir_slot = Hashtbl.create 256;
@@ -157,14 +177,12 @@ let blank ~dev ~host ~clock cfg ~n_segments =
     imap = Hashtbl.create 256;
     imap_chunk_loc = Array.make ((cfg.n_inodes + (block_bytes / 4) - 1) / (block_bytes / 4)) (-1);
     imap_entries_per_chunk = block_bytes / 4;
-    pending = Hashtbl.create 256;
+    pending = Blkid_tbl.create 256;
     pending_order = [];
     dirty_inodes = Hashtbl.create 64;
     dirty_chunks = Hashtbl.create 8;
     open_seg = -1;
-    open_items = [];
     open_count = 0;
-    open_map = Hashtbl.create 256;
     seg_buf = Bytes.make ((cfg.segment_blocks - 2) * block_bytes) '\000';
     spill = Bytes.make block_bytes '\000';
     live = Array.make n_segments 0;
@@ -208,7 +226,7 @@ let block_bytes t = t.block_bytes
 let exists t name = Hashtbl.mem t.files name
 let files t = Hashtbl.fold (fun name _ acc -> name :: acc) t.files [] |> List.sort compare
 let cleaner_stats t = t.stats
-let buffered_blocks t = Hashtbl.length t.pending
+let buffered_blocks t = Blkid_tbl.length t.pending
 
 let sink t = t.dev.Blockdev.Device.trace
 let charge t ~blocks = Host.charge ~trace:(sink t) t.host ~clock:t.clock ~blocks
@@ -356,30 +374,29 @@ let summary_item_bytes = 20
 let block_checksum bytes =
   Checksum.add_words Checksum.empty bytes ~pos:0 ~len:(Bytes.length bytes)
 
-(* [items] newest first, as [open_items] keeps them: item [i] of the
-   summary is the [i]-th oldest. *)
-let encode_summary t items ~count seg ~gen =
+(* Item [i] describes the block appended at [first + i]: its owner and
+   its [digests] entry. *)
+let encode_summary t ~first ~count seg ~gen =
   let buf = Bytes.make t.block_bytes '\000' in
   Bytes.blit_string summary_magic 0 buf 0 8;
   Bytes.set_int32_le buf 8 (Int32.of_int seg);
   Bytes.set_int32_le buf 12 (Int32.of_int count);
   Bytes.set_int64_le buf 16 (Int64.of_int gen);
-  List.iteri
-    (fun j (blkid, cksum) ->
-      let off = summary_header_bytes + ((count - 1 - j) * summary_item_bytes) in
-      assert (off + summary_item_bytes <= t.block_bytes - 8);
-      let tag, a, b =
-        match blkid with
-        | Data (inum, fb) -> (0, inum, fb)
-        | Inode_part (inum, p) -> (1, inum, p)
-        | Imap_chunk c -> (2, c, 0)
-        | Summary s -> (3, s, 0)
-      in
-      Bytes.set_int32_le buf off (Int32.of_int tag);
-      Bytes.set_int32_le buf (off + 4) (Int32.of_int a);
-      Bytes.set_int32_le buf (off + 8) (Int32.of_int b);
-      Bytes.set_int64_le buf (off + 12) cksum)
-    items;
+  for i = 0 to count - 1 do
+    let off = summary_header_bytes + (i * summary_item_bytes) in
+    assert (off + summary_item_bytes <= t.block_bytes - 8);
+    let tag, a, b =
+      match t.owners.(first + i) with
+      | Some (Data (inum, fb)) -> (0, inum, fb)
+      | Some (Inode_part (inum, p)) -> (1, inum, p)
+      | Some (Imap_chunk c) -> (2, c, 0)
+      | Some (Summary _) | None -> assert false
+    in
+    Bytes.set_int32_le buf off (Int32.of_int tag);
+    Bytes.set_int32_le buf (off + 4) (Int32.of_int a);
+    Bytes.set_int32_le buf (off + 8) (Int32.of_int b);
+    Bytes.blit t.digests ((first + i) * 8) buf (off + 12) 8
+  done;
   Checksum.seal buf ~pos:0 ~len:(t.block_bytes - 8);
   buf
 
@@ -447,12 +464,11 @@ let rec ensure_open t =
       | Some seg ->
         let base = seg_base t seg in
         for b = base to base + t.cfg.segment_blocks - 1 do
-          t.owners.(b) <- None
+          t.owners.(b) <- None;
+          Bytes.set t.on_media b '\000'
         done;
         t.open_seg <- seg;
-        t.open_items <- [];
         t.open_count <- 0;
-        Hashtbl.reset t.open_map;
         t.owners.(base) <- Some (Summary seg);
         t.owners.(base + 1) <- Some (Summary seg);
         (* Both summary slots are live while the segment is open. *)
@@ -501,18 +517,19 @@ and write_open_segment t ~seal =
               else if count < cap then Bytes.sub t.seg_buf 0 (count * t.block_bytes)
               else Bytes.cat t.seg_buf t.spill
             in
-            Blockdev.Device.write_run t.dev (base + 2) run
+            let bd = Blockdev.Device.write_run t.dev (base + 2) run in
+            (* Trusted once written; a raising rewrite left earlier slots intact. *)
+            Bytes.fill t.on_media (base + 2) count '\001';
+            bd
         in
-        let summary = encode_summary t t.open_items ~count seg ~gen in
+        let summary = encode_summary t ~first:(base + 2) ~count seg ~gen in
         let bd =
           Breakdown.add bd (Blockdev.Device.write t.dev (base + (gen land 1)) summary)
         in
         if seal then begin
           t.open_seg <- -1;
           t.live.(seg) <- t.live.(seg) - 2;
-          t.open_items <- [];
           t.open_count <- 0;
-          Hashtbl.reset t.open_map;
           t.seals <- t.seals + 1;
           Trace.incr (sink t) "lfs.seals";
           if t.cfg.checkpoint_interval > 0 && t.seals mod t.cfg.checkpoint_interval = 0
@@ -522,9 +539,10 @@ and write_open_segment t ~seal =
         else bd)
 
 (* Append one block, read from [src] at [off], to the open segment:
-   copy it into its slot, digest it for the summary, assign its device
-   address and update the metadata that points at it.  Seals (and
-   writes) segments as they fill.
+   copy it into its slot, record its digest for the summary, assign its
+   device address and update the metadata that points at it.  Seals (and
+   writes) segments as they fill.  A cleaner copy names its victim block
+   in [from] (else -1): when that is [on_media], its digest is copied.
 
    Known defect, kept so that every simulated number stays as it was:
    when the second [ensure_open] has to run a forced clean, the clean can
@@ -532,7 +550,7 @@ and write_open_segment t ~seal =
    slot one past [seg_capacity] — the next segment's first summary
    slot.  The next append seals, so the slot is never more than one
    past; it lives in [spill]. *)
-and append t blkid src ~off =
+and append t blkid src ~off ~from =
   ensure_open t;
   let bd =
     if t.open_count >= seg_capacity t then write_open_segment t ~seal:true else Breakdown.zero
@@ -543,10 +561,13 @@ and append t blkid src ~off =
   let addr = seg_base t t.open_seg + 2 + slot in
   let buf, pos = slot_bytes t slot in
   Bytes.blit src off buf pos t.block_bytes;
-  let cksum = Checksum.add_words Checksum.empty buf ~pos ~len:t.block_bytes in
-  t.open_items <- (blkid, cksum) :: t.open_items;
+  if from >= 0 && Bytes.get t.on_media from = '\001' then
+    Bytes.blit t.digests (from * 8) t.digests (addr * 8) 8
+  else
+    Bytes.set_int64_le t.digests (addr * 8)
+      (Checksum.add_words Checksum.empty buf ~pos ~len:t.block_bytes);
+  Bytes.set t.on_media addr '\000';
   t.open_count <- slot + 1;
-  Hashtbl.replace t.open_map blkid slot;
   (* The old location dies; the new one is live unless the owner is
      already gone (born dead). *)
   let old = location t blkid in
@@ -620,7 +641,7 @@ and clean_one_segment t =
         match t.owners.(b) with
         | Some (Summary _) | None -> ()
         | Some blkid ->
-          bd := Breakdown.add !bd (append t blkid data ~off:((b - base) * t.block_bytes));
+          bd := Breakdown.add !bd (append t blkid data ~off:((b - base) * t.block_bytes) ~from:b);
           incr copied
       end
     done;
@@ -665,8 +686,8 @@ and force_clean t =
 (* ---- pending buffer ---- *)
 
 let pending_put t blkid bytes =
-  if not (Hashtbl.mem t.pending blkid) then t.pending_order <- blkid :: t.pending_order;
-  Hashtbl.replace t.pending blkid bytes
+  if not (Blkid_tbl.mem t.pending blkid) then t.pending_order <- blkid :: t.pending_order;
+  Blkid_tbl.replace t.pending blkid bytes
 
 let rec flush t =
   Trace.group (sink t) "lfs.flush" (fun () -> flush_inner t)
@@ -674,18 +695,19 @@ let rec flush t =
 and flush_inner t =
   Trace.incr (sink t) "lfs.flushes";
   let bd = ref Breakdown.zero in
+  let put blkid bytes = bd := Breakdown.add !bd (append t blkid bytes ~off:0 ~from:(-1)) in
   (* Data first, oldest first. *)
   let order = List.rev t.pending_order in
   t.pending_order <- [];
   List.iter
     (fun blkid ->
-      match Hashtbl.find_opt t.pending blkid with
+      match Blkid_tbl.find_opt t.pending blkid with
       | Some bytes ->
-        Hashtbl.remove t.pending blkid;
-        bd := Breakdown.add !bd (append t blkid bytes ~off:0)
+        Blkid_tbl.remove t.pending blkid;
+        put blkid bytes
       | None -> ())
     order;
-  Hashtbl.reset t.pending;
+  Blkid_tbl.reset t.pending;
   (* Then inode parts for everything dirtied... *)
   let dirty = Hashtbl.fold (fun inum () acc -> inum :: acc) t.dirty_inodes [] in
   Hashtbl.reset t.dirty_inodes;
@@ -695,15 +717,14 @@ and flush_inner t =
       | None -> ()
       | Some ln ->
         for p = 0 to inode_parts_needed t ln - 1 do
-          bd :=
-            Breakdown.add !bd (append t (Inode_part (inum, p)) (encode_inode_part t ln p) ~off:0)
+          put (Inode_part (inum, p)) (encode_inode_part t ln p)
         done)
     (List.sort compare dirty);
   (* ...then the inode-map chunks they dirtied. *)
   let chunks = Hashtbl.fold (fun c () acc -> c :: acc) t.dirty_chunks [] in
   Hashtbl.reset t.dirty_chunks;
   List.iter
-    (fun c -> bd := Breakdown.add !bd (append t (Imap_chunk c) (encode_imap_chunk t c) ~off:0))
+    (fun c -> put (Imap_chunk c) (encode_imap_chunk t c))
     (List.sort compare chunks);
   (* Partial-segment threshold rule. *)
   (if t.open_seg >= 0 && t.open_count > 0 then
@@ -713,7 +734,7 @@ and flush_inner t =
   !bd
 
 let maybe_autoflush t =
-  if Hashtbl.length t.pending >= t.cfg.buffer_blocks then flush t else Breakdown.zero
+  if Blkid_tbl.length t.pending >= t.cfg.buffer_blocks then flush t else Breakdown.zero
 
 (* ---- directory ---- *)
 
@@ -804,29 +825,26 @@ let create t name =
 (* Content of file block [i], looking through the write path layers:
    a shared buffer and the block's offset in it, never to be modified. *)
 let read_data_block t ln i =
-  let blkid = Data (ln.inum, i) in
-  match Hashtbl.find_opt t.pending blkid with
+  match Blkid_tbl.find_opt t.pending (Data (ln.inum, i)) with
   | Some bytes -> (bytes, 0, Breakdown.zero)
-  | None -> (
-    match Hashtbl.find_opt t.open_map blkid with
-    | Some slot ->
-      let buf, pos = slot_bytes t slot in
+  | None ->
+    let b = lnode_block ln i and first = seg_base t t.open_seg + 2 in
+    if t.open_seg >= 0 && b >= first && b < first + t.open_count then
+      let buf, pos = slot_bytes t (b - first) in
       (buf, pos, Breakdown.zero)
-    | None ->
-      let b = lnode_block ln i in
-      if b < 0 then (Bytes.make t.block_bytes '\000', 0, Breakdown.zero)
-      else begin
-        match Ufs.Buffer_cache.find t.cache b with
-        | Some bytes ->
-          Trace.incr (sink t) "lfs.cache_hits";
-          (bytes, 0, Breakdown.zero)
-        | None ->
-          let bytes, bd = Blockdev.Device.read t.dev b in
-          (* Cache insertion; evicted blocks are clean (LFS data reaches
-             the device only through segment writes). *)
-          ignore (Ufs.Buffer_cache.insert t.cache b bytes ~dirty:false);
-          (bytes, 0, bd)
-      end)
+    else if b < 0 then (Bytes.make t.block_bytes '\000', 0, Breakdown.zero)
+    else begin
+      match Ufs.Buffer_cache.find t.cache b with
+      | Some bytes ->
+        Trace.incr (sink t) "lfs.cache_hits";
+        (bytes, 0, Breakdown.zero)
+      | None ->
+        let bytes, bd = Blockdev.Device.read t.dev b in
+        (* Cache insertion; evicted blocks are clean (LFS data reaches
+           the device only through segment writes). *)
+        ignore (Ufs.Buffer_cache.insert t.cache b bytes ~dirty:false);
+        (bytes, 0, bd)
+    end
 
 let rec write t name ~off data =
   Trace.op (sink t) "lfs.write" ~bd_of:Fun.id (fun () -> write_inner t name ~off data)
@@ -843,7 +861,7 @@ and write_inner t name ~off data =
       let first = off / t.block_bytes and last = (off + len - 1) / t.block_bytes in
       let fresh_slots = ref 0 in
       for i = first to last do
-        if lnode_block ln i < 0 && not (Hashtbl.mem t.pending (Data (ln.inum, i)))
+        if lnode_block ln i < 0 && not (Blkid_tbl.mem t.pending (Data (ln.inum, i)))
         then incr fresh_slots
       done;
       if t.user_blocks + !fresh_slots > user_capacity t then Error `No_space
@@ -915,8 +933,8 @@ and delete_inner t name =
   | Ok ln ->
     (* Count the distinct block slots this file held, buffered or on disk. *)
     let slots = ref 0 in
-    Array.iteri (fun i b -> if b >= 0 || Hashtbl.mem t.pending (Data (ln.inum, i)) then incr slots) ln.blocks;
-    Hashtbl.iter
+    Array.iteri (fun i b -> if b >= 0 || Blkid_tbl.mem t.pending (Data (ln.inum, i)) then incr slots) ln.blocks;
+    Blkid_tbl.iter
       (fun blkid _ ->
         match blkid with
         | Data (inum, i) when inum = ln.inum && i >= Array.length ln.blocks -> incr slots
@@ -937,14 +955,14 @@ and delete_inner t name =
     List.iter (fun b -> settle t b ~was:true) (List.sort_uniq compare doomed);
     (* Drop buffered blocks of the dead file. *)
     let stale =
-      Hashtbl.fold
+      Blkid_tbl.fold
         (fun blkid _ acc ->
           match blkid with
           | Data (inum, _) when inum = ln.inum -> blkid :: acc
           | Data _ | Inode_part _ | Imap_chunk _ | Summary _ -> acc)
         t.pending []
     in
-    List.iter (Hashtbl.remove t.pending) stale;
+    List.iter (Blkid_tbl.remove t.pending) stale;
     (match Hashtbl.find_opt t.file_dir_slot ln.inum with
     | Some (didx, slot) ->
       let _, slots = t.dir.(didx) in
@@ -1032,7 +1050,7 @@ let idle_work t ~deadline =
   let cleaned = idle_clean t ~deadline in
   (* With time left over, flush buffered writes in the background so the
      next burst finds an empty buffer (the paper's Figure 10 point D). *)
-  let pending = Hashtbl.length t.pending in
+  let pending = Blkid_tbl.length t.pending in
   if pending > 0 then begin
     let est =
       if t.last_clean_ms > 0. then
@@ -1098,7 +1116,7 @@ let scan_summaries t ~bd =
 
 (* blkid -> (gen, addr, checksum) list, newest first. *)
 let item_history t summaries =
-  let hist : (blkid, (int * int * int64) list) Hashtbl.t = Hashtbl.create 512 in
+  let hist = Blkid_tbl.create 512 in
   let n = ref 0 in
   List.iter
     (fun s ->
@@ -1108,9 +1126,9 @@ let item_history t summaries =
           incr n;
           let addr = base + 2 + i in
           let prev =
-            match Hashtbl.find_opt hist it.it_blkid with Some l -> l | None -> []
+            match Blkid_tbl.find_opt hist it.it_blkid with Some l -> l | None -> []
           in
-          Hashtbl.replace hist it.it_blkid ((s.sm_gen, addr, it.it_cksum) :: prev))
+          Blkid_tbl.replace hist it.it_blkid ((s.sm_gen, addr, it.it_cksum) :: prev))
         s.sm_items)
     summaries;
   (hist, !n)
@@ -1188,7 +1206,7 @@ let recover ~dev ~host ~clock cfg =
           let chunk_info = Array.make (Array.length t.imap_chunk_loc) None in
           Array.iteri
             (fun c _ ->
-              match Hashtbl.find_opt hist (Imap_chunk c) with
+              match Blkid_tbl.find_opt hist (Imap_chunk c) with
               | None -> ()
               | Some versions ->
                 let rec try_versions = function
@@ -1219,7 +1237,7 @@ let recover ~dev ~host ~clock cfg =
               | None -> (-1, -1)
             in
             let part_newest =
-              match Hashtbl.find_opt hist (Inode_part (inum, 0)) with
+              match Blkid_tbl.find_opt hist (Inode_part (inum, 0)) with
               | Some ((gen, addr, cksum) :: _) -> Some (gen, addr, cksum)
               | _ -> None
             in
@@ -1230,7 +1248,7 @@ let recover ~dev ~host ~clock cfg =
                 if chunk_addr >= 0 then
                   (* Find the item that logged this address, for its checksum. *)
                   let cksum =
-                    match Hashtbl.find_opt hist (Inode_part (inum, 0)) with
+                    match Blkid_tbl.find_opt hist (Inode_part (inum, 0)) with
                     | Some versions ->
                       List.find_map
                         (fun (_, a, k) -> if a = chunk_addr then Some k else None)
@@ -1274,7 +1292,7 @@ let recover ~dev ~host ~clock cfg =
                   let ok = ref true in
                   for p = 1 to parts_needed - 1 do
                     if !ok then
-                      match Hashtbl.find_opt hist (Inode_part (inum, p)) with
+                      match Blkid_tbl.find_opt hist (Inode_part (inum, p)) with
                       | Some ((_, paddr, pcksum) :: _) -> (
                         match read_checked paddr ~cksum:(Some pcksum) with
                         | None ->
@@ -1339,7 +1357,7 @@ let recover ~dev ~host ~clock cfg =
                  let addr = dirn.blocks.(fb) in
                  if addr >= 0 then begin
                    let cksum =
-                     match Hashtbl.find_opt hist (Data (dir_inum, fb)) with
+                     match Blkid_tbl.find_opt hist (Data (dir_inum, fb)) with
                      | Some versions ->
                        List.find_map
                          (fun (_, a, k) -> if a = addr then Some k else None)
@@ -1496,6 +1514,9 @@ let imap_parts t inum =
 let imap_chunk_locations t = Array.copy t.imap_chunk_loc
 let owner_of t b = if b >= 0 && b < Array.length t.owners then t.owners.(b) else None
 let seg_live t seg = t.live.(seg)
+
+let recorded_digest t b =
+  if Bytes.get t.on_media b = '\001' then Some (Bytes.get_int64_le t.digests (b * 8)) else None
 let generation t = t.gen
 
 (* Media validation behind the fsck checkers: every live metadata and
@@ -1504,7 +1525,7 @@ let generation t = t.gen
    quiescent log (no buffered writes, no open segment) — recovery and
    [power_down] both leave the log that way. *)
 let verify_media t =
-  if Hashtbl.length t.pending > 0 || t.open_seg >= 0 then
+  if Blkid_tbl.length t.pending > 0 || t.open_seg >= 0 then
     [ ("unflushed", "log has buffered or unsealed writes; media not verified") ]
   else begin
     let findings = ref [] in
@@ -1513,7 +1534,7 @@ let verify_media t =
     let summaries = scan_summaries t ~bd in
     let hist, _ = item_history t summaries in
     let check blkid addr what =
-      match Hashtbl.find_opt hist blkid with
+      match Blkid_tbl.find_opt hist blkid with
       | None -> add "bad-reference" (Printf.sprintf "%s at block %d: no summary item records it" what addr)
       | Some versions -> (
         match List.find_map (fun (_, a, k) -> if a = addr then Some k else None) versions

@@ -142,6 +142,13 @@ type blkid =
   | Imap_chunk of int
   | Summary of int  (** segment *)
 
+(** Tables keyed by block id, with monomorphic [equal] and [hash]. *)
+module Blkid_tbl : sig
+  include Hashtbl.S with type key = blkid
+  val equal : blkid -> blkid -> bool
+  val hash : blkid -> int
+end
+
 val dir_entries : t -> (string * int) list
 (** (name, inum), sorted. *)
 
@@ -166,6 +173,10 @@ val seg_live : t -> int -> int
 val seg_live_scan : t -> int -> int
 (** The same count recomputed by scanning the segment block by block:
     the reference {!seg_live} must always equal. *)
+
+val recorded_digest : t -> int -> int64 option
+(** The digest recorded for a device block once the write carrying it
+    returned, which the platter bytes must match; [None] after {!recover}. *)
 
 val generation : t -> int
 

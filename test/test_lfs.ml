@@ -175,6 +175,36 @@ let test_forced_clean_on_write_path () =
   let got, _ = ok (Lfs.read fs "i1" ~off:0 ~len:4096) in
   Alcotest.(check bytes) "data survives cleaning" (Bytes.make 4096 'i') got
 
+(* A block the cleaner has just copied into a still-open segment is
+   served from the segment buffer: the read costs no simulated time
+   (the new address was never cached) and returns the copied bytes. *)
+let test_read_cleaner_copy () =
+  let fs, clock = make_fs ~buffer_blocks:64 ~segment_blocks:32 () in
+  ignore (ok (Lfs.create fs "a"));
+  let block i = Bytes.make 4096 (Char.chr (65 + i)) in
+  for i = 0 to 29 do
+    ignore (ok (Lfs.write fs "a" ~off:(i * 4096) (block i)))
+  done;
+  ignore (Lfs.sync fs);
+  (* Overwrite most of the first segment, leaving it fragmented. *)
+  for i = 0 to 24 do
+    ignore (ok (Lfs.write fs "a" ~off:(i * 4096) (block (i + 30))))
+  done;
+  ignore (Lfs.sync fs);
+  let addr () =
+    match Lfs.inode_blocks fs (List.assoc "a" (Lfs.dir_entries fs)) with
+    | Some (_, blocks) -> blocks.(26)
+    | None -> Alcotest.fail "inode of a missing"
+  in
+  let before = addr () in
+  ignore (Lfs.idle_clean ~target_free:max_int fs ~deadline:(Clock.now clock +. 60_000.));
+  Alcotest.(check bool) "cleaner copied blocks" true ((Lfs.cleaner_stats fs).Lfs.blocks_copied > 0);
+  Alcotest.(check bool) "block 26 moved" true (addr () <> before);
+  let t0 = Clock.now clock in
+  let got, _ = ok (Lfs.read fs "a" ~off:(26 * 4096) ~len:4096) in
+  Alcotest.(check (float 0.)) "served from the open segment" t0 (Clock.now clock);
+  Alcotest.(check bytes) "copied bytes" (block 26) got
+
 let test_idle_clean_respects_deadline () =
   let fs, clock = make_fs ~buffer_blocks:16 ~segment_blocks:16 () in
   for f = 0 to 30 do
@@ -332,11 +362,28 @@ let test_check_open_segment () =
   ignore (Lfs.sync fs);
   Alcotest.(check int) "no leak reported" 0 (leaked fs)
 
+(* The digest oracle: every block whose digest the log recorded (every
+   live block of a sealed segment among them) holds, on the platter,
+   bytes with that digest.  [platter b] is a buffer holding device block
+   [b], and the block's offset in it. *)
+let check_digests what fs platter =
+  for b = 0 to (Lfs.device fs).Blockdev.Device.n_blocks - 1 do
+    match Lfs.recorded_digest fs b with
+    | None -> ()
+    | Some d ->
+      let buf, pos = platter b in
+      if Checksum.add_words Checksum.empty buf ~pos ~len:(Lfs.block_bytes fs) <> d then
+        Alcotest.failf "%s: block %d does not match its recorded digest" what b
+  done
+
 (* Seeded random create/write/overwrite/delete/sync/idle-clean sequences
    on a small, nearly full log: after every step each segment's counter
    equals the reference scan and fsck finds no leak; at the end every
    file reads back as the shadow says.  The sequences are long enough for
-   write-path cleans. *)
+   write-path cleans.  The digest oracle runs after every step on the
+   regular disk, reading the platter without moving the clock, and once
+   at the end on the VLD, through the device.  A remount trusts no
+   recorded digest. *)
 let counters_run ~on_vld ~seed =
   let clock = Clock.create () in
   let small = Disk.Profile.with_cylinders Disk.Profile.st19101 2 in
@@ -357,13 +404,28 @@ let counters_run ~on_vld ~seed =
   let span = (Lfs.n_segments fs - 3) * (16 - 2) * 85 / 100 / 5 in
   let shadow : (string, Bytes.t) Hashtbl.t = Hashtbl.create 8 in
   let name f = Printf.sprintf "p%d" f in
+  let store = Disk.Disk_sim.store disk in
+  let sectors_per_block =
+    Lfs.block_bytes fs / (Disk.Disk_sim.geometry disk).Disk.Geometry.sector_bytes
+  in
+  let checked_writes = ref (-1) in
   let step_check what =
     for seg = 0 to Lfs.n_segments fs - 1 do
       if Lfs.seg_live fs seg <> Lfs.seg_live_scan fs seg then
         Alcotest.failf "%s: segment %d counter %d, scan %d" what seg (Lfs.seg_live fs seg)
           (Lfs.seg_live_scan fs seg)
     done;
-    if leaked fs > 0 then Alcotest.failf "%s: fsck reports a leaked block" what
+    if leaked fs > 0 then Alcotest.failf "%s: fsck reports a leaked block" what;
+    if not on_vld then begin
+      (* Recorded digests and platter bytes change only with a disk write. *)
+      let writes = (Disk.Disk_sim.stats disk).Disk.Disk_sim.writes in
+      if writes <> !checked_writes then begin
+        checked_writes := writes;
+        let n = dev.Blockdev.Device.n_blocks * sectors_per_block in
+        let image = Disk.Sector_store.read store ~lba:0 ~sectors:n in
+        check_digests what fs (fun b -> (image, b * Lfs.block_bytes fs))
+      end
+    end
   in
   for step = 0 to 1499 do
     let f = name (Prng.int prng 5) in
@@ -400,10 +462,38 @@ let counters_run ~on_vld ~seed =
     (fun f expect ->
       let got, _ = ok (Lfs.read fs f ~off:0 ~len:(Bytes.length expect)) in
       Alcotest.(check bytes) ("read back " ^ f) expect got)
-    shadow
+    shadow;
+  if on_vld then check_digests "end" fs (fun b -> (fst (Blockdev.Device.read dev b), 0));
+  ignore (Lfs.power_down fs);
+  match Lfs.recover ~dev ~host:Host.free ~clock cfg with
+  | Error e -> Alcotest.fail e
+  | Ok (fs, _) ->
+    for b = 0 to dev.Blockdev.Device.n_blocks - 1 do
+      if Lfs.recorded_digest fs b <> None then
+        Alcotest.failf "block %d has a recorded digest right after recovery" b
+    done
 
 let test_counters_regular () = List.iter (fun seed -> counters_run ~on_vld:false ~seed) [ 3L; 4L ]
 let test_counters_vld () = List.iter (fun seed -> counters_run ~on_vld:true ~seed) [ 5L; 6L ]
+
+let blkid_arb =
+  let open QCheck in
+  (* Mostly tiny operands, so equal ids are common; some of any size. *)
+  let small = Gen.(frequency [ (3, int_range 0 3); (1, int) ]) in
+  make
+    ~print:(function
+      | Lfs.Data (a, b) -> Printf.sprintf "Data (%d, %d)" a b
+      | Inode_part (a, b) -> Printf.sprintf "Inode_part (%d, %d)" a b
+      | Imap_chunk a -> Printf.sprintf "Imap_chunk %d" a
+      | Summary a -> Printf.sprintf "Summary %d" a)
+    Gen.(
+      oneof
+        [
+          map2 (fun a b -> Lfs.Data (a, b)) small small;
+          map2 (fun a b -> Lfs.Inode_part (a, b)) small small;
+          map (fun a -> Lfs.Imap_chunk a) small;
+          map (fun a -> Lfs.Summary a) small;
+        ])
 
 let qcheck_tests =
   let open QCheck in
@@ -444,6 +534,73 @@ let qcheck_tests =
             | Ok (got, _) -> got = expect
             | Error _ -> false)
           model true);
+    Test.make ~name:"blkid_tbl equal is structural equality" ~count:500
+      (pair blkid_arb blkid_arb)
+      (fun (a, b) -> Lfs.Blkid_tbl.equal a b = (a = b));
+    Test.make ~name:"blkid_tbl equal keys hash equal" ~count:500
+      (pair blkid_arb blkid_arb)
+      (fun (a, b) -> (not (Lfs.Blkid_tbl.equal a b)) || Lfs.Blkid_tbl.hash a = Lfs.Blkid_tbl.hash b);
+    Test.make ~name:"blkid_tbl hash is never negative" ~count:500 blkid_arb (fun a ->
+        Lfs.Blkid_tbl.hash a >= 0);
+    Test.make ~name:"blkid_tbl matches the polymorphic hashtbl" ~count:200
+      (list (triple (int_range 0 4) blkid_arb small_nat))
+      (fun ops ->
+        let mono = Lfs.Blkid_tbl.create 4 and poly = Hashtbl.create 4 in
+        List.for_all
+          (fun (op, k, v) ->
+            match op with
+            | 0 ->
+              Lfs.Blkid_tbl.replace mono k v;
+              Hashtbl.replace poly k v;
+              true
+            | 1 ->
+              Lfs.Blkid_tbl.remove mono k;
+              Hashtbl.remove poly k;
+              true
+            | 2 -> Lfs.Blkid_tbl.find_opt mono k = Hashtbl.find_opt poly k
+            | 3 -> Lfs.Blkid_tbl.mem mono k = Hashtbl.mem poly k
+            | _ -> Lfs.Blkid_tbl.length mono = Hashtbl.length poly)
+          ops);
+    (* Writes, syncs that mostly leave the segment open, idle cleans
+       that copy into it, and whole-file reads with the read cache kept:
+       blocks in the open segment are served from its buffer through the
+       file's block map. *)
+    Test.make ~name:"lfs open-segment reads match in-memory model" ~count:20
+      (list_of_size Gen.(1 -- 60)
+         (quad (int_range 0 9) (int_range 0 2) (int_range 0 40) (int_range 1 9000)))
+      (fun ops ->
+        let fs, clock = make_fs ~buffer_blocks:8 ~segment_blocks:16 () in
+        let model : (string, Bytes.t) Hashtbl.t = Hashtbl.create 4 in
+        let name i = Printf.sprintf "s%d" i in
+        List.for_all
+          (fun (kind, f, off_blocks, len) ->
+            let n = name f in
+            if not (Hashtbl.mem model n) then begin
+              ignore (ok (Lfs.create fs n));
+              Hashtbl.replace model n Bytes.empty
+            end;
+            let off = off_blocks * 1024 in
+            if kind < 5 then begin
+              let data = Bytes.init len (fun i -> Char.chr ((i + off + kind) land 0xff)) in
+              ignore (ok (Lfs.write fs n ~off data));
+              let old = Hashtbl.find model n in
+              let next = Bytes.make (max (Bytes.length old) (off + len)) '\000' in
+              Bytes.blit old 0 next 0 (Bytes.length old);
+              Bytes.blit data 0 next off len;
+              Hashtbl.replace model n next;
+              true
+            end
+            else if kind = 5 then (ignore (Lfs.sync fs); true)
+            else if kind = 6 then begin
+              ignore
+                (Lfs.idle_clean ~target_free:max_int fs ~deadline:(Clock.now clock +. 5_000.));
+              true
+            end
+            else
+              let expect = Hashtbl.find model n in
+              let got, _ = ok (Lfs.read fs n ~off:0 ~len:(Bytes.length expect)) in
+              got = expect)
+          ops);
   ]
 
 let suites =
@@ -472,6 +629,7 @@ let suites =
         Alcotest.test_case "reclaims" `Quick test_cleaner_reclaims;
         Alcotest.test_case "forced on write path" `Quick test_forced_clean_on_write_path;
         Alcotest.test_case "idle respects deadline" `Quick test_idle_clean_respects_deadline;
+        Alcotest.test_case "read a copy in the open segment" `Quick test_read_cleaner_copy;
       ] );
     ("lfs:golden", [ Alcotest.test_case "burst/idle pin" `Quick test_golden_pin ]);
     ( "lfs:counters",
