@@ -76,8 +76,7 @@ let micro () =
   let eager_alloc mode =
     let clock = Vlog_util.Clock.create () in
     let disk = Disk.Disk_sim.create ~profile:Rigs.seagate ~clock () in
-    let g = Disk.Disk_sim.geometry disk in
-    let freemap = Vlog.Freemap.create ~geometry:g ~sectors_per_block:8 in
+    let freemap = Vlog.Freemap.create ~profile:(Disk.Disk_sim.profile disk) ~sectors_per_block:8 in
     let prng = Vlog_util.Prng.create ~seed:0x95L in
     Vlog.Freemap.random_occupy freemap prng ~utilization:0.95;
     Vlog.Eager.create ~mode ~disk ~freemap ()

@@ -114,22 +114,23 @@ let read_result t block =
 let read_run_result t block count =
   check t block count;
   let sp = dev_span t "dev.read_run" block count in
-  let out = Bytes.make (count * t.block_bytes) '\000' in
+  (* Every block of [out] is either read into place or, unmapped,
+     zero-filled: no per-run buffer, no up-front fill. *)
+  let out = Bytes.create (count * t.block_bytes) in
   let bd = ref Breakdown.zero in
   let first_op = ref true in
   let issue ~off ~pba ~blocks =
     let scsi = !first_op in
     first_op := false;
     let r, cost =
-      Disk.Disk_sim.read_checked ~scsi t.disk
+      Disk.Disk_sim.read_checked_into ~scsi t.disk
         ~lba:(Vlog.Freemap.lba_of_block (Vlog.Virtual_log.freemap t.vlog) pba)
         ~sectors:(blocks * t.sectors_per_block)
+        out ~pos:(off * t.block_bytes)
     in
     bd := Breakdown.add !bd cost;
     match r with
-    | Ok data ->
-      Bytes.blit data 0 out (off * t.block_bytes) (Bytes.length data);
-      Ok ()
+    | Ok () -> Ok ()
     | Error e -> Error (Device.err ~op:`Read ~block:(block + off) ~e ~retries:0)
   in
   let rec go i run_start run_pba run_len =
@@ -140,6 +141,7 @@ let read_run_result t block count =
     else
       match Vlog.Virtual_log.lookup t.vlog (block + i) with
       | None -> (
+        Bytes.fill out (i * t.block_bytes) t.block_bytes '\000';
         match flush () with
         | Ok () -> go (i + 1) (i + 1) 0 0
         | Error _ as e -> e)

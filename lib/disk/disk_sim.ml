@@ -270,11 +270,15 @@ let request_span t name ~lba ~sectors ~scsi =
       name
   else Io.no_span
 
-let read_checked ?(scsi = true) t ~lba ~sectors =
+(* Read into [buf] at [pos]; [ok] is the success value, so both public
+   readers build their result with no extra tuple. *)
+let read_into_as ~ok ~scsi t ~lba ~sectors buf ~pos =
   if sectors <= 0 then invalid_arg "Disk_sim.read: sectors must be positive";
   let g = geometry t in
   if not (Geometry.valid_lba g lba) || lba + sectors > Geometry.total_sectors g then
     invalid_arg "Disk_sim.read: range out of bounds";
+  if pos < 0 || pos + (sectors * g.Geometry.sector_bytes) > Bytes.length buf then
+    invalid_arg "Disk_sim.read: buffer too small";
   let sp = request_span t "disk.read" ~lba ~sectors ~scsi in
   let start = Clock.now t.clock in
   let bd = ref (charge_scsi t scsi) in
@@ -332,7 +336,16 @@ let read_checked ?(scsi = true) t ~lba ~sectors =
       t.st.c_read_faults <- t.st.c_read_faults + 1;
       Trace.incr t.trace "disk.read_faults";
       finish (Error { error_lba = bad; transient = false })
-    | None -> finish (Ok (Sector_store.read t.store ~lba ~sectors)))
+    | None ->
+      Sector_store.read_into t.store ~lba ~sectors buf ~pos;
+      finish (Ok ok))
+
+let read_checked_into ?(scsi = true) t ~lba ~sectors buf ~pos =
+  read_into_as ~ok:() ~scsi t ~lba ~sectors buf ~pos
+
+let read_checked ?(scsi = true) t ~lba ~sectors =
+  let buf = Bytes.create (max 0 sectors * (geometry t).Geometry.sector_bytes) in
+  read_into_as ~ok:buf ~scsi t ~lba ~sectors buf ~pos:0
 
 let read ?scsi t ~lba ~sectors =
   match read_checked ?scsi t ~lba ~sectors with

@@ -121,6 +121,12 @@ val read_checked :
     Mechanical time is charged either way — a failed read still seeks,
     rotates and retries for a revolution. *)
 
+val read_checked_into :
+  ?scsi:bool -> t -> lba:int -> sectors:int -> Bytes.t -> pos:int ->
+  (unit, media_error) result * Vlog_util.Breakdown.t
+(** {!read_checked} into [buf] from byte [pos] on, with no buffer of its
+    own.  On [Error] the range of [buf] is left untouched. *)
+
 val write_checked :
   ?scsi:bool -> t -> lba:int -> Bytes.t ->
   (unit, media_error) result * Vlog_util.Breakdown.t

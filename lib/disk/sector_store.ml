@@ -33,23 +33,6 @@ let chunk t track =
     c
   end
 
-(* Apply [f chunk_opt off len dst_off] to each per-track span of the
-   sector range; [chunk_opt] is [None] for untouched tracks. *)
-let iter_spans t ~lba ~sectors f =
-  let sb = t.geometry.Geometry.sector_bytes in
-  let spt = t.geometry.Geometry.sectors_per_track in
-  let s = ref lba in
-  while !s < lba + sectors do
-    let track = !s / spt in
-    let first = !s mod spt in
-    let n = min (spt - first) (lba + sectors - !s) in
-    let c = t.chunks.(track) in
-    f ~track (if Bytes.length c > 0 then Some c else None) ~off:(first * sb)
-      ~len:(n * sb)
-      ~dst_off:((!s - lba) * sb);
-    s := !s + n
-  done
-
 let check_range t ~lba ~sectors =
   let total = Geometry.total_sectors t.geometry in
   if lba < 0 || sectors < 0 || lba + sectors > total then
@@ -61,20 +44,41 @@ let write t ~lba buf =
     invalid_arg "Sector_store.write: buffer is not a whole number of sectors";
   let sectors = Bytes.length buf / sb in
   check_range t ~lba ~sectors;
-  iter_spans t ~lba ~sectors (fun ~track _ ~off ~len ~dst_off ->
-      Bytes.blit buf dst_off (chunk t track) off len);
+  (* [write] and [read_into] walk the range one per-track span at a
+     time in a plain loop: a per-span callback would allocate a closure
+     on every transfer. *)
+  let spt = t.geometry.Geometry.sectors_per_track in
+  let s = ref lba in
+  while !s < lba + sectors do
+    let first = !s mod spt in
+    let n = min (spt - first) (lba + sectors - !s) in
+    Bytes.blit buf ((!s - lba) * sb) (chunk t (!s / spt)) (first * sb) (n * sb);
+    s := !s + n
+  done;
   Bytes.fill t.written lba sectors '\001';
   (* A fresh write lays down data and ECC together. *)
   Bytes.fill t.rotten lba sectors '\000'
 
-let read t ~lba ~sectors =
+let read_into t ~lba ~sectors buf ~pos =
   check_range t ~lba ~sectors;
   let sb = t.geometry.Geometry.sector_bytes in
-  let out = Bytes.create (sectors * sb) in
-  iter_spans t ~lba ~sectors (fun ~track:_ c ~off ~len ~dst_off ->
-      match c with
-      | Some c -> Bytes.blit c off out dst_off len
-      | None -> Bytes.fill out dst_off len '\000');
+  if pos < 0 || pos + (sectors * sb) > Bytes.length buf then
+    invalid_arg "Sector_store.read_into: buffer too small";
+  let spt = t.geometry.Geometry.sectors_per_track in
+  let s = ref lba in
+  while !s < lba + sectors do
+    let first = !s mod spt in
+    let n = min (spt - first) (lba + sectors - !s) in
+    let c = t.chunks.(!s / spt) and dst = pos + ((!s - lba) * sb) in
+    if Bytes.length c > 0 then Bytes.blit c (first * sb) buf dst (n * sb)
+    else Bytes.fill buf dst (n * sb) '\000';
+    s := !s + n
+  done
+
+let read t ~lba ~sectors =
+  check_range t ~lba ~sectors;
+  let out = Bytes.create (sectors * t.geometry.Geometry.sector_bytes) in
+  read_into t ~lba ~sectors out ~pos:0;
   out
 
 let written t ~lba =

@@ -20,6 +20,10 @@ val read : t -> lba:int -> sectors:int -> Bytes.t
 (** Fresh buffer with the contents of [sectors] sectors from [lba].
     Never-written sectors read as zeroes. *)
 
+val read_into : t -> lba:int -> sectors:int -> Bytes.t -> pos:int -> unit
+(** Like {!read}, but into [buf] from byte [pos] on; every byte of the
+    [sectors * sector_bytes] range is overwritten. *)
+
 val written : t -> lba:int -> bool
 (** Whether sector [lba] has ever been written. *)
 

@@ -81,7 +81,7 @@ let block_size ?(scale = Rigs.Full) () =
       let clock = Clock.create () in
       let disk = Disk.Disk_sim.create ~profile ~clock () in
       let g = Disk.Disk_sim.geometry disk in
-      let freemap = Vlog.Freemap.create ~geometry:g ~sectors_per_block:unit_sectors in
+      let freemap = Vlog.Freemap.create ~profile:(Disk.Disk_sim.profile disk) ~sectors_per_block:unit_sectors in
       let prng = Prng.create ~seed:0xAB3L in
       Vlog.Freemap.random_occupy freemap prng ~utilization:(1. -. p);
       let eager = Vlog.Eager.create ~mode:Vlog.Eager.Nearest ~disk ~freemap () in

@@ -9,7 +9,7 @@ let simulate profile ~threshold ~writes ~seed =
   let clock = Clock.create () in
   let disk = Disk.Disk_sim.create ~profile ~clock () in
   let g = Disk.Disk_sim.geometry disk in
-  let freemap = Vlog.Freemap.create ~geometry:g ~sectors_per_block:1 in
+  let freemap = Vlog.Freemap.create ~profile:(Disk.Disk_sim.profile disk) ~sectors_per_block:1 in
   let prng = Prng.create ~seed in
   let eager =
     Vlog.Eager.create ~mode:Vlog.Eager.Sweep ~switch_free_fraction:threshold ~disk

@@ -746,7 +746,9 @@ let read_op t name ~off ~len =
             read_file_blocks t inode ~first ~last ~insert_cache:true ~label:"ufs.rblocks"
           in
           bd := Breakdown.add !bd cost;
-          let out = Bytes.make len '\000' in
+          (* [chunks] covers every block of [first..last], so the blits
+             below overwrite every byte of [out]. *)
+          let out = Bytes.create len in
           List.iter
             (fun (i, piece) ->
               let block_off = i * t.block_bytes in

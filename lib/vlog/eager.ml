@@ -33,6 +33,8 @@ let create ?(mode = Sweep) ?(switch_free_fraction = 0.25) ~disk ~freemap () =
   if switch_free_fraction < 0. || switch_free_fraction >= 1. then
     invalid_arg "Eager.create: switch_free_fraction must be in [0,1)";
   let profile = Disk.Disk_sim.profile disk in
+  if Freemap.track_skew freemap <> profile.Disk.Profile.track_skew then
+    invalid_arg "Eager.create: freemap track skew differs from the disk's";
   let g = Freemap.geometry freemap in
   let spt = g.Disk.Geometry.sectors_per_track in
   {
@@ -69,7 +71,10 @@ let cylinder t track = Freemap.cylinder_of_track t.freemap track
 let track_move_cost t track =
   Disk.Disk_sim.move_cost t.disk ~cyl:(cylinder t track) ~track:(surface t track)
 
-(* The search below allocates nothing: every float it computes stays
+(* The search below costs a handful of tracks per cylinder: the
+   freemap's rotational index names the few head-switch tracks that can
+   hold the soonest free block (see [eval_cylinder]), and only those are
+   costed in full.  It allocates nothing: every float it computes stays
    inside one function body or an [@inline] helper, the running best
    lives in [t.frame], and the clock is read as a field ([Clock.now]
    would box its result).  The default build compiles every library
@@ -170,7 +175,20 @@ let locate_cost t block =
    track of the cylinder has one of two move costs, staying on the
    current surface or paying the head switch, so both moves and the
    platter phase at both arrivals are computed once per cylinder; a
-   track whose move alone reaches the best cost is skipped. *)
+   track whose move alone reaches the best cost is skipped.
+
+   The head-switch tracks share one move and one platter phase [p], so
+   the soonest free block among them is the one whose absolute angle
+   comes first at or after [p]: the freemap's rotational index finds
+   that angle [a*] by a cyclic scan from [ceil p], and only the tracks
+   free at [a*] can win.  Every other track's soonest block is at least
+   one sector (23 us on the ST19101) later in exact arithmetic, far
+   beyond float error, with one exception: rounding [phase - skew] can
+   collapse a track's position onto the integer angle just below [p]
+   (never past it), making a block there look due now.  So the tracks
+   free at [ceil p - 1] are offered too, then the current-surface track
+   with its own move, all in ascending surface order so the
+   earliest-offer tie-break of the full per-track loop is kept. *)
 let eval_cylinder t ~exclude_tracks ~cur ~cur_surface c =
   if Freemap.free_in_cylinder t.freemap c > 0 then begin
     let f = t.frame in
@@ -183,14 +201,51 @@ let eval_cylinder t ~exclude_tracks ~cur ~cur_surface c =
       let phase_same = platter_phase f (f.arrival +. move_same) in
       let phase_switch = platter_phase f (f.arrival +. move_switch) in
       let tpc = (Freemap.geometry t.freemap).Disk.Geometry.tracks_per_cylinder in
+      let switch_surfaces = ref 0 and same_usable = ref false in
       for s = 0 to tpc - 1 do
         let track = (c * tpc) + s in
-        if not (exclude_tracks track) then begin
-          let same = s = cur_surface in
+        if s = cur_surface then
+          same_usable :=
+            move_same < f.best_cost
+            && Freemap.free_in_track t.freemap track > 0
+            && not (exclude_tracks track)
+        else if
+          move_switch < f.best_cost
+          && Freemap.free_in_track t.freemap track > 0
+          && not (exclude_tracks track)
+        then switch_surfaces := !switch_surfaces lor (1 lsl s)
+      done;
+      let candidates =
+        if !switch_surfaces = 0 then 0
+        else begin
+          let spt = t.sectors_per_track in
+          let up = int_of_float (Float.ceil phase_switch) in
+          let first =
+            Freemap.first_angle_free t.freemap ~cyl:c
+              ~angle:(if up >= spt then 0 else up)
+              ~surfaces:!switch_surfaces
+          in
+          let below = if up = 0 then spt - 1 else up - 1 in
+          (Freemap.surfaces_free_at t.freemap ~cyl:c ~angle:first
+          lor Freemap.surfaces_free_at t.freemap ~cyl:c ~angle:below)
+          land !switch_surfaces
+        end
+      in
+      let candidates =
+        if !same_usable then candidates lor (1 lsl cur_surface) else candidates
+      in
+      let m = ref candidates and s = ref 0 in
+      while !m <> 0 do
+        if !m land 1 <> 0 then begin
+          let same = !s = cur_surface in
           let move = if same then move_same else move_switch in
           if move < f.best_cost then
-            offer_track t ~move ~phase:(if same then phase_same else phase_switch) track
-        end
+            offer_track t ~move
+              ~phase:(if same then phase_same else phase_switch)
+              ((c * tpc) + !s)
+        end;
+        m := !m lsr 1;
+        incr s
       done
     end
   end

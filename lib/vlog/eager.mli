@@ -29,7 +29,8 @@ val create :
   freemap:Freemap.t ->
   unit ->
   t
-(** Defaults: [mode = Sweep], [switch_free_fraction = 0.25]. *)
+(** Defaults: [mode = Sweep], [switch_free_fraction = 0.25].  Raises
+    [Invalid_argument] if the freemap's track skew is not the disk's. *)
 
 val mode : t -> mode
 val freemap : t -> Freemap.t
@@ -64,8 +65,11 @@ val search : t -> exclude_tracks:(int -> bool) -> lead_time:float -> int option
     bound; the best block of a track comes from the freemap's free
     bitset in O(words), not from a fold over all blocks.  The platter
     phase is computed twice per cylinder (same surface, head switch),
-    not once per track.  Pure: does not advance the clock, move the
-    head, or touch allocator state.  Allocates nothing but its [Some]
+    not once per track, and the freemap's rotational index narrows the
+    head-switch tracks to those free at the first free angle at or
+    after that phase (and at the angle just below it, which float
+    rounding can make look due now).  Pure: does not advance the clock,
+    move the head, or touch allocator state.  Allocates nothing but its [Some]
     result, and neither does {!choose} when it fills the active track. *)
 
 val best_in_track : t -> lead_time:float -> int -> (float * int) option

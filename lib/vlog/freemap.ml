@@ -1,8 +1,18 @@
 open Vlog_util
 
+(* Occupancy bytes are the truth; three indices are kept beside them by
+   [occupy], [release] and [mark_bad], each in O(1) and without
+   allocating: per-track and per-cylinder free counts, a free bitset
+   (positional queries within a track) and the rotational index (which
+   surfaces of a cylinder have a free block at each platter angle, for
+   the eager search).  [index_consistent] audits all three. *)
+
 type t = {
   geometry : Disk.Geometry.t;
   sectors_per_block : int;
+  sectors_per_track : int;
+  track_skew : int;
+  tracks_per_cylinder : int;
   blocks_per_track : int;
   blocks_per_cylinder : int;
   n_blocks : int;
@@ -15,14 +25,25 @@ type t = {
   free_bits : Bytes.t;
   free_per_track : int array;
   free_per_cyl : int array;
+  (* Rotational index: [angle.(c * sectors_per_track + a)] has bit [s]
+     set iff surface [s] of cylinder [c] has a free block whose first
+     sector passes under the head at absolute platter angle [a], i.e.
+     [(slot * sectors_per_block + track_skew * track) mod
+     sectors_per_track = a].  The slots of one track start at distinct
+     angles, so each bit belongs to exactly one block. *)
+  angle : int array;
   mutable free_total : int;
   mutable n_bad : int;
 }
 
-let create ~geometry ~sectors_per_block =
+let create ~profile ~sectors_per_block =
+  let geometry = profile.Disk.Profile.geometry in
   let spt = geometry.Disk.Geometry.sectors_per_track in
+  let tpc = geometry.Disk.Geometry.tracks_per_cylinder in
   if sectors_per_block <= 0 || spt mod sectors_per_block <> 0 then
     invalid_arg "Freemap.create: sectors_per_block must divide sectors_per_track";
+  if tpc > Sys.int_size - 1 then
+    invalid_arg "Freemap.create: tracks_per_cylinder does not fit an int mask";
   let blocks_per_track = spt / sectors_per_block in
   let n_tracks = Disk.Geometry.total_tracks geometry in
   let n_blocks = blocks_per_track * n_tracks in
@@ -34,26 +55,43 @@ let create ~geometry ~sectors_per_block =
     Bytes.set free_bits i
       (Char.chr (Char.code (Bytes.get free_bits i) lor (1 lsl (b land 7))))
   done;
+  (* And every block's bit in the rotational index: track by track, one
+     per slot, [sectors_per_block] apart from the track's skewed origin. *)
+  let track_skew = profile.Disk.Profile.track_skew in
+  let cylinders = geometry.Disk.Geometry.cylinders in
+  let angle = Array.make (cylinders * spt) 0 in
+  for tr = 0 to n_tracks - 1 do
+    let row = tr / tpc * spt and bit = 1 lsl (tr mod tpc) in
+    let a = ref (track_skew * tr mod spt) in
+    for _ = 1 to blocks_per_track do
+      angle.(row + !a) <- angle.(row + !a) lor bit;
+      a := !a + sectors_per_block;
+      if !a >= spt then a := !a - spt
+    done
+  done;
   {
     geometry;
     sectors_per_block;
+    sectors_per_track = spt;
+    track_skew;
+    tracks_per_cylinder = tpc;
     blocks_per_track;
-    blocks_per_cylinder = blocks_per_track * geometry.Disk.Geometry.tracks_per_cylinder;
+    blocks_per_cylinder = blocks_per_track * tpc;
     n_blocks;
     n_tracks;
     occupied = Bytes.make n_blocks '\000';
     bad = Bytes.make n_blocks '\000';
     free_bits;
     free_per_track = Array.make n_tracks blocks_per_track;
-    free_per_cyl =
-      Array.make geometry.Disk.Geometry.cylinders
-        (blocks_per_track * geometry.Disk.Geometry.tracks_per_cylinder);
+    free_per_cyl = Array.make cylinders (blocks_per_track * tpc);
+    angle;
     free_total = n_blocks;
     n_bad = 0;
   }
 
 let geometry t = t.geometry
 let sectors_per_block t = t.sectors_per_block
+let track_skew t = t.track_skew
 let blocks_per_track t = t.blocks_per_track
 let n_blocks t = t.n_blocks
 let n_tracks t = t.n_tracks
@@ -78,9 +116,8 @@ let start_sector_of_block t b =
   check t b;
   b mod t.blocks_per_track * t.sectors_per_block
 
-let cylinder_of_track t track = track / t.geometry.Disk.Geometry.tracks_per_cylinder
-let track_in_cylinder t track = track mod t.geometry.Disk.Geometry.tracks_per_cylinder
-let cylinder_of_block t b = b / t.blocks_per_cylinder
+let cylinder_of_track t track = track / t.tracks_per_cylinder
+let track_in_cylinder t track = track mod t.tracks_per_cylinder
 
 let is_free t b =
   check t b;
@@ -97,8 +134,21 @@ let clear_free_bit t b =
     (Char.unsafe_chr
        (Char.code (Bytes.unsafe_get t.free_bits i) land (lnot (1 lsl (b land 7)) land 0xFF)))
 
+(* [b]'s cell in the rotational index ([angle_bit] is its bit there). *)
+let[@inline] angle_cell t b =
+  let tr = b / t.blocks_per_track in
+  let a =
+    ((b mod t.blocks_per_track * t.sectors_per_block) + (t.track_skew * tr))
+    mod t.sectors_per_track
+  in
+  (tr / t.tracks_per_cylinder * t.sectors_per_track) + a
+
+let[@inline] angle_bit t b = 1 lsl (b / t.blocks_per_track mod t.tracks_per_cylinder)
+
 let note_occupied t b =
   clear_free_bit t b;
+  let cell = angle_cell t b in
+  t.angle.(cell) <- t.angle.(cell) land lnot (angle_bit t b);
   let tr = b / t.blocks_per_track in
   t.free_per_track.(tr) <- t.free_per_track.(tr) - 1;
   t.free_per_cyl.(b / t.blocks_per_cylinder) <- t.free_per_cyl.(b / t.blocks_per_cylinder) - 1;
@@ -116,6 +166,8 @@ let release t b =
   if Bytes.get t.bad b <> '\000' then invalid_arg "Freemap.release: block is a grown defect";
   Bytes.set t.occupied b '\000';
   set_free_bit t b;
+  let cell = angle_cell t b in
+  t.angle.(cell) <- t.angle.(cell) lor angle_bit t b;
   let tr = b / t.blocks_per_track in
   t.free_per_track.(tr) <- t.free_per_track.(tr) + 1;
   t.free_per_cyl.(b / t.blocks_per_cylinder) <- t.free_per_cyl.(b / t.blocks_per_cylinder) + 1;
@@ -211,6 +263,28 @@ let nearest_free_in_track t ~track ~slot =
   let b = first_free_in_range t ~lo:(base + slot) ~hi:(base + t.blocks_per_track) in
   if b >= 0 then b else first_free_in_range t ~lo:base ~hi:(base + slot)
 
+let check_cylinder_angle name t ~cyl ~angle =
+  if cyl < 0 || cyl >= t.geometry.Disk.Geometry.cylinders then
+    invalid_arg (name ^ ": cylinder out of range");
+  if angle < 0 || angle >= t.sectors_per_track then
+    invalid_arg (name ^ ": angle out of range")
+
+let surfaces_free_at t ~cyl ~angle =
+  check_cylinder_angle "Freemap.surfaces_free_at" t ~cyl ~angle;
+  t.angle.((cyl * t.sectors_per_track) + angle)
+
+(* Cyclic scan of one cylinder's row of the rotational index. *)
+let first_angle_free t ~cyl ~angle ~surfaces =
+  check_cylinder_angle "Freemap.first_angle_free" t ~cyl ~angle;
+  let spt = t.sectors_per_track in
+  let row = cyl * spt in
+  let a = ref angle and seen = ref 0 in
+  while !seen < spt && Array.unsafe_get t.angle (row + !a) land surfaces = 0 do
+    incr seen;
+    a := if !a = spt - 1 then 0 else !a + 1
+  done;
+  if !seen < spt then !a else -1
+
 (* Consistency of the redundant representations; used by tests and
    debugging, not by the hot path. *)
 let index_consistent t =
@@ -238,6 +312,15 @@ let index_consistent t =
     done;
     if !n <> t.free_per_cyl.(c) then ok := false
   done;
+  (* The rotational index, rebuilt from [occupied] alone. *)
+  let angle = Array.make (Array.length t.angle) 0 in
+  for b = 0 to t.n_blocks - 1 do
+    if Bytes.get t.occupied b = '\000' then begin
+      let cell = angle_cell t b in
+      angle.(cell) <- angle.(cell) lor angle_bit t b
+    end
+  done;
+  if angle <> t.angle then ok := false;
   !ok
 
 let fold_free_in_track t ~track ~init ~f =

@@ -4,14 +4,22 @@
     blocks") of a whole number of sectors; blocks never straddle a track
     boundary (enforced at creation).  The freemap knows, per track and
     globally, which blocks are free — the eager allocator and the
-    compactor both work against it. *)
+    compactor both work against it.  It also knows the drive's track
+    skew, so it can index free blocks by the platter angle at which
+    they pass under the head (the rotational index below). *)
 
 type t
 
-val create : geometry:Disk.Geometry.t -> sectors_per_block:int -> t
-(** All blocks free.  Requires [sectors_per_track mod sectors_per_block = 0]. *)
+val create : profile:Disk.Profile.t -> sectors_per_block:int -> t
+(** All blocks free, laid out on [profile]'s geometry and track skew.
+    Requires [sectors_per_track mod sectors_per_block = 0] and
+    [tracks_per_cylinder <= Sys.int_size - 1] (a cylinder's surfaces
+    form one [int] mask). *)
 
 val geometry : t -> Disk.Geometry.t
+val track_skew : t -> int
+(** Sectors of skew between consecutive tracks, from the profile. *)
+
 val sectors_per_block : t -> int
 val blocks_per_track : t -> int
 val n_blocks : t -> int
@@ -28,8 +36,6 @@ val start_sector_of_block : t -> int -> int
 val cylinder_of_track : t -> int -> int
 val track_in_cylinder : t -> int -> int
 (** Surface index of a global track. *)
-
-val cylinder_of_block : t -> int -> int
 
 val is_free : t -> int -> bool
 val occupy : t -> int -> unit
@@ -67,8 +73,9 @@ val utilization : t -> float
     instead of O(blocks).  Invariants (checked by {!index_consistent}):
     a bit is set iff the block is neither occupied nor a grown defect
     ({!mark_bad} clears it permanently), per-track counts equal the
-    bitset's per-track population, and per-cylinder counts are the sum
-    of their tracks' counts. *)
+    bitset's per-track population, per-cylinder counts are the sum
+    of their tracks' counts, and the rotational index holds exactly the
+    free blocks. *)
 
 val first_free_at_or_after : t -> track:int -> slot:int -> int option
 (** First free block of [track] whose in-track index is >= [slot]
@@ -81,6 +88,26 @@ val nearest_free_in_track : t -> track:int -> slot:int -> int
     sits at the rotational position of slot [slot].  [-1] iff the track
     has no free block.  Allocates nothing: it sits on the eager
     allocator's per-track path. *)
+
+(** {2 Rotational index}
+
+    Per cylinder and per absolute platter angle [a] in
+    [[0, sectors_per_track)], a mask of the cylinder's surfaces (bit [s]
+    for surface [s]) that have a free block starting at [a].  A block's
+    absolute angle is [(slot * sectors_per_block + track_skew * track)
+    mod sectors_per_track], with [track] the global track index: the
+    platter phase, in sectors, at which the block's first sector is
+    under the head ({!Disk.Disk_sim}'s rotational frame).  {!occupy},
+    {!release} and {!mark_bad} keep it current in O(1). *)
+
+val surfaces_free_at : t -> cyl:int -> angle:int -> int
+(** The surface mask of cylinder [cyl] at absolute angle [angle]. *)
+
+val first_angle_free : t -> cyl:int -> angle:int -> surfaces:int -> int
+(** First absolute angle at or cyclically after [angle] at which one of
+    [surfaces] (a surface mask) of cylinder [cyl] has a free block, or
+    [-1] if none has.  At most one pass over the cylinder's angles;
+    allocates nothing. *)
 
 val index_consistent : t -> bool
 (** Whole-structure audit of the index invariants above; test/debug

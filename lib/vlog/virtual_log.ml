@@ -329,7 +329,7 @@ let format ~disk cfg =
   let pieces = make_pieces ~logical_blocks:cfg.logical_blocks ~entries_per_piece in
   if Array.length pieces > Map_codec.max_ptrs then
     invalid_arg "Virtual_log.format: too many map pieces for checkpoint nodes";
-  let freemap = Freemap.create ~geometry:g ~sectors_per_block:cfg.sectors_per_block in
+  let freemap = Freemap.create ~profile:(Disk.Disk_sim.profile disk) ~sectors_per_block:cfg.sectors_per_block in
   check_capacity ~freemap ~logical_blocks:cfg.logical_blocks ~n_pieces:(Array.length pieces);
   let eager =
     Eager.create ~mode:cfg.eager_mode ~switch_free_fraction:cfg.switch_free_fraction ~disk
@@ -389,7 +389,7 @@ let rebuild ~disk ~eager_mode ~switch_free_fraction ~logical_blocks ~sectors_per
   let block_bytes = sectors_per_block * g.Disk.Geometry.sector_bytes in
   let entries_per_piece = Map_codec.max_entries ~block_bytes in
   let pieces = make_pieces ~logical_blocks ~entries_per_piece in
-  let freemap = Freemap.create ~geometry:g ~sectors_per_block in
+  let freemap = Freemap.create ~profile:(Disk.Disk_sim.profile disk) ~sectors_per_block in
   let eager = Eager.create ~mode:eager_mode ~switch_free_fraction ~disk ~freemap () in
   Freemap.occupy freemap landing_pba;
   let t =

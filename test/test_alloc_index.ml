@@ -5,13 +5,15 @@ open Vlog
    freemap queries checked against naive folds (including the ragged
    9-block tracks of the HP profile and grown defects), and the indexed
    [Eager.search] checked block-for-block against [Eager.Reference] over
-   randomized allocator states. *)
+   randomized allocator states and at platter phases on and one ulp
+   either side of a block's start angle, where the rotational index
+   narrows the search. *)
 
 let st = Disk.Profile.with_cylinders Disk.Profile.st19101 4
 let hp = Disk.Profile.with_cylinders Disk.Profile.hp97560 6
 
 let freemap_of profile =
-  Freemap.create ~geometry:profile.Disk.Profile.geometry ~sectors_per_block:8
+  Freemap.create ~profile ~sectors_per_block:8
 
 (* ---- Freemap positional queries vs naive folds ---- *)
 
@@ -114,7 +116,7 @@ let test_bad_blocks_never_returned () =
 let drive_and_compare profile mode ~utilization ~seed =
   let clock = Clock.create () in
   let disk = Disk.Disk_sim.create ~profile ~clock () in
-  let fm = Freemap.create ~geometry:(Disk.Disk_sim.geometry disk) ~sectors_per_block:8 in
+  let fm = Freemap.create ~profile:(Disk.Disk_sim.profile disk) ~sectors_per_block:8 in
   let prng = Prng.create ~seed in
   Freemap.random_occupy fm prng ~utilization;
   for _ = 1 to 8 do
@@ -167,6 +169,117 @@ let drive_and_compare profile mode ~utilization ~seed =
 let test_search_equivalence profile mode utilization seed () =
   drive_and_compare profile mode ~utilization ~seed
 
+(* ---- Boundary phases: the platter phase on a block's start angle ---- *)
+
+(* The indexed search costs only the head-switch tracks free at the
+   first angle at or after the cylinder's platter phase [p], plus those
+   free at [ceil p - 1]: rounding in [phase - skew] can collapse a
+   track's position onto that integer.  These tests put [p] exactly on
+   an integer angle and one ulp either side of it.  The collapse needs a
+   phase smaller than the skewed position, so it shows only in the first
+   revolution; scenario [`Fresh] (clock at 0, head on cylinder 0 surface
+   0) covers it, [`Parked] (head mid-disk, a few revolutions on) covers
+   the same boundaries far from time 0. *)
+
+(* Clock times [at] in revolution [rev] or later whose platter phase
+   [rem (at / sector_ms) spt] is exactly [angle], with the float just
+   below and just above it; [None] when none of the revolutions tried
+   has such a time (not every integer quotient is reachable). *)
+let exact_phase_times ~sector_ms ~spt ~rev angle =
+  let n = float_of_int spt in
+  let rec walk q x steps =
+    if steps > 64 then None
+    else
+      let v = x /. sector_ms in
+      if v = q then Some x
+      else walk q (if v < q then Float.succ x else Float.pred x) (steps + 1)
+  in
+  let rec try_rev k =
+    if k > rev + 16 then None
+    else
+      let q = (float_of_int k *. n) +. float_of_int angle in
+      match walk q (q *. sector_ms) 0 with
+      | Some x -> Some [ Float.pred x; x; Float.succ x ]
+      | None -> try_rev (k + 1)
+  in
+  try_rev rev
+
+(* The lead time at which the search's arrival on a cylinder, [(now +
+   lead) + move] as [Eager] and [Disk_sim] compute it, is exactly [at]. *)
+let lead_reaching ~now ~move at =
+  let rec walk l steps =
+    if steps > 4096 then None
+    else
+      let v = now +. l +. move in
+      if v = at then Some l
+      else walk (if v < at then Float.succ l else Float.pred l) (steps + 1)
+  in
+  walk (at -. now -. move) 0
+
+let test_boundary_phases profile ~sectors_per_block () =
+  let g = profile.Disk.Profile.geometry in
+  let spt = g.Disk.Geometry.sectors_per_track in
+  let tpc = g.Disk.Geometry.tracks_per_cylinder in
+  let sector_ms = Disk.Profile.sector_ms profile in
+  let no_mask _ = false and stripe_mask tr = tr mod 3 = 0 in
+  let opt = Alcotest.(option int) in
+  let checked = ref 0 in
+  List.iter
+    (fun (scenario, mode) ->
+      let clock = Clock.create () in
+      let disk = Disk.Disk_sim.create ~profile ~clock () in
+      let fm = Freemap.create ~profile ~sectors_per_block in
+      Freemap.random_occupy fm (Prng.create ~seed:0xB0DL) ~utilization:0.8;
+      if scenario = `Parked then
+        ignore
+          (Disk.Disk_sim.write ~scsi:false disk
+             ~lba:(Freemap.lba_of_block fm ((Freemap.n_blocks fm / 2) + 1))
+             (Bytes.make (sectors_per_block * g.Disk.Geometry.sector_bytes) 'b'));
+      let eager = Eager.create ~mode ~disk ~freemap:fm () in
+      let now = Clock.now clock in
+      let cur = Disk.Disk_sim.current_cylinder disk in
+      (* The head-switch tracks of the current cylinder. *)
+      let move = profile.Disk.Profile.head_switch_ms in
+      let rev = if scenario = `Fresh then 0 else 3 + int_of_float (now /. sector_ms) / spt in
+      let angles =
+        if scenario = `Fresh then
+          List.init spt Fun.id
+          |> List.filter (fun a -> float_of_int a *. sector_ms > move)
+        else List.init ((spt + 6) / 7) (fun k -> k * 7)
+      in
+      List.iter
+        (fun angle ->
+          match exact_phase_times ~sector_ms ~spt ~rev angle with
+          | None -> ()
+          | Some times ->
+            List.iter
+              (fun at ->
+                match lead_reaching ~now ~move at with
+                | None -> ()
+                | Some lead_time ->
+                  incr checked;
+                  List.iter
+                    (fun exclude_tracks ->
+                      Alcotest.check opt
+                        (Printf.sprintf "search = reference at angle %d" angle)
+                        (Eager.Reference.search eager ~exclude_tracks ~lead_time)
+                        (Eager.search eager ~exclude_tracks ~lead_time))
+                    [ no_mask; stripe_mask ];
+                  for s = 0 to tpc - 1 do
+                    let track = (cur * tpc) + s in
+                    if
+                      Eager.best_in_track eager ~lead_time track
+                      <> Eager.Reference.best_in_track eager ~lead_time track
+                    then Alcotest.failf "best_in_track %d differs at angle %d" track angle
+                  done)
+              times)
+        angles)
+    [ (`Fresh, Eager.Nearest); (`Fresh, Eager.Sweep); (`Parked, Eager.Nearest);
+      (`Parked, Eager.Sweep) ];
+  (* Enough boundaries were reached that the walks above cannot have
+     skipped them all. *)
+  if !checked < spt then Alcotest.failf "only %d boundary phases reached" !checked
+
 (* ---- Allocation pin: eager placement allocates nothing ---- *)
 
 (* An allocator at 95 % with the head parked mid-disk and the clock away
@@ -175,13 +288,12 @@ let test_search_equivalence profile mode utilization seed () =
 let busy_allocator profile mode =
   let clock = Clock.create () in
   let disk = Disk.Disk_sim.create ~profile ~clock () in
-  let g = Disk.Disk_sim.geometry disk in
-  let fm = Freemap.create ~geometry:g ~sectors_per_block:8 in
+  let fm = Freemap.create ~profile ~sectors_per_block:8 in
   Freemap.random_occupy fm (Prng.create ~seed:0x95L) ~utilization:0.95;
   let mid = Freemap.n_blocks fm / 2 in
   ignore
     (Disk.Disk_sim.write ~scsi:false disk ~lba:(Freemap.lba_of_block fm mid)
-       (Bytes.make (8 * g.Disk.Geometry.sector_bytes) 'p'));
+       (Bytes.make (8 * profile.Disk.Profile.geometry.Disk.Geometry.sector_bytes) 'p'));
   Clock.advance clock 12.345;
   (fm, Eager.create ~mode ~disk ~freemap:fm ())
 
@@ -223,6 +335,39 @@ let test_fill_allocation_free profile () =
   check_words "choose (active track, lead time)"
     (Test_util.words_per_call (fun () -> Eager.choose ~lead_time:0.37 eager));
   Alcotest.(check (option int)) "still filling it" (Some track) (Eager.active_track eager)
+
+(* The three freemap mutators keep both indices current in place: no
+   allocation at all. *)
+let test_freemap_mutators_allocation_free profile () =
+  let fm = Freemap.create ~profile ~sectors_per_block:1 in
+  let within name words =
+    if words > 0. then Alcotest.failf "%s allocates %.2f minor words per call" name words
+  in
+  let b = Freemap.n_blocks fm / 3 in
+  within "occupy + release"
+    (Test_util.words_per_call (fun () ->
+         Freemap.occupy fm b;
+         Freemap.release fm b));
+  (* A fresh block per call, so every call retires a free block. *)
+  let next = ref 0 in
+  within "mark_bad"
+    (Test_util.words_per_call (fun () ->
+         Freemap.mark_bad fm !next;
+         incr next));
+  Alcotest.(check bool) "index consistent" true (Freemap.index_consistent fm)
+
+(* The rotational index is laid out with the freemap's skew, so a disk
+   with another skew would be searched in the wrong frame. *)
+let test_eager_rejects_foreign_skew () =
+  let disk = Disk.Disk_sim.create ~profile:st ~clock:(Clock.create ()) () in
+  let fm =
+    Freemap.create
+      ~profile:{ st with Disk.Profile.track_skew = st.Disk.Profile.track_skew + 1 }
+      ~sectors_per_block:8
+  in
+  Alcotest.check_raises "skew mismatch"
+    (Invalid_argument "Eager.create: freemap track skew differs from the disk's")
+    (fun () -> ignore (Eager.create ~disk ~freemap:fm ()))
 
 (* ---- Pre-encoded entry images ---- *)
 
@@ -289,7 +434,7 @@ let qcheck_tests =
         let clock = Clock.create () in
         let disk = Disk.Disk_sim.create ~profile:st ~clock () in
         let fm =
-          Freemap.create ~geometry:(Disk.Disk_sim.geometry disk)
+          Freemap.create ~profile:(Disk.Disk_sim.profile disk)
             ~sectors_per_block:8
         in
         let n = Freemap.n_blocks fm in
@@ -375,6 +520,11 @@ let suites =
           (test_fill_allocation_free st);
         tc "active-track choose allocates nothing (HP97560)" `Quick
           (test_fill_allocation_free hp);
+        tc "freemap mutators allocate nothing (ST19101)" `Quick
+          (test_freemap_mutators_allocation_free st);
+        tc "freemap mutators allocate nothing (HP97560)" `Quick
+          (test_freemap_mutators_allocation_free hp);
+        tc "eager rejects a freemap with another skew" `Quick test_eager_rejects_foreign_skew;
       ] );
     ( "alloc-equivalence",
       [
@@ -394,6 +544,14 @@ let suites =
           (test_search_equivalence hp Eager.Sweep 0.9 0x57L);
         tc "HP97560 sweep 30%" `Quick
           (test_search_equivalence hp Eager.Sweep 0.3 0x58L);
+        tc "boundary phases ST19101 sector blocks" `Quick
+          (test_boundary_phases st ~sectors_per_block:1);
+        tc "boundary phases ST19101 4 KiB blocks" `Quick
+          (test_boundary_phases st ~sectors_per_block:8);
+        tc "boundary phases HP97560 sector blocks" `Quick
+          (test_boundary_phases hp ~sectors_per_block:1);
+        tc "boundary phases HP97560 4 KiB blocks" `Quick
+          (test_boundary_phases hp ~sectors_per_block:8);
       ] );
     ("alloc-index:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

@@ -347,6 +347,45 @@ let test_write_buffer_returned () =
       ("nvm-wal", nvm_wal);
     ]
 
+(* A VLD run read lands every physical run straight in one output
+   buffer: no per-run copy, no up-front zero fill.  Blocks written one at
+   a time land wherever eager writing put them, so the run below spans
+   several physical runs and a hole, which must read as zeroes. *)
+let test_vld_read_run_one_buffer () =
+  let vld, dev, _ = make_vld () in
+  let bb = dev.Device.block_bytes and n = 12 and hole = 5 in
+  for i = 0 to n - 1 do
+    if i <> hole then begin
+      ignore (Device.write dev (40 + i) (block_of_tag dev (Char.chr (65 + i))));
+      ignore (Device.write dev (400 + i) (block_of_tag dev 'z'))
+    end
+  done;
+  let runs = ref 0 and prev = ref (-2) in
+  for i = 0 to n - 1 do
+    match Vlog.Virtual_log.lookup (Vld.vlog vld) (40 + i) with
+    | Some pba ->
+      if pba <> !prev + 1 then incr runs;
+      prev := pba
+    | None -> prev := -2
+  done;
+  Alcotest.(check bool) "several physical runs" true (!runs > 2);
+  let expected =
+    Bytes.init (n * bb) (fun k ->
+        if k / bb = hole then '\000' else Char.chr (65 + (k / bb)))
+  in
+  let read () =
+    let before = Gc.allocated_bytes () in
+    let got, _ = Device.read_run dev 40 n in
+    (got, Gc.allocated_bytes () -. before)
+  in
+  let got, _ = read () in
+  Alcotest.(check bytes) "contents" expected got;
+  (* The least of a few reads, so a GC slice that happens to run (and
+     allocate) inside one of them does not count. *)
+  let allocated = List.fold_left min infinity (List.init 5 (fun _ -> snd (read ()))) in
+  if allocated > 1.5 *. float_of_int (n * bb) then
+    Alcotest.failf "read_run of %d bytes allocated %.0f bytes" (n * bb) allocated
+
 let suites =
   [
     ( "blockdev",
@@ -356,6 +395,8 @@ let suites =
         Alcotest.test_case "unwritten zero" `Quick test_unwritten_reads_zero;
         Alcotest.test_case "regular run" `Quick test_regular_run;
         Alcotest.test_case "vld run" `Quick test_vld_run;
+        Alcotest.test_case "vld run read: one output buffer" `Quick
+          test_vld_read_run_one_buffer;
         Alcotest.test_case "vld faster on random sync" `Quick test_vld_sync_write_faster_than_regular;
         Alcotest.test_case "trim releases" `Quick test_vld_trim_releases;
         Alcotest.test_case "overwrite detection" `Quick test_vld_overwrite_detection;

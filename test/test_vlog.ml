@@ -10,7 +10,7 @@ let make_disk () =
 (* ---- Freemap ---- *)
 
 let make_freemap () =
-  Freemap.create ~geometry:profile.Disk.Profile.geometry ~sectors_per_block:8
+  Freemap.create ~profile ~sectors_per_block:8
 
 let test_freemap_counts () =
   let fm = make_freemap () in

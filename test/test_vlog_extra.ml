@@ -146,8 +146,7 @@ let test_power_down_is_cheap () =
 let test_eager_lead_time_changes_choice () =
   (* With a long enough lead the allocator must aim at a later sector. *)
   let disk = make_disk () in
-  let g = Disk.Disk_sim.geometry disk in
-  let fm = Freemap.create ~geometry:g ~sectors_per_block:1 in
+  let fm = Freemap.create ~profile:(Disk.Disk_sim.profile disk) ~sectors_per_block:1 in
   let eager = Eager.create ~mode:Eager.Nearest ~disk ~freemap:fm () in
   let no_lead = Option.get (Eager.choose ~greedy_only:true eager) in
   let lead = Disk.Profile.sector_ms (Disk.Disk_sim.profile disk) *. 13. in
@@ -156,8 +155,7 @@ let test_eager_lead_time_changes_choice () =
 
 let test_soft_exclusion_falls_back () =
   let disk = make_disk () in
-  let g = Disk.Disk_sim.geometry disk in
-  let fm = Freemap.create ~geometry:g ~sectors_per_block:8 in
+  let fm = Freemap.create ~profile:(Disk.Disk_sim.profile disk) ~sectors_per_block:8 in
   let eager = Eager.create ~disk ~freemap:fm () in
   (* Soft-exclude everything: allocation must still succeed. *)
   Eager.with_soft_exclusion eager
