@@ -33,6 +33,37 @@ let err ~op ~block ~(e : Disk.Disk_sim.media_error) ~retries =
 let retry_counters attempts =
   if attempts > 0 then [ ("retries", attempts) ] else []
 
+let span tr name block count =
+  if Trace.enabled tr then
+    Trace.enter tr
+      ~attrs:[ ("block", string_of_int block); ("count", string_of_int count) ]
+      name
+  else Vlog_util.Io.no_span
+
+let max_retries = 3
+
+(* One attempt per call, the cost so far carried in [bd]: no closure and
+   no ref, so the read path allocates nothing of its own. *)
+let rec read_attempt disk ~span ~block ~lba ~sectors ~bd attempts =
+  let r, cost = Disk.Disk_sim.read_checked ~scsi:(attempts = 0) disk ~lba ~sectors in
+  let bd = Vlog_util.Breakdown.add bd cost in
+  match r with
+  | Ok data ->
+    let tr = Disk.Disk_sim.trace disk in
+    if attempts > 0 then Trace.incr tr ~by:attempts "dev.read_retries";
+    Trace.exit tr ~bd span;
+    Ok (data, Vlog_util.Io.make ~span ~counters:(retry_counters attempts) bd)
+  | Error e when e.Disk.Disk_sim.transient && attempts < max_retries ->
+    read_attempt disk ~span ~block ~lba ~sectors ~bd (attempts + 1)
+  | Error e ->
+    let tr = Disk.Disk_sim.trace disk in
+    if attempts > 0 then Trace.incr tr ~by:attempts "dev.failed_retries";
+    Trace.exit tr ~bd span;
+    Error (err ~op:`Read ~block ~e ~retries:attempts)
+
+let read_retrying disk ~span ~block ~lba ~sectors =
+  read_attempt disk ~span ~block ~lba ~sectors ~bd:Vlog_util.Breakdown.zero 0
+
 let merge_counters a b =
   List.fold_left
     (fun acc (k, v) ->
@@ -116,34 +147,24 @@ let exn = function Ok v -> v | Error e -> raise (Io_error e)
    submit-then-drain through the device's queue: unmodified file systems
    are depth-1 hosts of the async interface and fail stop rather than
    consume corrupt data. *)
-module Exn = struct
-  let ack_of tag acks =
-    match List.assoc_opt tag acks with
-    | Some a -> a
-    | None -> invalid_arg "Device: drained tag has no completion"
+let rw t req =
+  let tag = t.submit req in
+  match List.assoc_opt tag (t.drain ()) with
+  | Some ack -> exn ack
+  | None -> invalid_arg "Device: drained tag has no completion"
 
-  let data = function
-    | Data (d, c) -> (d, Vlog_util.Io.bd c)
-    | Done _ -> invalid_arg "Device: read completed without data"
+let data = function
+  | Data (d, c) -> (d, Vlog_util.Io.bd c)
+  | Done _ -> invalid_arg "Device: read completed without data"
 
-  let done_ = function
-    | Done c -> Vlog_util.Io.bd c
-    | Data _ -> invalid_arg "Device: write completed with data"
+let done_ = function
+  | Done c -> Vlog_util.Io.bd c
+  | Data _ -> invalid_arg "Device: write completed with data"
 
-  let rw t req =
-    let tag = t.submit req in
-    exn (ack_of tag (t.drain ()))
-
-  let read t block = data (rw t (Read block))
-  let read_run t block count = data (rw t (Read_run (block, count)))
-  let write t block buf = done_ (rw t (Write (block, buf)))
-  let write_run t block buf = done_ (rw t (Write_run (block, buf)))
-end
-
-let read = Exn.read
-let read_run = Exn.read_run
-let write = Exn.write
-let write_run = Exn.write_run
+let read t block = data (rw t (Read block))
+let read_run t block count = data (rw t (Read_run (block, count)))
+let write t block buf = done_ (rw t (Write (block, buf)))
+let write_run t block buf = done_ (rw t (Write_run (block, buf)))
 
 let advance_idle ~clock t dt =
   let until = Vlog_util.Clock.now clock +. dt in

@@ -17,8 +17,8 @@
     triple: [submit] enqueues a request and returns a tag, [poll]
     collects finished (tag, ack) pairs, and [drain] is a barrier that
     services everything outstanding.  The exception-style wrappers
-    ({!Exn}, re-exported at toplevel) are derived {e once} as
-    submit-then-drain over this interface, so a file system calling
+    ({!read}, {!read_run}, {!write}, {!write_run}) are derived {e once}
+    as submit-then-drain over this interface, so a file system calling
     {!read} is just a queue-depth-1 host of the async API.  Most devices
     implement the triple with {!sync_queue} (host-side FIFO, service at
     the barrier — byte-identical to calling the sync closures directly);
@@ -72,6 +72,21 @@ val err :
 val retry_counters : int -> (string * int) list
 (** [["retries", n]] when [n > 0], else empty: the completion counters a
     bounded-retry loop reports. *)
+
+val span : Trace.sink -> string -> int -> int -> Trace.span
+(** [span tr name block count] opens a device request's span, tagged
+    with its block range; {!Vlog_util.Io.no_span} when tracing is off. *)
+
+val max_retries : int
+(** 3: the transient-error retries a bounded-retry loop allows. *)
+
+val read_retrying :
+  Disk.Disk_sim.t -> span:Trace.span -> block:int -> lba:int -> sectors:int ->
+  (Bytes.t * Vlog_util.Io.completion, io_error) result
+(** Read one block's [sectors] from [lba], retrying transients up to
+    {!max_retries} times (SCSI overhead on the first attempt only),
+    counting [dev.read_retries] or [dev.failed_retries], and closing
+    [span] over the summed cost. *)
 
 val merge_counters : (string * int) list -> (string * int) list -> (string * int) list
 (** Pointwise sum of two counter deltas (multi-block operations fold
@@ -150,20 +165,13 @@ val exn : ('a, io_error) result -> 'a
     single point all exception-style access is derived from. *)
 
 (** The raising breakdown-typed wrappers, derived once for all devices
-    as submit-then-drain over the queue interface. *)
-module Exn : sig
-  val read : t -> int -> Bytes.t * Vlog_util.Breakdown.t
-  val read_run : t -> int -> int -> Bytes.t * Vlog_util.Breakdown.t
-  val write : t -> int -> Bytes.t -> Vlog_util.Breakdown.t
-  val write_run : t -> int -> Bytes.t -> Vlog_util.Breakdown.t
-end
+    as submit-then-drain over the queue interface: [Error] raises
+    {!Io_error}. *)
 
 val read : t -> int -> Bytes.t * Vlog_util.Breakdown.t
 val read_run : t -> int -> int -> Bytes.t * Vlog_util.Breakdown.t
 val write : t -> int -> Bytes.t -> Vlog_util.Breakdown.t
 val write_run : t -> int -> Bytes.t -> Vlog_util.Breakdown.t
-(** Aliases of {!Exn}'s wrappers, kept at toplevel for call-site
-    brevity. *)
 
 val advance_idle : clock:Vlog_util.Clock.t -> t -> float -> unit
 (** Grant [dt] ms of idle time and then advance the clock to the end of

@@ -11,6 +11,7 @@ type t =
   | `No_inodes
   | `Not_found of string
   | `Exists of string
+  | `Bad_name of string
   | `Bad_offset
   | `Read_only
   | `Io of Device.io_error ]

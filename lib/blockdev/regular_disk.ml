@@ -12,7 +12,6 @@ type t = {
   mutable written_count : int;
 }
 
-let max_retries = 3
 
 let create ?(sectors_per_block = 8) ?spare_blocks ~disk () =
   let g = Disk.Disk_sim.geometry disk in
@@ -47,13 +46,7 @@ let spares_left t = List.length t.spares
 
 let sink t = Disk.Disk_sim.trace t.disk
 
-let dev_span t name block count =
-  let tr = sink t in
-  if Trace.enabled tr then
-    Trace.enter tr
-      ~attrs:[ ("block", string_of_int block); ("count", string_of_int count) ]
-      name
-  else Io.no_span
+let dev_span t name block count = Device.span (sink t) name block count
 
 let check t block count =
   if block < 0 || count <= 0 || block + count > t.n_blocks then
@@ -63,34 +56,13 @@ let phys t block =
   match Hashtbl.find_opt t.remap block with Some s -> s | None -> block
 
 let err = Device.err
-let retry_counters = Device.retry_counters
 
 (* Bounded-retry read of one logical block at its current physical home. *)
 let read_result t block =
   check t block 1;
   let sp = dev_span t "dev.read" block 1 in
-  let lba = phys t block * t.sectors_per_block in
-  let bd = ref Breakdown.zero in
-  let rec go attempts =
-    let r, cost =
-      Disk.Disk_sim.read_checked ~scsi:(attempts = 0) t.disk ~lba
-        ~sectors:t.sectors_per_block
-    in
-    bd := Breakdown.add !bd cost;
-    match r with
-    | Ok data ->
-      if attempts > 0 then Trace.incr (sink t) ~by:attempts "dev.read_retries";
-      Trace.exit (sink t) ~bd:!bd sp;
-      Ok (data, Io.make ~span:sp ~counters:(retry_counters attempts) !bd)
-    | Error e when e.Disk.Disk_sim.transient && attempts < max_retries ->
-      go (attempts + 1)
-    | Error e ->
-      if attempts > 0 then
-        Trace.incr (sink t) ~by:attempts "dev.failed_retries";
-      Trace.exit (sink t) ~bd:!bd sp;
-      Error (err ~op:`Read ~block ~e ~retries:attempts)
-  in
-  go 0
+  Device.read_retrying t.disk ~span:sp ~block ~lba:(phys t block * t.sectors_per_block)
+    ~sectors:t.sectors_per_block
 
 let note_written t block =
   if Bytes.get t.ever_written block = '\000' then begin
@@ -121,10 +93,10 @@ let write_result t block buf =
       if remaps > 0 then Trace.incr (sink t) ~by:remaps "dev.remaps";
       Trace.exit (sink t) ~bd:!bd sp;
       let counters =
-        retry_counters attempts @ if remaps > 0 then [ ("remaps", remaps) ] else []
+        Device.retry_counters attempts @ if remaps > 0 then [ ("remaps", remaps) ] else []
       in
       Ok (Io.make ~span:sp ~counters !bd)
-    | Error e when e.Disk.Disk_sim.transient && attempts < max_retries ->
+    | Error e when e.Disk.Disk_sim.transient && attempts < Device.max_retries ->
       go (attempts + 1) remaps
     | Error e when e.Disk.Disk_sim.transient ->
       (* Retries exhausted on a transient error: the drive is hung or

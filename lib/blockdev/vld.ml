@@ -53,13 +53,7 @@ let check t block count =
 let clock t = Disk.Disk_sim.clock t.disk
 let sink t = Disk.Disk_sim.trace t.disk
 
-let dev_span t name block count =
-  let tr = sink t in
-  if Trace.enabled tr then
-    Trace.enter tr
-      ~attrs:[ ("block", string_of_int block); ("count", string_of_int count) ]
-      name
-  else Io.no_span
+let dev_span t name block count = Device.span (sink t) name block count
 
 (* The command-processing charge of a request the map answers without
    touching the platters; a leaf span so parents fold it exactly. *)
@@ -71,10 +65,7 @@ let scsi_only t =
   Trace.exit (sink t) ~bd sp;
   bd
 
-let max_retries = 3
 let max_realloc = 8
-
-let retry_counters = Device.retry_counters
 
 let read_result t block =
   check t block 1;
@@ -86,28 +77,9 @@ let read_result t block =
     Trace.exit (sink t) ~bd sp;
     Ok (Bytes.make t.block_bytes '\000', Io.make ~span:sp bd)
   | Some pba ->
-    let lba = Vlog.Freemap.lba_of_block (Vlog.Virtual_log.freemap t.vlog) pba in
-    let bd = ref Breakdown.zero in
-    let rec go attempts =
-      let r, cost =
-        Disk.Disk_sim.read_checked ~scsi:(attempts = 0) t.disk ~lba
-          ~sectors:t.sectors_per_block
-      in
-      bd := Breakdown.add !bd cost;
-      match r with
-      | Ok data ->
-        if attempts > 0 then Trace.incr (sink t) ~by:attempts "dev.read_retries";
-        Trace.exit (sink t) ~bd:!bd sp;
-        Ok (data, Io.make ~span:sp ~counters:(retry_counters attempts) !bd)
-      | Error e when e.Disk.Disk_sim.transient && attempts < max_retries ->
-        go (attempts + 1)
-      | Error e ->
-        if attempts > 0 then
-          Trace.incr (sink t) ~by:attempts "dev.failed_retries";
-        Trace.exit (sink t) ~bd:!bd sp;
-        Error (Device.err ~op:`Read ~block ~e ~retries:attempts)
-    in
-    go 0
+    Device.read_retrying t.disk ~span:sp ~block
+      ~lba:(Vlog.Freemap.lba_of_block (Vlog.Virtual_log.freemap t.vlog) pba)
+      ~sectors:t.sectors_per_block
 
 (* Group consecutive logical blocks whose physical locations are also
    consecutive into single platter requests. *)

@@ -7,32 +7,14 @@
    claim liveness for a block nothing references. *)
 
 let check (t : Lfs.t) : Report.t =
+  let cfg = Lfs.config t in
+  let live_inums = List.filter (Lfs.inode_in_use t) (List.init cfg.Lfs.n_inodes Fun.id) in
   let fd = ref [] in
   let add f = fd := f :: !fd in
-  let cfg = Lfs.config t in
+  (* Inum 0 is the directory file itself and is never named. *)
+  List.iter add (Namespace.check ~first_inum:1 ~entries:(Lfs.dir_entries t) ~live_inums);
   let area = Lfs.segment_area_start t in
   let area_end = area + (Lfs.n_segments t * cfg.Lfs.segment_blocks) in
-  (* Directory entries <-> inodes.  Inum 0 is the directory file itself
-     and is never named. *)
-  let named = Hashtbl.create 16 in
-  List.iter
-    (fun (name, inum) ->
-      if not (Lfs.inode_in_use t inum) then
-        add
-          (Report.findf Report.Dangling_dirent "entry %S names dead inode %d"
-             name inum)
-      else if Hashtbl.mem named inum then
-        add
-          (Report.findf Report.Map_inconsistent
-             "inode %d named by two directory entries" inum)
-      else Hashtbl.replace named inum ())
-    (Lfs.dir_entries t);
-  for inum = 1 to cfg.Lfs.n_inodes - 1 do
-    if Lfs.inode_in_use t inum && not (Hashtbl.mem named inum) then
-      add
-        (Report.findf Report.Orphan_inode
-           "live inode %d has no directory entry" inum)
-  done;
   (* The live set, claimed once each, owner entries agreeing. *)
   let claims = Hashtbl.create 64 in
   let claim b owner expect_id =
@@ -53,12 +35,8 @@ let check (t : Lfs.t) : Report.t =
              "owner table disagrees about block %d (%s)" b owner)
     end
   in
-  let each_inode f =
-    for inum = 0 to cfg.Lfs.n_inodes - 1 do
-      if Lfs.inode_in_use t inum then f inum
-    done
-  in
-  each_inode (fun inum ->
+  List.iter
+    (fun inum ->
       (match Lfs.inode_blocks t inum with
       | None ->
         add
@@ -87,7 +65,8 @@ let check (t : Lfs.t) : Report.t =
               claim b
                 (Printf.sprintf "inode %d part %d" inum p)
                 (Lfs.Inode_part (inum, p)))
-          parts);
+          parts)
+    live_inums;
   Array.iteri
     (fun c b ->
       if b >= 0 then

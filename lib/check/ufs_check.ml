@@ -12,31 +12,11 @@ let frags_per_block = 4
 let check (t : Ufs.t) : Report.t =
   let fd = ref [] in
   let add f = fd := f :: !fd in
+  List.iter add
+    (Namespace.check ~first_inum:0 ~entries:(Ufs.dir_entries t)
+       ~live_inums:(Ufs.live_inums t));
   let total = Ufs.total_blocks t in
   let data_start = Ufs.data_area_start t in
-  (* Directory entries <-> inodes. *)
-  let named = Hashtbl.create 16 in
-  List.iter
-    (fun (name, inum) ->
-      match Ufs.inode_of t inum with
-      | None ->
-        add
-          (Report.findf Report.Dangling_dirent "entry %S names dead inode %d"
-             name inum)
-      | Some _ ->
-        if Hashtbl.mem named inum then
-          add
-            (Report.findf Report.Map_inconsistent
-               "inode %d named by two directory entries" inum)
-        else Hashtbl.replace named inum ())
-    (Ufs.dir_entries t);
-  List.iter
-    (fun inum ->
-      if not (Hashtbl.mem named inum) then
-        add
-          (Report.findf Report.Orphan_inode
-             "live inode %d has no directory entry" inum))
-    (Ufs.live_inums t);
   (* Block reachability: every reachable block claimed once, in range,
      and marked in the allocator bitmap. *)
   let claims = Hashtbl.create 64 in

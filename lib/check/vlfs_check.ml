@@ -16,29 +16,10 @@ let check (t : Vlfs.t) : Report.t =
   | Error e -> add (Report.findf Report.Map_inconsistent "vlfs: %s" e));
   let n_phys = Vlfs.n_physical_blocks t in
   let fm = Vlog.Virtual_log.freemap (Vlfs.vlog t) in
-  (* Directory entries <-> inodes; inum 0 is the directory file. *)
-  let named = Hashtbl.create 16 in
-  List.iter
-    (fun (name, inum) ->
-      match Vlfs.inode_blocks t inum with
-      | None ->
-        add
-          (Report.findf Report.Dangling_dirent "entry %S names dead inode %d"
-             name inum)
-      | Some _ ->
-        if Hashtbl.mem named inum then
-          add
-            (Report.findf Report.Map_inconsistent
-               "inode %d named by two directory entries" inum)
-        else Hashtbl.replace named inum ())
-    (Vlfs.dir_entries t);
-  List.iter
-    (fun inum ->
-      if inum <> 0 && not (Hashtbl.mem named inum) then
-        add
-          (Report.findf Report.Orphan_inode
-             "live inode %d has no directory entry" inum))
-    (Vlfs.live_inums t);
+  (* Inum 0 is the directory file. *)
+  List.iter add
+    (Namespace.check ~first_inum:1 ~entries:(Vlfs.dir_entries t)
+       ~live_inums:(Vlfs.live_inums t));
   (* Data-block claims: in range, claimed once, owner table and freemap
      agreeing. *)
   let claims = Hashtbl.create 64 in

@@ -71,7 +71,7 @@ type t = {
   by_inum : (int, lnode) Hashtbl.t;
   file_dir_slot : (int, int * int) Hashtbl.t; (* inum -> (dir block idx, slot) *)
   inode_used : Bytes.t;
-  mutable inode_rover : int;
+  inode_rover : int ref;
   imap : (int, int array) Hashtbl.t; (* inum -> inode part device blocks *)
   imap_chunk_loc : int array;
   imap_entries_per_chunk : int;
@@ -92,8 +92,7 @@ type t = {
          of the two alternating slots *)
   mutable mode : [ `Rw | `Degraded of string ];
   cache : Ufs.Buffer_cache.t;
-  mutable dir : (int * string option array) array; (* (dir-file block idx, slots) *)
-  dir_entries_per_block : int;
+  mutable dir : Ufs.Dir.slots array; (* per directory-file block *)
   mutable cleaning : bool;
   mutable stats : cleaner_stats;
   mutable user_blocks : int; (* distinct file-block slots ever written and live *)
@@ -173,7 +172,7 @@ let blank ~dev ~host ~clock cfg ~n_segments =
     by_inum = Hashtbl.create 256;
     file_dir_slot = Hashtbl.create 256;
     inode_used = Bytes.make cfg.n_inodes '\000';
-    inode_rover = 1;
+    inode_rover = ref 1;
     imap = Hashtbl.create 256;
     imap_chunk_loc = Array.make ((cfg.n_inodes + (block_bytes / 4) - 1) / (block_bytes / 4)) (-1);
     imap_entries_per_chunk = block_bytes / 4;
@@ -192,7 +191,6 @@ let blank ~dev ~host ~clock cfg ~n_segments =
     mode = `Rw;
     cache = Ufs.Buffer_cache.create ~capacity:cfg.cache_blocks;
     dir = [||];
-    dir_entries_per_block = block_bytes / 32;
     cleaning = false;
     stats = { segments_cleaned = 0; blocks_copied = 0; forced_cleans = 0 };
     user_blocks = 0;
@@ -740,60 +738,13 @@ let maybe_autoflush t =
 
 let dirn t = Hashtbl.find t.by_inum dir_inum
 
-let encode_dir_block t slots =
-  let buf = Bytes.make t.block_bytes '\000' in
-  Array.iteri
-    (fun slot entry ->
-      match entry with
-      | None -> ()
-      | Some name ->
-        let off = slot * 32 in
-        let inum =
-          match Hashtbl.find_opt t.files name with Some ln -> ln.inum | None -> -1
-        in
-        Bytes.set buf off '\001';
-        Bytes.set_int32_le buf (off + 1) (Int32.of_int inum);
-        let n = min (String.length name) 26 in
-        Bytes.set buf (off + 5) (Char.chr n);
-        Bytes.blit_string name 0 buf (off + 6) n)
-    slots;
-  buf
-
-let write_dir_block t idx =
-  let fb, slots = t.dir.(idx) in
+let write_dir_block t fb =
   let d = dirn t in
   d.size <- max d.size ((fb + 1) * t.block_bytes);
-  pending_put t (Data (dir_inum, fb)) (encode_dir_block t slots);
+  pending_put t (Data (dir_inum, fb)) (Ufs.Dir.encode_block t.dir.(fb));
   Hashtbl.replace t.dirty_inodes dir_inum ()
 
-let find_dir_slot t =
-  let found = ref None in
-  Array.iteri
-    (fun i (_, slots) ->
-      if !found = None then
-        Array.iteri (fun s e -> if !found = None && e = None then found := Some (i, s)) slots)
-    t.dir;
-  match !found with
-  | Some r -> r
-  | None ->
-    let fb = Array.length t.dir in
-    t.dir <- Array.append t.dir [| (fb, Array.make t.dir_entries_per_block None) |];
-    (Array.length t.dir - 1, 0)
-
 (* ---- public operations ---- *)
-
-let alloc_inum t =
-  let n = t.cfg.n_inodes in
-  let rec go tried i =
-    if tried >= n then None
-    else if Bytes.get t.inode_used i = '\000' then begin
-      Bytes.set t.inode_used i '\001';
-      t.inode_rover <- 1 + ((i + 1) mod (n - 1));
-      Some i
-    end
-    else go (tried + 1) (1 + ((i + 1) mod (n - 1)))
-  in
-  go 0 (max 1 t.inode_rover)
 
 let lookup t name =
   match Hashtbl.find_opt t.files name with
@@ -805,20 +756,22 @@ let file_size t name = Result.map (fun ln -> ln.size) (lookup t name)
 let create t name =
   Trace.op (sink t) "lfs.create" ~bd_of:Fun.id (fun () ->
       if t.mode <> `Rw then Error `Read_only
+      else if not (Ufs.Dir.valid_name name) then Error (`Bad_name name)
       else if Hashtbl.mem t.files name then Error (`Exists name)
       else
-        match alloc_inum t with
+        match Ufs.Dir.alloc_inum t.inode_used ~rover:t.inode_rover with
         | None -> Error `No_inodes
         | Some inum ->
           let ln = { inum; size = 0; blocks = [||] } in
           Hashtbl.replace t.files name ln;
           Hashtbl.replace t.by_inum inum ln;
           Hashtbl.replace t.dirty_inodes inum ();
-          let didx, slot = find_dir_slot t in
-          let _, slots = t.dir.(didx) in
-          slots.(slot) <- Some name;
-          Hashtbl.replace t.file_dir_slot inum (didx, slot);
-          write_dir_block t didx;
+          let fb, slot = Ufs.Dir.free_slot t.dir in
+          if fb = Array.length t.dir then
+            t.dir <- Array.append t.dir [| Ufs.Dir.empty_block ~block_bytes:t.block_bytes |];
+          t.dir.(fb).(slot) <- Some (name, inum);
+          Hashtbl.replace t.file_dir_slot inum (fb, slot);
+          write_dir_block t fb;
           let bd = charge t ~blocks:0 in
           Ok (Breakdown.add bd (maybe_autoflush t)))
 
@@ -965,8 +918,7 @@ and delete_inner t name =
     List.iter (Blkid_tbl.remove t.pending) stale;
     (match Hashtbl.find_opt t.file_dir_slot ln.inum with
     | Some (didx, slot) ->
-      let _, slots = t.dir.(didx) in
-      slots.(slot) <- None;
+      t.dir.(didx).(slot) <- None;
       Hashtbl.remove t.file_dir_slot ln.inum;
       write_dir_block t didx
     | None -> ());
@@ -1350,9 +1302,7 @@ let recover ~dev ~host ~clock cfg =
                  { inum = dir_inum; size = 0; blocks = [||] }
              | Some dirn ->
                let nblocks = Array.length dirn.blocks in
-               t.dir <-
-                 Array.init nblocks (fun fb ->
-                     (fb, Array.make t.dir_entries_per_block None));
+               t.dir <- Array.init nblocks (fun _ -> Ufs.Dir.empty_block ~block_bytes);
                for fb = 0 to nblocks - 1 do
                  let addr = dirn.blocks.(fb) in
                  if addr >= 0 then begin
@@ -1370,21 +1320,13 @@ let recover ~dev ~host ~clock cfg =
                      note_degraded
                        (Printf.sprintf "directory block %d unreadable or corrupt" fb)
                    | Some buf ->
-                     let _, slots = t.dir.(fb) in
-                     for slot = 0 to t.dir_entries_per_block - 1 do
-                       let off = slot * 32 in
-                       if off + 32 <= Bytes.length buf && Bytes.get buf off = '\001'
-                       then begin
-                         let inum = Int32.to_int (Bytes.get_int32_le buf (off + 1)) in
-                         let namelen = Char.code (Bytes.get buf (off + 5)) in
-                         if inum < 1 || inum >= cfg.n_inodes || namelen < 1 || namelen > 26
-                         then begin
+                     List.iter
+                       (function
+                         | Error _ ->
                            incr corrupt_items;
                            note_degraded
                              (Printf.sprintf "directory block %d: undecodable entry" fb)
-                         end
-                         else
-                           let name = Bytes.sub_string buf (off + 6) namelen in
+                         | Ok { Ufs.Dir.slot; name; inum } -> (
                            match Hashtbl.find_opt t.by_inum inum with
                            | None ->
                              (* Legal crash window: the directory block of a
@@ -1399,10 +1341,9 @@ let recover ~dev ~host ~clock cfg =
                              else begin
                                Hashtbl.replace t.files name ln;
                                Hashtbl.replace t.file_dir_slot inum (fb, slot);
-                               slots.(slot) <- Some name
-                             end
-                       end
-                     done
+                               t.dir.(fb).(slot) <- Some (name, inum)
+                             end))
+                       (Ufs.Dir.decode_block ~first_inum:1 ~n_inodes:cfg.n_inodes buf)
                  end
                done);
           (* Inodes named by no directory entry are creates whose dirent

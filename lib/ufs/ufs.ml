@@ -1,5 +1,6 @@
 module Inode = Inode
 module Buffer_cache = Buffer_cache
+module Dir = Dir
 open Vlog_util
 
 type config = {
@@ -24,7 +25,7 @@ type file = {
   mutable seq_hits : int;
 }
 
-type dir_block = { dblock : int; slots : string option array }
+type dir_block = { dblock : int; slots : Dir.slots }
 
 type t = {
   dev : Blockdev.Device.t;
@@ -48,7 +49,6 @@ type t = {
   inode_used : Bytes.t;
   mutable inode_rover : int;
   mutable dir : dir_block array;
-  dir_entries_per_block : int;
   cache : Buffer_cache.t;
   frag_slots : (int, bool array) Hashtbl.t; (* frag block -> slot occupancy *)
   frag_data : (int, Bytes.t) Hashtbl.t; (* authoritative frag block contents *)
@@ -96,52 +96,60 @@ let decode_superblock ~block_bytes buf =
           i32 16,
           Array.init count (fun i -> i32 (24 + (i * 4))) )
 
-let format ~dev ~host ~clock cfg =
+(* In-memory state of an empty file system on [dev]; [None] when the
+   inode table leaves no data area.  [format] and [mount] both start here. *)
+let blank ~dev ~host ~clock cfg =
   let block_bytes = dev.Blockdev.Device.block_bytes in
   let inodes_per_block = block_bytes / Inode.bytes_per_inode in
   let inode_table_blocks = (cfg.n_inodes + inodes_per_block - 1) / inodes_per_block in
   let n_blocks = dev.Blockdev.Device.n_blocks in
   let data_start = 2 + inode_table_blocks in
-  if data_start >= n_blocks then invalid_arg "Ufs.format: device too small";
-  let bitmap = Bytes.make n_blocks '\000' in
-  Bytes.fill bitmap 0 data_start '\001';
-  let t =
-  {
-    dev;
-    host;
-    clock;
-    cfg;
-    block_bytes;
-    frag_bytes = block_bytes / 4;
-    frags_per_block = 4;
-    ptrs_per_block = block_bytes / 4;
-    inode_table_start = 2;
-    inode_table_blocks;
-    inodes_per_block;
-    data_start;
-    n_blocks;
-    bitmap;
-    allocated_data = 0;
-    rover = data_start;
-    files = Hashtbl.create 256;
-    by_inum = Hashtbl.create 256;
-    inode_used = Bytes.make cfg.n_inodes '\000';
-    inode_rover = 0;
-    dir = [||];
-    dir_entries_per_block = block_bytes / 32;
-    cache = Buffer_cache.create ~capacity:cfg.cache_blocks;
-    frag_slots = Hashtbl.create 64;
-    frag_data = Hashtbl.create 64;
-    last_frag_block = -1;
-    sb_gen = 0;
-    mode = `Rw;
-  }
-  in
-  let sb =
-    encode_superblock_of ~block_bytes ~gen:0 ~n_inodes:cfg.n_inodes ~dir_blocks:[||]
-  in
-  ignore (Blockdev.Device.write t.dev 0 sb);
-  t
+  if data_start >= n_blocks then None
+  else begin
+    let bitmap = Bytes.make n_blocks '\000' in
+    Bytes.fill bitmap 0 data_start '\001';
+    Some
+      {
+        dev;
+        host;
+        clock;
+        cfg;
+        block_bytes;
+        frag_bytes = block_bytes / 4;
+        frags_per_block = 4;
+        ptrs_per_block = block_bytes / 4;
+        inode_table_start = 2;
+        inode_table_blocks;
+        inodes_per_block;
+        data_start;
+        n_blocks;
+        bitmap;
+        allocated_data = 0;
+        rover = data_start;
+        files = Hashtbl.create 256;
+        by_inum = Hashtbl.create 256;
+        inode_used = Bytes.make cfg.n_inodes '\000';
+        inode_rover = 0;
+        dir = [||];
+        cache = Buffer_cache.create ~capacity:cfg.cache_blocks;
+        frag_slots = Hashtbl.create 64;
+        frag_data = Hashtbl.create 64;
+        last_frag_block = -1;
+        sb_gen = 0;
+        mode = `Rw;
+      }
+  end
+
+let format ~dev ~host ~clock cfg =
+  match blank ~dev ~host ~clock cfg with
+  | None -> invalid_arg "Ufs.format: device too small"
+  | Some t ->
+    let sb =
+      encode_superblock_of ~block_bytes:t.block_bytes ~gen:0 ~n_inodes:cfg.n_inodes
+        ~dir_blocks:[||]
+    in
+    ignore (Blockdev.Device.write t.dev 0 sb);
+    t
 
 let device t = t.dev
 let block_bytes t = t.block_bytes
@@ -375,26 +383,9 @@ let write_frag_block t block ~sync =
 
 (* ---- directory ---- *)
 
-let encode_dir_block t db =
-  let buf = Bytes.make t.block_bytes '\000' in
-  Array.iteri
-    (fun slot entry ->
-      match entry with
-      | None -> ()
-      | Some name ->
-        let off = slot * 32 in
-        let file = Hashtbl.find t.files name in
-        Bytes.set buf off '\001';
-        Bytes.set_int32_le buf (off + 1) (Int32.of_int file.inode.Inode.inum);
-        let n = min (String.length name) 26 in
-        Bytes.set buf (off + 5) (Char.chr n);
-        Bytes.blit_string name 0 buf (off + 6) n)
-    db.slots;
-  buf
-
 let write_dir_block t idx ~sync =
   let db = t.dir.(idx) in
-  let buf = encode_dir_block t db in
+  let buf = Dir.encode_block db.slots in
   if sync then write_block_sync t db.dblock buf else write_block_async t db.dblock buf
 
 let write_superblock t =
@@ -410,19 +401,9 @@ let write_superblock t =
    must be folded into the caller's accumulator in chronological
    position. *)
 let find_dir_slot t =
-  let existing =
-    Array.to_list t.dir
-    |> List.mapi (fun i db -> (i, db))
-    |> List.find_opt (fun (_, db) -> Array.exists Option.is_none db.slots)
-  in
-  match existing with
-  | Some (i, db) ->
-    let slot = ref 0 in
-    while db.slots.(!slot) <> None do
-      incr slot
-    done;
-    Some (i, !slot, Breakdown.zero)
-  | None -> (
+  match Dir.free_slot (Array.map (fun db -> db.slots) t.dir) with
+  | i, slot when i < Array.length t.dir -> Some (i, slot, Breakdown.zero)
+  | _ -> (
     match alloc_block t ~near:t.rover with
     | None -> None
     | Some b ->
@@ -430,7 +411,7 @@ let find_dir_slot t =
          crash in between must not leave the superblock pointing at stale
          reallocated data that could decode as directory entries. *)
       let bd = write_block_sync t b (Bytes.make t.block_bytes '\000') in
-      let db = { dblock = b; slots = Array.make t.dir_entries_per_block None } in
+      let db = { dblock = b; slots = Dir.empty_block ~block_bytes:t.block_bytes } in
       t.dir <- Array.append t.dir [| db |];
       let bd = Breakdown.add bd (write_superblock t) in
       Some (Array.length t.dir - 1, 0, bd))
@@ -452,6 +433,7 @@ let alloc_inum t =
 
 let create_inner t name =
   if t.mode <> `Rw then Error `Read_only
+  else if not (Dir.valid_name name) then Error (`Bad_name name)
   else if Hashtbl.mem t.files name then Error (`Exists name)
   else
     match alloc_inum t with
@@ -466,7 +448,7 @@ let create_inner t name =
         let file = { inode; name; dir_slot = (didx, slot); seq_off = -1; seq_hits = 0 } in
         Hashtbl.replace t.files name file;
         Hashtbl.replace t.by_inum inum inode;
-        t.dir.(didx).slots.(slot) <- Some name;
+        t.dir.(didx).slots.(slot) <- Some (name, inum);
         (* Namespace changes hit the platter synchronously. *)
         let bd = Breakdown.add alloc_bd (charge t ~blocks:0) in
         let bd = Breakdown.add bd (write_inode t inode ~sync:true) in
@@ -867,47 +849,10 @@ type mount_report = {
 }
 
 let mount ~dev ~host ~clock cfg =
-  let block_bytes = dev.Blockdev.Device.block_bytes in
-  let inodes_per_block = block_bytes / Inode.bytes_per_inode in
-  let inode_table_blocks = (cfg.n_inodes + inodes_per_block - 1) / inodes_per_block in
-  let n_blocks = dev.Blockdev.Device.n_blocks in
-  let data_start = 2 + inode_table_blocks in
-  if data_start >= n_blocks then Error "Ufs.mount: device too small"
-  else begin
-    let bitmap = Bytes.make n_blocks '\000' in
-    Bytes.fill bitmap 0 data_start '\001';
-    let t =
-      {
-        dev;
-        host;
-        clock;
-        cfg;
-        block_bytes;
-        frag_bytes = block_bytes / 4;
-        frags_per_block = 4;
-        ptrs_per_block = block_bytes / 4;
-        inode_table_start = 2;
-        inode_table_blocks;
-        inodes_per_block;
-        data_start;
-        n_blocks;
-        bitmap;
-        allocated_data = 0;
-        rover = data_start;
-        files = Hashtbl.create 256;
-        by_inum = Hashtbl.create 256;
-        inode_used = Bytes.make cfg.n_inodes '\000';
-        inode_rover = 0;
-        dir = [||];
-        dir_entries_per_block = block_bytes / 32;
-        cache = Buffer_cache.create ~capacity:cfg.cache_blocks;
-        frag_slots = Hashtbl.create 64;
-        frag_data = Hashtbl.create 64;
-        last_frag_block = -1;
-        sb_gen = 0;
-        mode = `Rw;
-      }
-    in
+  match blank ~dev ~host ~clock cfg with
+  | None -> Error "Ufs.mount: device too small"
+  | Some t ->
+    let { block_bytes; inodes_per_block; inode_table_blocks; data_start; n_blocks; _ } = t in
     let bd = ref Breakdown.zero in
     let reasons = ref [] in
     let degrade msg = if not (List.mem msg !reasons) then reasons := msg :: !reasons in
@@ -964,7 +909,7 @@ let mount ~dev ~host ~clock cfg =
             (* Directory blocks: zero-filled before the superblock ever
                names them, so every slot is either a valid entry or
                free.  Torn dirent-block writes mix old and new sectors,
-               but 32 divides the sector size, so entries stay whole. *)
+               but entries never straddle a sector, so they stay whole. *)
             let raw_dirents = ref [] in
             Array.iter
               (fun b ->
@@ -973,28 +918,17 @@ let mount ~dev ~host ~clock cfg =
                 else begin
                   Bytes.set t.bitmap b '\001';
                   let didx = Array.length t.dir in
-                  let slots = Array.make t.dir_entries_per_block None in
+                  let slots = Dir.empty_block ~block_bytes in
                   t.dir <- Array.append t.dir [| { dblock = b; slots } |];
                   match dread b with
                   | None -> degrade (Printf.sprintf "directory block %d unreadable" b)
                   | Some buf ->
-                    for slot = 0 to t.dir_entries_per_block - 1 do
-                      let off = slot * 32 in
-                      match Bytes.get buf off with
-                      | '\000' -> ()
-                      | '\001' ->
-                        let inum = Int32.to_int (Bytes.get_int32_le buf (off + 1)) in
-                        let n = Char.code (Bytes.get buf (off + 5)) in
-                        if inum < 0 || inum >= cfg.n_inodes || n < 1 || n > 26 then
-                          degrade
-                            (Printf.sprintf "directory block %d: malformed entry" b)
-                        else
-                          raw_dirents :=
-                            (didx, slot, Bytes.sub_string buf (off + 6) n, inum)
-                            :: !raw_dirents
-                      | _ ->
-                        degrade (Printf.sprintf "directory block %d: malformed entry" b)
-                    done
+                    List.iter
+                      (function
+                        | Ok (e : Dir.entry) -> raw_dirents := (didx, e) :: !raw_dirents
+                        | Error _ ->
+                          degrade (Printf.sprintf "directory block %d: malformed entry" b))
+                      (Dir.decode_block ~first_inum:0 ~n_inodes:cfg.n_inodes buf)
                 end)
               dir_blocks;
             (* Inode table, one result-typed read per block: a rotted
@@ -1021,7 +955,7 @@ let mount ~dev ~host ~clock cfg =
                gone is the delete crash window (inode cleared first, dirent
                removal lost) — a legal state, quietly dropped. *)
             List.iter
-              (fun (didx, slot, name, inum) ->
+              (fun (didx, { Dir.slot; name; inum }) ->
                 match Hashtbl.find_opt t.by_inum inum with
                 | None -> incr dangling
                 | Some inode ->
@@ -1032,7 +966,7 @@ let mount ~dev ~host ~clock cfg =
                       (Printf.sprintf "inode %d claimed by two directory entries" inum)
                   else begin
                     Bytes.set t.inode_used inum '\001';
-                    t.dir.(didx).slots.(slot) <- Some name;
+                    t.dir.(didx).slots.(slot) <- Some (name, inum);
                     Hashtbl.replace t.files name
                       { inode; name; dir_slot = (didx, slot); seq_off = -1; seq_hits = 0 }
                   end)
@@ -1170,7 +1104,6 @@ let mount ~dev ~host ~clock cfg =
             dangling_dropped = !dangling;
             duration;
           } )
-  end
 
 (* ---- checker access ---- *)
 
@@ -1234,15 +1167,13 @@ let verify_media t =
         match dread db.dblock with
         | None -> add "io-unreadable" (Printf.sprintf "directory block %d" db.dblock)
         | Some buf ->
-          let expect = encode_dir_block t db in
+          let expect = Dir.encode_block db.slots in
           Array.iteri
             (fun slot entry ->
               match entry with
               | None -> ()
-              | Some name ->
-                let off = slot * 32 in
-                if not (Bytes.equal (Bytes.sub buf off 32) (Bytes.sub expect off 32))
-                then
+              | Some (name, _) ->
+                if not (Dir.entry_equal buf expect slot) then
                   add "bad-checksum"
                     (Printf.sprintf "dirent %S (block %d of the directory) differs"
                        name didx))

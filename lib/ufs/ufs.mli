@@ -20,6 +20,10 @@ module Inode = Inode
 module Buffer_cache = Buffer_cache
 (** Re-exported: the LRU write-back cache (LFS shares it). *)
 
+module Dir = Dir
+(** Re-exported: the directory-entry format all three file systems
+    share. *)
+
 type t
 
 type config = {
@@ -45,7 +49,7 @@ val pp_error : Format.formatter -> error -> unit
 
 val create : t -> string -> (Vlog_util.Breakdown.t, error) result
 (** Create an empty file; writes the inode and the directory block
-    synchronously. *)
+    synchronously.  [`Bad_name] for a name {!Dir.valid_name} refuses. *)
 
 val write :
   t -> string -> off:int -> Bytes.t -> (Vlog_util.Breakdown.t, error) result

@@ -53,14 +53,13 @@ type t = {
   by_inum : (int, vnode) Hashtbl.t;
   file_dir_slot : (int, int * int) Hashtbl.t;
   inode_used : Bytes.t;
-  mutable inode_rover : int;
+  inode_rover : int ref;
   owner_inum : int array; (* physical data block -> inum, -1 = none *)
   owner_fblock : int array;
   pending : (int * int, Bytes.t) Hashtbl.t; (* (inum, fblock) -> contents *)
   dirty_parts : (int * int, unit) Hashtbl.t; (* (inum, part); part -1 = deleted *)
   cache : Ufs.Buffer_cache.t;
-  mutable dir : (int * string option array) array;
-  dir_entries_per_block : int;
+  mutable dir : Ufs.Dir.slots array; (* per directory-file block *)
   prng : Prng.t;
   mutable comp_stats : compaction_stats;
   mutable comp_resume : int option;
@@ -170,14 +169,13 @@ let make ~disk ~vlog ~host ~clock cfg =
     by_inum = Hashtbl.create 256;
     file_dir_slot = Hashtbl.create 256;
     inode_used = Bytes.make cfg.n_inodes '\000';
-    inode_rover = 1;
+    inode_rover = ref 1;
     owner_inum = Array.make n_phys (-1);
     owner_fblock = Array.make n_phys (-1);
     pending = Hashtbl.create 256;
     dirty_parts = Hashtbl.create 64;
     cache = Ufs.Buffer_cache.create ~capacity:cfg.cache_blocks;
     dir = [||];
-    dir_entries_per_block = Vlog.Virtual_log.block_bytes vlog / 32;
     prng = Prng.create ~seed:0x7F5FL;
     comp_stats = { tracks_emptied = 0; blocks_moved = 0 };
     comp_resume = None;
@@ -316,61 +314,14 @@ let maybe_flush t =
 
 (* ---- directory (file 0, like the other file systems) ---- *)
 
-let encode_dir_block t slots =
-  let buf = Bytes.make t.block_bytes '\000' in
-  Array.iteri
-    (fun slot entry ->
-      match entry with
-      | None -> ()
-      | Some name ->
-        let off = slot * 32 in
-        let inum =
-          match Hashtbl.find_opt t.files name with Some vn -> vn.inum | None -> -1
-        in
-        Bytes.set buf off '\001';
-        Bytes.set_int32_le buf (off + 1) (Int32.of_int inum);
-        let n = min (String.length name) 26 in
-        Bytes.set buf (off + 5) (Char.chr n);
-        Bytes.blit_string name 0 buf (off + 6) n)
-    slots;
-  buf
-
-let write_dir_block t idx =
-  let fb, slots = t.dir.(idx) in
+let write_dir_block t fb =
   let d = Hashtbl.find t.by_inum dir_inum in
   d.size <- max d.size ((fb + 1) * t.block_bytes);
-  Hashtbl.replace t.pending (dir_inum, fb) (encode_dir_block t slots);
+  Hashtbl.replace t.pending (dir_inum, fb) (Ufs.Dir.encode_block t.dir.(fb));
   Hashtbl.replace t.dirty_parts (dir_inum, part_of_fblock t fb) ();
   Hashtbl.replace t.dirty_parts (dir_inum, 0) ()
 
-let find_dir_slot t =
-  let found = ref None in
-  Array.iteri
-    (fun i (_, slots) ->
-      if !found = None then
-        Array.iteri (fun s e -> if !found = None && e = None then found := Some (i, s)) slots)
-    t.dir;
-  match !found with
-  | Some r -> r
-  | None ->
-    let fb = Array.length t.dir in
-    t.dir <- Array.append t.dir [| (fb, Array.make t.dir_entries_per_block None) |];
-    (Array.length t.dir - 1, 0)
-
 (* ---- public operations ---- *)
-
-let alloc_inum t =
-  let n = t.cfg.n_inodes in
-  let rec go tried i =
-    if tried >= n then None
-    else if Bytes.get t.inode_used i = '\000' then begin
-      Bytes.set t.inode_used i '\001';
-      t.inode_rover <- 1 + ((i + 1) mod (n - 1));
-      Some i
-    end
-    else go (tried + 1) (1 + ((i + 1) mod (n - 1)))
-  in
-  go 0 (max 1 t.inode_rover)
 
 let lookup t name =
   match Hashtbl.find_opt t.files name with
@@ -382,26 +333,47 @@ let file_size t name = Result.map (fun vn -> vn.size) (lookup t name)
 let create t name =
   Trace.op (sink t) "vlfs.create" ~bd_of:Fun.id (fun () ->
       if t.mode <> `Rw then Error `Read_only
+      else if not (Ufs.Dir.valid_name name) then Error (`Bad_name name)
       else if Hashtbl.mem t.files name then Error (`Exists name)
       else
-        match alloc_inum t with
+        match Ufs.Dir.alloc_inum t.inode_used ~rover:t.inode_rover with
         | None -> Error `No_inodes
         | Some inum ->
           let vn = { inum; size = 0; blocks = [||] } in
           Hashtbl.replace t.files name vn;
           Hashtbl.replace t.by_inum inum vn;
           Hashtbl.replace t.dirty_parts (inum, 0) ();
-          let didx, slot = find_dir_slot t in
-          let _, slots = t.dir.(didx) in
-          slots.(slot) <- Some name;
-          Hashtbl.replace t.file_dir_slot inum (didx, slot);
-          write_dir_block t didx;
+          let fb, slot = Ufs.Dir.free_slot t.dir in
+          if fb = Array.length t.dir then
+            t.dir <- Array.append t.dir [| Ufs.Dir.empty_block ~block_bytes:t.block_bytes |];
+          t.dir.(fb).(slot) <- Some (name, inum);
+          Hashtbl.replace t.file_dir_slot inum (fb, slot);
+          write_dir_block t fb;
           let bd = charge t ~blocks:0 in
           (match maybe_flush t with
           | Ok fbd -> Ok (Breakdown.add bd fbd)
           | Error (e, _) -> Error e))
 
 let max_read_retries = 3
+
+(* Defect-tolerant fetch of one physical block: retry transient errors
+   up to [max_read_retries] times, folding every attempt's cost into
+   [bd]; [scsi] charges the command overhead on the first attempt.
+   Returns the outcome with the retries made — counting them is the
+   caller's choice. *)
+let read_pba_retrying t ~scsi ~bd pba =
+  let lba = Vlog.Freemap.lba_of_block (fm t) pba in
+  let rec go attempts =
+    let r, cost =
+      Disk.Disk_sim.read_checked ~scsi:(scsi && attempts = 0) t.disk ~lba ~sectors:t.spb
+    in
+    bd := Breakdown.add !bd cost;
+    match r with
+    | Error e when e.Disk.Disk_sim.transient && attempts < max_read_retries ->
+      go (attempts + 1)
+    | r -> (r, attempts)
+  in
+  go 0
 
 let read_data_block t vn fb =
   match Hashtbl.find_opt t.pending (vn.inum, fb) with
@@ -423,33 +395,15 @@ let read_data_block t vn fb =
         let tr = sink t in
         let sp = Trace.enter tr "vlfs.rblock" in
         let bd = ref Breakdown.zero in
-        let rec go attempts =
-          let r, cost =
-            Disk.Disk_sim.read_checked ~scsi:(attempts = 0) t.disk
-              ~lba:(Vlog.Freemap.lba_of_block (fm t) pba)
-              ~sectors:t.spb
-          in
-          bd := Breakdown.add !bd cost;
-          match r with
-          | Ok bytes ->
-            ignore (Ufs.Buffer_cache.insert t.cache pba bytes ~dirty:false);
-            if attempts > 0 then Trace.incr tr ~by:attempts "vlfs.read_retries";
-            Trace.exit tr ~bd:!bd sp;
-            (bytes, !bd)
-          | Error e when e.Disk.Disk_sim.transient && attempts < max_read_retries ->
-            go (attempts + 1)
-          | Error e ->
-            Trace.exit tr ~bd:!bd sp;
-            raise
-              (Io_abort
-                 {
-                   Blockdev.Device.op = `Read;
-                   block = pba;
-                   error_lba = e.Disk.Disk_sim.error_lba;
-                   retries = attempts;
-                 })
-        in
-        go 0
+        match read_pba_retrying t ~scsi:true ~bd pba with
+        | Ok bytes, attempts ->
+          ignore (Ufs.Buffer_cache.insert t.cache pba bytes ~dirty:false);
+          if attempts > 0 then Trace.incr tr ~by:attempts "vlfs.read_retries";
+          Trace.exit tr ~bd:!bd sp;
+          (bytes, !bd)
+        | Error e, attempts ->
+          Trace.exit tr ~bd:!bd sp;
+          raise (Io_abort (Blockdev.Device.err ~op:`Read ~block:pba ~e ~retries:attempts))
     end
 
 let free_headroom t =
@@ -558,8 +512,7 @@ and delete_inner t name =
       vn.blocks;
     (match Hashtbl.find_opt t.file_dir_slot vn.inum with
     | Some (didx, slot) ->
-      let _, slots = t.dir.(didx) in
-      slots.(slot) <- None;
+      t.dir.(didx).(slot) <- None;
       Hashtbl.remove t.file_dir_slot vn.inum;
       write_dir_block t didx
     | None -> ());
@@ -820,24 +773,12 @@ let recover ~disk ~host ?(config = default_config) () =
        permanent damage — recovery must not raise on a rotted block. *)
     let read_pba pba =
       if pba < 0 || pba >= n_phys then None
-      else begin
-        let rec go attempts =
-          let r, cost =
-            Disk.Disk_sim.read_checked ~scsi:false t.disk
-              ~lba:(Vlog.Freemap.lba_of_block (fm t) pba)
-              ~sectors:t.spb
-          in
-          bd := Breakdown.add !bd cost;
-          match r with
-          | Ok bytes ->
-            if attempts > 0 then Trace.incr (sink t) ~by:attempts "vlfs.read_retries";
-            Some bytes
-          | Error e when e.Disk.Disk_sim.transient && attempts < max_read_retries ->
-            go (attempts + 1)
-          | Error _ -> None
-        in
-        go 0
-      end
+      else
+        match read_pba_retrying t ~scsi:false ~bd pba with
+        | Ok bytes, attempts ->
+          if attempts > 0 then Trace.incr (sink t) ~by:attempts "vlfs.read_retries";
+          Some bytes
+        | Error _, _ -> None
     in
     (* Load every mapped inode; its part-0 header sizes the pointer
        array, later parts fill it in.  Unverifiable parts skip the whole
@@ -920,23 +861,16 @@ let recover ~disk ~host ?(config = default_config) () =
       let dir_blocks = (dirn.size + t.block_bytes - 1) / t.block_bytes in
       t.dir <-
         Array.init dir_blocks (fun fb ->
-            let slots = Array.make t.dir_entries_per_block None in
+            let slots = Ufs.Dir.empty_block ~block_bytes:t.block_bytes in
             (if fb < Array.length dirn.blocks && dirn.blocks.(fb) >= 0 then begin
                match read_pba dirn.blocks.(fb) with
                | None -> degrade (Printf.sprintf "directory block %d unreadable" fb)
                | Some buf ->
-                 for slot = 0 to t.dir_entries_per_block - 1 do
-                   let off = slot * 32 in
-                   match Bytes.get buf off with
-                   | '\000' -> ()
-                   | '\001' ->
-                     let inum = Int32.to_int (Bytes.get_int32_le buf (off + 1)) in
-                     let n = Char.code (Bytes.get buf (off + 5)) in
-                     if inum < 1 || inum >= config.n_inodes || n < 1 || n > 26 then
-                       degrade
-                         (Printf.sprintf "directory block %d: malformed entry" fb)
-                     else begin
-                       let name = Bytes.sub_string buf (off + 6) n in
+                 List.iter
+                   (function
+                     | Error _ ->
+                       degrade (Printf.sprintf "directory block %d: malformed entry" fb)
+                     | Ok { Ufs.Dir.slot; name; inum } -> (
                        match Hashtbl.find_opt t.by_inum inum with
                        | None ->
                          incr dangling;
@@ -952,16 +886,13 @@ let recover ~disk ~host ?(config = default_config) () =
                              (Printf.sprintf
                                 "inode %d claimed by two directory entries" inum)
                          else begin
-                           slots.(slot) <- Some name;
+                           slots.(slot) <- Some (name, inum);
                            Hashtbl.replace t.files name vn;
                            Hashtbl.replace t.file_dir_slot inum (fb, slot)
-                         end
-                     end
-                   | _ ->
-                     degrade (Printf.sprintf "directory block %d: malformed entry" fb)
-                 done
+                         end))
+                   (Ufs.Dir.decode_block ~first_inum:1 ~n_inodes:config.n_inodes buf)
              end);
-            (fb, slots)));
+            slots));
     (* An inode no dirent names can only come from corruption (the same
        atomicity argument); drop it and release its claims. *)
     Hashtbl.fold
@@ -1063,19 +994,10 @@ let verify_media t =
   else begin
     let findings = ref [] in
     let add c d = findings := (c, d) :: !findings in
-    let rec read_raw ?(attempts = 0) pba =
-      let r, _ =
-        Disk.Disk_sim.read_checked ~scsi:false t.disk
-          ~lba:(Vlog.Freemap.lba_of_block (fm t) pba)
-          ~sectors:t.spb
-      in
-      (* Retry transients like every other read path: only permanent
-         damage is a media finding. *)
-      match r with
-      | Ok b -> Some b
-      | Error e when e.Disk.Disk_sim.transient && attempts < max_read_retries ->
-        read_raw ~attempts:(attempts + 1) pba
-      | Error _ -> None
+    (* Retry transients like every other read path: only permanent
+       damage is a media finding.  Uncounted and uncharged. *)
+    let read_raw pba =
+      Result.to_option (fst (read_pba_retrying t ~scsi:false ~bd:(ref Breakdown.zero) pba))
     in
     Hashtbl.iter
       (fun inum vn ->

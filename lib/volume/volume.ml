@@ -1322,12 +1322,7 @@ let recover ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disk
    instant.  The clock is left at the request's completion, so
    [Clock.now - at] is its latency. *)
 
-let dev_span t name block count =
-  if Trace.enabled t.trace then
-    Trace.enter t.trace
-      ~attrs:[ ("block", string_of_int block); ("count", string_of_int count) ]
-      name
-  else Io.no_span
+let dev_span t name block count = Blockdev.Device.span t.trace name block count
 
 let exec t ?owner ~at (req : Blockdev.Device.req) : Blockdev.Device.ack =
   let bb = t.block_bytes in

@@ -603,6 +603,29 @@ let qcheck_tests =
           ops);
   ]
 
+(* Names the directory format cannot store are refused; the longest
+   it can store survives power-down and recovery. *)
+let test_bad_names_refused () =
+  let fs, clock = make_fs () in
+  List.iter
+    (fun name ->
+      match Lfs.create fs name with
+      | Error (`Bad_name n) when n = name -> ()
+      | Error e -> Alcotest.failf "%S: wrong error %a" name Lfs.pp_error e
+      | Ok _ -> Alcotest.failf "%S accepted" name)
+    Test_ufs.bad_names;
+  let longest = Test_ufs.longest_name in
+  ignore (ok (Lfs.create fs longest));
+  ignore (ok (Lfs.write fs longest ~off:0 (Bytes.of_string "kept")));
+  ignore (Lfs.power_down fs);
+  match Lfs.recover ~dev:(Lfs.device fs) ~host:Host.free ~clock (Lfs.config fs) with
+  | Error e -> Alcotest.fail e
+  | Ok (fs2, _) ->
+    Alcotest.(check bool) "recovers read-write" true (Lfs.mode fs2 = `Rw);
+    Alcotest.(check (list string)) "files" [ longest ] (Lfs.files fs2);
+    let got, _ = ok (Lfs.read fs2 longest ~off:0 ~len:4) in
+    Alcotest.(check bytes) "data" (Bytes.of_string "kept") got
+
 let suites =
   [
     ( "lfs:files",
@@ -616,6 +639,7 @@ let suites =
         Alcotest.test_case "runs on vld" `Quick test_runs_on_vld;
         Alcotest.test_case "many files" `Quick test_many_files_roundtrip;
         Alcotest.test_case "utilization" `Quick test_utilization_reflects_live_data;
+        Alcotest.test_case "bad names refused" `Quick test_bad_names_refused;
       ] );
     ( "lfs:log",
       [

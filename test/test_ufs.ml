@@ -281,6 +281,107 @@ let test_buffer_cache_dirty_order () =
   let order = List.map fst (Ufs.Buffer_cache.dirty_blocks c) in
   Alcotest.(check (list int)) "elevator order" [ 1; 3; 5; 9 ] order
 
+(* Names the directory format cannot store, and the longest it can;
+   the LFS and VLFS tests use them too. *)
+let bad_names = [ "abcdefghijklmnopqrstuvwxyz_one"; "abcdefghijklmnopqrstuvwxyz_"; "" ]
+let longest_name = "abcdefghijklmnopqrstuvwxyz"
+
+let test_bad_names_refused () =
+  let fs, clock = make_fs () in
+  List.iter
+    (fun name ->
+      match Ufs.create fs name with
+      | Error (`Bad_name n) when n = name -> ()
+      | Error e -> Alcotest.failf "%S: wrong error %a" name Ufs.pp_error e
+      | Ok _ -> Alcotest.failf "%S accepted" name)
+    bad_names;
+  ignore (ok (Ufs.create fs longest_name));
+  ignore (ok (Ufs.write fs longest_name ~off:0 (Bytes.of_string "kept")));
+  ignore (Ufs.sync fs);
+  match Ufs.mount ~dev:(Ufs.device fs) ~host:Host.free ~clock (Ufs.config fs) with
+  | Error e -> Alcotest.fail e
+  | Ok (fs2, _) ->
+    Alcotest.(check bool) "mounts read-write" true (Ufs.mode fs2 = `Rw);
+    Alcotest.(check (list string)) "files" [ longest_name ] (Ufs.files fs2);
+    let got, _ = ok (Ufs.read fs2 longest_name ~off:0 ~len:4) in
+    Alcotest.(check bytes) "data" (Bytes.of_string "kept") got
+
+(* The slot layout, byte by byte: flag, int32 inum, length, name. *)
+let test_dir_layout () =
+  let buf = Ufs.Dir.encode_block [| None; Some ("ab", 0x0102) |] in
+  let expect = Bytes.make 64 '\000' in
+  Bytes.blit_string "\001\002\001\000\000\002ab" 0 expect 32 8;
+  Alcotest.(check bytes) "encoded" expect buf;
+  match Ufs.Dir.decode_block ~first_inum:1 ~n_inodes:0x0103 buf with
+  | [ Ok { Ufs.Dir.slot = 1; name = "ab"; inum = 0x0102 } ] -> ()
+  | _ -> Alcotest.fail "decoded wrongly"
+
+let dir_slots = Array.length (Ufs.Dir.empty_block ~block_bytes:4096)
+
+(* A random slot table: names of 1 to [max_name] arbitrary bytes, inums
+   in [first_inum, n_inodes). *)
+let dir_table_gen =
+  let open QCheck.Gen in
+  let* first_inum = int_range 0 1 in
+  let* n_inodes = int_range 2 5000 in
+  let entry =
+    pair (string_size ~gen:char (1 -- Ufs.Dir.max_name)) (int_range first_inum (n_inodes - 1))
+  in
+  let+ slots = array_repeat dir_slots (opt entry) in
+  (first_inum, n_inodes, slots)
+
+(* Encode a table, then the entries [decode_block] must return for it. *)
+let dir_encode (_, _, slots) =
+  let expect =
+    List.concat
+      (List.mapi
+         (fun slot -> function
+           | None -> []
+           | Some (name, inum) -> [ Ok { Ufs.Dir.slot; name; inum } ])
+         (Array.to_list slots))
+  in
+  (Ufs.Dir.encode_block slots, expect)
+
+let print_dir_table (first_inum, n_inodes, slots) =
+  Printf.sprintf "first_inum %d, n_inodes %d, %d used slots" first_inum n_inodes
+    (Array.fold_left (fun n e -> if e = None then n else n + 1) 0 slots)
+
+let dir_tests =
+  let open QCheck in
+  let table = make ~print:print_dir_table dir_table_gen in
+  [
+    Test.make ~name:"dir encode/decode roundtrip" ~count:200 table
+      (fun ((first_inum, n_inodes, _) as tbl) ->
+        let buf, expect = dir_encode tbl in
+        Ufs.Dir.decode_block ~first_inum ~n_inodes buf = expect);
+    (* One slot given a bad flag, a bad inum or a bad name length shows
+       up as [Error slot] in its place; every other entry still decodes. *)
+    Test.make ~name:"dir decode flags malformed slots" ~count:200
+      (pair table (pair small_nat (int_range 0 5)))
+      (fun (((first_inum, n_inodes, _) as tbl), (pick, how)) ->
+        let buf, expect = dir_encode tbl in
+        let slot = pick mod dir_slots in
+        let off = slot * Ufs.Dir.entry_bytes in
+        (match how with
+        | 0 -> Bytes.set buf off (Char.chr (2 + (pick mod 254)))
+        | 1 | 2 | 3 ->
+          Bytes.set buf off '\001';
+          Bytes.set buf (off + 5) '\001';
+          let inum = match how with 1 -> first_inum - 1 | 2 -> n_inodes | _ -> -7 in
+          Bytes.set_int32_le buf (off + 1) (Int32.of_int inum)
+        | _ ->
+          Bytes.set buf off '\001';
+          Bytes.set_int32_le buf (off + 1) (Int32.of_int first_inum);
+          Bytes.set buf (off + 5) (Char.chr (if how = 4 then 0 else Ufs.Dir.max_name + 1)));
+        let others =
+          List.filter (function Ok e -> e.Ufs.Dir.slot <> slot | Error _ -> true) expect
+        in
+        let before, after =
+          List.partition (function Ok e -> e.Ufs.Dir.slot < slot | Error _ -> true) others
+        in
+        Ufs.Dir.decode_block ~first_inum ~n_inodes buf = before @ (Error slot :: after));
+  ]
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -338,6 +439,7 @@ let suites =
         Alcotest.test_case "not found" `Quick test_not_found_errors;
         Alcotest.test_case "many small files" `Quick test_many_small_files;
         Alcotest.test_case "utilization" `Quick test_utilization_grows;
+        Alcotest.test_case "bad names refused" `Quick test_bad_names_refused;
       ] );
     ( "ufs:modes",
       [
@@ -359,4 +461,7 @@ let suites =
         Alcotest.test_case "dirty order" `Quick test_buffer_cache_dirty_order;
       ] );
     ("ufs:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+    ( "ufs:dir",
+      Alcotest.test_case "slot layout" `Quick test_dir_layout
+      :: List.map QCheck_alcotest.to_alcotest dir_tests );
   ]

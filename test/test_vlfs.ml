@@ -275,6 +275,29 @@ let qcheck_tests =
             model true);
   ]
 
+(* Names the directory format cannot store are refused; the longest
+   it can store survives power-down and recovery. *)
+let test_bad_names_refused () =
+  let fs, disk, _ = make_fs () in
+  List.iter
+    (fun name ->
+      match Vlfs.create fs name with
+      | Error (`Bad_name n) when n = name -> ()
+      | Error e -> Alcotest.failf "%S: wrong error %a" name Vlfs.pp_error e
+      | Ok _ -> Alcotest.failf "%S accepted" name)
+    Test_ufs.bad_names;
+  let longest = Test_ufs.longest_name in
+  ignore (ok (Vlfs.create fs longest));
+  ignore (ok (Vlfs.write fs longest ~off:0 (Bytes.of_string "kept")));
+  ignore (Vlfs.power_down fs);
+  match Vlfs.recover ~disk ~host:Host.free () with
+  | Error e -> Alcotest.fail e
+  | Ok (fs2, _) ->
+    Alcotest.(check bool) "recovers read-write" true (Vlfs.mode fs2 = `Rw);
+    Alcotest.(check (list string)) "files" [ longest ] (Vlfs.files fs2);
+    let got, _ = ok (Vlfs.read fs2 longest ~off:0 ~len:4) in
+    Alcotest.(check bytes) "data" (Bytes.of_string "kept") got
+
 let suites =
   [
     ( "vlfs:files",
@@ -289,6 +312,7 @@ let suites =
         Alcotest.test_case "errors" `Quick test_errors;
         Alcotest.test_case "no space" `Quick test_no_space;
         Alcotest.test_case "sync write cheap" `Quick test_sync_write_is_cheap;
+        Alcotest.test_case "bad names refused" `Quick test_bad_names_refused;
       ] );
     ( "vlfs:recovery",
       [
