@@ -657,9 +657,9 @@ let fs_kind_arg =
         (some
            (enum
               [
-                ("ufs", Check.Fs_sweep.F_ufs);
-                ("lfs", Check.Fs_sweep.F_lfs);
-                ("vlfs", Check.Fs_sweep.F_vlfs);
+                ("ufs", Workload.Rig.F_ufs);
+                ("lfs", Workload.Rig.F_lfs);
+                ("vlfs", Workload.Rig.F_vlfs);
               ]))
         None
     & info [ "fs" ] ~docv:"FS" ~doc:"file system: ufs, lfs, or vlfs")
@@ -823,13 +823,15 @@ let trace_cmd =
         | `Seq ->
           (* Write one [ops]-block file through the buffer, sync it out, drop
              caches, and stream it back: a read-path trace with a cold cache. *)
-          let o = rig.Workload.Setup.ops in
+          let fs = rig.Workload.Setup.fs in
           let bs = rig.Workload.Setup.dev.Blockdev.Device.block_bytes in
-          ignore (o.Workload.Setup.create "seq");
-          ignore (o.Workload.Setup.write "seq" ~off:0 (Bytes.make (ops * bs) 's'));
-          ignore (o.Workload.Setup.sync ());
-          o.Workload.Setup.drop_caches ();
-          ignore (o.Workload.Setup.read "seq" ~off:0 ~len:(ops * bs)));
+          ignore (Workload.Setup.exn @@ Workload.Fs.create fs "seq");
+          ignore
+            (Workload.Setup.exn
+            @@ Workload.Fs.write fs "seq" ~off:0 (Bytes.make (ops * bs) 's'));
+          ignore (Workload.Fs.sync fs);
+          Workload.Fs.drop_caches fs;
+          ignore (Workload.Setup.exn @@ Workload.Fs.read fs "seq" ~off:0 ~len:(ops * bs)));
         Workload.Setup.trace rig
     in
     (match out with

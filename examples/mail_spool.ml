@@ -16,7 +16,7 @@ let message_body prng =
   Bytes.init len (fun i -> Char.chr (32 + ((i * 7) mod 95)))
 
 let run (label, rig) =
-  let ops = rig.Workload.Setup.ops in
+  let fs = rig.Workload.Setup.fs in
   let prng = Prng.split rig.Workload.Setup.prng in
   let live = Queue.create () in
   let next_id = ref 0 in
@@ -28,30 +28,34 @@ let run (label, rig) =
           | 0 when Queue.length live < max_live_messages ->
             let id = !next_id in
             incr next_id;
-            ignore (ops.Workload.Setup.create (name id));
-            ignore (ops.Workload.Setup.write (name id) ~off:0 (message_body prng));
+            ignore (Workload.Setup.exn @@ Workload.Fs.create fs (name id));
+            ignore
+              (Workload.Setup.exn
+              @@ Workload.Fs.write fs (name id) ~off:0 (message_body prng));
             Queue.add id live
           | 1 when Queue.length live > 0 ->
             (* Read the oldest message (delivery). *)
             let id = Queue.peek live in
-            ignore (ops.Workload.Setup.read (name id) ~off:0 ~len:4096)
+            ignore (Workload.Setup.exn @@ Workload.Fs.read fs (name id) ~off:0 ~len:4096)
           | 2 when Queue.length live > 10 ->
             let id = Queue.pop live in
-            ignore (ops.Workload.Setup.delete (name id))
+            ignore (Workload.Setup.exn @@ Workload.Fs.delete fs (name id))
           | _ ->
             (* Fallback: deliver a new message. *)
             let id = !next_id in
             incr next_id;
-            ignore (ops.Workload.Setup.create (name id));
-            ignore (ops.Workload.Setup.write (name id) ~off:0 (message_body prng));
+            ignore (Workload.Setup.exn @@ Workload.Fs.create fs (name id));
+            ignore
+              (Workload.Setup.exn
+              @@ Workload.Fs.write fs (name id) ~off:0 (message_body prng));
             Queue.add id live
         done;
-        ignore (ops.Workload.Setup.sync ()))
+        ignore (Workload.Fs.sync fs))
   in
   Format.printf "%-12s %8.1f ms total, %6.3f ms/op, utilization %4.1f%%@." label
     total_ms
     (total_ms /. float_of_int operations)
-    (100. *. ops.Workload.Setup.utilization ())
+    (100. *. Workload.Fs.utilization fs)
 
 let () =
   Format.printf "Mail spool: %d mixed create/deliver/expire operations@.@." operations;

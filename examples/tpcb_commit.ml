@@ -21,16 +21,16 @@ let run_on dev_kind =
       ~fs:(Workload.Setup.UFS { sync_data = true })
       ~dev:dev_kind ()
   in
-  let ops = rig.Workload.Setup.ops in
+  let fs = rig.Workload.Setup.fs in
   let prng = Prng.split rig.Workload.Setup.prng in
   let pages = int_of_float (table_mb *. 1048576.) / 4096 in
   (* Load the table. *)
-  ignore (ops.Workload.Setup.create table_file);
+  ignore (Workload.Setup.exn @@ Workload.Fs.create fs table_file);
   let chunk = Bytes.make (64 * 4096) '0' in
   for c = 0 to (pages / 64) - 1 do
-    ignore (ops.Workload.Setup.write table_file ~off:(c * 64 * 4096) chunk)
+    ignore (Workload.Setup.exn @@ Workload.Fs.write fs table_file ~off:(c * 64 * 4096) chunk)
   done;
-  ignore (ops.Workload.Setup.sync ());
+  ignore (Workload.Fs.sync fs);
   (* Commit transactions. *)
   let latencies = ref [] in
   let page_buf = Bytes.make 4096 'x' in
@@ -39,14 +39,14 @@ let run_on dev_kind =
       Workload.Setup.elapsed rig (fun () ->
           for _ = 1 to pages_per_txn do
             ignore
-              (ops.Workload.Setup.write table_file
+              (Workload.Setup.exn @@ Workload.Fs.write fs table_file
                  ~off:(Prng.int prng pages * 4096)
                  page_buf)
           done)
     in
     latencies := ms :: !latencies
   done;
-  (ops.Workload.Setup.label, Stats.summarize !latencies)
+  (rig.Workload.Setup.label, Stats.summarize !latencies)
 
 let () =
   let name_reg, reg = run_on Workload.Setup.Regular in

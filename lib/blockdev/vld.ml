@@ -20,6 +20,10 @@ let of_vlog ~compaction_policy ~prng vlog =
     block_bytes = Vlog.Virtual_log.block_bytes vlog;
   }
 
+let export_blocks ?(sectors_per_block = 8) geometry =
+  let total = Disk.Geometry.total_sectors geometry / sectors_per_block in
+  total - (1 + (total / 900)) - 8
+
 let create ?(eager_mode = Vlog.Eager.Sweep) ?(switch_free_fraction = 0.25)
     ?(compaction_policy = Vlog.Compactor.Random_target) ?(sectors_per_block = 8) ~disk
     ~logical_blocks ~prng () =

@@ -25,6 +25,11 @@ val create :
     the caller's choice so experiments can also measure the unfixed
     behaviour. *)
 
+val export_blocks : ?sectors_per_block:int -> Disk.Geometry.t -> int
+(** The logical size a VLD exports over a whole drive of this geometry:
+    every physical block (default 8 sectors) less the virtual log's map
+    pieces ([1 + total/900]) and the 8-block allocation reserve. *)
+
 val recover :
   ?eager_mode:Vlog.Eager.mode ->
   ?switch_free_fraction:float ->

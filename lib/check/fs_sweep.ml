@@ -21,97 +21,10 @@
    gone after remount — there is nothing to assert except loss. *)
 
 open Vlog_util
+module Rig = Workload.Rig
+module Fs = Workload.Fs
 
-type fs_kind = F_ufs | F_lfs | F_vlfs
-
-(* Volume rigs put the file system on a [Volume] built over several
-   drives; the layout names fix small canonical shapes (mirror = 2-way,
-   stripe = 2 groups, raid10 = 2 x 2) so a rig string like
-   "ufs/mirror-vld" pins the whole topology. *)
-type vol_layout = V_stripe | V_mirror | V_raid10
-type vol_leg = VL_regular | VL_vld
-
-(* NVM-WAL rigs put an [Nvm_wal] staging tier in front of the logical
-   disk; the backing name says what the destager drains into. *)
-type wal_backing = W_regular | W_vld
-
-type dev_kind =
-  | D_vld
-  | D_regular
-  | D_direct
-  | D_volume of vol_layout * vol_leg
-  | D_nvm of wal_backing
-
-type rig = { fs : fs_kind; on : dev_kind }
-
-let fs_name = function F_ufs -> "ufs" | F_lfs -> "lfs" | F_vlfs -> "vlfs"
-
-let vol_layout_name = function
-  | V_stripe -> "stripe"
-  | V_mirror -> "mirror"
-  | V_raid10 -> "raid10"
-
-let vol_leg_name = function VL_regular -> "regular" | VL_vld -> "vld"
-
-let wal_backing_name = function W_regular -> "regular" | W_vld -> "vld"
-
-let dev_name = function
-  | D_vld -> "vld"
-  | D_regular -> "regular"
-  | D_direct -> "direct"
-  | D_volume (l, k) -> vol_layout_name l ^ "-" ^ vol_leg_name k
-  | D_nvm b -> "nvm-" ^ wal_backing_name b
-
-let rig_name r = fs_name r.fs ^ "/" ^ dev_name r.on
-
-let rig_of_string s =
-  match String.split_on_char '/' s with
-  | [ fs; on ] -> (
-    let fsk =
-      match fs with
-      | "ufs" -> Some F_ufs
-      | "lfs" -> Some F_lfs
-      | "vlfs" -> Some F_vlfs
-      | _ -> None
-    in
-    let onk =
-      match on with
-      | "vld" -> Some D_vld
-      | "regular" -> Some D_regular
-      | "direct" -> Some D_direct
-      | "nvm-regular" -> Some (D_nvm W_regular)
-      | "nvm-vld" -> Some (D_nvm W_vld)
-      | _ -> (
-        match String.split_on_char '-' on with
-        | [ l; k ] -> (
-          let lay =
-            match l with
-            | "stripe" -> Some V_stripe
-            | "mirror" -> Some V_mirror
-            | "raid10" -> Some V_raid10
-            | _ -> None
-          in
-          let leg =
-            match k with
-            | "regular" -> Some VL_regular
-            | "vld" -> Some VL_vld
-            | _ -> None
-          in
-          match (lay, leg) with
-          | Some l, Some k -> Some (D_volume (l, k))
-          | _ -> None)
-        | _ -> None)
-    in
-    match (fsk, onk) with
-    | Some F_vlfs, Some (D_volume _) ->
-      Error "vlfs runs directly on the platters; it has no volume rig"
-    | Some F_vlfs, Some (D_nvm _) ->
-      Error "vlfs runs directly on the platters; it has no nvm rig"
-    | Some fs, Some on -> Ok { fs; on }
-    | _ -> Error (Printf.sprintf "unknown rig %S" s))
-  | _ -> Error (Printf.sprintf "unknown rig %S (want fs/dev)" s)
-
-let all_rigs =
+let all_rigs : Rig.t list =
   [
     { fs = F_ufs; on = D_vld };
     { fs = F_ufs; on = D_regular };
@@ -127,22 +40,22 @@ type config = {
   logical_blocks : int;
   triggers : int list;
   kinds : Fault.Plan.kind list;
-  rigs : rig list;
+  rigs : Rig.t list;
   vol_triggers : int list;
   vol_kinds : Fault.Plan.kind list;
-  vol_rigs : rig list;
+  vol_rigs : Rig.t list;
       (** the volume slice of the matrix runs its own (rig x kind x
           trigger) product, since whole-drive faults only make sense
           against a multi-drive volume and need fewer triggers to cover
           the interesting phases *)
   wal_triggers : int list;
   wal_kinds : Fault.Plan.kind list;
-  wal_rigs : rig list;
+  wal_rigs : Rig.t list;
       (** the NVM-WAL slice: staged rigs whose durability point is the
           NVM persist barrier, struck by the [Nvm_*] kinds *)
 }
 
-let default_vol_rigs =
+let default_vol_rigs : Rig.t list =
   [
     { fs = F_ufs; on = D_volume (V_mirror, VL_vld) };
     { fs = F_lfs; on = D_volume (V_mirror, VL_vld) };
@@ -213,26 +126,12 @@ let smoke =
 
 (* ---- Rig plumbing ---- *)
 
-let profile c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
+let disk_profile c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
 
 let sector_bytes c =
-  (profile c).Disk.Profile.geometry.Disk.Geometry.sector_bytes
-
-let buffer_policy rig =
-  match rig.on with
-  | D_regular | D_volume (_, VL_regular) | D_nvm W_regular ->
-    Disk.Track_buffer.Forward_discard
-  | D_vld | D_direct | D_volume (_, VL_vld) | D_nvm W_vld ->
-    Disk.Track_buffer.Whole_track
-
-let make_disk ?store c rig clock =
-  Disk.Disk_sim.create ~buffer_policy:(buffer_policy rig) ?store
-    ~profile:(profile c) ~clock ()
+  (disk_profile c).Disk.Profile.geometry.Disk.Geometry.sector_bytes
 
 let spare_blocks = 8
-
-let ufs_cfg =
-  { Ufs.sync_data = true; n_inodes = 64; cache_blocks = 64; readahead_blocks = 2 }
 
 let lfs_cfg =
   {
@@ -254,153 +153,21 @@ let vlfs_cfg =
     cache_blocks = 32;
   }
 
-(* A mounted file system behind one face, so the workload, the oracle
-   view, and the fsck step are written once for all three. *)
-type ops = {
-  o_create : string -> (unit, Blockdev.Fs_error.t) result;
-  o_write : string -> off:int -> Bytes.t -> (unit, Blockdev.Fs_error.t) result;
-  o_read : string -> off:int -> len:int -> (Bytes.t, Blockdev.Fs_error.t) result;
-  o_delete : string -> (unit, Blockdev.Fs_error.t) result;
-  o_sync : unit -> unit;
-  o_shutdown : unit -> unit;
-  o_files : unit -> string list;
-  o_size : string -> (int, Blockdev.Fs_error.t) result;
-  o_mode : unit -> [ `Rw | `Degraded of string ];
-  o_check : unit -> Report.t;
-  o_block_bytes : int;
-  o_sync_each : bool; (* every committed operation is a durability point *)
-}
+(* Every sweep stack is formatted and remounted at the same sizes. *)
+let format c ?wal rig ~prng =
+  Rig.format ~spare_blocks ~ufs:Rig.small_ufs ~lfs:lfs_cfg ~vlfs:vlfs_cfg ?wal
+    ~profile:(disk_profile c) ~logical_blocks:c.logical_blocks ~clock:(Clock.create ())
+    ~prng rig
 
-let wrap_ufs t =
-  {
-    o_create = (fun n -> Result.map ignore (Ufs.create t n));
-    o_write = (fun n ~off b -> Result.map ignore (Ufs.write t n ~off b));
-    o_read = (fun n ~off ~len -> Result.map fst (Ufs.read t n ~off ~len));
-    o_delete = (fun n -> Result.map ignore (Ufs.delete t n));
-    o_sync = (fun () -> ignore (Ufs.sync t));
-    o_shutdown = (fun () -> ignore (Ufs.sync t));
-    o_files = (fun () -> Ufs.files t);
-    o_size = (fun n -> Ufs.file_size t n);
-    o_mode = (fun () -> Ufs.mode t);
-    o_check = (fun () -> Ufs_check.check t);
-    o_block_bytes = Ufs.block_bytes t;
-    o_sync_each = ufs_cfg.Ufs.sync_data;
-  }
+let recover c ?(profile = disk_profile c) ?wal ?arm rig ~prng frozen =
+  Rig.recover ~spare_blocks ~ufs:Rig.small_ufs ~lfs:lfs_cfg ~vlfs:vlfs_cfg ?wal ?arm
+    ~profile ~logical_blocks:c.logical_blocks ~clock:(Clock.create ()) ~prng rig frozen
 
-let wrap_lfs t =
-  {
-    o_create = (fun n -> Result.map ignore (Lfs.create t n));
-    o_write = (fun n ~off b -> Result.map ignore (Lfs.write t n ~off b));
-    o_read = (fun n ~off ~len -> Result.map fst (Lfs.read t n ~off ~len));
-    o_delete = (fun n -> Result.map ignore (Lfs.delete t n));
-    o_sync = (fun () -> ignore (Lfs.sync t));
-    o_shutdown = (fun () -> ignore (Lfs.power_down t));
-    o_files = (fun () -> Lfs.files t);
-    o_size = (fun n -> Lfs.file_size t n);
-    o_mode = (fun () -> Lfs.mode t);
-    o_check = (fun () -> Lfs_check.check t);
-    o_block_bytes = Lfs.block_bytes t;
-    o_sync_each = false;
-  }
-
-let wrap_vlfs t =
-  {
-    o_create = (fun n -> Result.map ignore (Vlfs.create t n));
-    o_write = (fun n ~off b -> Result.map ignore (Vlfs.write t n ~off b));
-    o_read = (fun n ~off ~len -> Result.map fst (Vlfs.read t n ~off ~len));
-    o_delete = (fun n -> Result.map ignore (Vlfs.delete t n));
-    o_sync = (fun () -> ignore (Vlfs.sync t));
-    o_shutdown = (fun () -> ignore (Vlfs.power_down t));
-    o_files = (fun () -> Vlfs.files t);
-    o_size = (fun n -> Vlfs.file_size t n);
-    o_mode = (fun () -> Vlfs.mode t);
-    o_check = (fun () -> Vlfs_check.check t);
-    o_block_bytes = Vlog.Virtual_log.block_bytes (Vlfs.vlog t);
-    o_sync_each = vlfs_cfg.Vlfs.sync_writes;
-  }
-
-(* A single-drive logical disk over [disk]: formatted fresh, or brought
-   back from the platters by its own recovery. *)
-let fresh_dev c on ~disk ~prng =
-  match on with
-  | D_vld ->
-    Blockdev.Vld.device
-      (Blockdev.Vld.create ~disk ~logical_blocks:c.logical_blocks ~prng ())
-  | D_regular ->
-    Blockdev.Regular_disk.device
-      (Blockdev.Regular_disk.create ~disk ~spare_blocks ())
-  | D_direct | D_volume _ | D_nvm _ ->
-    invalid_arg "fresh_dev: not a single-drive logical disk"
-
-let recover_dev on ~disk ~prng =
-  match on with
-  | D_vld -> (
-    match Blockdev.Vld.recover ~disk ~prng () with
-    | Ok (vld, _) -> Ok (Blockdev.Vld.device vld)
-    | Error e -> Error ("vld: " ^ e))
-  | D_regular ->
-    Ok
-      (Blockdev.Regular_disk.device
-         (Blockdev.Regular_disk.create ~disk ~spare_blocks ()))
-  | D_direct | D_volume _ | D_nvm _ ->
-    Error "volume and nvm rigs span more than one drive image"
-
-(* UFS and LFS run over any logical device; VLFS only on the platters. *)
-let format_fs rig ~dev ~clock =
-  match rig.fs with
-  | F_ufs -> wrap_ufs (Ufs.format ~dev ~host:Host.free ~clock ufs_cfg)
-  | F_lfs -> wrap_lfs (Lfs.format ~dev ~host:Host.free ~clock lfs_cfg)
-  | F_vlfs -> invalid_arg "vlfs runs directly on the platters"
-
-(* Mount a UFS or LFS over [dev]; [notes] surfaces the recovery counters
-   the mount reported (orphans cleared, dangling entries dropped, inodes
-   skipped) for fsck presentation. *)
-let mount_on rig ~dev ~clock : (ops * (string * int) list, string) result =
-  match rig.fs with
-  | F_ufs -> (
-    match Ufs.mount ~dev ~host:Host.free ~clock ufs_cfg with
-    | Error e -> Error ("ufs: " ^ e)
-    | Ok (t, r) ->
-      Ok
-        ( wrap_ufs t,
-          [
-            ("orphans_cleared", r.Ufs.orphans_cleared);
-            ("dangling_dropped", r.Ufs.dangling_dropped);
-          ] ))
-  | F_lfs -> (
-    match Lfs.recover ~dev ~host:Host.free ~clock lfs_cfg with
-    | Error e -> Error ("lfs: " ^ e)
-    | Ok (t, r) ->
-      Ok
-        ( wrap_lfs t,
-          [
-            ("inodes_skipped", r.Lfs.inodes_skipped);
-            ("dangling_dropped", r.Lfs.dangling_dropped);
-            ("corrupt_items", r.Lfs.corrupt_items);
-          ] ))
-  | F_vlfs -> Error "vlfs runs directly on the platters"
-
-let fresh_fs c rig ~disk ~clock ~prng =
-  match rig.fs with
-  | F_vlfs -> wrap_vlfs (Vlfs.format ~disk ~host:Host.free ~clock vlfs_cfg)
-  | F_ufs | F_lfs -> format_fs rig ~dev:(fresh_dev c rig.on ~disk ~prng) ~clock
-
-(* Remount a single-drive rig from its platters. *)
-let mount_fs rig ~disk ~clock ~prng =
-  match (rig.fs, rig.on) with
-  | F_vlfs, D_direct -> (
-    match Vlfs.recover ~disk ~host:Host.free ~config:vlfs_cfg () with
-    | Error e -> Error ("vlfs: " ^ e)
-    | Ok (t, r) ->
-      Ok
-        ( wrap_vlfs t,
-          [
-            ("inodes_skipped", r.Vlfs.inodes_skipped);
-            ("dangling_dropped", r.Vlfs.dangling_dropped);
-          ] ))
-  | F_vlfs, _ | _, D_direct -> Error "rig mismatch"
-  | (F_ufs | F_lfs), on ->
-    Result.bind (recover_dev on ~disk ~prng) (fun dev -> mount_on rig ~dev ~clock)
+(* The one fsck dispatch: each file system's own invariant checker. *)
+let fsck = function
+  | Fs.Ufs t -> Ufs_check.check t
+  | Fs.Lfs t -> Lfs_check.check t
+  | Fs.Vlfs t -> Vlfs_check.check t
 
 (* ---- The sweep itself ---- *)
 
@@ -430,7 +197,7 @@ let workload_time = function
    volume, where the stale pre-remap sector would poison the resync.
    Drive-level kinds conversely need a multi-drive volume to mean
    anything, so single-spindle rigs skip them. *)
-let excluded rig kind =
+let excluded (rig : Rig.t) kind =
   match rig.on with
   | D_regular ->
     kind = Fault.Plan.Grown_defect || Fault.Plan.is_nvm_kind kind
@@ -443,21 +210,20 @@ let excluded rig kind =
      media and drive kinds stay with the plain and volume slices *)
   | D_nvm _ -> not (Fault.Plan.is_nvm_kind kind)
 
-let view_of fso =
+let view_of fs =
+  let bb = Fs.block_bytes fs in
   {
-    Oracle.v_files = (fun () -> fso.o_files ());
+    Oracle.v_files = (fun () -> Fs.files fs);
     v_size =
       (fun n ->
-        match fso.o_size n with
+        match Fs.size fs n with
         | Ok s -> Some s
         | Error _ -> None
         | exception Blockdev.Device.Io_error _ -> None);
     v_read_block =
       (fun n fb ->
-        match
-          fso.o_read n ~off:(fb * fso.o_block_bytes) ~len:fso.o_block_bytes
-        with
-        | Ok buf -> if Bytes.length buf = 0 then Error `Gone else Ok buf
+        match Fs.read fs n ~off:(fb * bb) ~len:bb with
+        | Ok (buf, _) -> if Bytes.length buf = 0 then Error `Gone else Ok buf
         | Error (`Io _) -> Error `Io
         | Error _ -> Error `Gone
         | exception Blockdev.Device.Io_error _ -> Error `Io);
@@ -468,10 +234,11 @@ let view_of fso =
    is updated around each operation; a raised [Power_cut] freezes the
    workload mid-operation, a raised [Io_error] stops it (the way a
    kernel remounts a failing disk read-only). *)
-let run_workload (c : config) fso oracle ~wprng ~cut =
-  let bb = fso.o_block_bytes in
+let run_workload (c : config) fs oracle ~wprng ~cut =
+  let bb = Fs.block_bytes fs in
   let version = ref 0 in
-  let barrier_if_sync () = if fso.o_sync_each then Oracle.barrier oracle in
+  let sync_each = Fs.sync_each fs in
+  let barrier_if_sync () = if sync_each then Oracle.barrier oracle in
   try
      for opi = 1 to c.ops do
        let small = Prng.int wprng 5 < 2 in
@@ -481,16 +248,16 @@ let run_workload (c : config) fso oracle ~wprng ~cut =
        in
        (if not (Oracle.exists oracle name) then begin
           Oracle.begin_create oracle name;
-          match fso.o_create name with
-          | Ok () ->
+          match Fs.create fs name with
+          | Ok _ ->
             Oracle.commit_create oracle name;
             barrier_if_sync ()
           | Error _ -> ()
         end
         else if Prng.int wprng 10 < 2 then begin
           Oracle.begin_delete oracle name;
-          match fso.o_delete name with
-          | Ok () ->
+          match Fs.delete fs name with
+          | Ok _ ->
             Oracle.commit_delete oracle name;
             barrier_if_sync ()
           | Error _ -> ()
@@ -502,53 +269,52 @@ let run_workload (c : config) fso oracle ~wprng ~cut =
           let len = if small then 1024 else bb in
           let off = fblock * bb in
           Oracle.begin_write oracle name ~fblock ~tag:tg ~size:(off + len);
-          match fso.o_write name ~off (Bytes.make len tg) with
-          | Ok () ->
+          match Fs.write fs name ~off (Bytes.make len tg) with
+          | Ok _ ->
             Oracle.commit_write oracle name ~fblock ~tag:tg ~size:(off + len);
             barrier_if_sync ()
           | Error _ -> ()
         end);
-       if (not fso.o_sync_each) && opi mod 4 = 0 then begin
-         fso.o_sync ();
+       if (not sync_each) && opi mod 4 = 0 then begin
+         ignore (Fs.sync fs);
          Oracle.barrier oracle
        end
      done;
-     fso.o_shutdown ();
+     Fs.shutdown fs;
      Oracle.barrier oracle
   with
   | Disk.Disk_sim.Power_cut -> cut := true
   | Blockdev.Device.Io_error _ | Disk.Disk_sim.Media_failure _ -> ()
 
-(* ---- Rigs: how each stack is built, frozen and remounted ---- *)
+(* ---- How each rig is judged ---- *)
 
-(* A remounted stack: its file system, the checkers that judge it (fsck
-   first, then any rig-specific one), and a way to freeze it again for
-   the idempotence remount. *)
-type mounted = {
-  m_fs : ops;
-  m_checks : unit -> (string * Report.t) list;
-  m_freeze : unit -> image;
-}
+(* Every rig runs the same pipeline; a rig only decides where the plan
+   strikes, how a clean shutdown parks it, which fsck findings its media
+   may honestly show, and which oracle mode applies.  A power cut skips
+   the parking: the frozen platters keep their mid-flight state.
 
-(* A frozen image: remount it on fresh drives, arming the given
-   recovery-time plan first; [Error] is the cell's failure message. *)
-and image = Fault.Plan.t option -> (mounted, string) result
-
-(* What one rig contributes to a cell; the judging pipeline in [judge]
-   is shared by all of them. *)
-type built = {
-  b_fs : ops;  (* freshly formatted, ready for the workload *)
-  b_arm : Fault.Plan.t -> unit;  (* install the workload-time plan *)
-  b_recovery_faults : bool;
-      (* recovery-time kinds strike the first remount rather than the
-         workload *)
-  b_park : (string -> unit) -> unit;  (* after a clean shutdown *)
-  b_freeze : unit -> image;
-  b_allowed : Report.category list;  (* findings tolerated beyond [Unflushed] *)
-  b_mode : Oracle.mode;
-}
-
-let snapshot disk = Disk.Sector_store.snapshot (Disk.Disk_sim.store disk)
+   - A plain rig (one drive: the file system on a VLD, a regular disk or
+     — VLFS — the platters themselves) takes the plan on its drive, and
+     recovery-time kinds strike the first remount instead.
+   - A volume rig takes the plan on one victim leg, rotating with the
+     case number.  A mirrored volume must mask the fault completely: fsck
+     and the volume's own mirror-consistency walk may show nothing beyond
+     [Unflushed], and the oracle runs in [Redundant] mode (strict plus
+     reread stability across legs).  A stripe has no redundancy, so it is
+     judged like single-copy media.  A clean shutdown parks the volume
+     too: suspects resolve or retire, rebuilds finish, dirty regions
+     drain.
+   - A WAL rig's device is an [Nvm_wal] staging tier over the logical
+     disk, and the plan watches the tier's own counters — NVM persist
+     barriers for [Nvm_cut]/[Nvm_torn], backing-disk writes for
+     [Nvm_destage_cut]/[Nvm_full] — in both failure domains, which the
+     freeze captures together; the remount replays the NVM log over the
+     disk before the FS's own recovery runs.  Every NVM kind is a
+     power-cut flavor (no media damage), so fsck owes a clean bill and
+     the oracle runs strict: a write that returned [Ok] crossed the
+     persist barrier and must survive, while volatile-front residue
+     belongs to operations that never returned.  A clean shutdown drains
+     the tier. *)
 
 (* Honest media findings are owed where the plan hurt a sole copy. *)
 let media_findings = [ Report.Io_unreadable; Report.Bad_checksum ]
@@ -562,235 +328,94 @@ let oracle_mode = function
   | Fault.Plan.Latent_sectors _ ->
     Oracle.Lax
 
-(* A plain rig: one drive, the file system on a VLD, a regular disk or
-   (VLFS) the platters themselves. *)
-let plain c rig ~kind ~scenario_seed ~prng =
-  let clock = Clock.create () in
-  let disk = make_disk c rig clock in
-  let fso = fresh_fs c rig ~disk ~clock ~prng:(Prng.split prng) in
-  let rec image store recovery_plan =
-    let clock2 = Clock.create () in
-    let disk2 = make_disk ~store c rig clock2 in
-    Option.iter (fun p -> Fault.Plan.install p disk2) recovery_plan;
-    match
-      mount_fs rig ~disk:disk2 ~clock:clock2
-        ~prng:(Prng.create ~seed:scenario_seed)
-    with
-    | Error e -> Error ("mount aborted: " ^ e)
-    | Ok (fso2, _notes) ->
-      Ok
-        {
-          m_fs = fso2;
-          m_checks = (fun () -> [ ("fsck", fso2.o_check ()) ]);
-          m_freeze = (fun () -> image (snapshot disk2));
-        }
-  in
+let plain (rig : Rig.t) =
+  match rig.on with D_vld | D_regular | D_direct -> true | D_volume _ | D_nvm _ -> false
+
+let mirrored (rig : Rig.t) =
+  match rig.on with D_volume ((V_mirror | V_raid10), _) -> true | _ -> false
+
+(* Findings tolerated beyond [Unflushed]. *)
+let allowed (rig : Rig.t) kind =
+  match rig.on with
+  | D_nvm _ -> []
+  | D_volume _ -> if mirrored rig then [] else media_findings
+  | D_vld | D_regular | D_direct -> (
+    match kind with
+    | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect | Fault.Plan.Torn_write ->
+      media_findings
+    | _ -> [])
+
+let mode rig kind = if mirrored rig then Oracle.Redundant else oracle_mode kind
+
+(* The WAL rig's log is deliberately small so destaging happens inline
+   (backpressure) during the short sweep workload — otherwise the
+   crash-mid-destage cells would find no backing-disk writes to strike.
+   [Nvm_full] cells shrink it to a handful of records so nearly every
+   append pays the drain. *)
+let wal_config kind =
   {
-    b_fs = fso;
-    b_arm = (fun p -> Fault.Plan.install p disk);
-    b_recovery_faults = true;
-    b_park = ignore;
-    b_freeze = (fun () -> image (snapshot disk));
-    b_allowed =
-      (match kind with
-      | Fault.Plan.Bit_rot | Fault.Plan.Grown_defect | Fault.Plan.Torn_write ->
-        media_findings
-      | _ -> []);
-    b_mode = oracle_mode kind;
+    Nvm.Nvm_wal.default_config with
+    Nvm.Nvm_wal.log_bytes =
+      Some (match kind with Fault.Plan.Nvm_full -> 20 * 1024 | _ -> 64 * 1024);
   }
 
-let vol_shape = function
-  | V_stripe -> Volume.Stripe 2
-  | V_mirror -> Volume.Mirror 2
-  | V_raid10 -> Volume.Stripe_of_mirrors (2, 2)
+let arm (s : Rig.stack) ~case plan =
+  Fault.Plan.install plan s.disks.(case mod Array.length s.disks);
+  Option.iter (Fault.Plan.install_nvm plan) s.nvm
 
-let vol_leg_kind = function
-  | VL_vld -> Volume.Vld_leg
-  | VL_regular -> Volume.Regular_leg
-
-(* A volume rig: the file system runs on a [Volume] over several drives
-   and the fault plan is installed on one victim leg (rotating with the
-   case number).  A mirrored volume must mask the fault completely: fsck
-   and the volume's own mirror-consistency walk may show nothing beyond
-   [Unflushed], and the oracle runs in [Redundant] mode (strict plus
-   reread stability across legs).  A stripe has no redundancy, so it is
-   judged like single-copy media. *)
-let volume c rig ~layout ~leg ~kind ~case ~scenario_seed ~prng =
-  let vlayout = vol_shape layout in
-  let lkind = vol_leg_kind leg in
-  let n = Volume.n_legs vlayout in
-  let clock = Clock.create () in
-  let disks = Array.init n (fun _ -> make_disk c rig clock) in
-  let spare () = make_disk c rig clock in
-  let vol =
-    Volume.create ~spare ~layout:vlayout ~leg_kind:lkind
-      ~logical_blocks:c.logical_blocks ~disks ~prng:(Prng.split prng) ()
-  in
-  let fso = format_fs rig ~dev:(Volume.device vol) ~clock in
-  let mirrored =
-    match vlayout with
-    | Volume.Stripe _ -> false
-    | Volume.Mirror _ | Volume.Stripe_of_mirrors _ -> true
-  in
-  let freeze v = Array.map snapshot (Volume.disks v) in
-  let rec image stores _ =
-    let clock2 = Clock.create () in
-    let disks2 = Array.map (fun st -> make_disk ~store:st c rig clock2) stores in
-    let spare2 () = make_disk c rig clock2 in
-    match
-      Volume.recover ~spare:spare2 ~layout:vlayout ~leg_kind:lkind
-        ~logical_blocks:c.logical_blocks ~disks:disks2
-        ~prng:(Prng.create ~seed:scenario_seed) ()
-    with
-    | Error e -> Error ("volume recover: " ^ e)
-    | Ok (vol2, _rep) -> (
-      (* finish any rebuild the recovery started for a dead-on-arrival
-         leg before judging: redundancy must be restorable, not just
-         restored-in-principle *)
-      Volume.settle vol2;
-      match mount_on rig ~dev:(Volume.device vol2) ~clock:clock2 with
-      | Error e -> Error ("mount aborted: " ^ e)
-      | Ok (fso2, _notes) ->
-        Ok
-          {
-            m_fs = fso2;
-            m_checks =
-              (fun () ->
-                let fsck = fso2.o_check () in
-                [ ("fsck", fsck); ("volume", Volume_check.check vol2) ]);
-            m_freeze = (fun () -> image (freeze vol2));
-          })
-  in
-  {
-    b_fs = fso;
-    b_arm = (fun p -> Fault.Plan.install p disks.(case mod n));
-    b_recovery_faults = false;
-    (* A clean shutdown parks the volume too: suspects resolve or retire,
-       rebuilds finish, dirty regions drain.  A power cut skips straight
-       to the frozen platters, mid-flight state and all. *)
-    b_park = (fun _ -> Volume.settle vol);
-    b_freeze = (fun () -> image (freeze vol));
-    b_allowed = (if mirrored then [] else media_findings);
-    b_mode = (if mirrored then Oracle.Redundant else oracle_mode kind);
-  }
-
-(* NVM-WAL rig parameters.  The log is deliberately small so destaging
-   happens inline (backpressure) during the short sweep workload —
-   otherwise the crash-mid-destage cells would find no backing-disk
-   writes to strike.  [Nvm_full] cells shrink it to a handful of records
-   so nearly every append pays the drain. *)
-let wal_log_bytes = 64 * 1024
-let wal_tiny_log_bytes = 20 * 1024
-
-(* A WAL rig: the file system's device is an [Nvm_wal] staging tier over
-   the logical disk, and the fault plan watches the tier's own counters —
-   NVM persist barriers for [Nvm_cut]/[Nvm_torn], backing-disk writes
-   for [Nvm_destage_cut]/[Nvm_full].  The freeze captures both failure
-   domains (the platters and the NVM's persisted image); the remount
-   replays the NVM log over the disk before the FS's own recovery runs.
-   Every NVM kind is a power-cut flavor — no media damage — so fsck owes
-   a clean bill and the oracle runs in [Strict] mode: a write that
-   returned [Ok] crossed the persist barrier and must survive, while
-   volatile-front residue belongs to operations that never returned. *)
-let wal c rig ~backing ~kind ~scenario_seed =
-  let wal_config =
-    {
-      Nvm.Nvm_wal.default_config with
-      Nvm.Nvm_wal.log_bytes =
-        Some
-          (match kind with
-          | Fault.Plan.Nvm_full -> wal_tiny_log_bytes
-          | _ -> wal_log_bytes);
-    }
-  in
-  let on = match backing with W_vld -> D_vld | W_regular -> D_regular in
-  let clock = Clock.create () in
-  let disk = make_disk c rig clock in
-  let nvm = Nvm.Nvm_sim.create ~clock () in
-  let inner =
-    fresh_dev c on ~disk ~prng:(Prng.create ~seed:scenario_seed)
-  in
-  let wal = Nvm.Nvm_wal.create ~config:wal_config ~nvm ~inner () in
-  let fso = format_fs rig ~dev:(Nvm.Nvm_wal.device wal) ~clock in
-  let rec image (dstore, nimg) _ =
-    let clock2 = Clock.create () in
-    let disk2 = make_disk ~store:dstore c rig clock2 in
-    match recover_dev on ~disk:disk2 ~prng:(Prng.create ~seed:scenario_seed) with
-    | Error e -> Error ("mount aborted: " ^ e)
-    | Ok inner2 -> (
-      let nvm2 = Nvm.Nvm_sim.create ~image:nimg ~clock:clock2 () in
-      match Nvm.Nvm_wal.recover ~config:wal_config ~nvm:nvm2 ~inner:inner2 () with
+let park (s : Rig.stack) fail =
+  Option.iter Volume.settle s.volume;
+  Option.iter
+    (fun w ->
+      match Nvm.Nvm_wal.drain w with
+      | Ok () -> ()
       | Error e ->
-        Error
-          (Format.asprintf "wal replay aborted: %a" Blockdev.Device.pp_io_error e)
-      | Ok (wal2, _report) -> (
-        match mount_on rig ~dev:(Nvm.Nvm_wal.device wal2) ~clock:clock2 with
-        | Error e -> Error ("mount aborted: " ^ e)
-        | Ok (fso2, _notes) ->
-          Ok
-            {
-              m_fs = fso2;
-              m_checks = (fun () -> [ ("fsck", fso2.o_check ()) ]);
-              (* the second replay rewrites what the first already
-                 destaged *)
-              m_freeze =
-                (fun () -> image (snapshot disk2, Nvm.Nvm_sim.snapshot nvm2));
-            }))
-  in
-  {
-    b_fs = fso;
-    (* One plan, both failure domains: whichever counter the kind
-       watches decides where it strikes. *)
-    b_arm =
-      (fun p ->
-        Fault.Plan.install p disk;
-        Fault.Plan.install_nvm p nvm);
-    b_recovery_faults = false;
-    (* A clean shutdown parks the staging tier too: everything staged
-       destages and the log resets.  A power cut freezes both domains
-       mid-flight. *)
-    b_park =
-      (fun fail ->
-        match Nvm.Nvm_wal.drain wal with
-        | Ok () -> ()
-        | Error e ->
-          fail
-            (Format.asprintf "clean-shutdown drain failed: %a"
-               Blockdev.Device.pp_io_error e));
-    b_freeze = (fun () -> image (snapshot disk, Nvm.Nvm_sim.snapshot nvm));
-    b_allowed = [];
-    b_mode = Oracle.Strict;
-  }
+        fail
+          (Format.asprintf "clean-shutdown drain failed: %a" Blockdev.Device.pp_io_error e))
+    s.wal
+
+(* fsck first, then the volume's own mirror-consistency walk. *)
+let checks (s : Rig.stack) =
+  let report = fsck s.fs in
+  ("fsck", report)
+  :: (match s.volume with Some v -> [ ("volume", Volume_check.check v) ] | None -> [])
 
 (* ---- The judge ---- *)
 
-type cell = { rig : rig; kind : Fault.Plan.kind; trigger : int; case : int }
+type cell = { rig : Rig.t; kind : Fault.Plan.kind; trigger : int; case : int }
 
-let degraded fso = match fso.o_mode () with `Degraded _ -> true | `Rw -> false
+let degraded fs = match Fs.mode fs with `Degraded _ -> true | `Rw -> false
 
 (* One cell: build the rig, run the workload under the plan, freeze,
-   remount, then fsck (plus the rig's own checkers), the durability
-   oracle, and remount idempotence. *)
+   remount, then fsck (plus the volume checker), the durability oracle,
+   and remount idempotence. *)
 let judge (c : config) { rig; kind; trigger; case } log =
   let failf fmt = Cells.failf log fmt in
   let scenario_seed = Int64.add c.seed (Int64.of_int (case * 6029)) in
   let prng = Prng.create ~seed:scenario_seed in
-  let b =
-    match rig.on with
-    | D_volume (layout, leg) ->
-      volume c rig ~layout ~leg ~kind ~case ~scenario_seed ~prng
-    | D_nvm backing -> wal c rig ~backing ~kind ~scenario_seed
-    | D_vld | D_regular | D_direct -> plain c rig ~kind ~scenario_seed ~prng
+  let wal = wal_config kind in
+  (* A WAL rig's device gets a generator of its own; the others split
+     theirs off the scenario's, ahead of the workload's. *)
+  let s =
+    format c ~wal rig
+      ~prng:
+        (match rig.on with
+        | D_nvm _ -> Prng.create ~seed:scenario_seed
+        | _ -> Prng.split prng)
+  in
+  let remount ?arm frozen =
+    recover c ~wal ?arm rig ~prng:(Prng.create ~seed:scenario_seed) frozen
+    |> Result.map_error (( ^ ) "mount aborted: ")
   in
   let plan = Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 1L) in
-  let at_recovery = b.b_recovery_faults && not (workload_time kind) in
-  if not at_recovery then b.b_arm plan;
+  let at_recovery = plain rig && not (workload_time kind) in
+  if not at_recovery then arm s ~case plan;
   let oracle = Oracle.create ~sector_bytes:(sector_bytes c) in
   let cut = ref false in
-  run_workload c b.b_fs oracle ~wprng:(Prng.split prng) ~cut;
+  run_workload c s.fs oracle ~wprng:(Prng.split prng) ~cut;
   Fault.Plan.flush plan;
-  if not !cut then b.b_park (failf "%s");
-  let frozen = b.b_freeze () in
+  if not !cut then park s (failf "%s");
+  let frozen = Rig.freeze s in
   let recovery_plan =
     if at_recovery then
       Some (Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 2L))
@@ -798,13 +423,13 @@ let judge (c : config) { rig; kind; trigger; case } log =
   in
   let was_degraded = ref false in
   let oracle_checks = ref 0 in
-  (match frozen recovery_plan with
+  (match remount ?arm:(Option.map Fault.Plan.install recovery_plan) frozen with
   | Error e -> failf "%s" e
   | Ok m -> (
-    was_degraded := degraded m.m_fs;
+    was_degraded := degraded m.fs;
     (* [Unflushed] is informational everywhere: a freshly recovered FS
        legitimately holds state the next checkpoint will persist. *)
-    let allowed = Report.Unflushed :: b.b_allowed in
+    let allowed = Report.Unflushed :: allowed rig kind in
     List.iter
       (fun (label, (report : Report.t)) ->
         List.iter
@@ -814,22 +439,23 @@ let judge (c : config) { rig; kind; trigger; case } log =
                 (Report.category_to_string f.Report.category)
                 f.Report.detail)
           report.Report.findings)
-      (m.m_checks ());
+      (checks m);
     incr oracle_checks;
-    List.iter (failf "oracle: %s") (Oracle.check oracle ~mode:b.b_mode (view_of m.m_fs));
+    List.iter (failf "oracle: %s")
+      (Oracle.check oracle ~mode:(mode rig kind) (view_of m.fs));
     (* Recovery idempotence: remounting the recovered platters changes
        nothing. *)
-    match m.m_freeze () None with
+    match remount (Rig.freeze m) with
     | Error e -> failf "%s" e
     | Ok m3 ->
-      let signature f =
+      let signature fs =
         List.map
-          (fun n -> (n, match f.o_size n with Ok s -> s | Error _ -> -1))
-          (List.sort compare (f.o_files ()))
+          (fun n -> (n, match Fs.size fs n with Ok s -> s | Error _ -> -1))
+          (List.sort compare (Fs.files fs))
       in
-      if signature m.m_fs <> signature m3.m_fs then
+      if signature m.fs <> signature m3.fs then
         failf "remount is not idempotent (namespace or sizes changed)";
-      if degraded m.m_fs <> degraded m3.m_fs then
+      if degraded m.fs <> degraded m3.fs then
         failf "degraded mode is not idempotent"));
   let injected =
     Fault.Plan.fired plan
@@ -866,13 +492,13 @@ let sweep =
     Cells.keys = [ "rig"; "seed"; "kind"; "trigger"; "case" ];
     coords =
       (fun c x ->
-        [ rig_name x.rig; Int64.to_string c.seed;
+        [ Rig.to_string x.rig; Int64.to_string c.seed;
           Fault.Plan.kind_to_string x.kind; string_of_int x.trigger;
           string_of_int x.case ]);
     cell_of =
       (fun get ->
         let ( let* ) = Result.bind in
-        let* rig = rig_of_string (get "rig") in
+        let* rig = Rig.of_string (get "rig") in
         let* kind = Fault.Plan.kind_of_string (get "kind") in
         let* trigger = Cells.int_value "trigger" (get "trigger") in
         let* case = Cells.int_value "case" (get "case") in
@@ -884,7 +510,53 @@ let sweep =
     judge;
   }
 
-(* ---- Seeded degraded-mount demonstrations ---- *)
+(* ---- Images and seeded degraded-mount demonstrations ---- *)
+
+(* The single-drive rig an image or a demonstration runs on. *)
+let image_rig fs : Rig.t =
+  { fs; on = (match fs with F_vlfs -> D_direct | F_ufs | F_lfs -> D_regular) }
+
+(* Where [name]'s on-disk inode (its part 0, for LFS and VLFS) lives:
+   the sector it starts in, its byte offset there, and its length. *)
+let inode_extent c fs name =
+  let sb = sector_bytes c in
+  let entries =
+    match fs with
+    | Fs.Ufs t -> Ufs.dir_entries t
+    | Fs.Lfs t -> Lfs.dir_entries t
+    | Fs.Vlfs t -> Vlfs.dir_entries t
+  in
+  match List.assoc_opt name entries with
+  | None -> Error (Printf.sprintf "file %s vanished" name)
+  | Some inum -> (
+    match fs with
+    | Fs.Ufs t ->
+      let bb = Ufs.block_bytes t and ib = Ufs.Inode.bytes_per_inode in
+      let it_start, _ = Ufs.inode_table_span t in
+      let byte = ((it_start + (inum / (bb / ib))) * bb) + (inum mod (bb / ib) * ib) in
+      Ok (byte / sb, byte mod sb, ib)
+    | Fs.Lfs t -> (
+      match Lfs.imap_parts t inum with
+      | None | Some [||] -> Error (Printf.sprintf "file %s has no inode parts" name)
+      | Some parts -> Ok (parts.(0) * Lfs.block_bytes t / sb, 0, Lfs.block_bytes t))
+    | Fs.Vlfs t -> (
+      let vl = Vlfs.vlog t in
+      let max_parts =
+        (Vlog.Virtual_log.config vl).Vlog.Virtual_log.logical_blocks
+        / (Vlfs.config t).Vlfs.n_inodes
+      in
+      match Vlog.Virtual_log.lookup vl (inum * max_parts) with
+      | None -> Error (Printf.sprintf "file %s's inode part 0 is not mapped" name)
+      | Some pba ->
+        Ok
+          ( Vlog.Freemap.lba_of_block (Vlog.Virtual_log.freemap vl) pba,
+            0,
+            Vlog.Virtual_log.block_bytes vl )))
+
+let or_die which = function
+  | Ok _ -> ()
+  | Error e ->
+    failwith (Format.asprintf "%s: setup failed: %a" which Blockdev.Fs_error.pp e)
 
 (* Each demonstration damages the sole copy of one live inode's metadata
    on an otherwise healthy image and shows the remount (a) comes up
@@ -893,14 +565,14 @@ let sweep =
 
 let demo_prng () = Prng.create ~seed:0xDE6AL
 
-let expect_degraded which keep fso =
-  match fso.o_mode () with
+let expect_degraded which keep fs =
+  match Fs.mode fs with
   | `Rw -> Error (which ^ ": mount came up read-write despite damage")
   | `Degraded _ -> (
-    match fso.o_create "zz-new" with
-    | Ok () -> Error (which ^ ": degraded mount accepted a create")
+    match Fs.create fs "zz-new" with
+    | Ok _ -> Error (which ^ ": degraded mount accepted a create")
     | Error `Read_only -> (
-      match fso.o_read keep ~off:0 ~len:512 with
+      match Fs.read fs keep ~off:0 ~len:512 with
       | Ok _ -> Ok ()
       | Error e ->
         Error
@@ -912,110 +584,31 @@ let expect_degraded which keep fso =
                           `Read_only"
            which Blockdev.Fs_error.pp e))
 
-let or_die which = function
-  | Ok _ -> ()
-  | Error e ->
-    failwith (Format.asprintf "%s: setup failed: %a" which Blockdev.Fs_error.pp e)
-
 let degraded_demo fsk : (unit, string) result =
   let c = default in
-  let clock = Clock.create () in
-  match fsk with
-  | F_ufs ->
-    let rig = { fs = F_ufs; on = D_regular } in
-    let disk = make_disk c rig clock in
-    let dev =
-      Blockdev.Regular_disk.device
-        (Blockdev.Regular_disk.create ~disk ~spare_blocks ())
-    in
-    let t = Ufs.format ~dev ~host:Host.free ~clock ufs_cfg in
-    or_die "ufs" (Ufs.create t "keep");
-    or_die "ufs" (Ufs.write t "keep" ~off:0 (Bytes.make 1024 'k'));
-    (* Push the victim's inode into the second inode-table block so the
-       damage cannot touch "keep". *)
+  let rig = image_rig fsk in
+  let which = Rig.fs_name fsk in
+  let s = format c rig ~prng:(demo_prng ()) in
+  let write name ch =
+    or_die which (Fs.create s.fs name);
+    or_die which (Fs.write s.fs name ~off:0 (Bytes.make 1024 ch))
+  in
+  write "keep" 'k';
+  (* UFS packs 32 inodes to a table block: push the victim's into the
+     second one so the damage cannot touch "keep". *)
+  if fsk = F_ufs then
     for i = 1 to 31 do
-      or_die "ufs" (Ufs.create t (Printf.sprintf "pad%d" i))
+      or_die which (Fs.create s.fs (Printf.sprintf "pad%d" i))
     done;
-    or_die "ufs" (Ufs.create t "victim");
-    or_die "ufs" (Ufs.write t "victim" ~off:0 (Bytes.make 1024 'v'));
-    let inum = List.assoc "victim" (Ufs.dir_entries t) in
-    let it_start, _ = Ufs.inode_table_span t in
-    let ipb = Ufs.block_bytes t / Ufs.Inode.bytes_per_inode in
-    let blk = it_start + (inum / ipb) in
-    let byte = inum mod ipb * Ufs.Inode.bytes_per_inode in
-    let sb = sector_bytes c in
-    let lba = (blk * Ufs.block_bytes t / sb) + (byte / sb) in
-    let store = Disk.Disk_sim.store disk in
-    Disk.Sector_store.rot store ~lba ~sectors:1 (demo_prng ());
-    let frozen = Disk.Sector_store.snapshot store in
-    let clock2 = Clock.create () in
-    let disk2 = make_disk ~store:frozen c rig clock2 in
-    let dev2 =
-      Blockdev.Regular_disk.device
-        (Blockdev.Regular_disk.create ~disk:disk2 ~spare_blocks ())
-    in
-    (match Ufs.mount ~dev:dev2 ~host:Host.free ~clock:clock2 ufs_cfg with
-    | Error e -> Error ("ufs: mount aborted: " ^ e)
-    | Ok (t2, _) -> expect_degraded "ufs" "keep" (wrap_ufs t2))
-  | F_lfs ->
-    let rig = { fs = F_lfs; on = D_regular } in
-    let disk = make_disk c rig clock in
-    let dev =
-      Blockdev.Regular_disk.device
-        (Blockdev.Regular_disk.create ~disk ~spare_blocks ())
-    in
-    let t = Lfs.format ~dev ~host:Host.free ~clock lfs_cfg in
-    or_die "lfs" (Lfs.create t "keep");
-    or_die "lfs" (Lfs.write t "keep" ~off:0 (Bytes.make 1024 'k'));
-    or_die "lfs" (Lfs.create t "victim");
-    or_die "lfs" (Lfs.write t "victim" ~off:0 (Bytes.make 1024 'v'));
-    ignore (Lfs.power_down t);
-    let inum = List.assoc "victim" (Lfs.dir_entries t) in
-    (match Lfs.imap_parts t inum with
-    | None | Some [||] -> Error "lfs: victim has no on-disk inode parts"
-    | Some parts ->
-      let sb = sector_bytes c in
-      let lba = parts.(0) * Lfs.block_bytes t / sb in
-      let store = Disk.Disk_sim.store disk in
-      Disk.Sector_store.rot store ~lba ~sectors:1 (demo_prng ());
-      let frozen = Disk.Sector_store.snapshot store in
-      let clock2 = Clock.create () in
-      let disk2 = make_disk ~store:frozen c rig clock2 in
-      let dev2 =
-        Blockdev.Regular_disk.device
-          (Blockdev.Regular_disk.create ~disk:disk2 ~spare_blocks ())
-      in
-      (match Lfs.recover ~dev:dev2 ~host:Host.free ~clock:clock2 lfs_cfg with
-      | Error e -> Error ("lfs: recover aborted: " ^ e)
-      | Ok (t2, _) -> expect_degraded "lfs" "keep" (wrap_lfs t2)))
-  | F_vlfs -> (
-    let rig = { fs = F_vlfs; on = D_direct } in
-    let disk = make_disk c rig clock in
-    let t = Vlfs.format ~disk ~host:Host.free ~clock vlfs_cfg in
-    or_die "vlfs" (Vlfs.create t "keep");
-    or_die "vlfs" (Vlfs.write t "keep" ~off:0 (Bytes.make 1024 'k'));
-    or_die "vlfs" (Vlfs.create t "victim");
-    or_die "vlfs" (Vlfs.write t "victim" ~off:0 (Bytes.make 1024 'v'));
-    ignore (Vlfs.power_down t);
-    let inum = List.assoc "victim" (Vlfs.dir_entries t) in
-    let vl = Vlfs.vlog t in
-    let max_parts =
-      (Vlog.Virtual_log.config vl).Vlog.Virtual_log.logical_blocks
-      / (Vlfs.config t).Vlfs.n_inodes
-    in
-    match Vlog.Virtual_log.lookup vl (inum * max_parts) with
-    | None -> Error "vlfs: victim's inode part 0 is not mapped"
-    | Some pba -> (
-      let fm = Vlog.Virtual_log.freemap vl in
-      let lba = Vlog.Freemap.lba_of_block fm pba in
-      let store = Disk.Disk_sim.store disk in
-      Disk.Sector_store.rot store ~lba ~sectors:1 (demo_prng ());
-      let frozen = Disk.Sector_store.snapshot store in
-      let clock2 = Clock.create () in
-      let disk2 = make_disk ~store:frozen c rig clock2 in
-      match Vlfs.recover ~disk:disk2 ~host:Host.free ~config:vlfs_cfg () with
-      | Error e -> Error ("vlfs: recover aborted: " ^ e)
-      | Ok (t2, _) -> expect_degraded "vlfs" "keep" (wrap_vlfs t2)))
+  write "victim" 'v';
+  Fs.shutdown s.fs;
+  match inode_extent c s.fs "victim" with
+  | Error e -> Error (which ^ ": " ^ e)
+  | Ok (lba, _, _) -> (
+    Disk.Sector_store.rot (Disk.Disk_sim.store s.disks.(0)) ~lba ~sectors:1 (demo_prng ());
+    match recover c rig ~prng:(demo_prng ()) (Rig.freeze s) with
+    | Error e -> Error (which ^ ": mount aborted: " ^ e)
+    | Ok m -> expect_degraded which "keep" m.fs)
 
 (* ---- Image generation and fsck (vlsim mkimage / vlsim fsck) ---- *)
 
@@ -1047,9 +640,9 @@ let parse_profile s =
 (* Build a small healthy file system (three files), then damage the sole
    copy of file "b"'s metadata the requested way:
 
-   - [C_dangling] makes b's inode unrecoverable in the way each FS reads
-     as "entry names nothing" (UFS: zeroed inode slot; LFS/VLFS: zeroed
-     inode part, so the checksum rejects it);
+   - [C_dangling] zeroes b's inode, which each FS reads as "entry names
+     nothing" (UFS: an unused inode slot; LFS/VLFS: an inode part the
+     checksum rejects);
    - [C_checksum] physically writes garbage with valid ECC, so only the
      content checksum catches it (UFS: both superblock slots, the one
      piece of metadata it checksums);
@@ -1057,120 +650,44 @@ let parse_profile s =
 let make_image ~fs ~corrupt : (Image.header * Disk.Sector_store.t, string) result
     =
   let c = default in
-  let rig =
-    match fs with
-    | F_vlfs -> { fs; on = D_direct }
-    | F_ufs | F_lfs -> { fs; on = D_regular }
-  in
-  let clock = Clock.create () in
-  let disk = make_disk c rig clock in
+  let rig = image_rig fs in
   let prng = Prng.create ~seed:0x13A6EL in
+  let s = format c rig ~prng in
+  let store = Disk.Disk_sim.store s.disks.(0) in
   let sb = sector_bytes c in
-  let store = Disk.Disk_sim.store disk in
-  let header =
-    { Image.fs = fs_name rig.fs; dev = dev_name rig.on;
-      profile = profile_string c }
-  in
-  let seed_files create write shutdown =
-    List.iter
-      (fun (n, len, ch) ->
-        or_die "mkimage" (create n);
-        or_die "mkimage" (write n (Bytes.make len ch)))
-      [ ("a", 1024, 'a'); ("b", 4096, 'b'); ("c", 8192, 'c') ];
-    shutdown ()
-  in
-  (* Damage one metadata block whose integrity is guarded by a content
-     checksum (LFS and VLFS inode parts). *)
-  let damage_checksummed_block ~lba ~block_bytes = function
-    | C_none -> Ok ()
+  List.iter
+    (fun (n, len, ch) ->
+      or_die "mkimage" (Fs.create s.fs n);
+      or_die "mkimage" (Fs.write s.fs n ~off:0 (Bytes.make len ch)))
+    [ ("a", 1024, 'a'); ("b", 4096, 'b'); ("c", 8192, 'c') ];
+  Fs.shutdown s.fs;
+  let damage_inode (lba, off, len) = function
+    | C_none -> ()
     | C_dangling ->
-      Disk.Sector_store.write store ~lba (Bytes.make block_bytes '\000');
-      Ok ()
-    | C_checksum ->
-      Disk.Sector_store.corrupt store ~lba ~sectors:1 prng;
-      Ok ()
-    | C_rot ->
-      Disk.Sector_store.rot store ~lba ~sectors:1 prng;
-      Ok ()
+      let buf = Disk.Sector_store.read store ~lba ~sectors:((off + len + sb - 1) / sb) in
+      Bytes.fill buf off len '\000';
+      Disk.Sector_store.write store ~lba buf
+    | C_checksum -> Disk.Sector_store.corrupt store ~lba ~sectors:1 prng
+    | C_rot -> Disk.Sector_store.rot store ~lba ~sectors:1 prng
   in
-  let ( let* ) = Result.bind in
-  let* () =
-    match rig.fs with
-    | F_ufs ->
-      let t = Ufs.format ~dev:(fresh_dev c rig.on ~disk ~prng) ~host:Host.free
-          ~clock ufs_cfg
-      in
-      seed_files
-        (fun n -> Ufs.create t n)
-        (fun n b -> Ufs.write t n ~off:0 b)
-        (fun () -> ignore (Ufs.sync t));
-      let bb = Ufs.block_bytes t in
-      (match List.assoc_opt "b" (Ufs.dir_entries t) with
-      | None -> Error "mkimage: file b vanished"
-      | Some inum -> (
-        let it_start, _ = Ufs.inode_table_span t in
-        let ipb = bb / Ufs.Inode.bytes_per_inode in
-        let byte = inum mod ipb * Ufs.Inode.bytes_per_inode in
-        let lba = (it_start + (inum / ipb)) * bb / sb + (byte / sb) in
-        match corrupt with
-        | C_none -> Ok ()
-        | C_dangling ->
-          (* Zero b's 128-byte slot in place: the directory entry now
-             names an unused inode. *)
-          let sector = Disk.Sector_store.read store ~lba ~sectors:1 in
-          Bytes.fill sector (byte mod sb) Ufs.Inode.bytes_per_inode '\000';
-          Disk.Sector_store.write store ~lba sector;
-          Ok ()
-        | C_checksum ->
-          (* Both superblock slots (device blocks 0 and 1): the only
-             checksummed UFS metadata, and losing both degrades the
-             mount. *)
-          Disk.Sector_store.corrupt store ~lba:0 ~sectors:1 prng;
-          Disk.Sector_store.corrupt store ~lba:(bb / sb) ~sectors:1 prng;
-          Ok ()
-        | C_rot ->
-          Disk.Sector_store.rot store ~lba ~sectors:1 prng;
-          Ok ()))
-    | F_lfs -> (
-      let t = Lfs.format ~dev:(fresh_dev c rig.on ~disk ~prng) ~host:Host.free
-          ~clock lfs_cfg
-      in
-      seed_files
-        (fun n -> Lfs.create t n)
-        (fun n b -> Lfs.write t n ~off:0 b)
-        (fun () -> ignore (Lfs.power_down t));
-      match List.assoc_opt "b" (Lfs.dir_entries t) with
-      | None -> Error "mkimage: file b vanished"
-      | Some inum -> (
-        match Lfs.imap_parts t inum with
-        | None | Some [||] -> Error "mkimage: file b has no inode parts"
-        | Some parts ->
-          damage_checksummed_block
-            ~lba:(parts.(0) * Lfs.block_bytes t / sb)
-            ~block_bytes:(Lfs.block_bytes t) corrupt))
-    | F_vlfs -> (
-      let t = Vlfs.format ~disk ~host:Host.free ~clock vlfs_cfg in
-      seed_files
-        (fun n -> Vlfs.create t n)
-        (fun n b -> Vlfs.write t n ~off:0 b)
-        (fun () -> ignore (Vlfs.power_down t));
-      match List.assoc_opt "b" (Vlfs.dir_entries t) with
-      | None -> Error "mkimage: file b vanished"
-      | Some inum -> (
-        let vl = Vlfs.vlog t in
-        let max_parts =
-          (Vlog.Virtual_log.config vl).Vlog.Virtual_log.logical_blocks
-          / (Vlfs.config t).Vlfs.n_inodes
-        in
-        match Vlog.Virtual_log.lookup vl (inum * max_parts) with
-        | None -> Error "mkimage: file b's inode part 0 is not mapped"
-        | Some pba ->
-          let fm = Vlog.Virtual_log.freemap vl in
-          damage_checksummed_block
-            ~lba:(Vlog.Freemap.lba_of_block fm pba)
-            ~block_bytes:(Vlog.Virtual_log.block_bytes vl) corrupt))
+  let damage =
+    match (corrupt, s.fs) with
+    | C_none, _ -> Ok ()
+    | C_checksum, Fs.Ufs t ->
+      (* Both superblock slots (device blocks 0 and 1): losing both
+         degrades the mount. *)
+      Disk.Sector_store.corrupt store ~lba:0 ~sectors:1 prng;
+      Disk.Sector_store.corrupt store ~lba:(Ufs.block_bytes t / sb) ~sectors:1 prng;
+      Ok ()
+    | _ -> Result.map (fun ext -> damage_inode ext corrupt) (inode_extent c s.fs "b")
   in
-  Ok (header, store)
+  match damage with
+  | Error e -> Error ("mkimage: " ^ e)
+  | Ok () ->
+    Ok
+      ( { Image.fs = Rig.fs_name rig.fs; dev = Rig.dev_name rig.on;
+          profile = profile_string c },
+        store )
 
 (* ---- vlsim fsck: remount an image and hold it to account ---- *)
 
@@ -1211,21 +728,19 @@ let findings_of_notes notes =
 let fsck_image (h : Image.header) store : (fsck_result, string) result =
   let ( let* ) = Result.bind in
   let* profile = parse_profile h.Image.profile in
-  let* rig = rig_of_string (h.Image.fs ^ "/" ^ h.Image.dev) in
-  let clock = Clock.create () in
-  let disk =
-    Disk.Disk_sim.create ~buffer_policy:(buffer_policy rig) ~store ~profile
-      ~clock ()
+  let* rig = Rig.of_string (h.Image.fs ^ "/" ^ h.Image.dev) in
+  let* m =
+    if plain rig then
+      recover default ~profile rig ~prng:(Prng.create ~seed:0x5EC7L)
+        { stores = [| store |]; nvm_image = None }
+    else Error "volume and nvm rigs span more than one drive image"
   in
-  let* fso, notes =
-    mount_fs rig ~disk ~clock ~prng:(Prng.create ~seed:0x5EC7L)
-  in
-  let report = fso.o_check () in
+  let report = fsck m.fs in
   let report =
     {
       report with
-      Report.findings = findings_of_notes notes @ report.Report.findings;
+      Report.findings = findings_of_notes m.notes @ report.Report.findings;
     }
   in
-  Ok { fr_header = h; fr_mode = fso.o_mode (); fr_report = report;
-       fr_notes = notes }
+  Ok { fr_header = h; fr_mode = Fs.mode m.fs; fr_report = report;
+       fr_notes = m.notes }

@@ -20,11 +20,6 @@ type category =
 
 val category_to_string : category -> string
 
-val category_of_slug : string -> category
-(** Map the string slugs used by [verify_media] in ufs/lfs/vlfs (which
-    cannot depend on this library) onto categories; unknown slugs become
-    [Malformed]. *)
-
 type finding = { category : category; detail : string }
 
 type t = { fs : string; findings : finding list }
@@ -32,10 +27,11 @@ type t = { fs : string; findings : finding list }
 val v : fs:string -> finding list -> t
 val ok : t -> bool
 val count : t -> category -> int
-val categories : t -> category list
 
 val of_media : (string * string) list -> finding list
-(** Lift [verify_media] output into findings. *)
+(** Lift [verify_media] output into findings: the string slugs of the
+    three file systems (which cannot depend on this library) map onto
+    categories, and unknown slugs become [Malformed]. *)
 
 val findf : category -> ('a, unit, string, finding) format4 -> 'a
 

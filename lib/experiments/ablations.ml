@@ -131,8 +131,7 @@ let map_batching ?(scale = Rigs.Full) () =
     Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track
       ~profile:Rigs.seagate ~clock ()
   in
-  let total_blocks = Disk.Geometry.total_sectors (Disk.Disk_sim.geometry disk) / 8 in
-  let logical_blocks = total_blocks - (1 + (total_blocks / 900)) - 8 in
+  let logical_blocks = Blockdev.Vld.export_blocks (Disk.Disk_sim.geometry disk) in
   let vlog =
     Vlog.Virtual_log.format ~disk (Vlog.Virtual_log.default_config ~logical_blocks)
   in

@@ -2,18 +2,20 @@
    and burst absorption across four rigs x burst sizes x destager duty
    cycles, plus a sustained-overload phase per cell.
 
-   The four rigs bracket the design space the paper's section 6 argues
-   about:
+   The four rigs (printed label, then the {!Workload.Rig} spec) bracket
+   the design space the paper's section 6 argues about:
 
-   - vld        UFS (sync) on the virtual log disk: every small write
-                pays an eager disk write — the baseline the staging
-                tier must beat;
-   - nvram-lfs  LFS with the paper's 6.1 MB NVRAM write buffer on a
-                regular disk: writes land in the buffer at memory cost,
-                durability rides on the buffer being non-volatile;
-   - nvm-ufs    the NVM write-ahead tier over UFS's regular disk;
-   - nvm-vld    the NVM write-ahead tier destaging onto a VLD — eager
-                placement soaks up the destage stream.
+   - vld        ufs/vld: UFS (sync) on the virtual log disk: every small
+                write pays an eager disk write — the baseline the
+                staging tier must beat;
+   - nvram-lfs  lfs/regular: LFS with the paper's 6.1 MB NVRAM write
+                buffer on a regular disk: writes land in the buffer at
+                memory cost, durability rides on the buffer being
+                non-volatile;
+   - nvm-ufs    ufs/nvm-regular: the NVM write-ahead tier over UFS's
+                regular disk;
+   - nvm-vld    ufs/nvm-vld: the NVM write-ahead tier destaging onto a
+                VLD — eager placement soaks up the destage stream.
 
    Each cell: warm a 64-block file, then [rounds] bursts of [burst]
    synchronous 4 KB overwrites, each burst followed by an idle gap of
@@ -23,22 +25,28 @@
    — the degradation the 1.25x criterion bounds. *)
 
 open Vlog_util
+module Rig = Workload.Rig
 
-type rig_kind = R_vld | R_nvram_lfs | R_nvm_ufs | R_nvm_vld
+let plain_vld : Rig.t = { fs = F_ufs; on = D_vld }
+let nvm_vld : Rig.t = { fs = F_ufs; on = D_nvm W_vld }
 
-let rig_label = function
-  | R_vld -> "vld"
-  | R_nvram_lfs -> "nvram-lfs"
-  | R_nvm_ufs -> "nvm-ufs"
-  | R_nvm_vld -> "nvm-vld"
+(* The four rigs in table order, each with its printed label and the
+   ordinal that salts its seeds. *)
+let rigs =
+  [
+    (plain_vld, "vld", 1);
+    ({ Rig.fs = F_lfs; on = D_regular }, "nvram-lfs", 2);
+    ({ Rig.fs = F_ufs; on = D_nvm W_regular }, "nvm-ufs", 3);
+    (nvm_vld, "nvm-vld", 4);
+  ]
 
-let staged = function
-  | R_nvm_ufs | R_nvm_vld -> true
-  | R_vld | R_nvram_lfs -> false
+let rig_label rig = match List.find (fun (r, _, _) -> r = rig) rigs with _, l, _ -> l
+let ordinal rig = match List.find (fun (r, _, _) -> r = rig) rigs with _, _, n -> n
+let staged (rig : Rig.t) = match rig.on with D_nvm _ -> true | _ -> false
 
-type cell = { rk : rig_kind; burst : int; destage_util : float }
+type cell = { rig : Rig.t; burst : int; destage_util : float }
 
-let cell_label c = Printf.sprintf "%s/%d/%.2f" (rig_label c.rk) c.burst c.destage_util
+let cell_label c = Printf.sprintf "%s/%d/%.2f" (rig_label c.rig) c.burst c.destage_util
 
 type row = {
   r_cell : cell;
@@ -83,157 +91,94 @@ let records_per_sync_write = 1
 
 let cells ~scale =
   List.concat_map
-    (fun rk ->
-      let us = if staged rk then utils scale else [ 0. ] in
+    (fun (rig, _, _) ->
+      let us = if staged rig then utils scale else [ 0. ] in
       List.concat_map
-        (fun burst -> List.map (fun u -> { rk; burst; destage_util = u }) us)
+        (fun burst -> List.map (fun u -> { rig; burst; destage_util = u }) us)
         (bursts scale))
-    [ R_vld; R_nvram_lfs; R_nvm_ufs; R_nvm_vld ]
+    rigs
 
 let seed_of ~seed c =
   Int64.of_int
     ((0xA7 * (seed + 1))
-    + (10_000
-      * (match c.rk with
-        | R_vld -> 1
-        | R_nvram_lfs -> 2
-        | R_nvm_ufs -> 3
-        | R_nvm_vld -> 4))
+    + (10_000 * ordinal c.rig)
     + (7 * c.burst)
     + int_of_float (c.destage_util *. 100.))
 
-let ufs_cfg =
-  { Ufs.sync_data = true; n_inodes = 64; cache_blocks = 64; readahead_blocks = 2 }
-
-(* One built rig: a slot writer (synchronous 4 KB overwrite), the idle
-   hook (where a staged rig's destager runs), and a settle hook that
-   empties the staging tier after warmup. *)
-type stack = {
-  sk_clock : Clock.t;
-  sk_write : int -> unit;
-  sk_idle : float -> unit;
-  sk_settle : unit -> unit;
-  sk_log_capacity : int;  (* 0 = no staging tier *)
-}
-
-let make_stack c seed =
-  let clock = Clock.create () in
-  let prng = Prng.create ~seed in
-  let mk_disk policy =
-    Disk.Disk_sim.create ~buffer_policy:policy ~profile:Rigs.seagate ~clock ()
-  in
-  let mk_vld () =
-    Blockdev.Vld.device
-      (Blockdev.Vld.create ~disk:(mk_disk Disk.Track_buffer.Whole_track)
-         ~logical_blocks:vld_logical_blocks ~prng:(Prng.split prng) ())
-  in
-  let mk_regular () =
-    Blockdev.Regular_disk.device
-      (Blockdev.Regular_disk.create
-         ~disk:(mk_disk Disk.Track_buffer.Forward_discard)
-         ~spare_blocks:8 ())
-  in
-  let mk_staged inner =
-    let nvm = Nvm.Nvm_sim.create ~clock () in
-    let config =
-      { Nvm.Nvm_wal.default_config with Nvm.Nvm_wal.destage_util = c.destage_util }
-    in
-    let wal = Nvm.Nvm_wal.create ~config ~nvm ~inner () in
-    (Nvm.Nvm_wal.device wal, Some wal)
-  in
-  let dev, wal =
-    match c.rk with
-    | R_vld -> (mk_vld (), None)
-    | R_nvram_lfs -> (mk_regular (), None)
-    | R_nvm_ufs -> mk_staged (mk_regular ())
-    | R_nvm_vld -> mk_staged (mk_vld ())
-  in
-  let die op = function
-    | Ok _ -> ()
-    | Error (e : Blockdev.Fs_error.t) ->
-      failwith
-        (Format.asprintf "nvm bench [%s]: %s failed: %a" (rig_label c.rk) op
-           Blockdev.Fs_error.pp e)
-  in
-  let version = ref 0 in
-  let payload () =
-    incr version;
-    Bytes.make block_bytes (Char.chr (33 + (!version mod 90)))
-  in
-  let sk_write =
-    match c.rk with
-    | R_nvram_lfs ->
-      (* [Lfs.default_config] already is the paper's NVRAM rig: a
-         1561-block (6.1 MB) write buffer treated as non-volatile. *)
-      let t = Lfs.format ~dev ~host:Host.free ~clock Lfs.default_config in
-      die "create" (Lfs.create t "f");
-      fun slot -> die "write" (Lfs.write t "f" ~off:(slot * block_bytes) (payload ()))
-    | R_vld | R_nvm_ufs | R_nvm_vld ->
-      let t = Ufs.format ~dev ~host:Host.free ~clock ufs_cfg in
-      die "create" (Ufs.create t "f");
-      fun slot -> die "write" (Ufs.write t "f" ~off:(slot * block_bytes) (payload ()))
-  in
-  {
-    sk_clock = clock;
-    sk_write;
-    sk_idle = (fun dt -> dev.Blockdev.Device.idle dt);
-    sk_settle =
-      (fun () ->
-        match wal with
-        | None -> ()
-        | Some w -> (
-          match Nvm.Nvm_wal.drain w with
-          | Ok () -> ()
-          | Error e ->
-            failwith
-              (Format.asprintf "nvm bench [%s]: warmup drain failed: %a"
-                 (rig_label c.rk) Blockdev.Device.pp_io_error e)));
-    sk_log_capacity =
-      (match wal with
-      | None -> 0
-      | Some w -> (Nvm.Nvm_wal.status w).Nvm.Nvm_wal.st_log_capacity);
-  }
-
 let run_cell ?(seed = 0) ~scale c =
-  let st = make_stack c (seed_of ~seed c) in
+  let clock = Clock.create () in
+  (* [Lfs.default_config] already is the paper's NVRAM rig: a 1561-block
+     (6.1 MB) write buffer treated as non-volatile. *)
+  let s =
+    Rig.format ~spare_blocks:8 ~ufs:Rig.small_ufs
+      ~wal:{ Nvm.Nvm_wal.default_config with destage_util = c.destage_util }
+      ~profile:Rigs.seagate ~logical_blocks:vld_logical_blocks ~clock
+      ~prng:(Prng.split (Prng.create ~seed:(seed_of ~seed c)))
+      c.rig
+  in
+  let fail what pp e =
+    failwith
+      (Format.asprintf "nvm bench [%s]: %s failed: %a" (rig_label c.rig) what pp e)
+  in
+  let die op = function Ok _ -> () | Error e -> fail op Blockdev.Fs_error.pp e in
+  let version = ref 0 in
+  (* One synchronous 4 KB overwrite of a slot of file "f". *)
+  let write slot =
+    incr version;
+    let payload = Bytes.make block_bytes (Char.chr (33 + (!version mod 90))) in
+    die "write" (Workload.Fs.write s.fs "f" ~off:(slot * block_bytes) payload)
+  in
+  die "create" (Workload.Fs.create s.fs "f");
   for slot = 0 to file_blocks - 1 do
-    st.sk_write slot
+    write slot
   done;
-  st.sk_settle ();
+  (* Empty the staging tier after warmup. *)
+  Option.iter
+    (fun w ->
+      match Nvm.Nvm_wal.drain w with
+      | Ok () -> ()
+      | Error e -> fail "warmup drain" Blockdev.Device.pp_io_error e)
+    s.wal;
   let sprng = Prng.create ~seed:(Int64.add (seed_of ~seed c) 1L) in
   let lats = ref [] in
   let burst_times = ref [] in
   for _ = 1 to rounds scale do
-    let b0 = Clock.now st.sk_clock in
+    let b0 = Clock.now clock in
     for _ = 1 to c.burst do
-      let t0 = Clock.now st.sk_clock in
-      st.sk_write (Prng.int sprng file_blocks);
-      lats := (Clock.now st.sk_clock -. t0) :: !lats
+      let t0 = Clock.now clock in
+      write (Prng.int sprng file_blocks);
+      lats := (Clock.now clock -. t0) :: !lats
     done;
-    burst_times := (Clock.now st.sk_clock -. b0) :: !burst_times;
-    st.sk_idle (gap_ms_per_write *. float_of_int c.burst)
+    burst_times := (Clock.now clock -. b0) :: !burst_times;
+    (* Only the device idles, never LFS's cleaner or flush: the open NVRAM-LFS bug. *)
+    s.dev.Blockdev.Device.idle (gap_ms_per_write *. float_of_int c.burst)
   done;
-  let o0 = Clock.now st.sk_clock in
+  let o0 = Clock.now clock in
   let n_over = overload_ops scale in
   for _ = 1 to n_over do
-    st.sk_write (Prng.int sprng file_blocks)
+    write (Prng.int sprng file_blocks)
   done;
-  let over_ms = Clock.now st.sk_clock -. o0 in
-  let s = Stats.summarize (List.rev !lats) in
+  let over_ms = Clock.now clock -. o0 in
+  let s_lat = Stats.summarize (List.rev !lats) in
+  let log_capacity =
+    match s.wal with
+    | None -> 0
+    | Some w -> (Nvm.Nvm_wal.status w).Nvm.Nvm_wal.st_log_capacity
+  in
   let burst_fit =
-    st.sk_log_capacity = 0
+    log_capacity = 0
     || 32
        + records_per_sync_write * c.burst
          * Nvm.Nvm_wal.Record.encoded_size ~payload_len:block_bytes
-       <= st.sk_log_capacity
+       <= log_capacity
   in
   {
     r_cell = c;
-    n_sync = s.Stats.n;
-    sync_mean_ms = s.Stats.mean;
-    sync_p50_ms = s.Stats.p50;
-    sync_p99_ms = s.Stats.p99;
-    sync_max_ms = s.Stats.max;
+    n_sync = s_lat.Stats.n;
+    sync_mean_ms = s_lat.Stats.mean;
+    sync_p50_ms = s_lat.Stats.p50;
+    sync_p99_ms = s_lat.Stats.p99;
+    sync_max_ms = s_lat.Stats.max;
     burst_fit;
     burst_mean_ms = Stats.mean (List.rev !burst_times);
     overload_ops_s = float_of_int n_over /. Float.max over_ms 1e-6 *. 1000.;
@@ -242,17 +187,17 @@ let run_cell ?(seed = 0) ~scale c =
 (* The acceptance criteria, read off the finished rows: plain VLD
    against the staged VLD at the destager's highest duty cycle. *)
 let criteria_of ~scale rows =
-  let find rk burst u =
+  let find rig burst u =
     List.find_opt
       (fun r ->
-        r.r_cell.rk = rk && r.r_cell.burst = burst && r.r_cell.destage_util = u)
+        r.r_cell.rig = rig && r.r_cell.burst = burst && r.r_cell.destage_util = u)
       rows
   in
   let umax = List.fold_left Float.max 0. (utils scale) in
   let ratios =
     List.filter_map
       (fun burst ->
-        match (find R_vld burst 0., find R_nvm_vld burst umax) with
+        match (find plain_vld burst 0., find nvm_vld burst umax) with
         | Some base, Some nvm when nvm.burst_fit && nvm.sync_mean_ms > 0. ->
           Some (base.sync_mean_ms /. nvm.sync_mean_ms)
         | _ -> None)
@@ -263,7 +208,7 @@ let criteria_of ~scale rows =
   in
   let bmax = List.fold_left max 0 (bursts scale) in
   let overload_ratio =
-    match (find R_vld bmax 0., find R_nvm_vld bmax umax) with
+    match (find plain_vld bmax 0., find nvm_vld bmax umax) with
     | Some base, Some nvm when nvm.overload_ops_s > 0. ->
       base.overload_ops_s /. nvm.overload_ops_s
     | _ -> infinity
@@ -291,9 +236,9 @@ let table_of rows =
     (fun row ->
       Table.add_row t
         [
-          rig_label row.r_cell.rk;
+          rig_label row.r_cell.rig;
           string_of_int row.r_cell.burst;
-          (if staged row.r_cell.rk then
+          (if staged row.r_cell.rig then
              Table.cell_f ~decimals:2 row.r_cell.destage_util
            else "-");
           Table.cell_ms row.sync_mean_ms;
@@ -312,7 +257,7 @@ let report ~scale rows =
   let cell row =
     Json.Obj
       [
-        ("rig", String (rig_label row.r_cell.rk)); ("burst", Int row.r_cell.burst);
+        ("rig", String (rig_label row.r_cell.rig)); ("burst", Int row.r_cell.burst);
         ("destage_util", Float row.r_cell.destage_util); ("n_sync", Int row.n_sync);
         ("sync_mean_ms", Float row.sync_mean_ms); ("sync_p50_ms", Float row.sync_p50_ms);
         ("sync_p99_ms", Float row.sync_p99_ms); ("sync_max_ms", Float row.sync_max_ms);

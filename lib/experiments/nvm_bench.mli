@@ -15,15 +15,14 @@
     least 10x below plain VLD's, and its sustained-overload throughput
     within 1.25x of plain VLD's. *)
 
-type rig_kind = R_vld | R_nvram_lfs | R_nvm_ufs | R_nvm_vld
-
-val rig_label : rig_kind -> string
-(** ["vld"], ["nvram-lfs"], ["nvm-ufs"], ["nvm-vld"]. *)
-
-type cell = { rk : rig_kind; burst : int; destage_util : float }
+type cell = { rig : Workload.Rig.t; burst : int; destage_util : float }
+(** One of the four rigs — ["ufs/vld"], ["lfs/regular"],
+    ["ufs/nvm-regular"], ["ufs/nvm-vld"] — at one burst size and duty
+    cycle. *)
 
 val cell_label : cell -> string
-(** [rig/burst/util], e.g. ["nvm-vld/64/1.00"]. *)
+(** [rig/burst/util] with the rig's printed label (["vld"],
+    ["nvram-lfs"], ["nvm-ufs"], ["nvm-vld"]), e.g. ["nvm-vld/64/1.00"]. *)
 
 type row = {
   r_cell : cell;

@@ -109,11 +109,10 @@ let make_rig ~scale ~policy ~fs seed =
       Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track
         ~profile:Rigs.seagate ~clock ()
     in
-    let total_blocks =
-      Disk.Geometry.total_sectors (Disk.Disk_sim.geometry disk) / block_sectors
+    let logical_blocks =
+      Blockdev.Vld.export_blocks ~sectors_per_block:block_sectors
+        (Disk.Disk_sim.geometry disk)
     in
-    let map_pieces = 1 + (total_blocks / 900) in
-    let logical_blocks = total_blocks - map_pieces - 8 in
     let vld =
       Blockdev.Vld.create ~sectors_per_block:block_sectors ~disk ~logical_blocks
         ~prng:(Prng.split prng) ()

@@ -1111,7 +1111,6 @@ let config t = t.cfg
 let total_blocks t = t.n_blocks
 let data_area_start t = t.data_start
 let inode_table_span t = (t.inode_table_start, t.inode_table_blocks)
-let superblock_generation t = t.sb_gen
 let block_marked t b = b >= 0 && b < t.n_blocks && Bytes.get t.bitmap b = '\001'
 let dir_data_blocks t = Array.to_list (Array.map (fun db -> db.dblock) t.dir)
 let inode_of t inum = Hashtbl.find_opt t.by_inum inum

@@ -138,7 +138,6 @@ val data_area_start : t -> int
 val inode_table_span : t -> int * int
 (** (first block, block count) of the on-disk inode table. *)
 
-val superblock_generation : t -> int
 val block_marked : t -> int -> bool
 (** Whether the allocator bitmap marks the block in use. *)
 

@@ -25,11 +25,11 @@ let block = 4096
 let bandwidth ~bytes ~ms = if ms <= 0. then infinity else float_of_int bytes /. 1048576. /. (ms /. 1000.)
 
 let run ?(mb = 10) ?(sync_phase = false) (t : Setup.t) =
-  let ops = t.Setup.ops in
+  let fs = t.Setup.fs in
   let total = mb * 1024 * 1024 in
   let blocks = total / block in
   let prng = Prng.split t.Setup.prng in
-  ignore (ops.Setup.create file);
+  ignore (Setup.exn @@ Fs.create fs file);
   let measure f =
     let (), ms = Setup.elapsed t f in
     bandwidth ~bytes:total ~ms
@@ -38,51 +38,53 @@ let run ?(mb = 10) ?(sync_phase = false) (t : Setup.t) =
     measure (fun () ->
         let data = Bytes.make chunk 'w' in
         for c = 0 to (total / chunk) - 1 do
-          ignore (ops.Setup.write file ~off:(c * chunk) data)
+          ignore (Setup.exn @@ Fs.write fs file ~off:(c * chunk) data)
         done;
-        ignore (ops.Setup.sync ()))
+        ignore (Fs.sync fs))
   in
-  ops.Setup.drop_caches ();
+  Fs.drop_caches fs;
   let seq_read =
     measure (fun () ->
         for c = 0 to (total / chunk) - 1 do
-          ignore (ops.Setup.read file ~off:(c * chunk) ~len:chunk)
+          ignore (Setup.exn @@ Fs.read fs file ~off:(c * chunk) ~len:chunk)
         done)
   in
-  ops.Setup.drop_caches ();
+  Fs.drop_caches fs;
   let random_write_async =
     measure (fun () ->
         let data = Bytes.make block 'r' in
         for _ = 1 to blocks do
-          ignore (ops.Setup.write file ~off:(Prng.int prng blocks * block) data)
+          ignore (Setup.exn @@ Fs.write fs file ~off:(Prng.int prng blocks * block) data)
         done;
-        ignore (ops.Setup.sync ()))
+        ignore (Fs.sync fs))
   in
   let random_write_sync =
     if not sync_phase then None
     else begin
-      ops.Setup.drop_caches ();
+      Fs.drop_caches fs;
       Some
         (measure (fun () ->
              let data = Bytes.make block 's' in
              for _ = 1 to blocks do
-               ignore (ops.Setup.write file ~off:(Prng.int prng blocks * block) data);
-               ignore (ops.Setup.sync ())
+               let off = Prng.int prng blocks * block in
+               ignore (Setup.exn @@ Fs.write fs file ~off data);
+               ignore (Fs.sync fs)
              done))
     end
   in
-  ops.Setup.drop_caches ();
+  Fs.drop_caches fs;
   let seq_read_again =
     measure (fun () ->
         for c = 0 to (total / chunk) - 1 do
-          ignore (ops.Setup.read file ~off:(c * chunk) ~len:chunk)
+          ignore (Setup.exn @@ Fs.read fs file ~off:(c * chunk) ~len:chunk)
         done)
   in
-  ops.Setup.drop_caches ();
+  Fs.drop_caches fs;
   let random_read =
     measure (fun () ->
         for _ = 1 to blocks do
-          ignore (ops.Setup.read file ~off:(Prng.int prng blocks * block) ~len:block)
+          let off = Prng.int prng blocks * block in
+          ignore (Setup.exn @@ Fs.read fs file ~off ~len:block)
         done)
   in
   [ (Seq_write, seq_write); (Seq_read, seq_read); (Random_write_async, random_write_async) ]

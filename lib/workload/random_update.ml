@@ -13,32 +13,34 @@ let file = "updatefile"
 let block = 4096
 
 let run ?(updates = 500) ?(warmup = 50) ?(compact_first = false) ~file_mb (t : Setup.t) =
-  let ops = t.Setup.ops in
+  let fs = t.Setup.fs in
   let blocks = int_of_float (file_mb *. 1048576.) / block in
   if blocks <= 0 then invalid_arg "Random_update.run: file too small";
   let prng = Prng.split t.Setup.prng in
-  ignore (ops.Setup.create file);
+  ignore (Setup.exn @@ Fs.create fs file);
   (* Fill sequentially in large chunks (placement as a real file). *)
   let chunk_blocks = 16 in
   let data = Bytes.make (chunk_blocks * block) 'f' in
   let full_chunks = blocks / chunk_blocks in
   for c = 0 to full_chunks - 1 do
-    ignore (ops.Setup.write file ~off:(c * chunk_blocks * block) data)
+    ignore (Setup.exn @@ Fs.write fs file ~off:(c * chunk_blocks * block) data)
   done;
   let rest = blocks - (full_chunks * chunk_blocks) in
   if rest > 0 then
     ignore
-      (ops.Setup.write file
+      (Setup.exn @@ Fs.write fs file
          ~off:(full_chunks * chunk_blocks * block)
          (Bytes.make (rest * block) 'f'));
-  ignore (ops.Setup.sync ());
-  if compact_first then ops.Setup.idle 60_000.;
+  ignore (Fs.sync fs);
+  if compact_first then Fs.idle fs ~clock:t.Setup.clock 60_000.;
   let payload = Bytes.make block 'u' in
-  let one () = ignore (ops.Setup.write file ~off:(Prng.int prng blocks * block) payload) in
+  let one () =
+    ignore (Setup.exn @@ Fs.write fs file ~off:(Prng.int prng blocks * block) payload)
+  in
   for _ = 1 to warmup do
     one ()
   done;
-  let utilization = ops.Setup.utilization () in
+  let utilization = Fs.utilization fs in
   let acc = Breakdown.Acc.create () in
   (* Per-update wall latencies feed a log-scale trace histogram, so the
      tail is reported with ~5 % relative precision at any update count. *)
@@ -48,7 +50,7 @@ let run ?(updates = 500) ?(warmup = 50) ?(compact_first = false) ~file_mb (t : S
         for _ = 1 to updates do
           let t0 = Clock.now t.Setup.clock in
           let bd =
-            ops.Setup.write file ~off:(Prng.int prng blocks * block) payload
+            Setup.exn @@ Fs.write fs file ~off:(Prng.int prng blocks * block) payload
           in
           let wall = Clock.now t.Setup.clock -. t0 in
           Trace.Histogram.observe hist wall;

@@ -7,80 +7,19 @@ type fs_choice =
 
 type dev_choice = Regular | VLD
 
-type ops = {
-  label : string;
-  create : string -> Breakdown.t;
-  write : string -> off:int -> Bytes.t -> Breakdown.t;
-  read : string -> off:int -> len:int -> Bytes.t * Breakdown.t;
-  delete : string -> Breakdown.t;
-  sync : unit -> Breakdown.t;
-  drop_caches : unit -> unit;
-  idle : float -> unit;
-  utilization : unit -> float;
-}
-
 type t = {
+  label : string;
   clock : Clock.t;
   disk : Disk.Disk_sim.t;
   dev : Blockdev.Device.t;
-  ops : ops;
+  fs : Fs.t;
   vld : Blockdev.Vld.t option;
   prng : Prng.t;
 }
 
-let fail_fs pp = function
+let exn = function
   | Ok v -> v
-  | Error e -> failwith (Format.asprintf "file system error: %a" pp e)
-
-let ufs_ops ~label ~clock fs dev =
-  {
-    label;
-    create = (fun name -> fail_fs Ufs.pp_error (Ufs.create fs name));
-    write = (fun name ~off data -> fail_fs Ufs.pp_error (Ufs.write fs name ~off data));
-    read = (fun name ~off ~len -> fail_fs Ufs.pp_error (Ufs.read fs name ~off ~len));
-    delete = (fun name -> fail_fs Ufs.pp_error (Ufs.delete fs name));
-    sync = (fun () -> Ufs.sync fs);
-    drop_caches = (fun () -> Ufs.drop_caches fs);
-    idle = (fun dt -> Blockdev.Device.advance_idle ~clock dev dt);
-    utilization = (fun () -> Ufs.utilization fs);
-  }
-
-let lfs_ops ~label ~clock fs dev =
-  {
-    label;
-    create = (fun name -> fail_fs Lfs.pp_error (Lfs.create fs name));
-    write = (fun name ~off data -> fail_fs Lfs.pp_error (Lfs.write fs name ~off data));
-    read = (fun name ~off ~len -> fail_fs Lfs.pp_error (Lfs.read fs name ~off ~len));
-    delete = (fun name -> fail_fs Lfs.pp_error (Lfs.delete fs name));
-    sync = (fun () -> Lfs.sync fs);
-    drop_caches = (fun () -> Lfs.drop_caches fs);
-    idle =
-      (fun dt ->
-        let until = Clock.now clock +. dt in
-        ignore (Lfs.idle_work fs ~deadline:until);
-        (* Whatever time remains goes to the device (VLD compaction). *)
-        let remaining = until -. Clock.now clock in
-        if remaining > 0. then Blockdev.Device.advance_idle ~clock dev remaining
-        else Clock.advance_to clock until);
-    utilization = (fun () -> Lfs.utilization fs);
-  }
-
-let vlfs_ops ~label ~clock fs =
-  {
-    label;
-    create = (fun name -> fail_fs Vlfs.pp_error (Vlfs.create fs name));
-    write = (fun name ~off data -> fail_fs Vlfs.pp_error (Vlfs.write fs name ~off data));
-    read = (fun name ~off ~len -> fail_fs Vlfs.pp_error (Vlfs.read fs name ~off ~len));
-    delete = (fun name -> fail_fs Vlfs.pp_error (Vlfs.delete fs name));
-    sync = (fun () -> Vlfs.sync fs);
-    drop_caches = (fun () -> Vlfs.drop_caches fs);
-    idle =
-      (fun dt ->
-        let until = Clock.now clock +. dt in
-        Vlfs.idle fs dt;
-        Clock.advance_to clock until);
-    utilization = (fun () -> Vlfs.utilization fs);
-  }
+  | Error e -> failwith (Format.asprintf "file system error: %a" Blockdev.Fs_error.pp e)
 
 let make ?(seed = 0xC0FFEEL) ?cylinders ?(vld_eager_mode = Vlog.Eager.Sweep)
     ?(vld_compaction = Vlog.Compactor.Random_target) ?(trace = false) ~profile ~host ~fs
@@ -92,52 +31,35 @@ let make ?(seed = 0xC0FFEEL) ?cylinders ?(vld_eager_mode = Vlog.Eager.Sweep)
   in
   let clock = Clock.create () in
   let trace = if trace then Trace.create ~clock () else Trace.null in
-  let buffer_policy =
-    match (fs, dev) with
-    | VLFS _, _ -> Disk.Track_buffer.Whole_track (* VLFS is the disk's firmware *)
-    | _, Regular -> Disk.Track_buffer.Forward_discard
-    | _, VLD -> Disk.Track_buffer.Whole_track
-  in
-  let disk = Disk.Disk_sim.create ~buffer_policy ~profile ~clock ~trace () in
   let prng = Prng.create ~seed in
-  let vld, device =
-    match (fs, dev) with
-    | VLFS _, _ ->
-      (* VLFS runs directly on the drive.  The device record here is a
-         capacity stand-in (rig sizing math); no I/O flows through it. *)
-      (None, Blockdev.Regular_disk.device (Blockdev.Regular_disk.create ~disk ()))
-    | _, Regular ->
-      (None, Blockdev.Regular_disk.device (Blockdev.Regular_disk.create ~disk ()))
-    | _, VLD ->
-      let total_blocks = Disk.Geometry.total_sectors (Disk.Disk_sim.geometry disk) / 8 in
-      (* Leave the virtual log its map pieces plus the allocation
-         reserve; export the rest. *)
-      let map_pieces = 1 + (total_blocks / 900) in
-      let logical_blocks = total_blocks - map_pieces - 8 in
-      let v =
-        Blockdev.Vld.create ~eager_mode:vld_eager_mode ~compaction_policy:vld_compaction
-          ~disk ~logical_blocks ~prng:(Prng.split prng) ()
-      in
-      (Some v, Blockdev.Vld.device v)
+  let on, dev_label =
+    match dev with Regular -> (Rig.D_regular, "regular") | VLD -> (Rig.D_vld, "vld")
   in
-  let dev_label = match dev with Regular -> "regular" | VLD -> "vld" in
-  let ops =
+  let format ?ufs ?lfs ?vlfs spec =
+    Rig.format ~host ~trace ~vld_eager_mode ~vld_compaction ?ufs ?lfs ?vlfs ~profile
+      ~logical_blocks:(Blockdev.Vld.export_blocks profile.Disk.Profile.geometry)
+      ~clock
+      (* Only a VLD draws from the generator it is given; the workloads
+         split theirs from [prng] afterwards. *)
+      ~prng:(if spec.Rig.on = Rig.D_vld then Prng.split prng else prng)
+      spec
+  in
+  let s, label =
     match fs with
     | UFS { sync_data } ->
-      let fs = Ufs.format ~dev:device ~host ~clock { Ufs.default_config with sync_data } in
-      ufs_ops ~label:(Printf.sprintf "UFS/%s" dev_label) ~clock fs device
+      ( format ~ufs:{ Ufs.default_config with sync_data } { fs = F_ufs; on },
+        "UFS/" ^ dev_label )
     | LFS { buffer_blocks } ->
-      let fs =
-        Lfs.format ~dev:device ~host ~clock { Lfs.default_config with buffer_blocks }
-      in
-      lfs_ops ~label:(Printf.sprintf "LFS/%s" dev_label) ~clock fs device
+      ( format ~lfs:{ Lfs.default_config with buffer_blocks } { fs = F_lfs; on },
+        "LFS/" ^ dev_label )
     | VLFS { sync_writes } ->
-      let fs =
-        Vlfs.format ~disk ~host ~clock { Vlfs.default_config with Vlfs.sync_writes }
-      in
-      vlfs_ops ~label:(if sync_writes then "VLFS" else "VLFS/buffered") ~clock fs
+      (* VLFS is the disk's firmware: the [dev] choice does not apply. *)
+      ( format
+          ~vlfs:{ Vlfs.default_config with Vlfs.sync_writes }
+          { fs = F_vlfs; on = D_direct },
+        if sync_writes then "VLFS" else "VLFS/buffered" )
   in
-  { clock; disk; dev = device; ops; vld; prng }
+  { label; clock; disk = s.disks.(0); dev = s.dev; fs = s.fs; vld = s.vld; prng }
 
 let trace t = Disk.Disk_sim.trace t.disk
 

@@ -1,6 +1,6 @@
-(** Experiment rigs: the four file-system/disk combinations of Figure 5,
-    assembled behind one operations record so benchmark drivers are
-    agnostic to what they drive. *)
+(** Experiment rigs: the four file-system/disk combinations of Figure 5
+    (plus VLFS), built through {!Rig} and driven through the one {!Fs}
+    face, so benchmark drivers are agnostic to what they drive. *)
 
 type fs_choice =
   | UFS of { sync_data : bool }
@@ -13,30 +13,21 @@ type fs_choice =
 
 type dev_choice = Regular | VLD
 
-(** Uniform file-system interface.  Operations raise [Failure] on file
-    system errors — in a benchmark an error is a configuration bug. *)
-type ops = {
-  label : string;
-  create : string -> Vlog_util.Breakdown.t;
-  write : string -> off:int -> Bytes.t -> Vlog_util.Breakdown.t;
-  read : string -> off:int -> len:int -> Bytes.t * Vlog_util.Breakdown.t;
-  delete : string -> Vlog_util.Breakdown.t;
-  sync : unit -> Vlog_util.Breakdown.t;
-  drop_caches : unit -> unit;
-  idle : float -> unit;
-      (** Grant an idle window of the given length and advance the clock
-          to its end: LFS cleans and background-flushes, a VLD compacts. *)
-  utilization : unit -> float;  (** the [df] number *)
-}
-
 type t = {
+  label : string;  (** ["UFS/vld"], ["LFS/regular"], ["VLFS"], ["VLFS/buffered"] *)
   clock : Vlog_util.Clock.t;
   disk : Disk.Disk_sim.t;
   dev : Blockdev.Device.t;
-  ops : ops;
+      (** the logical disk; for VLFS a capacity stand-in over its drive *)
+  fs : Fs.t;
   vld : Blockdev.Vld.t option;
   prng : Vlog_util.Prng.t;
 }
+
+val exn : ('a, Blockdev.Fs_error.t) result -> 'a
+(** The benchmarks' projection of {!Fs} results: raises [Failure
+    "file system error: ..."] on an error — in a benchmark an error is a
+    configuration bug. *)
 
 val make :
   ?seed:int64 ->

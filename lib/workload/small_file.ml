@@ -3,29 +3,29 @@ type result = { create_ms : float; read_ms : float; delete_ms : float; files : i
 let name i = Printf.sprintf "small%05d" i
 
 let run ?(files = 1500) (t : Setup.t) =
-  let ops = t.Setup.ops in
+  let fs = t.Setup.fs in
   let payload = Bytes.make 1024 'q' in
   let (), create_ms =
     Setup.elapsed t (fun () ->
         for i = 0 to files - 1 do
-          ignore (ops.Setup.create (name i));
-          ignore (ops.Setup.write (name i) ~off:0 payload)
+          ignore (Setup.exn @@ Fs.create fs (name i));
+          ignore (Setup.exn @@ Fs.write fs (name i) ~off:0 payload)
         done;
-        ignore (ops.Setup.sync ()))
+        ignore (Fs.sync fs))
   in
-  ops.Setup.drop_caches ();
+  Fs.drop_caches fs;
   let (), read_ms =
     Setup.elapsed t (fun () ->
         for i = 0 to files - 1 do
-          ignore (ops.Setup.read (name i) ~off:0 ~len:1024)
+          ignore (Setup.exn @@ Fs.read fs (name i) ~off:0 ~len:1024)
         done)
   in
   let (), delete_ms =
     Setup.elapsed t (fun () ->
         for i = 0 to files - 1 do
-          ignore (ops.Setup.delete (name i))
+          ignore (Setup.exn @@ Fs.delete fs (name i))
         done;
-        ignore (ops.Setup.sync ()))
+        ignore (Fs.sync fs))
   in
   { create_ms; read_ms; delete_ms; files }
 

@@ -129,7 +129,7 @@ let spec_of s c cell =
 let test_repro_roundtrip () =
   let c = { Fs_sweep.default with Fs_sweep.seed = 77L } in
   let cell =
-    match Fs_sweep.rig_of_string "lfs/vld" with
+    match Workload.Rig.of_string "lfs/vld" with
     | Ok rig ->
       { Fs_sweep.rig; kind = Fault.Plan.Torn_write; trigger = 9; case = 41 }
     | Error e -> Alcotest.fail e
@@ -137,7 +137,7 @@ let test_repro_roundtrip () =
   match Cells.parse_repro Fs_sweep.sweep Fs_sweep.default (spec_of Fs_sweep.sweep c cell) with
   | Error e -> Alcotest.fail e
   | Ok (c', cell') ->
-    Alcotest.(check string) "rig" "lfs/vld" (Fs_sweep.rig_name cell'.Fs_sweep.rig);
+    Alcotest.(check string) "rig" "lfs/vld" (Workload.Rig.to_string cell'.Fs_sweep.rig);
     Alcotest.(check int64) "seed" 77L c'.Fs_sweep.seed;
     Alcotest.(check string) "kind" "torn"
       (Fault.Plan.kind_to_string cell'.Fs_sweep.kind);
@@ -159,7 +159,7 @@ let with_image ~fs ~corrupt k =
   | Ok (h, store) -> k h store
 
 let test_image_roundtrip () =
-  with_image ~fs:Fs_sweep.F_vlfs ~corrupt:Fs_sweep.C_none (fun h store ->
+  with_image ~fs:Workload.Rig.F_vlfs ~corrupt:Fs_sweep.C_none (fun h store ->
       let path = Filename.temp_file "vlsim-test" ".img" in
       Fun.protect
         ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -314,6 +314,44 @@ let array_cell array fault phase ~want_loss () =
       v
   | vs -> Alcotest.failf "expected one verdict, got %d" (List.length vs)
 
+(* ---- Rig specs: the codec round-trips every built rig and refuses the
+   stacks no builder can build ---- *)
+
+let test_rig_codec () =
+  let c = Fs_sweep.default in
+  let nvm_study =
+    List.sort_uniq compare
+      (List.map (fun x -> x.Experiments.Nvm_bench.rig)
+         (Experiments.Nvm_bench.cells ~scale:Experiments.Rigs.Full))
+  in
+  Alcotest.(check (list string)) "the NVM study's four rigs"
+    [ "lfs/regular"; "ufs/nvm-regular"; "ufs/nvm-vld"; "ufs/vld" ]
+    (List.sort compare (List.map Workload.Rig.to_string nvm_study));
+  List.iter
+    (fun r ->
+      let s = Workload.Rig.to_string r in
+      match Workload.Rig.of_string s with
+      | Ok r' when r' = r -> ()
+      | Ok r' -> Alcotest.failf "%s parsed back as %s" s (Workload.Rig.to_string r')
+      | Error e -> Alcotest.failf "%s refused: %s" s e)
+    (c.Fs_sweep.rigs @ c.Fs_sweep.vol_rigs @ c.Fs_sweep.wal_rigs @ nvm_study);
+  List.iter
+    (fun (s, why) ->
+      match Workload.Rig.of_string s with
+      | Ok _ -> Alcotest.failf "%s accepted" s
+      | Error e ->
+        if not (String.starts_with ~prefix:why e) then
+          Alcotest.failf "%s refused with %S, want %S..." s e why)
+    [
+      ("ufs/direct", "ufs runs on a logical disk");
+      ("lfs/direct", "lfs runs on a logical disk");
+      ("vlfs/vld", "vlfs runs directly on the platters");
+      ("vlfs/regular", "vlfs runs directly on the platters");
+      ("vlfs/mirror-vld", "vlfs runs directly on the platters");
+      ("vlfs/nvm-vld", "vlfs runs directly on the platters");
+      ("ufs/bogus", "unknown rig");
+    ]
+
 let suites =
   let tc = Alcotest.test_case in
   [
@@ -330,9 +368,9 @@ let suites =
       List.map
         (fun rig ->
           tc
-            (Printf.sprintf "clean remount roundtrip (%s)" (Fs_sweep.rig_name rig))
+            (Printf.sprintf "clean remount roundtrip (%s)" (Workload.Rig.to_string rig))
             `Quick (test_clean_roundtrip rig))
-        Fs_sweep.all_rigs );
+        Fs_sweep.default.Fs_sweep.rigs );
     ( "check:fs-sweep",
       [
         tc "full matrix: >= 150 scenarios, zero violations" `Quick
@@ -354,38 +392,40 @@ let suites =
     ( "check:degraded",
       [
         tc "ufs: rotted inode slot -> read-only mount" `Quick
-          (test_degraded Fs_sweep.F_ufs);
+          (test_degraded Workload.Rig.F_ufs);
         tc "lfs: rotted inode part -> read-only mount" `Quick
-          (test_degraded Fs_sweep.F_lfs);
+          (test_degraded Workload.Rig.F_lfs);
         tc "vlfs: rotted inode part -> read-only mount" `Quick
-          (test_degraded Fs_sweep.F_vlfs);
+          (test_degraded Workload.Rig.F_vlfs);
       ] );
     ( "check:images",
       [
         tc "save/load roundtrip" `Quick test_image_roundtrip;
         tc "garbage rejected" `Quick test_image_load_rejects_garbage;
-        tc "fsck: clean ufs image" `Quick (test_fsck_clean Fs_sweep.F_ufs);
-        tc "fsck: clean lfs image" `Quick (test_fsck_clean Fs_sweep.F_lfs);
-        tc "fsck: clean vlfs image" `Quick (test_fsck_clean Fs_sweep.F_vlfs);
+        tc "fsck: clean ufs image" `Quick (test_fsck_clean Workload.Rig.F_ufs);
+        tc "fsck: clean lfs image" `Quick (test_fsck_clean Workload.Rig.F_lfs);
+        tc "fsck: clean vlfs image" `Quick (test_fsck_clean Workload.Rig.F_vlfs);
         tc "fsck: ufs dangling flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_ufs Fs_sweep.C_dangling);
+          (test_fsck_corrupt Workload.Rig.F_ufs Fs_sweep.C_dangling);
         tc "fsck: ufs superblock corruption flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_ufs Fs_sweep.C_checksum);
+          (test_fsck_corrupt Workload.Rig.F_ufs Fs_sweep.C_checksum);
         tc "fsck: ufs rot flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_ufs Fs_sweep.C_rot);
+          (test_fsck_corrupt Workload.Rig.F_ufs Fs_sweep.C_rot);
         tc "fsck: lfs dangling flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_lfs Fs_sweep.C_dangling);
+          (test_fsck_corrupt Workload.Rig.F_lfs Fs_sweep.C_dangling);
         tc "fsck: lfs checksum flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_lfs Fs_sweep.C_checksum);
+          (test_fsck_corrupt Workload.Rig.F_lfs Fs_sweep.C_checksum);
         tc "fsck: lfs rot flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_lfs Fs_sweep.C_rot);
+          (test_fsck_corrupt Workload.Rig.F_lfs Fs_sweep.C_rot);
         tc "fsck: vlfs dangling flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_vlfs Fs_sweep.C_dangling);
+          (test_fsck_corrupt Workload.Rig.F_vlfs Fs_sweep.C_dangling);
         tc "fsck: vlfs checksum flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_vlfs Fs_sweep.C_checksum);
+          (test_fsck_corrupt Workload.Rig.F_vlfs Fs_sweep.C_checksum);
         tc "fsck: vlfs rot flagged" `Quick
-          (test_fsck_corrupt Fs_sweep.F_vlfs Fs_sweep.C_rot);
+          (test_fsck_corrupt Workload.Rig.F_vlfs Fs_sweep.C_rot);
       ] );
     ( "check:idempotence",
       [ tc "vlfs recovery is idempotent" `Quick test_vlfs_recover_idempotent ] );
+    ( "check:rig-spec",
+      [ tc "codec round-trips built rigs, refuses unbuildable ones" `Quick test_rig_codec ] );
   ]

@@ -120,16 +120,18 @@ let random_update_with_idle r =
   ignore (Workload.Random_update.run ~updates:60 ~warmup:0 ~file_mb:2. r);
   (* Idle windows exercise the unaccounted spans (cleaner, compactor,
      background flush), which must NOT enter any parent's fold. *)
-  let o = r.Workload.Setup.ops in
-  o.Workload.Setup.idle 2000.;
+  let fs = r.Workload.Setup.fs in
+  Workload.Fs.idle fs ~clock:r.Workload.Setup.clock 2000.;
   (* More foreground work after the idle window, so accounted spans
      follow unaccounted ones under the same parents. *)
   let bs = r.Workload.Setup.dev.Blockdev.Device.block_bytes in
-  ignore (o.Workload.Setup.create "after-idle");
-  ignore (o.Workload.Setup.write "after-idle" ~off:0 (Bytes.make (8 * bs) 'a'));
-  ignore (o.Workload.Setup.sync ());
-  ignore (o.Workload.Setup.read "after-idle" ~off:0 ~len:(4 * bs));
-  ignore (o.Workload.Setup.delete "after-idle")
+  ignore (Workload.Setup.exn @@ Workload.Fs.create fs "after-idle");
+  ignore
+    (Workload.Setup.exn
+    @@ Workload.Fs.write fs "after-idle" ~off:0 (Bytes.make (8 * bs) 'a'));
+  ignore (Workload.Fs.sync fs);
+  ignore (Workload.Setup.exn @@ Workload.Fs.read fs "after-idle" ~off:0 ~len:(4 * bs));
+  ignore (Workload.Setup.exn @@ Workload.Fs.delete fs "after-idle")
 
 let exactness_tests =
   [

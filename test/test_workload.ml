@@ -21,16 +21,16 @@ let test_setup_builds_all_four () =
 
 let test_ops_roundtrip () =
   let rig = make ~fs:ufs_sync ~dev:Workload.Setup.VLD in
-  let ops = rig.Workload.Setup.ops in
-  ignore (ops.Workload.Setup.create "f");
-  ignore (ops.Workload.Setup.write "f" ~off:0 (Bytes.make 4096 'z'));
-  let data, _ = ops.Workload.Setup.read "f" ~off:0 ~len:4096 in
+  let fs = rig.Workload.Setup.fs in
+  ignore (Workload.Setup.exn @@ Workload.Fs.create fs "f");
+  ignore (Workload.Setup.exn @@ Workload.Fs.write fs "f" ~off:0 (Bytes.make 4096 'z'));
+  let data, _ = Workload.Setup.exn @@ Workload.Fs.read fs "f" ~off:0 ~len:4096 in
   Alcotest.(check bytes) "roundtrip" (Bytes.make 4096 'z') data
 
 let test_ops_failure_raises () =
   let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
-  let ops = rig.Workload.Setup.ops in
-  match ops.Workload.Setup.read "missing" ~off:0 ~len:1 with
+  let fs = rig.Workload.Setup.fs in
+  match Workload.Setup.exn @@ Workload.Fs.read fs "missing" ~off:0 ~len:1 with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected Failure"
 
@@ -42,7 +42,7 @@ let test_elapsed_measures_clock () =
 let test_idle_advances_clock () =
   let rig = make ~fs:lfs_small ~dev:Workload.Setup.VLD in
   let t0 = Clock.now rig.Workload.Setup.clock in
-  rig.Workload.Setup.ops.Workload.Setup.idle 250.;
+  Workload.Fs.idle rig.Workload.Setup.fs ~clock:rig.Workload.Setup.clock 250.;
   Alcotest.(check (float 1e-6)) "idle advances exactly" (t0 +. 250.)
     (Clock.now rig.Workload.Setup.clock)
 
@@ -180,6 +180,76 @@ let open_loop_qcheck =
           <= 5. *. expect_ms /. Float.sqrt (float_of_int n));
   ]
 
+(* ---- One face over all three file systems ---- *)
+
+(* The same scripted operations through [Workload.Fs] on UFS/VLD,
+   LFS/regular and VLFS/direct: the namespaces, sizes and read-back bytes
+   agree. *)
+let test_face_agrees () =
+  let run spec =
+    let r =
+      match Workload.Rig.of_string spec with
+      | Ok r -> r
+      | Error e -> Alcotest.fail e
+    in
+    let s =
+      Workload.Rig.format ~ufs:Workload.Rig.small_ufs
+        ~profile:(Disk.Profile.with_cylinders Disk.Profile.st19101 6)
+        ~logical_blocks:1500 ~clock:(Clock.create ()) ~prng:(Prng.create ~seed:5L) r
+    in
+    let fs = s.Workload.Rig.fs in
+    let ok what = function
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s: %a" spec what Blockdev.Fs_error.pp e
+    in
+    ok "create a" (Workload.Fs.create fs "a");
+    ok "create b" (Workload.Fs.create fs "b");
+    ok "create c" (Workload.Fs.create fs "c");
+    ok "write a" (Workload.Fs.write fs "a" ~off:0 (Bytes.make 1024 'a'));
+    ok "write b" (Workload.Fs.write fs "b" ~off:4096 (Bytes.make 8192 'b'));
+    ok "overwrite a" (Workload.Fs.write fs "a" ~off:512 (Bytes.make 100 'A'));
+    ok "delete c" (Workload.Fs.delete fs "c");
+    ignore (Workload.Fs.sync fs);
+    Workload.Fs.drop_caches fs;
+    let names = List.sort compare (Workload.Fs.files fs) in
+    let size n =
+      match Workload.Fs.size fs n with Ok s -> s | Error _ -> Alcotest.fail "size"
+    in
+    let bytes n =
+      match Workload.Fs.read fs n ~off:0 ~len:(size n) with
+      | Ok (b, _) -> Bytes.to_string b
+      | Error _ -> Alcotest.fail "read"
+    in
+    (names, List.map size names, List.map bytes names)
+  in
+  let ufs = run "ufs/vld" in
+  List.iter
+    (fun spec ->
+      let names, sizes, contents = run spec in
+      let names0, sizes0, contents0 = ufs in
+      Alcotest.(check (list string)) (spec ^ " files") names0 names;
+      Alcotest.(check (list int)) (spec ^ " sizes") sizes0 sizes;
+      Alcotest.(check (list string)) (spec ^ " contents") contents0 contents)
+    [ "lfs/regular"; "vlfs/direct" ];
+  let names, sizes, _ = ufs in
+  Alcotest.(check (list string)) "files" [ "a"; "b" ] names;
+  Alcotest.(check (list int)) "sizes" [ 1024; 12288 ] sizes
+
+(* A 27-byte name is an error value through the face and a [Failure]
+   through [Setup]'s projection. *)
+let test_face_errors () =
+  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
+  let long = String.make 27 'n' in
+  (match Workload.Fs.create rig.Workload.Setup.fs long with
+  | Error (`Bad_name _) -> ()
+  | Ok _ -> Alcotest.fail "a 27-byte name was accepted"
+  | Error e -> Alcotest.failf "wrong error: %a" Blockdev.Fs_error.pp e);
+  match Workload.Setup.exn (Workload.Fs.create rig.Workload.Setup.fs long) with
+  | exception Failure msg ->
+    Alcotest.(check bool) ("failure text: " ^ msg) true
+      (String.starts_with ~prefix:"file system error: " msg)
+  | _ -> Alcotest.fail "expected Failure"
+
 let suites =
   [
     ( "workload:setup",
@@ -204,4 +274,10 @@ let suites =
       ] );
     ( "workload:open-loop",
       List.map QCheck_alcotest.to_alcotest open_loop_qcheck );
+    ( "workload:fs-face",
+      [
+        Alcotest.test_case "one script, three file systems" `Quick test_face_agrees;
+        Alcotest.test_case "errors: values through the face, Failure through Setup"
+          `Quick test_face_errors;
+      ] );
   ]
