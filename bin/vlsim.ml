@@ -245,6 +245,10 @@ let faults_cmd =
       & info [ "triggers" ] ~doc:"operation boundaries swept per fault kind")
   in
   let config plan triggers quick seed =
+    if triggers < 1 then begin
+      Printf.eprintf "vlsim: --triggers must be at least 1 (got %d)\n" triggers;
+      exit 2
+    end;
     let kinds, errors =
       List.fold_right
         (fun s (ks, es) ->
@@ -419,6 +423,9 @@ let volume_cmd =
     | Error e ->
       Printf.eprintf "vlsim: %s\n" e;
       exit 2
+    | Ok _ when blocks < 1 ->
+      Printf.eprintf "vlsim: --blocks must be at least 1 (got %d)\n" blocks;
+      exit 2
     | Ok layout ->
       let n = Volume.n_legs layout in
       let clock = Vlog_util.Clock.create () in
@@ -583,7 +590,12 @@ let nvm_cmd =
     in
     let nvm = Nvm.Nvm_sim.create ~clock () in
     let config = { Nvm.Nvm_wal.default_config with Nvm.Nvm_wal.log_bytes } in
-    let wal = Nvm.Nvm_wal.create ~config ~nvm ~inner () in
+    let wal =
+      try Nvm.Nvm_wal.create ~config ~nvm ~inner ()
+      with Invalid_argument _ ->
+        prerr_endline "vlsim: --log-bytes leaves no room for one log record";
+        exit 2
+    in
     let dev = Nvm.Nvm_wal.device wal in
     let bb = dev.Blockdev.Device.block_bytes in
     let tag b = Char.chr (33 + (b mod 90)) in

@@ -39,7 +39,6 @@ let create ?(sectors_per_block = 8) ?spare_blocks ~disk () =
   }
 
 let disk t = t.disk
-let written_blocks t = t.written_count
 let written t block = Bytes.get t.ever_written block <> '\000'
 let remapped_blocks t = Hashtbl.length t.remap
 let spares_left t = List.length t.spares

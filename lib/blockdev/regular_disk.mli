@@ -14,10 +14,6 @@ val create :
 val disk : t -> Disk.Disk_sim.t
 val device : t -> Device.t
 
-val written_blocks : t -> int
-(** Count of distinct logical blocks ever written — the occupancy the
-    device reports, since an update-in-place disk has no liveness
-    information of its own. *)
 
 val written : t -> int -> bool
 (** Whether the logical block was ever written.  A volume rebuild skips

@@ -28,9 +28,6 @@ type array_config =
   | A_sreg  (** 2-group stripe of regular-disk legs *)
   | A_raid10  (** 2 x 2 stripe of mirrors, VLD legs, hot spare *)
 
-val array_to_string : array_config -> string
-val array_of_string : string -> (array_config, string) result
-
 type fault =
   | F_drive of Fault.Plan.kind  (** one whole-drive plan on one victim leg *)
   | F_double_death
@@ -39,18 +36,12 @@ type fault =
           running.  Only meaningful on [A_raid10]; the cell {e requires}
           honest data loss *)
 
-val fault_to_string : fault -> string
-val fault_of_string : string -> (fault, string) result
-
 type phase =
   | P_batch  (** fault fires inside [write_batch]/[read_batch] windows *)
   | P_drain  (** fault fires while the native host queue drains *)
   | P_rebuild
       (** a leg is administratively killed and resilvering when the
           fault fires on the rebuild's source peer ([A_raid10] only) *)
-
-val phase_to_string : phase -> string
-val phase_of_string : string -> (phase, string) result
 
 type config = {
   seed : int64;

@@ -7,12 +7,6 @@ let policy_to_string = function
   | Elevator -> "elevator"
   | Satf -> "satf"
 
-let policy_of_string = function
-  | "fifo" -> Ok Fifo
-  | "elevator" -> Ok Elevator
-  | "satf" -> Ok Satf
-  | s -> Error (Printf.sprintf "unknown scheduling policy %S (fifo|elevator|satf)" s)
-
 type outcome =
   | Data of Bytes.t
   | Wrote of int

@@ -38,7 +38,6 @@
 type policy = Fifo | Elevator | Satf
 
 val policy_to_string : policy -> string
-val policy_of_string : string -> (policy, string) result
 
 type outcome =
   | Data of Bytes.t  (** read payload *)

@@ -153,15 +153,8 @@ val sector_position_at : t -> track_index:int -> at:float -> float
 
 val rotational_delay_to : t -> track_index:int -> sector:int -> at:float -> float
 (** Milliseconds of rotation needed, starting at absolute time [at], for
-    the start of [sector] on the given track to reach the head.
-    Equivalent to {!rotational_delay_from} of {!sector_position_at}. *)
-
-val rotational_delay_from : t -> pos:float -> sector:int -> float
-(** {!rotational_delay_to} given an already-computed rotational position
-    [pos] (from {!sector_position_at}): a single arithmetic evaluation,
-    so a caller comparing many sectors of one track at one arrival time
-    computes the position once.  Bit-identical to {!rotational_delay_to}
-    at the same position. *)
+    the start of [sector] on the given track to reach the head: the
+    rotation from {!sector_position_at} to [sector]. *)
 
 val estimate_access : t -> lba:int -> sectors:int -> float
 (** Mechanical time (positioning + rotation + transfer, no SCSI) that a

@@ -38,6 +38,3 @@ let lba_of_addr t a =
   (a.cyl * sectors_per_cylinder t) + (a.track * t.sectors_per_track) + a.sector
 
 let track_index t a = (a.cyl * t.tracks_per_cylinder) + a.track
-
-let pp_addr ppf { cyl; track; sector } =
-  Format.fprintf ppf "(c%d,t%d,s%d)" cyl track sector

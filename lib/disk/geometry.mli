@@ -38,7 +38,5 @@ val track_index : t -> addr -> int
 (** Global track index: [cyl * tracks_per_cylinder + track]; used for
     track-skew computation. *)
 
-val valid_addr : t -> addr -> bool
 val valid_lba : t -> int -> bool
 
-val pp_addr : Format.formatter -> addr -> unit

@@ -17,8 +17,6 @@
 
 type rig = Svld | Sreg | Raid10
 
-val rig_to_string : rig -> string
-
 type cell = { rig : rig; spindles : int; depth : int }
 
 val cell_label : cell -> string
@@ -57,9 +55,6 @@ type fault_row = {
   fr_max_ms : float;
   fr_rebuilt : bool;  (** rebuild-flaky: resilver finished during the run *)
 }
-
-val rebuild_budget : float
-(** 3.0: throttled rebuild must hold foreground p99 within 3× healthy. *)
 
 val run_cell : ?seed:int -> scale:Rigs.scale -> cell -> cell_result
 

@@ -16,8 +16,6 @@
 
 type fs = Ufs | Lfs | Vlfs
 
-val fs_to_string : fs -> string
-
 type cell = { fs : fs; depth : int; policy : Disk.Disk_queue.policy }
 
 val cell_label : cell -> string

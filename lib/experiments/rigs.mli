@@ -29,9 +29,6 @@ val the_four :
 (** The four configurations of Figure 5, labeled as in the paper:
     UFS/regular, UFS/VLD, LFS/regular, LFS/VLD. *)
 
-val device_mb : Workload.Setup.t -> float
-(** Logical device capacity of a rig in MB. *)
-
 val file_mb_for_utilization : Workload.Setup.t -> float -> float
 (** File size whose data blocks bring the rig's disk to roughly the given
     utilization. *)

@@ -28,10 +28,6 @@ type profile = {
       (** bytes of recently-stored data a power cut may tear *)
 }
 
-val default_profile : profile
-(** 8 MiB region, 300 ns loads, 700 ns stores, 2 GB/s, 500 ns persist
-    barrier, 16 KiB volatile front. *)
-
 type t
 
 val create :
@@ -41,7 +37,9 @@ val create :
   clock:Vlog_util.Clock.t ->
   unit ->
   t
-(** A fresh NVM region, zeroed unless [image] supplies existing persisted
+(** A fresh NVM region, by default an 8 MiB one with 300 ns loads, 700 ns
+    stores, 2 GB/s, a 500 ns persist barrier and a 16 KiB volatile front.
+    It is zeroed unless [image] supplies existing persisted
     contents (e.g. a {!snapshot} taken at a simulated power failure; it
     is copied, and must be exactly [profile.size_bytes] long). *)
 

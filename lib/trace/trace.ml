@@ -241,8 +241,6 @@ let counters sink =
 let spans sink =
   match sink with None -> [] | Some s -> List.rev s.recs
 
-let root_spans sink = List.filter (fun r -> r.parent = -1) (spans sink)
-
 let observe sink name v =
   match sink with None -> () | Some s -> Histogram.observe (hist_of s name) v
 

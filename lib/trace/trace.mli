@@ -103,9 +103,6 @@ val counters : sink -> (string * int) list
 val spans : sink -> span_record list
 (** Recorded spans, in exit order. *)
 
-val root_spans : sink -> span_record list
-(** Only the spans with no parent, in exit order. *)
-
 (** Log-scale latency histogram: geometric buckets with ~5 % relative
     precision, plus exact count/sum/min/max. *)
 module Histogram : sig

@@ -37,17 +37,13 @@ val max_entries : block_bytes:int -> int
 val encode_node : block_bytes:int -> node -> Bytes.t
 (** Raises [Invalid_argument] if the node does not fit. *)
 
-val encode_node_slice :
-  block_bytes:int -> node -> entries:int array -> pos:int -> len:int -> Bytes.t
+val encode_node_slice_into :
+  Bytes.t -> node -> entries:int array -> pos:int -> len:int -> unit
 (** [encode_node], but the map entries come from
     [entries.(pos .. pos+len-1)] and the node's own [entries] field is
     ignored — the virtual log encodes a piece straight out of its backing
-    map array without copying the slice first. *)
-
-val encode_node_slice_into :
-  Bytes.t -> node -> entries:int array -> pos:int -> len:int -> unit
-(** {!encode_node_slice} into a caller-owned block-sized buffer
-    (overwritten entirely).  The virtual log reuses one scratch block for
+    map array without copying the slice first — into a caller-owned
+    block-sized buffer (overwritten entirely).  The virtual log reuses one scratch block for
     every map-node write: the simulated disk copies the buffer out before
     returning, so the allocation per write would be pure GC churn. *)
 

@@ -1506,11 +1506,6 @@ let state_to_string = function
   | `Dead -> "dead"
   | `Rebuilding c -> Printf.sprintf "rebuilding@%d" c
 
-let drl_size t =
-  let n = ref 0 in
-  iter_legs t (fun _ leg -> n := !n + Hashtbl.length leg.drl);
-  !n
-
 let degraded t = exists_leg t (fun leg -> leg.state <> `Healthy)
 
 let kill t ~group ~leg =
@@ -1530,12 +1525,6 @@ let start_rebuild t ~group ~leg =
 let leg_read_raw t ~group ~leg gb = Result.map fst (leg_read t.groups.(group).(leg) gb)
 let leg_drl_size t ~group ~leg = Hashtbl.length t.groups.(group).(leg).drl
 let leg_dirty t ~group ~leg gb = Hashtbl.mem t.groups.(group).(leg).drl gb
-
-let group_has_data t ~group gb =
-  Array.exists
-    (fun leg ->
-      leg.state <> `Dead && ((not (leg_skip_unmapped leg)) || leg_mapped leg gb))
-    t.groups.(group)
 
 let pp_status ppf t =
   let k = n_groups t and m = legs_per_group t in

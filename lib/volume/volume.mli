@@ -46,21 +46,11 @@ type policy = {
           (duty-cycle throttle); [1.] = unthrottled *)
 }
 
-val default_policy : policy
-(** 50 ms budget, 200 ms backoff, 2 probes, rebuild duty cycle 0.5. *)
-
 val n_legs : layout -> int
 (** Drives the layout needs.  Raises [Invalid_argument] on degenerate
     shapes (stripe width < 1, mirror width < 2). *)
 
-val layout_to_string : layout -> string
-(** ["stripe:2"], ["mirror:2"], ["raid10:2x2"]. *)
-
 type t
-
-val default_queue_policy : leg_kind -> Disk.Disk_queue.policy
-(** [Satf] for VLD legs (eager placement prices itself near the head),
-    [Fifo] for regular legs. *)
 
 val create :
   ?policy:policy ->
@@ -74,8 +64,11 @@ val create :
   unit ->
   t
 (** Format a fresh volume over exactly [n_legs layout] drives sharing
-    one clock.  [queue_policy] (default {!default_queue_policy}) is the
-    per-leg tagged-queue scheduling policy.  [spare] supplies a blank
+    one clock.  [policy] defaults to a 50 ms budget, 200 ms backoff, 2
+    probes and a rebuild duty cycle of 0.5.  [queue_policy] is the per-leg
+    tagged-queue scheduling policy (default [Satf] for VLD legs, whose
+    eager placement prices itself near the head, and [Fifo] for regular
+    legs).  [spare] supplies a blank
     drive whenever a leg dies, so rebuilds start automatically; without
     it dead legs stay dead until {!start_rebuild}. *)
 
@@ -253,9 +246,6 @@ val state_to_string :
 val degraded : t -> bool
 (** Some leg is not [`Healthy]. *)
 
-val drl_size : t -> int
-(** Total dirty-region entries across all legs. *)
-
 val leg_read_raw :
   t -> group:int -> leg:int -> int -> (Bytes.t, Blockdev.Device.io_error) result
 (** Read one group block from one specific leg, bypassing failover —
@@ -263,10 +253,6 @@ val leg_read_raw :
 
 val leg_drl_size : t -> group:int -> leg:int -> int
 val leg_dirty : t -> group:int -> leg:int -> int -> bool
-
-val group_has_data : t -> group:int -> int -> bool
-(** Some live leg may hold real data for this group block (always true
-    for regular legs, whose write history is volatile). *)
 
 val pp_status : Format.formatter -> t -> unit
 (** The [vlsim volume status] leg map. *)

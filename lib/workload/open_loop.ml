@@ -4,10 +4,6 @@ type process =
   | Poisson
   | Bursty of { burst : int; spread_ms : float }
 
-let process_to_string = function
-  | Poisson -> "poisson"
-  | Bursty { burst; spread_ms } -> Printf.sprintf "bursty:%d/%gms" burst spread_ms
-
 (* Exponential interarrival with the given mean; [1 - u] keeps the
    argument of [log] in (0, 1]. *)
 let exp_ms prng ~mean_ms = -.mean_ms *. log (1. -. Prng.float prng 1.)

@@ -21,8 +21,6 @@ type process =
           Poisson at [rate / burst] (so the offered load matches), each
           burst's requests spread uniformly over [spread_ms] *)
 
-val process_to_string : process -> string
-
 val arrivals :
   prng:Vlog_util.Prng.t ->
   process:process ->

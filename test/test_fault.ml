@@ -1,5 +1,6 @@
 (* The fault model: codec robustness to damaged blocks, defect-tolerant
-   device I/O, degraded recovery paths, and the systematic fault sweep.
+   device I/O, degraded recovery paths, and the fault-spec codecs.  The
+   systematic fault sweep is pinned by test/golden/sweeps.t.
 
    The codec properties are exhaustive, not sampled: every single-bit
    flip of an encoded node/tail must fail to decode (this is what makes
@@ -220,27 +221,6 @@ let test_rot_reads_error_not_garbage () =
     Alcotest.(check int) "no futile retries" 0 e.Blockdev.Device.retries
   | Ok _ -> Alcotest.fail "rotted sector read back as good data"
 
-(* --- the systematic sweep --- *)
-
-let test_fault_sweep () =
-  let open Check in
-  let o =
-    Cells.run ~jobs:(Par.default_jobs ()) Vld_sweep.sweep Vld_sweep.default
-  in
-  List.iter
-    (fun f -> Format.printf "FAILED %a@." Cells.pp_failure f)
-    o.Cells.failures;
-  Alcotest.(check int) "invariants" 0 (List.length o.Cells.failures);
-  Alcotest.(check bool) "at least 200 scenarios" true (o.Cells.cells >= 200);
-  let injected = Cells.tally o "faults injected" in
-  Alcotest.(check bool)
-    (Printf.sprintf "at least 200 injected faults (got %d)" injected)
-    true (injected >= 200);
-  Alcotest.(check bool) "power cuts exercised" true
-    (Cells.tally o "power cuts" > 0);
-  Alcotest.(check bool) "degraded recoveries exercised" true
-    (Cells.tally o "degraded recoveries" > 0)
-
 (* ---- fault-spec parse/print roundtrips ---- *)
 
 (* The printed spelling of every fault kind must parse back to the same
@@ -333,8 +313,6 @@ let suites =
         Alcotest.test_case "rotted data reads as error, not garbage" `Quick
           test_rot_reads_error_not_garbage;
       ] );
-    ( "fault-sweep",
-      [ Alcotest.test_case "220-scenario invariant sweep" `Quick test_fault_sweep ] );
     ( "fault-spec-codec",
       List.map QCheck_alcotest.to_alcotest
         [ prop_kind_roundtrip; prop_leg_spec_roundtrip ] );

@@ -247,6 +247,49 @@ let test_tiny_log_backpressure () =
         | Error _ -> Alcotest.failf "read of block %d failed" block)
     ops
 
+(* The log region must hold its header and one record: anything smaller
+   is refused at creation, and the smallest region accepted still stages
+   and destages every write, draining inline before each new record. *)
+let test_log_holds_one_record () =
+  let clock = Clock.create () in
+  let disk =
+    Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track ~profile
+      ~clock ()
+  in
+  let inner =
+    Blockdev.Vld.device
+      (Blockdev.Vld.create ~disk ~logical_blocks:128 ~prng:(Prng.create ~seed:7L) ())
+  in
+  let nvm = Nvm.Nvm_sim.create ~clock () in
+  let create n =
+    let config =
+      { Nvm.Nvm_wal.default_config with destage_util = 0.; log_bytes = Some n }
+    in
+    Nvm.Nvm_wal.create ~config ~nvm ~inner ()
+  in
+  let refused = Invalid_argument "Nvm_wal.create: log region smaller than one record" in
+  let record = Nvm.Nvm_wal.Record.encoded_size ~payload_len:block_bytes in
+  Alcotest.check_raises "empty region" refused (fun () -> ignore (create 0));
+  Alcotest.check_raises "one record, no header" refused (fun () -> ignore (create record));
+  let rec smallest n =
+    if n > 2 * record then Alcotest.fail "no region up to two records accepted"
+    else match create n with wal -> wal | exception Invalid_argument _ -> smallest (n + 1)
+  in
+  let wal = smallest (record + 1) in
+  let ops = [ (0, 'a'); (1, 'b'); (0, 'c'); (2, 'd') ] in
+  stage_writes wal ops;
+  (match Nvm.Nvm_wal.drain wal with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "drain failed");
+  List.iter
+    (fun (block, fill) ->
+      match inner.Blockdev.Device.read block with
+      | Ok (bytes, _) ->
+        Alcotest.(check char) (Printf.sprintf "block %d destaged" block) fill
+          (Bytes.get bytes 0)
+      | Error _ -> Alcotest.failf "read of block %d failed" block)
+    [ (0, 'c'); (1, 'b'); (2, 'd') ]
+
 let suites =
   [
     ("nvm:codec", List.map QCheck_alcotest.to_alcotest qcheck_codec);
@@ -257,5 +300,7 @@ let suites =
           test_destage_crash_replay_idempotent;
         Alcotest.test_case "tiny log backpressure" `Quick
           test_tiny_log_backpressure;
+        Alcotest.test_case "log region holds one record" `Quick
+          test_log_holds_one_record;
       ] );
   ]

@@ -373,6 +373,28 @@ let test_batch_range_checked () =
     | Ok _ -> Alcotest.fail "read_batch returned the wrong number of blocks"
     | Error e -> Alcotest.failf "last block unreadable: %a" D.pp_io_error e)
 
+(* A volume must hold at least one logical block: an empty range is
+   refused at creation, and a one-block stripe still reads back what
+   it was given. *)
+let test_empty_range_refused () =
+  let clock = Clock.create () in
+  let mk logical_blocks =
+    Volume.create ~layout:(Volume.Stripe 2) ~leg_kind:Volume.Vld_leg ~logical_blocks
+      ~disks:(Array.init 2 (fun _ -> mk_disk clock))
+      ~prng:(Prng.create ~seed:47L) ()
+  in
+  Alcotest.check_raises "zero logical blocks"
+    (Invalid_argument "Volume: need at least one logical block") (fun () -> ignore (mk 0));
+  let vol = mk 1 in
+  let at = Clock.now clock in
+  match Volume.write_batch vol ~at [ (0, Bytes.make (Volume.block_bytes vol) 'q') ] with
+  | Error e -> Alcotest.failf "only block unwritable: %a" D.pp_io_error e
+  | Ok _ -> (
+    match Volume.read_batch vol ~at:(Clock.now clock) [ 0 ] with
+    | Ok [ (d, _) ] -> Alcotest.(check char) "only block reads back" 'q' (Bytes.get d 0)
+    | Ok _ -> Alcotest.fail "read_batch returned the wrong number of blocks"
+    | Error e -> Alcotest.failf "only block unreadable: %a" D.pp_io_error e)
+
 (* ---- golden pin of simulated behaviour ----
 
    One scripted run through every I/O face of the volume: device
@@ -544,6 +566,7 @@ let suites =
           test_host_queue_overlaps_spindles;
         Alcotest.test_case "batches are range- and size-checked" `Quick
           test_batch_range_checked;
+        Alcotest.test_case "empty logical range refused" `Quick test_empty_range_refused;
         Alcotest.test_case "death: failover, degraded writes, rebuild" `Quick
           test_death_failover_and_rebuild;
         Alcotest.test_case "hung leg: bounded stall" `Quick
