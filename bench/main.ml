@@ -16,11 +16,12 @@
      dune exec bench/main.exe -- nvm          # NVM staging-tier study
      dune exec bench/main.exe -- --seed 7 qdepth   # re-salt the seeded studies
 
-   Every experiment is a [Suite] plan: its jobs (for the big grids and
-   the studies, one per cell) run through the [Par] worker pool; [--jobs
-   N] sets the pool width (default: detected cores, or $VLSIM_JOBS).
-   Results are merged in input order, so the tables are byte-identical
-   for every N.
+   This is the one entry point for the experiments: each runs only as a
+   [Suite] plan, and [Suite.names] lists them all.  Its jobs (for the
+   big grids and the studies, one per cell) run through the [Par] worker
+   pool; [--jobs N] sets the pool width (default: detected cores, or
+   $VLSIM_JOBS).  Results are merged in input order, so the tables are
+   byte-identical for every N.
 
    [--json FILE] writes one run record per experiment, one per line:
      {"name":"fig8","wall_s":1.23,"elapsed_s":2.46,"sim_ms":56789.123,

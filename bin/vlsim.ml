@@ -1,7 +1,5 @@
 (* vlsim: command-line front end to the virtual-log simulator.
 
-   vlsim experiments            — list the reproducible tables/figures
-   vlsim run fig8 [--quick]     — regenerate one (or more) of them
    vlsim model track --disk st --free 20
    vlsim model cylinder --disk hp --free 20
    vlsim model compactor --disk st --threshold 25
@@ -10,7 +8,9 @@
    vlsim faults [--fault-plan torn,rot] [--fault-seed 7101]
                                 — crash/fault injection sweep
    vlsim trace small-file --fs ufs --dev vld --out trace.jsonl --metrics
-                                — run a workload with tracing on *)
+                                — run a workload with tracing on
+
+   The paper's tables and figures run through bench/main.exe. *)
 
 open Cmdliner
 
@@ -56,59 +56,6 @@ let jobs_arg =
           "worker processes to fan sweep cells out to (default: detected \
            cores, or \\$(b,VLSIM_JOBS)); results are merged in matrix order, \
            so the report is identical for every N")
-
-(* --- experiments --- *)
-
-let experiment_names =
-  [
-    "table1"; "fig1"; "fig2"; "fig6"; "fig7"; "fig8"; "table2"; "fig9"; "fig10"; "vlfs"; "apps";
-    "fig11"; "volume"; "ablation-mode"; "ablation-compact"; "ablation-blocksize";
-    "ablation-mapbatch";
-  ]
-
-let list_cmd =
-  let doc = "list the reproducible tables and figures" in
-  let run () = List.iter print_endline experiment_names in
-  Cmd.v (Cmd.info "experiments" ~doc) Term.(const run $ const ())
-
-let run_experiment ~scale name =
-  let open Experiments in
-  let p t = Vlog_util.Table.print t in
-  match name with
-  | "table1" -> p (Table1.run ~scale ())
-  | "fig1" -> p (Fig1.run ~scale ())
-  | "fig2" -> p (Fig2.run ~scale ())
-  | "fig6" -> p (Fig6.run ~scale ())
-  | "fig7" -> p (Fig7.run ~scale ())
-  | "fig8" -> p (Fig8.run ~scale ())
-  | "table2" | "fig9" ->
-    let rows = Tech_trends.series ~scale () in
-    p (Tech_trends.table2_of rows);
-    p (Tech_trends.fig9_of rows)
-  | "fig10" -> p (Fig10.run ~scale ())
-  | "fig11" -> p (Fig11.run ~scale ())
-  | "vlfs" ->
-    p (Vlfs_bench.sync_updates ~scale ());
-    p (Vlfs_bench.buffered_small_files ~scale ());
-    p (Vlfs_bench.recovery_cost ~scale ())
-  | "apps" -> p (Apps.run ~scale ())
-  | "volume" -> p (Volume_bench.run ~scale ())
-  | "ablation-mode" -> p (Ablations.eager_mode ~scale ())
-  | "ablation-compact" -> p (Ablations.compaction_policy ~scale ())
-  | "ablation-blocksize" -> p (Ablations.block_size ~scale ())
-  | "ablation-mapbatch" -> p (Ablations.map_batching ~scale ())
-  | other -> Printf.eprintf "unknown experiment %s\n" other
-
-let run_cmd =
-  let doc = "regenerate tables/figures from the paper" in
-  let names =
-    Arg.(value & pos_all string experiment_names & info [] ~docv:"EXPERIMENT")
-  in
-  let run quick names =
-    let scale = if quick then Experiments.Rigs.Quick else Experiments.Rigs.Full in
-    List.iter (run_experiment ~scale) names
-  in
-  Cmd.v (Cmd.info "run" ~doc) Term.(const run $ quick_arg $ names)
 
 (* --- models --- *)
 
@@ -870,6 +817,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; model_cmd; latency_cmd; faults_cmd; fssweep_cmd;
-            arraysweep_cmd; volume_cmd; nvm_cmd; mkimage_cmd; fsck_cmd;
-            trace_cmd ]))
+          [ model_cmd; latency_cmd; faults_cmd; fssweep_cmd; arraysweep_cmd;
+            volume_cmd; nvm_cmd; mkimage_cmd; fsck_cmd; trace_cmd ]))

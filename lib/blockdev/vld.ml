@@ -289,9 +289,11 @@ let device t =
 
    Unlike the generic host-side FIFO in [device], this front hands the
    commands to a reordering {!Disk.Disk_queue} inside the drive.  Writes
-   go down as [Placed_write]: the eager allocator binds them to a
+   go down as [Hosted] commands: the eager allocator binds each to a
    physical block only at dispatch time — the later the binding, the
-   nearer the head the block can be, which is exactly what SATF exploits.
+   nearer the head the block can be, which is exactly what SATF exploits
+   (the command's cost is the allocator's preview, its cylinder wherever
+   the head is).
    Map updates are batched and committed every [map_batch] completed
    writes (and at [drain]), the lazy-checkpoint story of Section 3.2:
    the data is on the platter when the tag completes, and the virtual
@@ -348,22 +350,28 @@ module Queued = struct
       invalid_arg "Vld.Queued.submit_write: buffer must be exactly one block";
     let v = t.vld in
     let eager = Vlog.Virtual_log.eager v.vlog in
-    let estimate () =
+    let cost () =
+      (* A full disk still has to be dispatched to report its failure. *)
       match Vlog.Eager.choose ~lead_time:(scsi_lead v) eager with
-      | Some pba -> Some (Vlog.Eager.locate_cost eager pba)
-      | None -> None
+      | Some pba -> Vlog.Eager.locate_cost eager pba
+      | None -> 0.
     in
     let service () =
       match put_data v ~scsi:true ~lead_time:(scsi_lead v) buf with
       | Ok (pba, _reallocs, bd) ->
         t.map_backlog <- (block, Some pba) :: t.map_backlog;
         if List.length t.map_backlog >= t.map_batch then commit_map t;
-        (Ok pba, bd)
-      | Error (e, _retries, bd) -> (Error e, bd)
+        (Disk.Disk_queue.Wrote pba, bd)
+      | Error (e, _retries, bd) -> (Disk.Disk_queue.Failed e, bd)
     in
     Disk.Disk_queue.submit ?at t.dq
-      (Disk.Disk_queue.Placed_write
-         { sectors = v.sectors_per_block; estimate; service })
+      (Disk.Disk_queue.Hosted
+         {
+           cost;
+           (* eager placement can land near the head wherever it is *)
+           cylinder = (fun () -> Disk.Disk_sim.current_cylinder v.disk);
+           service;
+         })
 
   let poll t = Disk.Disk_queue.poll t.dq
   let step t = Disk.Disk_queue.step t.dq

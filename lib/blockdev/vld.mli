@@ -74,12 +74,13 @@ val write_run_result :
 
 (** Native tagged-command-queue front: commands go to a reordering
     {!Disk.Disk_queue} inside the drive rather than the host-side FIFO
-    behind {!device}.  Writes are submitted as placed writes — the eager
-    allocator binds them to a physical block only at dispatch time, so
-    SATF prices each queued write at the allocator's own best-candidate
-    cost.  Map updates are batched: committed every [map_batch]
-    completed writes and at {!Queued.drain} (lazy checkpointing; the
-    virtual log's recovery scan covers the uncommitted tail). *)
+    behind {!device}.  Writes are submitted as [Hosted] commands — the
+    eager allocator binds them to a physical block only at dispatch
+    time, so SATF prices each queued write at the allocator's own
+    best-candidate cost.  Map updates are batched: committed every
+    [map_batch] completed writes and at {!Queued.drain} (lazy
+    checkpointing; the virtual log's recovery scan covers the
+    uncommitted tail). *)
 module Queued : sig
   type vld := t
   type t

@@ -15,11 +15,6 @@ type outcome =
 type op =
   | Read of { lba : int; sectors : int }
   | Write of { lba : int; buf : Bytes.t }
-  | Placed_write of {
-      sectors : int;
-      estimate : unit -> float option;
-      service : unit -> (int, Disk_sim.media_error) result * Breakdown.t;
-    }
   | Hosted of {
       cost : unit -> float;
       cylinder : unit -> int;
@@ -141,18 +136,12 @@ let cost t c =
   | Write { lba; buf } ->
     let sectors = Bytes.length buf / (Disk_sim.geometry t.disk).sector_bytes in
     Disk_sim.estimate_access t.disk ~lba ~sectors
-  | Placed_write { estimate; _ } -> (
-    (* A full disk still has to be dispatched to report its failure. *)
-    match estimate () with Some cost -> cost | None -> 0.)
   | Hosted { cost; _ } -> cost ()
 
 let cylinder_of t c =
   match c.c_op with
   | Read { lba; _ } | Write { lba; _ } ->
     (Geometry.addr_of_lba (Disk_sim.geometry t.disk) lba).cyl
-  | Placed_write _ ->
-    (* eager placement can land near the head wherever it is *)
-    Disk_sim.current_cylinder t.disk
   | Hosted { cylinder; _ } -> cylinder ()
 
 (* Earlier submission wins ties, then lower tag. *)
@@ -285,16 +274,12 @@ let service t c =
     match Disk_sim.write_checked t.disk ~lba buf with
     | Ok (), bd -> finish t c (Wrote lba) bd ~started
     | Error e, bd -> requeue_or_fail t c e bd ~started)
-  | Placed_write { service = run; _ } -> (
-    match run () with
-    | Ok pba, bd -> finish t c (Wrote pba) bd ~started
-    | Error e, bd -> requeue_or_fail t c e bd ~started)
   | Hosted { service = run; _ } -> (
-    (* The host layer above (volume leg) runs its own retry/remap and
-       failure policy inside [run]; a non-transient [Failed] outcome is
-       final.  A {e transient} failure goes through the same
-       stall/backoff machinery as native commands — the service closure
-       runs again when the tag is re-dispatched. *)
+    (* The host layer above (volume leg, queued VLD write) runs its own
+       retry/remap and failure policy inside [run]; a non-transient
+       [Failed] outcome is final.  A {e transient} failure goes through
+       the same stall/backoff machinery as native commands — the service
+       closure runs again when the tag is re-dispatched. *)
     match run () with
     | Failed e, bd when e.transient -> requeue_or_fail t c e bd ~started
     | outcome, bd -> finish t c outcome bd ~started)

@@ -22,8 +22,9 @@
       paper's programmable disk enables.  Every eligible command is
       priced with {!Disk_sim.estimate_access} (positioning + rotation +
       transfer from the head's position {e now}) and the cheapest wins.
-      Placed writes price themselves through their [estimate] callback,
-      i.e. the eager allocator's own cost model.
+      [Hosted] commands price themselves through their [cost] callback
+      (for a VLD write placed at dispatch, the eager allocator's own
+      cost model).
 
     {2 Tag lifecycle}
 
@@ -42,27 +43,13 @@ val policy_to_string : policy -> string
 type outcome =
   | Data of Bytes.t  (** read payload *)
   | Wrote of int
-      (** write done; the lba ([Write]) or physical block
-          ([Placed_write]) it landed on *)
+      (** write done; the lba ([Write]) or physical block ([Hosted])
+          it landed on *)
   | Failed of Disk_sim.media_error
 
 type op =
   | Read of { lba : int; sectors : int }
   | Write of { lba : int; buf : Bytes.t }
-  | Placed_write of {
-      sectors : int;
-      estimate : unit -> float option;
-          (** pure preview of the mechanical cost the eager allocator
-              would pay if the write were dispatched now ([None] = no
-              free block); must not move the head or advance time *)
-      service : unit -> (int, Disk_sim.media_error) result * Vlog_util.Breakdown.t;
-          (** perform the placement and the media write(s) now, head
-              wherever the scheduler left it; returns the physical block
-              chosen.  Runs the device's own retry/remap policy. *)
-    }
-      (** A write whose location is chosen {e at dispatch time} — the
-          programmable-disk premise: the later the drive binds a write to
-          a sector, the nearer the head that sector can be. *)
   | Hosted of {
       cost : unit -> float;
           (** pure preview of the mechanical cost if dispatched now — the
@@ -77,8 +64,9 @@ type op =
               re-dispatch). *)
     }
       (** A host-defined command: the full device-level logic of a volume
-          leg (VLD placement + map commit, regular-disk remap) runs as a
-          schedulable tagged command. *)
+          leg (VLD placement + map commit, regular-disk remap), or a VLD
+          write placed at dispatch time, runs as a schedulable tagged
+          command. *)
 
 type completion = {
   tag : int;

@@ -2,7 +2,7 @@ open Vlog_util
 
 let counts_of_scale = function Rigs.Quick -> (120, 20) | Rigs.Full -> (600, 60)
 
-let eager_mode ?(scale = Rigs.Full) () =
+let eager_mode ~scale () =
   let updates, warmup = counts_of_scale scale in
   let t =
     Table.create ~title:"Ablation: eager-write search mode (UFS on VLD, 92% util)"
@@ -27,7 +27,7 @@ let eager_mode ?(scale = Rigs.Full) () =
     [ ("one-direction sweep (paper)", Vlog.Eager.Sweep); ("bidirectional nearest", Vlog.Eager.Nearest) ];
   t
 
-let compaction_policy ?(scale = Rigs.Full) () =
+let compaction_policy ~scale () =
   let bursts = match scale with Rigs.Quick -> 4 | Rigs.Full -> 10 in
   let t =
     Table.create ~title:"Ablation: compaction target policy (UFS on VLD, 80% util)"
@@ -60,7 +60,7 @@ let compaction_policy ?(scale = Rigs.Full) () =
 
 (* Formula (9): locate cost of placing one 4 KB logical block out of
    physical allocation units of b sectors, at 50% utilization. *)
-let block_size ?(scale = Rigs.Full) () =
+let block_size ~scale () =
   let trials = match scale with Rigs.Quick -> 60 | Rigs.Full -> 400 in
   let profile = Rigs.seagate in
   let n = profile.Disk.Profile.geometry.Disk.Geometry.sectors_per_track in
@@ -124,7 +124,7 @@ let block_size ?(scale = Rigs.Full) () =
     [ 1; 2; 4; 8 ];
   t
 
-let map_batching ?(scale = Rigs.Full) () =
+let map_batching ~scale () =
   let updates = match scale with Rigs.Quick -> 100 | Rigs.Full -> 600 in
   let clock = Clock.create () in
   let disk =

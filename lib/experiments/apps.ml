@@ -11,7 +11,7 @@ let systems =
     ("VLFS (buffered)", Workload.Setup.VLFS { sync_writes = false }, Workload.Setup.Regular);
   ]
 
-let run ?(scale = Rigs.Full) () =
+let run ~scale () =
   let transactions, operations =
     match scale with Rigs.Quick -> (60, 400) | Rigs.Full -> (300, 2000)
   in

@@ -3,4 +3,4 @@
     {!Workload.App_workloads}, on UFS/regular, UFS/VLD, LFS, and VLFS in
     both modes.  The end-to-end view a downstream adopter cares about. *)
 
-val run : ?scale:Rigs.scale -> unit -> Vlog_util.Table.t
+val run : scale:Rigs.scale -> unit -> Vlog_util.Table.t

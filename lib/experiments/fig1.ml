@@ -44,7 +44,7 @@ let points_of_scale = function
   | Rigs.Quick -> ([ 10.; 40.; 80. ], 60)
   | Rigs.Full -> ([ 2.; 5.; 10.; 15.; 20.; 30.; 40.; 50.; 60.; 70.; 80.; 90. ], 400)
 
-let series ?(scale = Rigs.Full) profile =
+let series ~scale profile =
   let free_pcts, trials = points_of_scale scale in
   List.map
     (fun free_pct ->
@@ -56,7 +56,7 @@ let series ?(scale = Rigs.Full) profile =
       })
     free_pcts
 
-let run ?(scale = Rigs.Full) () =
+let run ~scale () =
   let t =
     Table.create ~title:"Figure 1: time to locate a free sector vs free space"
       ~columns:

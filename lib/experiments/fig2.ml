@@ -39,7 +39,7 @@ let points_of_scale = function
   | Rigs.Quick -> ([ 10.; 50.; 90. ], 300)
   | Rigs.Full -> ([ 2.; 5.; 10.; 20.; 30.; 40.; 50.; 60.; 70.; 80.; 90.; 95. ], 3000)
 
-let series ?(scale = Rigs.Full) profile =
+let series ~scale profile =
   let thresholds, writes = points_of_scale scale in
   List.map
     (fun threshold_pct ->
@@ -51,7 +51,7 @@ let series ?(scale = Rigs.Full) profile =
       })
     thresholds
 
-let run ?(scale = Rigs.Full) () =
+let run ~scale () =
   let t =
     Table.create ~title:"Figure 2: locate latency vs track-switch threshold"
       ~columns:[ "Threshold %"; "HP model"; "HP sim"; "ST model"; "ST sim" ]

@@ -10,5 +10,5 @@ type point = {
   simulated_ms : float;
 }
 
-val series : ?scale:Rigs.scale -> Disk.Profile.t -> point list
-val run : ?scale:Rigs.scale -> unit -> Vlog_util.Table.t
+val series : scale:Rigs.scale -> Disk.Profile.t -> point list
+val run : scale:Rigs.scale -> unit -> Vlog_util.Table.t

@@ -8,7 +8,7 @@ type row = {
   raw : Workload.Small_file.result;
 }
 
-let series ?(scale = Rigs.Full) () =
+let series ~scale () =
   let files = match scale with Rigs.Quick -> 150 | Rigs.Full -> 1500 in
   let results =
     List.map
@@ -22,7 +22,7 @@ let series ?(scale = Rigs.Full) () =
       { label; create_x; read_x; delete_x; raw })
     results
 
-let run ?(scale = Rigs.Full) () =
+let run ~scale () =
   let t =
     Table.create
       ~title:"Figure 6: small-file performance (speedup vs UFS/regular)"

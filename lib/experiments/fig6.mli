@@ -10,5 +10,5 @@ type row = {
   raw : Workload.Small_file.result;
 }
 
-val series : ?scale:Rigs.scale -> unit -> row list
-val run : ?scale:Rigs.scale -> unit -> Vlog_util.Table.t
+val series : scale:Rigs.scale -> unit -> row list
+val run : scale:Rigs.scale -> unit -> Vlog_util.Table.t

@@ -2,7 +2,7 @@ open Vlog_util
 
 type row = { label : string; phases : Workload.Large_file.result }
 
-let series ?(scale = Rigs.Full) () =
+let series ~scale () =
   let mb = match scale with Rigs.Quick -> 2 | Rigs.Full -> 10 in
   List.map
     (fun (label, rig) ->
@@ -14,7 +14,7 @@ let all_phases =
   Workload.Large_file.
     [ Seq_write; Seq_read; Random_write_async; Random_write_sync; Seq_read_again; Random_read ]
 
-let run ?(scale = Rigs.Full) () =
+let run ~scale () =
   let rows = series ~scale () in
   let t =
     Table.create ~title:"Figure 7: large-file bandwidth (MB/s)"

@@ -4,5 +4,5 @@
 
 type row = { label : string; phases : Workload.Large_file.result }
 
-val series : ?scale:Rigs.scale -> unit -> row list
-val run : ?scale:Rigs.scale -> unit -> Vlog_util.Table.t
+val series : scale:Rigs.scale -> unit -> row list
+val run : scale:Rigs.scale -> unit -> Vlog_util.Table.t

@@ -70,7 +70,7 @@ let collate results =
       })
     configs
 
-let series ?(scale = Rigs.Full) () =
+let series ~scale () =
   collate (List.map (fun c -> (c, run_cell ~scale c)) (cells ~scale))
 
 let table_of all =
@@ -97,5 +97,3 @@ let table_of all =
         s.points)
     all;
   t
-
-let run ?(scale = Rigs.Full) () = table_of (series ~scale ())

@@ -30,9 +30,8 @@ val run_cell : scale:Rigs.scale -> cell -> point option
 
 val collate : (cell * point option) list -> series list
 (** Regroup per-cell results (in {!cells} order) into the per-system
-    series [run] renders. *)
+    series {!table_of} renders. *)
 
 val table_of : series list -> Vlog_util.Table.t
 
-val series : ?scale:Rigs.scale -> unit -> series list
-val run : ?scale:Rigs.scale -> unit -> Vlog_util.Table.t
+val series : scale:Rigs.scale -> unit -> series list

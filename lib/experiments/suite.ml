@@ -43,7 +43,7 @@ let sub name (label, job) = (Printf.sprintf "%s[%s]" name label, job)
 let grid name label run cells = List.map (fun c -> sub name (label c, fun () -> run c)) cells
 
 let plan ?seed ~scale name : plan =
-  let table (run : ?scale:Rigs.scale -> unit -> Table.t) =
+  let table (run : scale:Rigs.scale -> unit -> Table.t) =
     Single (fun () -> render (run ~scale ()))
   in
   match name with
@@ -78,26 +78,16 @@ let plan ?seed ~scale name : plan =
       (fun () ->
         let rows = Tech_trends.series ~scale () in
         render (Tech_trends.table2_of rows) ^ "\n" ^ render (Tech_trends.fig9_of rows))
-  | "fig10" ->
-    let cells = Fig10.cells ~scale in
+  | "fig10" | "fig11" ->
+    let study = if name = "fig10" then Burst_idle.Lfs_nvram else Burst_idle.Ufs_vld in
+    let cells = Burst_idle.cells ~scale study in
     Split
       {
-        subs = grid name Fig10.cell_label (Fig10.run_cell ~scale) cells;
+        subs = grid name Burst_idle.cell_label (Burst_idle.run_cell ~scale study) cells;
         merge =
           (fun points ->
-            ( render
-                (Fig10.table_of ~title:"Figure 10: LFS (with NVRAM) latency vs idle interval"
-                   (Fig10.collate (List.combine cells points))),
+            ( render (Burst_idle.table_of study (Burst_idle.collate (List.combine cells points))),
               Json.Null ));
-      }
-  | "fig11" ->
-    let cells = Fig11.cells ~scale in
-    Split
-      {
-        subs = grid name Fig11.cell_label (Fig11.run_cell ~scale) cells;
-        merge =
-          (fun points ->
-            (render (Fig11.table_of (Fig11.collate (List.combine cells points))), Json.Null));
       }
   | "apps" -> table Apps.run
   | "vlfs" ->

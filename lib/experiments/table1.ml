@@ -1,6 +1,6 @@
 open Vlog_util
 
-let run ?scale:_ () =
+let run ~scale:_ () =
   let t =
     Table.create ~title:"Table 1: Disk parameters"
       ~columns:[ "Parameter"; "HP97560"; "ST19101" ]

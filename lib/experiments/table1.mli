@@ -1,3 +1,3 @@
 (** Table 1: parameters of the HP97560 and Seagate ST19101 disks. *)
 
-val run : ?scale:Rigs.scale -> unit -> Vlog_util.Table.t
+val run : scale:Rigs.scale -> unit -> Vlog_util.Table.t

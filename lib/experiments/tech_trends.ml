@@ -21,7 +21,7 @@ type row = {
    compactor built is not exhausted mid-measurement. *)
 let counts_of_scale = function Rigs.Quick -> (120, 20) | Rigs.Full -> (400, 50)
 
-let series ?(scale = Rigs.Full) () =
+let series ~scale () =
   let updates, warmup = counts_of_scale scale in
   List.map
     (fun p ->
@@ -88,6 +88,3 @@ let fig9_of rows =
       row r.platform "virtual log" r.vld)
     rows;
   t
-
-let table2 ?(scale = Rigs.Full) () = table2_of (series ~scale ())
-let fig9 ?(scale = Rigs.Full) () = fig9_of (series ~scale ())

@@ -17,14 +17,13 @@ type row = {
   speedup : float;
 }
 
-val series : ?scale:Rigs.scale -> unit -> row list
+val series : scale:Rigs.scale -> unit -> row list
 
 val table2_of : row list -> Vlog_util.Table.t
-val fig9_of : row list -> Vlog_util.Table.t
-(** Render precomputed rows — lets one measurement feed both tables. *)
+(** Render precomputed rows; with {!fig9_of}, one measurement feeds both
+    tables. *)
 
-val table2 : ?scale:Rigs.scale -> unit -> Vlog_util.Table.t
-val fig9 : ?scale:Rigs.scale -> unit -> Vlog_util.Table.t
+val fig9_of : row list -> Vlog_util.Table.t
 (** Per-platform percentage breakdown (SCSI / locate / transfer / other)
     for the update-in-place (left bar) and virtual-log (right bar)
     systems. *)

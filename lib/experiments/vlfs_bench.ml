@@ -2,7 +2,7 @@ open Vlog_util
 
 let counts_of_scale = function Rigs.Quick -> (100, 20) | Rigs.Full -> (600, 60)
 
-let sync_updates ?(scale = Rigs.Full) () =
+let sync_updates ~scale () =
   let updates, warmup = counts_of_scale scale in
   let t =
     Table.create
@@ -34,7 +34,7 @@ let sync_updates ?(scale = Rigs.Full) () =
     [ 0.5; 0.8 ];
   t
 
-let buffered_small_files ?(scale = Rigs.Full) () =
+let buffered_small_files ~scale () =
   let files = match scale with Rigs.Quick -> 150 | Rigs.Full -> 1500 in
   let t =
     Table.create ~title:"VLFS: buffered small-file workload (LFS's advantage retained)"
@@ -58,7 +58,7 @@ let buffered_small_files ?(scale = Rigs.Full) () =
     ];
   t
 
-let recovery_cost ?(scale = Rigs.Full) () =
+let recovery_cost ~scale () =
   let files = match scale with Rigs.Quick -> 50 | Rigs.Full -> 400 in
   let run_once ~clean =
     let clock = Clock.create () in

@@ -74,7 +74,7 @@ let rebuild_scenario ~ops ~foreground =
   let mean = if !done_ops = 0 then nan else !lat /. float_of_int !done_ops in
   (mean, rebuild_ms)
 
-let run ?(scale = Rigs.Full) () =
+let run ~scale () =
   let ops = ops_of_scale scale in
   let t =
     Table.create

@@ -4,4 +4,4 @@
     onto a hot spare; plus the resilver time with and without that
     foreground load. *)
 
-val run : ?scale:Rigs.scale -> unit -> Vlog_util.Table.t
+val run : scale:Rigs.scale -> unit -> Vlog_util.Table.t

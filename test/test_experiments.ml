@@ -105,8 +105,11 @@ let test_fig8_ordering () =
   Alcotest.(check bool) "lfs near memory speed under nvram" true
     (small.Fig8.latency_ms < 1.)
 
+(* One Table 2 measurement feeds both the Table 2 and the Figure 9 claims. *)
+let tech_trends_rows = lazy (Tech_trends.series ~scale:Rigs.Quick ())
+
 let test_table2_speedup_widens () =
-  let rows = Tech_trends.series ~scale:Rigs.Quick () in
+  let rows = Lazy.force tech_trends_rows in
   (match rows with
   | [ hp_sparc; sg_sparc; sg_ultra ] ->
     Alcotest.(check bool) "all speedups > 1" true
@@ -122,7 +125,7 @@ let test_table2_speedup_widens () =
   table_nonempty (Tech_trends.fig9_of rows)
 
 let test_fig9_mechanical_dominates_update_in_place () =
-  let rows = Tech_trends.series ~scale:Rigs.Quick () in
+  let rows = Lazy.force tech_trends_rows in
   List.iter
     (fun r ->
       let b = r.Tech_trends.regular.Workload.Random_update.breakdown in
@@ -133,32 +136,32 @@ let test_fig9_mechanical_dominates_update_in_place () =
     rows
 
 let test_fig10_idle_helps_lfs () =
-  let curves = Fig10.series ~scale:Rigs.Quick () in
+  let curves = Burst_idle.series ~scale:Rigs.Quick Burst_idle.Lfs_nvram in
   List.iter
     (fun c ->
-      match c.Fig10.points with
+      match c.Burst_idle.points with
       | first :: rest ->
         let last = List.nth rest (List.length rest - 1) in
         Alcotest.(check bool)
-          (Printf.sprintf "burst %dK: idle helps (%.2f -> %.2f)" c.Fig10.burst_kb
-             first.Fig10.latency_ms last.Fig10.latency_ms)
+          (Printf.sprintf "burst %dK: idle helps (%.2f -> %.2f)" c.Burst_idle.burst_kb
+             first.Burst_idle.latency_ms last.Burst_idle.latency_ms)
           true
-          (last.Fig10.latency_ms <= first.Fig10.latency_ms +. 0.01)
+          (last.Burst_idle.latency_ms <= first.Burst_idle.latency_ms +. 0.01)
       | [] -> Alcotest.fail "no points")
     curves
 
 let test_fig11_idle_helps_vld () =
-  let curves = Fig11.series ~scale:Rigs.Quick () in
+  let curves = Burst_idle.series ~scale:Rigs.Quick Burst_idle.Ufs_vld in
   List.iter
     (fun c ->
-      match c.Fig11.points with
+      match c.Burst_idle.points with
       | first :: rest ->
         let last = List.nth rest (List.length rest - 1) in
         Alcotest.(check bool)
-          (Printf.sprintf "burst %dK: idle helps (%.2f -> %.2f)" c.Fig11.burst_kb
-             first.Fig11.latency_ms last.Fig11.latency_ms)
+          (Printf.sprintf "burst %dK: idle helps (%.2f -> %.2f)" c.Burst_idle.burst_kb
+             first.Burst_idle.latency_ms last.Burst_idle.latency_ms)
           true
-          (last.Fig11.latency_ms <= first.Fig11.latency_ms +. 0.05)
+          (last.Burst_idle.latency_ms <= first.Burst_idle.latency_ms +. 0.05)
       | [] -> Alcotest.fail "no points")
     curves
 
