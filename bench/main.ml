@@ -42,19 +42,13 @@ open Experiments
 let micro () =
   let open Bechamel in
   let open Toolkit in
-  let make_vld_rig () =
-    Rigs.rig ~fs:(Workload.Setup.UFS { sync_data = true }) ~dev:Workload.Setup.VLD ()
-  in
-  let vld_rig = make_vld_rig () in
-  let reg_rig =
-    Rigs.rig ~fs:(Workload.Setup.UFS { sync_data = true }) ~dev:Workload.Setup.Regular ()
-  in
+  let vld_rig = fst (Rigs.rig { fs = F_ufs; on = D_vld }) in
+  let reg_rig = fst (Rigs.rig { fs = F_ufs; on = D_regular }) in
   let payload = Bytes.make 4096 'b' in
   let counter = ref 0 in
-  let n_blocks rig = rig.Workload.Setup.dev.Blockdev.Device.n_blocks in
-  let write_block rig () =
+  let write_block (rig : Workload.Rig.stack) () =
     incr counter;
-    ignore (rig.Workload.Setup.dev.Blockdev.Device.write (!counter * 37 mod n_blocks rig) payload)
+    ignore (rig.dev.write (!counter * 37 mod rig.dev.n_blocks) payload)
   in
   let node =
     {

@@ -100,16 +100,13 @@ let latency_cmd =
   let util_arg = Arg.(value & opt float 80. & info [ "util" ] ~doc:"target utilization %") in
   let vld_arg = Arg.(value & flag & info [ "vld" ] ~doc:"use the virtual log disk") in
   let run profile host util_pct vld quick =
-    let dev = if vld then Workload.Setup.VLD else Workload.Setup.Regular in
-    let rig =
-      Workload.Setup.make ~profile ~host ~fs:(Workload.Setup.UFS { sync_data = true })
-        ~dev ()
+    let s, prng =
+      Experiments.Rigs.rig ~seed:0xC0FFEEL ~profile ~host
+        { fs = F_ufs; on = (if vld then D_vld else D_regular) }
     in
-    let file_mb = Experiments.Rigs.file_mb_for_utilization rig (util_pct /. 100.) in
+    let file_mb = Experiments.Rigs.file_mb_for_utilization s (util_pct /. 100.) in
     let updates = if quick then 100 else 600 in
-    let r =
-      Workload.Random_update.run ~updates ~compact_first:vld ~file_mb rig
-    in
+    let r = Workload.Random_update.run ~updates ~compact_first:vld ~file_mb ~prng s in
     Format.printf "%s on %s, %s host, %.0f%% utilization:@."
       (if vld then "UFS/VLD" else "UFS/regular")
       profile.Disk.Profile.name host.Host.name
@@ -728,14 +725,15 @@ let trace_cmd =
   let fs_arg =
     Arg.(
       value
-      & opt (enum [ ("ufs", `Ufs); ("lfs", `Lfs); ("vlfs", `Vlfs) ]) `Ufs
+      & opt
+          (enum Workload.Rig.[ ("ufs", F_ufs); ("lfs", F_lfs); ("vlfs", F_vlfs) ])
+          Workload.Rig.F_ufs
       & info [ "fs" ] ~doc:"ufs, lfs or vlfs")
   in
   let dev_arg =
     Arg.(
       value
-      & opt (enum [ ("regular", Workload.Setup.Regular); ("vld", Workload.Setup.VLD) ])
-          Workload.Setup.VLD
+      & opt (enum Workload.Rig.[ ("regular", D_regular); ("vld", D_vld) ]) Workload.Rig.D_vld
       & info [ "dev" ] ~doc:"regular or vld (ignored for vlfs)")
   in
   let out_arg =
@@ -756,12 +754,6 @@ let trace_cmd =
       & info [ "ops" ] ~doc:"workload size (files to create / updates to apply)")
   in
   let run workload fs dev profile host out metrics flame ops =
-    let fs_choice =
-      match fs with
-      | `Ufs -> Workload.Setup.UFS { sync_data = true }
-      | `Lfs -> Workload.Setup.LFS { buffer_blocks = 1561 }
-      | `Vlfs -> Workload.Setup.VLFS { sync_writes = true }
-    in
     let sink =
       match workload with
       | `Tenants ->
@@ -772,26 +764,27 @@ let trace_cmd =
         let _, sink = Tenant.run_shard ~trace:true cfg ~shard:0 schedule.(0) in
         sink
       | (`Small | `Random | `Seq) as w ->
-        let rig =
-          Workload.Setup.make ~trace:true ~profile ~host ~fs:fs_choice ~dev ()
+        (* VLFS is the disk's firmware: [--dev] does not apply. *)
+        let on = if fs = Workload.Rig.F_vlfs then Workload.Rig.D_direct else dev in
+        let s, prng =
+          Experiments.Rigs.rig ~seed:0xC0FFEEL ~trace:true ~profile ~host { fs; on }
         in
         (match w with
-        | `Small -> ignore (Workload.Small_file.run ~files:ops rig)
+        | `Small -> ignore (Workload.Small_file.run ~files:ops s)
         | `Random ->
-          ignore (Workload.Random_update.run ~updates:ops ~warmup:0 ~file_mb:2. rig)
+          ignore (Workload.Random_update.run ~updates:ops ~warmup:0 ~file_mb:2. ~prng s)
         | `Seq ->
           (* Write one [ops]-block file through the buffer, sync it out, drop
              caches, and stream it back: a read-path trace with a cold cache. *)
-          let fs = rig.Workload.Setup.fs in
-          let bs = rig.Workload.Setup.dev.Blockdev.Device.block_bytes in
-          ignore (Workload.Setup.exn @@ Workload.Fs.create fs "seq");
+          let bs = s.dev.block_bytes in
+          ignore (Workload.Fs.exn @@ Workload.Fs.create s.fs "seq");
           ignore
-            (Workload.Setup.exn
-            @@ Workload.Fs.write fs "seq" ~off:0 (Bytes.make (ops * bs) 's'));
-          ignore (Workload.Fs.sync fs);
-          Workload.Fs.drop_caches fs;
-          ignore (Workload.Setup.exn @@ Workload.Fs.read fs "seq" ~off:0 ~len:(ops * bs)));
-        Workload.Setup.trace rig
+            (Workload.Fs.exn
+            @@ Workload.Fs.write s.fs "seq" ~off:0 (Bytes.make (ops * bs) 's'));
+          ignore (Workload.Fs.sync s.fs);
+          Workload.Fs.drop_caches s.fs;
+          ignore (Workload.Fs.exn @@ Workload.Fs.read s.fs "seq" ~off:0 ~len:(ops * bs)));
+        Disk.Disk_sim.trace s.disks.(0)
     in
     (match out with
     | Some file ->

@@ -15,38 +15,39 @@ let message_body prng =
   let len = 512 * (1 + Prng.int prng 16) in
   Bytes.init len (fun i -> Char.chr (32 + ((i * 7) mod 95)))
 
-let run (label, rig) =
-  let fs = rig.Workload.Setup.fs in
-  let prng = Prng.split rig.Workload.Setup.prng in
+let run (label, spec) =
+  let rig, prng = Experiments.Rigs.rig spec in
+  let fs = rig.Workload.Rig.fs in
+  let prng = Prng.split prng in
   let live = Queue.create () in
   let next_id = ref 0 in
   let name id = Printf.sprintf "msg%06d" id in
   let (), total_ms =
-    Workload.Setup.elapsed rig (fun () ->
+    Clock.elapsed rig.clock (fun () ->
         for _ = 1 to operations do
           match Prng.int prng 3 with
           | 0 when Queue.length live < max_live_messages ->
             let id = !next_id in
             incr next_id;
-            ignore (Workload.Setup.exn @@ Workload.Fs.create fs (name id));
+            ignore (Workload.Fs.exn @@ Workload.Fs.create fs (name id));
             ignore
-              (Workload.Setup.exn
+              (Workload.Fs.exn
               @@ Workload.Fs.write fs (name id) ~off:0 (message_body prng));
             Queue.add id live
           | 1 when Queue.length live > 0 ->
             (* Read the oldest message (delivery). *)
             let id = Queue.peek live in
-            ignore (Workload.Setup.exn @@ Workload.Fs.read fs (name id) ~off:0 ~len:4096)
+            ignore (Workload.Fs.exn @@ Workload.Fs.read fs (name id) ~off:0 ~len:4096)
           | 2 when Queue.length live > 10 ->
             let id = Queue.pop live in
-            ignore (Workload.Setup.exn @@ Workload.Fs.delete fs (name id))
+            ignore (Workload.Fs.exn @@ Workload.Fs.delete fs (name id))
           | _ ->
             (* Fallback: deliver a new message. *)
             let id = !next_id in
             incr next_id;
-            ignore (Workload.Setup.exn @@ Workload.Fs.create fs (name id));
+            ignore (Workload.Fs.exn @@ Workload.Fs.create fs (name id));
             ignore
-              (Workload.Setup.exn
+              (Workload.Fs.exn
               @@ Workload.Fs.write fs (name id) ~off:0 (message_body prng));
             Queue.add id live
         done;
@@ -59,4 +60,4 @@ let run (label, rig) =
 
 let () =
   Format.printf "Mail spool: %d mixed create/deliver/expire operations@.@." operations;
-  List.iter run (Experiments.Rigs.the_four ())
+  List.iter run Experiments.Rigs.the_four

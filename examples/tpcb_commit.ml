@@ -15,20 +15,19 @@ let table_mb = 12.
 let transactions = 200
 let pages_per_txn = 3
 
-let run_on dev_kind =
-  let rig =
-    Workload.Setup.make ~seed:7L ~profile:Disk.Profile.st19101 ~host:Host.sparc10
-      ~fs:(Workload.Setup.UFS { sync_data = true })
-      ~dev:dev_kind ()
+let run_on (label, on) =
+  let rig, prng =
+    Experiments.Rigs.rig ~seed:7L ~profile:Disk.Profile.st19101 ~host:Host.sparc10
+      { fs = F_ufs; on }
   in
-  let fs = rig.Workload.Setup.fs in
-  let prng = Prng.split rig.Workload.Setup.prng in
+  let fs = rig.fs in
+  let prng = Prng.split prng in
   let pages = int_of_float (table_mb *. 1048576.) / 4096 in
   (* Load the table. *)
-  ignore (Workload.Setup.exn @@ Workload.Fs.create fs table_file);
+  ignore (Workload.Fs.exn @@ Workload.Fs.create fs table_file);
   let chunk = Bytes.make (64 * 4096) '0' in
   for c = 0 to (pages / 64) - 1 do
-    ignore (Workload.Setup.exn @@ Workload.Fs.write fs table_file ~off:(c * 64 * 4096) chunk)
+    ignore (Workload.Fs.exn @@ Workload.Fs.write fs table_file ~off:(c * 64 * 4096) chunk)
   done;
   ignore (Workload.Fs.sync fs);
   (* Commit transactions. *)
@@ -36,21 +35,21 @@ let run_on dev_kind =
   let page_buf = Bytes.make 4096 'x' in
   for _ = 1 to transactions do
     let (), ms =
-      Workload.Setup.elapsed rig (fun () ->
+      Clock.elapsed rig.clock (fun () ->
           for _ = 1 to pages_per_txn do
             ignore
-              (Workload.Setup.exn @@ Workload.Fs.write fs table_file
+              (Workload.Fs.exn @@ Workload.Fs.write fs table_file
                  ~off:(Prng.int prng pages * 4096)
                  page_buf)
           done)
     in
     latencies := ms :: !latencies
   done;
-  (rig.Workload.Setup.label, Stats.summarize !latencies)
+  (label, Stats.summarize !latencies)
 
 let () =
-  let name_reg, reg = run_on Workload.Setup.Regular in
-  let name_vld, vld = run_on Workload.Setup.VLD in
+  let name_reg, reg = run_on ("UFS/regular", Workload.Rig.D_regular) in
+  let name_vld, vld = run_on ("UFS/vld", Workload.Rig.D_vld) in
   Format.printf "%d transactions of %d synchronous 4 KB page updates each@.@."
     transactions pages_per_txn;
   Format.printf "%-12s %a@." name_reg Stats.pp_summary reg;

@@ -1,15 +1,14 @@
 open Vlog_util
 
 let systems =
-  [
-    ("UFS/regular", Workload.Setup.UFS { sync_data = true }, Workload.Setup.Regular);
-    ("UFS/VLD", Workload.Setup.UFS { sync_data = true }, Workload.Setup.VLD);
-    ( "LFS (buffered)",
-      Workload.Setup.LFS { buffer_blocks = Rigs.nvram_blocks },
-      Workload.Setup.Regular );
-    ("VLFS (sync)", Workload.Setup.VLFS { sync_writes = true }, Workload.Setup.Regular);
-    ("VLFS (buffered)", Workload.Setup.VLFS { sync_writes = false }, Workload.Setup.Regular);
-  ]
+  Workload.Rig.
+    [
+      ("UFS/regular", { fs = F_ufs; on = D_regular }, None);
+      ("UFS/VLD", { fs = F_ufs; on = D_vld }, None);
+      ("LFS (buffered)", { fs = F_lfs; on = D_regular }, None);
+      ("VLFS (sync)", { fs = F_vlfs; on = D_direct }, None);
+      ("VLFS (buffered)", { fs = F_vlfs; on = D_direct }, Some Rigs.buffered_vlfs);
+    ]
 
 let run ~scale () =
   let transactions, operations =
@@ -21,12 +20,14 @@ let run ~scale () =
         [ "System"; "TPC-B mean"; "TPC-B p90"; "Postmark ops/s" ]
   in
   List.iter
-    (fun (label, fs, dev) ->
+    (fun (label, spec, vlfs) ->
       let txn =
-        Workload.App_workloads.tpcb ~transactions (Rigs.rig ~seed:0xA11L ~fs ~dev ())
+        let s, prng = Rigs.rig ~seed:0xA11L ?vlfs spec in
+        Workload.App_workloads.tpcb ~transactions ~prng s
       in
       let churn =
-        Workload.App_workloads.postmark ~operations (Rigs.rig ~seed:0xA12L ~fs ~dev ())
+        let s, prng = Rigs.rig ~seed:0xA12L ?vlfs spec in
+        Workload.App_workloads.postmark ~operations ~prng s
       in
       Table.add_row t
         [

@@ -29,7 +29,8 @@ let bursts_for ~scale study burst_kb =
     (* Enough bursts that the NVRAM fills (and flushes) several times —
        the steady state the paper measures. *)
     let fills = match scale with Rigs.Quick -> 1.5 | Rigs.Full -> 4. in
-    max 8 (min 200 (runs (int_of_float (fills *. float_of_int Rigs.nvram_blocks))))
+    let nvram = Lfs.default_config.buffer_blocks in
+    max 8 (min 200 (runs (int_of_float (fills *. float_of_int nvram))))
   | Ufs_vld ->
     (* Enough total updates that the compactor's pre-measurement head
        start is consumed and the steady burst/idle rhythm dominates. *)
@@ -47,20 +48,17 @@ let cell_label c = Printf.sprintf "%dK burst, %.2fs idle" c.c_burst_kb c.c_idle_
 (* Coordinate-seeded: the rig comes from a constant seed, so the cell is
    independent of every other cell and safe to run in parallel. *)
 let run_cell ~scale study c =
-  let rig =
-    match study with
-    | Lfs_nvram ->
-      Rigs.rig
-        ~fs:(Workload.Setup.LFS { buffer_blocks = Rigs.nvram_blocks })
-        ~dev:Workload.Setup.Regular ()
-    | Ufs_vld ->
-      Rigs.rig ~fs:(Workload.Setup.UFS { sync_data = true }) ~dev:Workload.Setup.VLD ()
+  let s, prng =
+    Rigs.rig
+      (match study with
+      | Lfs_nvram -> { fs = F_lfs; on = D_regular }
+      | Ufs_vld -> { fs = F_ufs; on = D_vld })
   in
-  let file_mb = Rigs.file_mb_for_utilization rig 0.8 in
+  let file_mb = Rigs.file_mb_for_utilization s 0.8 in
   let r =
     Workload.Burst.run
       ~bursts:(bursts_for ~scale study c.c_burst_kb)
-      ~file_mb ~burst_kb:c.c_burst_kb ~idle_ms:(c.c_idle_s *. 1000.) rig
+      ~file_mb ~burst_kb:c.c_burst_kb ~idle_ms:(c.c_idle_s *. 1000.) ~prng s
   in
   { idle_s = c.c_idle_s; latency_ms = r.Workload.Burst.latency_ms_per_block }
 

@@ -12,8 +12,8 @@ let series ~scale () =
   let files = match scale with Rigs.Quick -> 150 | Rigs.Full -> 1500 in
   let results =
     List.map
-      (fun (label, rig) -> (label, Workload.Small_file.run ~files rig))
-      (Rigs.the_four ())
+      (fun (label, spec) -> (label, Workload.Small_file.run ~files (fst (Rigs.rig spec))))
+      Rigs.the_four
   in
   let baseline = List.assoc "UFS/regular" results in
   List.map

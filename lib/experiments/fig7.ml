@@ -5,10 +5,11 @@ type row = { label : string; phases : Workload.Large_file.result }
 let series ~scale () =
   let mb = match scale with Rigs.Quick -> 2 | Rigs.Full -> 10 in
   List.map
-    (fun (label, rig) ->
-      let sync_phase = String.length label >= 3 && String.sub label 0 3 = "UFS" in
-      { label; phases = Workload.Large_file.run ~mb ~sync_phase rig })
-    (Rigs.the_four ())
+    (fun (label, (spec : Workload.Rig.t)) ->
+      let s, prng = Rigs.rig spec in
+      let sync_phase = spec.fs = F_ufs in
+      { label; phases = Workload.Large_file.run ~mb ~sync_phase ~prng s })
+    Rigs.the_four
 
 let all_phases =
   Workload.Large_file.

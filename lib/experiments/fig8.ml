@@ -12,13 +12,12 @@ type series = { label : string; points : point list }
 type cell = { c_system : int; c_file_mb : float }
 
 let configs =
-  [
-    ("UFS on Regular Disk", Workload.Setup.UFS { sync_data = true }, Workload.Setup.Regular);
-    ("UFS on VLD", Workload.Setup.UFS { sync_data = true }, Workload.Setup.VLD);
-    ( "LFS with NVRAM on Regular Disk",
-      Workload.Setup.LFS { buffer_blocks = Rigs.nvram_blocks },
-      Workload.Setup.Regular );
-  ]
+  Workload.Rig.
+    [
+      ("UFS on Regular Disk", { fs = F_ufs; on = D_regular });
+      ("UFS on VLD", { fs = F_ufs; on = D_vld });
+      ("LFS with NVRAM on Regular Disk", { fs = F_lfs; on = D_regular });
+    ]
 
 (* Updates must comfortably exceed the NVRAM capacity (1561 blocks) so
    that LFS reaches the flush-and-clean steady state the paper measures
@@ -35,18 +34,17 @@ let cells ~scale =
        configs)
 
 let cell_label c =
-  let label, _, _ = List.nth configs c.c_system in
+  let label, _ = List.nth configs c.c_system in
   Printf.sprintf "%s, %.1f MB" label c.c_file_mb
 
 (* Every cell builds its own rig from a constant seed — nothing flows
    between cells, so they can run in any order or in parallel. *)
 let run_cell ~scale c =
   let _, updates, warmup = sizes_of_scale scale in
-  let _, fs, dev = List.nth configs c.c_system in
-  let rig = Rigs.rig ~fs ~dev () in
+  let s, prng = Rigs.rig (snd (List.nth configs c.c_system)) in
   (* LFS cannot hold files close to the raw device size (segment
      reserve); skip infeasible points rather than fake them. *)
-  match Workload.Random_update.run ~updates ~warmup ~file_mb:c.c_file_mb rig with
+  match Workload.Random_update.run ~updates ~warmup ~file_mb:c.c_file_mb ~prng s with
   | r ->
     Some
       {
@@ -60,7 +58,7 @@ let run_cell ~scale c =
 
 let collate results =
   List.mapi
-    (fun ci (label, _, _) ->
+    (fun ci (label, _) ->
       {
         label;
         points =

@@ -25,17 +25,13 @@ let series ~scale () =
   let updates, warmup = counts_of_scale scale in
   List.map
     (fun p ->
-      let measure dev compact_first =
-        let rig =
-          Rigs.rig ~profile:p.profile ~host:p.host
-            ~fs:(Workload.Setup.UFS { sync_data = true })
-            ~dev ()
-        in
-        let file_mb = Rigs.file_mb_for_utilization rig 0.8 in
-        Workload.Random_update.run ~updates ~warmup ~compact_first ~file_mb rig
+      let measure on compact_first =
+        let s, prng = Rigs.rig ~profile:p.profile ~host:p.host { fs = F_ufs; on } in
+        let file_mb = Rigs.file_mb_for_utilization s 0.8 in
+        Workload.Random_update.run ~updates ~warmup ~compact_first ~file_mb ~prng s
       in
-      let regular = measure Workload.Setup.Regular false in
-      let vld = measure Workload.Setup.VLD true in
+      let regular = measure D_regular false in
+      let vld = measure D_vld true in
       {
         platform = p.name;
         regular;

@@ -10,20 +10,23 @@ let sync_updates ~scale () =
       ~columns:[ "Utilization"; "System"; "Latency/4KB" ]
   in
   let configs =
-    [
-      ("UFS on regular disk", Workload.Setup.UFS { sync_data = true }, Workload.Setup.Regular);
-      ("UFS on VLD", Workload.Setup.UFS { sync_data = true }, Workload.Setup.VLD);
-      ("VLFS (sync)", Workload.Setup.VLFS { sync_writes = true }, Workload.Setup.Regular);
-    ]
+    Workload.Rig.
+      [
+        ("UFS on regular disk", { fs = F_ufs; on = D_regular });
+        ("UFS on VLD", { fs = F_ufs; on = D_vld });
+        ("VLFS (sync)", { fs = F_vlfs; on = D_direct });
+      ]
   in
   List.iter
     (fun target ->
       List.iter
-        (fun (label, fs, dev) ->
-          let rig = Rigs.rig ~fs ~dev () in
-          let file_mb = Rigs.file_mb_for_utilization rig target in
+        (fun (label, spec) ->
+          let s, prng = Rigs.rig spec in
+          let file_mb = Rigs.file_mb_for_utilization s target in
           let compact_first = label <> "UFS on regular disk" in
-          let r = Workload.Random_update.run ~updates ~warmup ~compact_first ~file_mb rig in
+          let r =
+            Workload.Random_update.run ~updates ~warmup ~compact_first ~file_mb ~prng s
+          in
           Table.add_row t
             [
               Table.cell_pct r.Workload.Random_update.utilization;
@@ -41,9 +44,8 @@ let buffered_small_files ~scale () =
       ~columns:[ "System"; "create ms"; "read ms"; "delete ms" ]
   in
   List.iter
-    (fun (label, fs) ->
-      let rig = Rigs.rig ~fs ~dev:Workload.Setup.Regular () in
-      let r = Workload.Small_file.run ~files rig in
+    (fun (label, spec, vlfs) ->
+      let r = Workload.Small_file.run ~files (fst (Rigs.rig ?vlfs spec)) in
       Table.add_row t
         [
           label;
@@ -51,11 +53,12 @@ let buffered_small_files ~scale () =
           Table.cell_f r.Workload.Small_file.read_ms;
           Table.cell_f r.Workload.Small_file.delete_ms;
         ])
-    [
-      ("UFS/regular (baseline)", Workload.Setup.UFS { sync_data = true });
-      ("LFS (buffered)", Workload.Setup.LFS { buffer_blocks = Rigs.nvram_blocks });
-      ("VLFS (buffered)", Workload.Setup.VLFS { sync_writes = false });
-    ];
+    Workload.Rig.
+      [
+        ("UFS/regular (baseline)", { fs = F_ufs; on = D_regular }, None);
+        ("LFS (buffered)", { fs = F_lfs; on = D_regular }, None);
+        ("VLFS (buffered)", { fs = F_vlfs; on = D_direct }, Some Rigs.buffered_vlfs);
+      ];
   t
 
 let recovery_cost ~scale () =

@@ -21,4 +21,10 @@ let advance_to t when_ =
   end
 
 let warp t when_ = t.now <- when_
+
+let elapsed t f =
+  let t0 = t.now in
+  let v = f () in
+  (v, t.now -. t0)
+
 let reset t = t.now <- 0.

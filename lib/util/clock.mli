@@ -29,6 +29,9 @@ val warp : t -> float -> unit
     advance it while servicing, record the finish, and warp to the next
     device's window. *)
 
+val elapsed : t -> (unit -> 'a) -> 'a * float
+(** Run a closure and report the simulated milliseconds it consumed. *)
+
 val reset : t -> unit
 
 val advanced_total : unit -> float

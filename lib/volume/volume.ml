@@ -84,7 +84,7 @@ let layout_to_string = function
 type leg_impl = Vld of Blockdev.Vld.t | Reg of Blockdev.Regular_disk.t
 
 type leg = {
-  uid : int;  (* process-unique; keys per-batch completion tables *)
+  idx : int;  (* flat leg index (group * copies + copy); keys per-batch tables *)
   mutable impl : leg_impl;
   mutable disk : Disk.Disk_sim.t;
   mutable q : Disk.Disk_queue.t;  (* the leg's tagged command queue *)
@@ -99,8 +99,6 @@ type leg = {
   mutable failed_probes : int;
   mutable retry_after : float; (* Suspect: do not touch before this time *)
 }
-
-let leg_uid_counter = ref 0
 
 type t = {
   layout : layout;
@@ -212,7 +210,7 @@ let run_leg t leg ~at =
   leg.busy_until <- Clock.now t.clock;
   cs
 
-(* (leg uid, tag) -> completion, for one scatter/gather batch *)
+(* (leg idx, tag) -> completion, for one scatter/gather batch *)
 type ctbl = (int * int, Disk.Disk_queue.completion) Hashtbl.t
 
 let run_legs t legs ~at : ctbl =
@@ -220,7 +218,7 @@ let run_legs t legs ~at : ctbl =
   List.iter
     (fun leg ->
       List.iter
-        (fun (tag, c) -> Hashtbl.replace tbl (leg.uid, tag) c)
+        (fun (tag, c) -> Hashtbl.replace tbl (leg.idx, tag) c)
         (run_leg t leg ~at))
     legs;
   tbl
@@ -229,9 +227,9 @@ let dedup_legs legs =
   let seen = Hashtbl.create 8 in
   List.filter
     (fun leg ->
-      if Hashtbl.mem seen leg.uid then false
+      if Hashtbl.mem seen leg.idx then false
       else begin
-        Hashtbl.add seen leg.uid ();
+        Hashtbl.add seen leg.idx ();
         true
       end)
     legs
@@ -814,7 +812,7 @@ let submit_group_write t ~at ?owner gi gb ~block buf =
    stalls the operation.  Returns the result and the completion
    instant; leaves the clock parked there. *)
 let gather_group_write t (ctbl : ctbl) ~at wtx =
-  let find s = Hashtbl.find ctbl (s.s_leg.uid, s.s_tag) in
+  let find s = Hashtbl.find ctbl (s.s_leg.idx, s.s_tag) in
   let ok s =
     match (find s).Disk.Disk_queue.outcome with
     | Disk.Disk_queue.Wrote _ -> true
@@ -992,7 +990,7 @@ let gather_group_read t (ctbl : ctbl) ~at ?owner rtx =
   match rtx.rt_first with
   | None -> (Error (err_of None), at)
   | Some s ->
-    attempt None [] s (Hashtbl.find ctbl (s.s_leg.uid, s.s_tag)) rtx.rt_rest
+    attempt None [] s (Hashtbl.find ctbl (s.s_leg.idx, s.s_tag)) rtx.rt_rest
 
 (* ---- Scatter/gather execution of host requests ---- *)
 
@@ -1121,11 +1119,9 @@ let group_trim t gi gb =
 
 (* ---- Construction ---- *)
 
-let mk_leg_record ~vol_policy ~queue_policy ~prng ~disk ~impl ~state =
-  let uid = !leg_uid_counter in
-  incr leg_uid_counter;
+let mk_leg_record ~vol_policy ~queue_policy ~prng ~disk ~idx ~impl ~state =
   {
-    uid;
+    idx;
     impl;
     disk;
     q = leg_queue ~vol_policy ~queue_policy ~prng disk;
@@ -1154,8 +1150,8 @@ let mk ?(policy = default_policy) ?queue_policy ?spare ~layout ~leg_kind
   let groups =
     Array.init k (fun gi ->
         Array.init m (fun li ->
-            mk_leg ~vol_policy:policy ~queue_policy ~group_blocks
-              disks.((gi * m) + li) gi li))
+            let idx = (gi * m) + li in
+            mk_leg ~vol_policy:policy ~queue_policy ~group_blocks disks.(idx) idx))
   in
   {
     layout;
@@ -1178,8 +1174,8 @@ let mk ?(policy = default_policy) ?queue_policy ?spare ~layout ~leg_kind
 let create ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disks
     ~prng () =
   mk ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disks ~prng
-    ~mk_leg:(fun ~vol_policy ~queue_policy ~group_blocks disk _gi _li ->
-      mk_leg_record ~vol_policy ~queue_policy ~prng:(Prng.split prng) ~disk
+    ~mk_leg:(fun ~vol_policy ~queue_policy ~group_blocks disk idx ->
+      mk_leg_record ~vol_policy ~queue_policy ~prng:(Prng.split prng) ~disk ~idx
         ~impl:(format_leg ~leg_kind ~group_blocks ~prng:(Prng.split prng) disk)
         ~state:`Healthy)
     ()
@@ -1252,7 +1248,7 @@ let recover ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disk
   let recovered = ref 0 and lost = ref 0 and used_tail = ref 0 in
   let t =
     mk ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disks ~prng
-      ~mk_leg:(fun ~vol_policy ~queue_policy ~group_blocks:_ disk _gi _li ->
+      ~mk_leg:(fun ~vol_policy ~queue_policy ~group_blocks:_ disk idx ->
         let impl, state =
           match leg_kind with
           | Regular_leg ->
@@ -1276,7 +1272,7 @@ let recover ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disk
               incr lost;
               (Reg (Blockdev.Regular_disk.create ~disk ()), `Dead))
         in
-        mk_leg_record ~vol_policy ~queue_policy ~prng:(Prng.split prng) ~disk
+        mk_leg_record ~vol_policy ~queue_policy ~prng:(Prng.split prng) ~disk ~idx
           ~impl ~state)
       ()
   in

@@ -2,15 +2,18 @@ open Vlog_util
 
 type txn_result = { transactions : int; mean_ms : float; p90_ms : float; max_ms : float }
 
-let tpcb ?(transactions = 300) ?(accounts_mb = 10.) ?(pages_per_txn = 3) (t : Setup.t) =
-  let fs = t.Setup.fs in
-  let prng = Prng.split t.Setup.prng in
+let accounts_mb = 10.
+let pages_per_txn = 3
+
+let tpcb ?(transactions = 300) ~prng (s : Rig.stack) =
+  let fs = s.fs in
+  let prng = Prng.split prng in
   let pages = int_of_float (accounts_mb *. 1048576.) / 4096 in
-  ignore (Setup.exn @@ Fs.create fs "accounts");
-  ignore (Setup.exn @@ Fs.create fs "history");
+  ignore (Fs.exn @@ Fs.create fs "accounts");
+  ignore (Fs.exn @@ Fs.create fs "history");
   let chunk = Bytes.make (16 * 4096) '0' in
   for c = 0 to (pages / 16) - 1 do
-    ignore (Setup.exn @@ Fs.write fs "accounts" ~off:(c * 16 * 4096) chunk)
+    ignore (Fs.exn @@ Fs.write fs "accounts" ~off:(c * 16 * 4096) chunk)
   done;
   ignore (Fs.sync fs);
   let page = Bytes.make 4096 'p' in
@@ -19,12 +22,12 @@ let tpcb ?(transactions = 300) ?(accounts_mb = 10.) ?(pages_per_txn = 3) (t : Se
   let hist_off = ref 0 in
   for _ = 1 to transactions do
     let (), ms =
-      Setup.elapsed t (fun () ->
+      Clock.elapsed s.clock (fun () ->
           for _ = 1 to pages_per_txn do
             ignore
-              (Setup.exn @@ Fs.write fs "accounts" ~off:(Prng.int prng pages * 4096) page)
+              (Fs.exn @@ Fs.write fs "accounts" ~off:(Prng.int prng pages * 4096) page)
           done;
-          ignore (Setup.exn @@ Fs.write fs "history" ~off:!hist_off history);
+          ignore (Fs.exn @@ Fs.write fs "history" ~off:!hist_off history);
           hist_off := !hist_off + 512;
           ignore (Fs.sync fs))
     in
@@ -40,9 +43,11 @@ let tpcb ?(transactions = 300) ?(accounts_mb = 10.) ?(pages_per_txn = 3) (t : Se
 
 type churn_result = { operations : int; total_ms : float; ops_per_sec : float }
 
-let postmark ?(operations = 2000) ?(max_live = 300) (t : Setup.t) =
-  let fs = t.Setup.fs in
-  let prng = Prng.split t.Setup.prng in
+let max_live = 300
+
+let postmark ?(operations = 2000) ~prng (s : Rig.stack) =
+  let fs = s.fs in
+  let prng = Prng.split prng in
   let live = Queue.create () in
   let sizes : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let next_id = ref 0 in
@@ -51,30 +56,30 @@ let postmark ?(operations = 2000) ?(max_live = 300) (t : Setup.t) =
     let id = !next_id in
     incr next_id;
     let body = Bytes.make (512 * (1 + Prng.int prng 16)) 'm' in
-    ignore (Setup.exn @@ Fs.create fs (name id));
-    ignore (Setup.exn @@ Fs.write fs (name id) ~off:0 body);
+    ignore (Fs.exn @@ Fs.create fs (name id));
+    ignore (Fs.exn @@ Fs.write fs (name id) ~off:0 body);
     Hashtbl.replace sizes id (Bytes.length body);
     Queue.add id live
   in
   let (), total_ms =
-    Setup.elapsed t (fun () ->
+    Clock.elapsed s.clock (fun () ->
         for op = 1 to operations do
           (match Prng.int prng 100 with
           | r when r < 40 || Queue.is_empty live ->
             if Queue.length live < max_live then deliver ()
-            else ignore (Setup.exn @@ Fs.read fs (name (Queue.peek live)) ~off:0 ~len:4096)
+            else ignore (Fs.exn @@ Fs.read fs (name (Queue.peek live)) ~off:0 ~len:4096)
           | r when r < 65 ->
-            ignore (Setup.exn @@ Fs.read fs (name (Queue.peek live)) ~off:0 ~len:4096)
+            ignore (Fs.exn @@ Fs.read fs (name (Queue.peek live)) ~off:0 ~len:4096)
           | r when r < 80 ->
             let id = Queue.peek live in
             let size = Hashtbl.find sizes id in
-            ignore (Setup.exn @@ Fs.write fs (name id) ~off:size (Bytes.make 512 'a'));
+            ignore (Fs.exn @@ Fs.write fs (name id) ~off:size (Bytes.make 512 'a'));
             Hashtbl.replace sizes id (size + 512)
           | _ ->
             if Queue.length live > 5 then begin
               let id = Queue.pop live in
               Hashtbl.remove sizes id;
-              ignore (Setup.exn @@ Fs.delete fs (name id))
+              ignore (Fs.exn @@ Fs.delete fs (name id))
             end
             else deliver ());
           if op mod 50 = 0 then ignore (Fs.sync fs)

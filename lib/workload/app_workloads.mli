@@ -16,15 +16,10 @@ type txn_result = {
   max_ms : float;
 }
 
-val tpcb :
-  ?transactions:int ->
-  ?accounts_mb:float ->
-  ?pages_per_txn:int ->
-  Setup.t ->
-  txn_result
-(** Defaults: 300 transactions, a 10 MB account table, 3 page updates
-    plus one history append per transaction.  Every transaction ends
-    with a sync (commit). *)
+val tpcb : ?transactions:int -> prng:Vlog_util.Prng.t -> Rig.stack -> txn_result
+(** Default 300 transactions over a 10 MB account table, each 3 random
+    page updates plus one history append.  Every transaction ends with a
+    sync (commit). *)
 
 type churn_result = {
   operations : int;
@@ -32,7 +27,7 @@ type churn_result = {
   ops_per_sec : float;  (** of simulated time *)
 }
 
-val postmark : ?operations:int -> ?max_live:int -> Setup.t -> churn_result
-(** Defaults: 2000 operations, at most 300 live files.  Mix: ~40 %
+val postmark : ?operations:int -> prng:Vlog_util.Prng.t -> Rig.stack -> churn_result
+(** Default 2000 operations, at most 300 live files.  Mix: ~40 %
     deliveries (create+write, 1-8 KB), ~25 % reads, ~15 % appends,
     ~20 % expiries; a sync every 50 operations. *)

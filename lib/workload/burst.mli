@@ -18,7 +18,8 @@ val run :
   file_mb:float ->
   burst_kb:int ->
   idle_ms:float ->
-  Setup.t ->
+  prng:Vlog_util.Prng.t ->
+  Rig.stack ->
   result
 (** [file_mb] sets the utilization (the file is created once and
     updated in place); [burst_kb] is the burst size (128 KB - 4 MB in the

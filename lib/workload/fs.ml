@@ -4,6 +4,10 @@ type t = Ufs of Ufs.t | Lfs of Lfs.t | Vlfs of Vlfs.t
 
 type 'a r = ('a, Blockdev.Fs_error.t) result
 
+let exn = function
+  | Ok v -> v
+  | Error e -> failwith (Format.asprintf "file system error: %a" Blockdev.Fs_error.pp e)
+
 let create fs name =
   match fs with
   | Ufs t -> Ufs.create t name

@@ -1,11 +1,16 @@
 (** One face over a mounted file system: UFS, LFS or the integrated
     VLFS, whichever Figure 5 rig built it.  Operations return the file
     system's own result; a benchmark that treats an error as a
-    configuration bug projects it through {!Setup.exn}. *)
+    configuration bug projects it through {!exn}. *)
 
 type t = Ufs of Ufs.t | Lfs of Lfs.t | Vlfs of Vlfs.t
 
 type 'a r = ('a, Blockdev.Fs_error.t) result
+
+val exn : 'a r -> 'a
+(** The benchmarks' projection of a result: raises [Failure "file system
+    error: ..."] on an error — in a benchmark an error is a
+    configuration bug. *)
 
 val create : t -> string -> Vlog_util.Breakdown.t r
 val write : t -> string -> off:int -> Bytes.t -> Vlog_util.Breakdown.t r

@@ -24,21 +24,21 @@ let block = 4096
 
 let bandwidth ~bytes ~ms = if ms <= 0. then infinity else float_of_int bytes /. 1048576. /. (ms /. 1000.)
 
-let run ?(mb = 10) ?(sync_phase = false) (t : Setup.t) =
-  let fs = t.Setup.fs in
+let run ?(mb = 10) ?(sync_phase = false) ~prng (s : Rig.stack) =
+  let fs = s.fs in
   let total = mb * 1024 * 1024 in
   let blocks = total / block in
-  let prng = Prng.split t.Setup.prng in
-  ignore (Setup.exn @@ Fs.create fs file);
+  let prng = Prng.split prng in
+  ignore (Fs.exn @@ Fs.create fs file);
   let measure f =
-    let (), ms = Setup.elapsed t f in
+    let (), ms = Clock.elapsed s.clock f in
     bandwidth ~bytes:total ~ms
   in
   let seq_write =
     measure (fun () ->
         let data = Bytes.make chunk 'w' in
         for c = 0 to (total / chunk) - 1 do
-          ignore (Setup.exn @@ Fs.write fs file ~off:(c * chunk) data)
+          ignore (Fs.exn @@ Fs.write fs file ~off:(c * chunk) data)
         done;
         ignore (Fs.sync fs))
   in
@@ -46,7 +46,7 @@ let run ?(mb = 10) ?(sync_phase = false) (t : Setup.t) =
   let seq_read =
     measure (fun () ->
         for c = 0 to (total / chunk) - 1 do
-          ignore (Setup.exn @@ Fs.read fs file ~off:(c * chunk) ~len:chunk)
+          ignore (Fs.exn @@ Fs.read fs file ~off:(c * chunk) ~len:chunk)
         done)
   in
   Fs.drop_caches fs;
@@ -54,7 +54,7 @@ let run ?(mb = 10) ?(sync_phase = false) (t : Setup.t) =
     measure (fun () ->
         let data = Bytes.make block 'r' in
         for _ = 1 to blocks do
-          ignore (Setup.exn @@ Fs.write fs file ~off:(Prng.int prng blocks * block) data)
+          ignore (Fs.exn @@ Fs.write fs file ~off:(Prng.int prng blocks * block) data)
         done;
         ignore (Fs.sync fs))
   in
@@ -67,7 +67,7 @@ let run ?(mb = 10) ?(sync_phase = false) (t : Setup.t) =
              let data = Bytes.make block 's' in
              for _ = 1 to blocks do
                let off = Prng.int prng blocks * block in
-               ignore (Setup.exn @@ Fs.write fs file ~off data);
+               ignore (Fs.exn @@ Fs.write fs file ~off data);
                ignore (Fs.sync fs)
              done))
     end
@@ -76,7 +76,7 @@ let run ?(mb = 10) ?(sync_phase = false) (t : Setup.t) =
   let seq_read_again =
     measure (fun () ->
         for c = 0 to (total / chunk) - 1 do
-          ignore (Setup.exn @@ Fs.read fs file ~off:(c * chunk) ~len:chunk)
+          ignore (Fs.exn @@ Fs.read fs file ~off:(c * chunk) ~len:chunk)
         done)
   in
   Fs.drop_caches fs;
@@ -84,7 +84,7 @@ let run ?(mb = 10) ?(sync_phase = false) (t : Setup.t) =
     measure (fun () ->
         for _ = 1 to blocks do
           let off = Prng.int prng blocks * block in
-          ignore (Setup.exn @@ Fs.read fs file ~off ~len:block)
+          ignore (Fs.exn @@ Fs.read fs file ~off ~len:block)
         done)
   in
   [ (Seq_write, seq_write); (Seq_read, seq_read); (Random_write_async, random_write_async) ]

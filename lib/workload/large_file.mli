@@ -18,6 +18,6 @@ type result = (phase * float) list
 (** Bandwidth per phase; [Random_write_sync] is omitted for rigs that
     buffer all writes (LFS). *)
 
-val run : ?mb:int -> ?sync_phase:bool -> Setup.t -> result
+val run : ?mb:int -> ?sync_phase:bool -> prng:Vlog_util.Prng.t -> Rig.stack -> result
 (** Default 10 MB file.  [sync_phase] adds the synchronous random-write
     phase (the paper only runs it for UFS). *)

@@ -12,30 +12,31 @@ type result = {
 let file = "updatefile"
 let block = 4096
 
-let run ?(updates = 500) ?(warmup = 50) ?(compact_first = false) ~file_mb (t : Setup.t) =
-  let fs = t.Setup.fs in
+let run ?(updates = 500) ?(warmup = 50) ?(compact_first = false) ~file_mb ~prng
+    (s : Rig.stack) =
+  let fs = s.fs in
   let blocks = int_of_float (file_mb *. 1048576.) / block in
   if blocks <= 0 then invalid_arg "Random_update.run: file too small";
-  let prng = Prng.split t.Setup.prng in
-  ignore (Setup.exn @@ Fs.create fs file);
+  let prng = Prng.split prng in
+  ignore (Fs.exn @@ Fs.create fs file);
   (* Fill sequentially in large chunks (placement as a real file). *)
   let chunk_blocks = 16 in
   let data = Bytes.make (chunk_blocks * block) 'f' in
   let full_chunks = blocks / chunk_blocks in
   for c = 0 to full_chunks - 1 do
-    ignore (Setup.exn @@ Fs.write fs file ~off:(c * chunk_blocks * block) data)
+    ignore (Fs.exn @@ Fs.write fs file ~off:(c * chunk_blocks * block) data)
   done;
   let rest = blocks - (full_chunks * chunk_blocks) in
   if rest > 0 then
     ignore
-      (Setup.exn @@ Fs.write fs file
+      (Fs.exn @@ Fs.write fs file
          ~off:(full_chunks * chunk_blocks * block)
          (Bytes.make (rest * block) 'f'));
   ignore (Fs.sync fs);
-  if compact_first then Fs.idle fs ~clock:t.Setup.clock 60_000.;
+  if compact_first then Fs.idle fs ~clock:s.clock 60_000.;
   let payload = Bytes.make block 'u' in
   let one () =
-    ignore (Setup.exn @@ Fs.write fs file ~off:(Prng.int prng blocks * block) payload)
+    ignore (Fs.exn @@ Fs.write fs file ~off:(Prng.int prng blocks * block) payload)
   in
   for _ = 1 to warmup do
     one ()
@@ -46,13 +47,11 @@ let run ?(updates = 500) ?(warmup = 50) ?(compact_first = false) ~file_mb (t : S
      tail is reported with ~5 % relative precision at any update count. *)
   let hist = Trace.Histogram.create () in
   let (), total_ms =
-    Setup.elapsed t (fun () ->
+    Clock.elapsed s.clock (fun () ->
         for _ = 1 to updates do
-          let t0 = Clock.now t.Setup.clock in
-          let bd =
-            Setup.exn @@ Fs.write fs file ~off:(Prng.int prng blocks * block) payload
-          in
-          let wall = Clock.now t.Setup.clock -. t0 in
+          let t0 = Clock.now s.clock in
+          let bd = Fs.exn @@ Fs.write fs file ~off:(Prng.int prng blocks * block) payload in
+          let wall = Clock.now s.clock -. t0 in
           Trace.Histogram.observe hist wall;
           (* The returned breakdown covers the visible work; flush storms
              (LFS buffer fills) surface as extra wall time, attributed to

@@ -20,9 +20,11 @@ val run :
   ?warmup:int ->
   ?compact_first:bool ->
   file_mb:float ->
-  Setup.t ->
+  prng:Vlog_util.Prng.t ->
+  Rig.stack ->
   result
 (** Create and fill a [file_mb]-MB file, optionally give the device a
     long idle window so the compactor runs ([compact_first], used for the
     Table 2 / Figure 9 measurements, as the paper does), then measure
-    [updates] random 4 KB rewrites after [warmup] unmeasured ones. *)
+    [updates] random 4 KB rewrites after [warmup] unmeasured ones.  The
+    update offsets come from a generator split from [prng]. *)

@@ -83,6 +83,7 @@ type stack = {
   wal : Nvm.Nvm_wal.t option;
   nvm : Nvm.Nvm_sim.t option;
   notes : (string * int) list;
+  clock : Vlog_util.Clock.t;
 }
 
 type frozen = { stores : Disk.Sector_store.t array; nvm_image : Bytes.t option }
@@ -132,7 +133,7 @@ let format ?(host = Host.free) ?trace ?spare_blocks ?vld_eager_mode ?vld_compact
     in
     let dev = Volume.device v in
     { fs = mkfs ~dev ~disk:disks.(0); dev; disks; vld = None; volume = Some v;
-      wal = None; nvm = None; notes = [] }
+      wal = None; nvm = None; notes = []; clock }
   | D_vld | D_regular | D_direct | D_nvm _ ->
     let disk = drive () in
     let vld =
@@ -154,7 +155,7 @@ let format ?(host = Host.free) ?trace ?spare_blocks ?vld_eager_mode ?vld_compact
     in
     let dev = match wal with Some w -> Nvm.Nvm_wal.device w | None -> inner in
     { fs = mkfs ~dev ~disk; dev; disks = [| disk |]; vld; volume = None; wal; nvm;
-      notes = [] }
+      notes = []; clock }
 
 let freeze s =
   let snapshot d = Disk.Sector_store.snapshot (Disk.Disk_sim.store d) in
@@ -220,7 +221,8 @@ let recover ?spare_blocks ?(arm = ignore) ?(ufs = Ufs.default_config)
     Volume.settle v;
     let dev = Volume.device v in
     let* fs, notes = mount ~dev ~disk:disks.(0) in
-    Ok { fs; dev; disks; vld = None; volume = Some v; wal = None; nvm = None; notes }
+    Ok { fs; dev; disks; vld = None; volume = Some v; wal = None; nvm = None; notes;
+         clock }
   | D_vld | D_regular | D_direct | D_nvm _ ->
     let disk = recovered frozen.stores.(0) in
     let* vld =
@@ -246,4 +248,4 @@ let recover ?spare_blocks ?(arm = ignore) ?(ufs = Ufs.default_config)
     in
     let dev = match wal with Some w -> Nvm.Nvm_wal.device w | None -> inner in
     let* fs, notes = mount ~dev ~disk in
-    Ok { fs; dev; disks = [| disk |]; vld; volume = None; wal; nvm; notes }
+    Ok { fs; dev; disks = [| disk |]; vld; volume = None; wal; nvm; notes; clock }

@@ -60,6 +60,7 @@ type stack = {
   notes : (string * int) list;
       (** what the mount repaired or dropped (orphans cleared, dangling
           entries dropped, inodes skipped); empty after {!format} *)
+  clock : Vlog_util.Clock.t;  (** the clock every layer of the stack runs on *)
 }
 
 val format :

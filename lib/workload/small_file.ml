@@ -2,28 +2,28 @@ type result = { create_ms : float; read_ms : float; delete_ms : float; files : i
 
 let name i = Printf.sprintf "small%05d" i
 
-let run ?(files = 1500) (t : Setup.t) =
-  let fs = t.Setup.fs in
+let run ?(files = 1500) (s : Rig.stack) =
+  let fs = s.fs in
   let payload = Bytes.make 1024 'q' in
   let (), create_ms =
-    Setup.elapsed t (fun () ->
+    Vlog_util.Clock.elapsed s.clock (fun () ->
         for i = 0 to files - 1 do
-          ignore (Setup.exn @@ Fs.create fs (name i));
-          ignore (Setup.exn @@ Fs.write fs (name i) ~off:0 payload)
+          ignore (Fs.exn @@ Fs.create fs (name i));
+          ignore (Fs.exn @@ Fs.write fs (name i) ~off:0 payload)
         done;
         ignore (Fs.sync fs))
   in
   Fs.drop_caches fs;
   let (), read_ms =
-    Setup.elapsed t (fun () ->
+    Vlog_util.Clock.elapsed s.clock (fun () ->
         for i = 0 to files - 1 do
-          ignore (Setup.exn @@ Fs.read fs (name i) ~off:0 ~len:1024)
+          ignore (Fs.exn @@ Fs.read fs (name i) ~off:0 ~len:1024)
         done)
   in
   let (), delete_ms =
-    Setup.elapsed t (fun () ->
+    Vlog_util.Clock.elapsed s.clock (fun () ->
         for i = 0 to files - 1 do
-          ignore (Setup.exn @@ Fs.delete fs (name i))
+          ignore (Fs.exn @@ Fs.delete fs (name i))
         done;
         ignore (Fs.sync fs))
   in

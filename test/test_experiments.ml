@@ -179,15 +179,12 @@ let test_vlfs_speculation () =
 let test_apps_vld_wins_sync_commits () =
   (* Application-level sanity: UFS-on-VLD commits transactions several
      times faster than update-in-place. *)
-  let rig fs dev = Rigs.rig ~seed:0xA11L ~fs ~dev () in
-  let reg =
-    Workload.App_workloads.tpcb ~transactions:40
-      (rig (Workload.Setup.UFS { sync_data = true }) Workload.Setup.Regular)
+  let tpcb on =
+    let s, prng = Rigs.rig ~seed:0xA11L { fs = F_ufs; on } in
+    Workload.App_workloads.tpcb ~transactions:40 ~prng s
   in
-  let vld =
-    Workload.App_workloads.tpcb ~transactions:40
-      (rig (Workload.Setup.UFS { sync_data = true }) Workload.Setup.VLD)
-  in
+  let reg = tpcb D_regular in
+  let vld = tpcb D_vld in
   Alcotest.(check bool)
     (Printf.sprintf "vld %.1f ms << regular %.1f ms"
        vld.Workload.App_workloads.mean_ms reg.Workload.App_workloads.mean_ms)

@@ -52,8 +52,9 @@ let test_golden_jsonl () =
 (* --- JSONL well-formedness -------------------------------------------- *)
 
 (* A minimal JSON object scanner: every line must be a single balanced
-   object with no trailing garbage.  (No JSON library in the image; CI
-   re-validates with python3 -m json.) *)
+   object with no trailing garbage.  (No JSON library in the image; the
+   [vlsim trace] cases in test/golden/cli.t parse every line of their
+   trace files with python3's json module.) *)
 let line_is_json_object line =
   let n = String.length line in
   if n < 2 || line.[0] <> '{' then false
@@ -105,56 +106,55 @@ let check_exactness ~label trace =
           Breakdown.pp r.Trace.child_sum)
     spans
 
-let rig ~fs ~dev =
-  Workload.Setup.make ~trace:true ~profile:Disk.Profile.st19101 ~host:Host.sparc10
-    ~fs ~dev ()
+let rig ?lfs ?(trace = true) spec =
+  Experiments.Rigs.rig ~seed:0xC0FFEEL ~trace ~profile:Disk.Profile.st19101
+    ~host:Host.sparc10 ?lfs spec
 
-let exact_case label fs dev (run : Workload.Setup.t -> unit) () =
-  let r = rig ~fs ~dev in
-  run r;
-  check_exactness ~label (Workload.Setup.trace r)
+let exact_case label ?lfs spec
+    (run : Workload.Rig.stack -> prng:Prng.t -> unit) () =
+  let s, prng = rig ?lfs spec in
+  run s ~prng;
+  check_exactness ~label (Disk.Disk_sim.trace s.disks.(0))
 
-let small_file r = ignore (Workload.Small_file.run ~files:30 r)
+let small_file s ~prng:_ = ignore (Workload.Small_file.run ~files:30 s)
 
-let random_update_with_idle r =
-  ignore (Workload.Random_update.run ~updates:60 ~warmup:0 ~file_mb:2. r);
+let random_update_with_idle (s : Workload.Rig.stack) ~prng =
+  ignore (Workload.Random_update.run ~updates:60 ~warmup:0 ~file_mb:2. ~prng s);
   (* Idle windows exercise the unaccounted spans (cleaner, compactor,
      background flush), which must NOT enter any parent's fold. *)
-  let fs = r.Workload.Setup.fs in
-  Workload.Fs.idle fs ~clock:r.Workload.Setup.clock 2000.;
+  let fs = s.fs in
+  Workload.Fs.idle fs ~clock:s.clock 2000.;
   (* More foreground work after the idle window, so accounted spans
      follow unaccounted ones under the same parents. *)
-  let bs = r.Workload.Setup.dev.Blockdev.Device.block_bytes in
-  ignore (Workload.Setup.exn @@ Workload.Fs.create fs "after-idle");
+  let bs = s.dev.block_bytes in
+  ignore (Workload.Fs.exn @@ Workload.Fs.create fs "after-idle");
   ignore
-    (Workload.Setup.exn
+    (Workload.Fs.exn
     @@ Workload.Fs.write fs "after-idle" ~off:0 (Bytes.make (8 * bs) 'a'));
   ignore (Workload.Fs.sync fs);
-  ignore (Workload.Setup.exn @@ Workload.Fs.read fs "after-idle" ~off:0 ~len:(4 * bs));
-  ignore (Workload.Setup.exn @@ Workload.Fs.delete fs "after-idle")
+  ignore (Workload.Fs.exn @@ Workload.Fs.read fs "after-idle" ~off:0 ~len:(4 * bs));
+  ignore (Workload.Fs.exn @@ Workload.Fs.delete fs "after-idle")
 
 let exactness_tests =
+  let open Workload.Rig in
+  let lfs buffer_blocks = { Lfs.default_config with buffer_blocks } in
   [
-    ("ufs/regular small-file", exact_case "ufs/regular" (Workload.Setup.UFS { sync_data = true }) Workload.Setup.Regular small_file);
-    ("ufs/vld small-file", exact_case "ufs/vld" (Workload.Setup.UFS { sync_data = true }) Workload.Setup.VLD small_file);
-    ("lfs/vld small-file", exact_case "lfs/vld" (Workload.Setup.LFS { buffer_blocks = 256 }) Workload.Setup.VLD small_file);
-    ("vlfs small-file", exact_case "vlfs" (Workload.Setup.VLFS { sync_writes = true }) Workload.Setup.VLD small_file);
-    ("ufs/vld random+idle", exact_case "ufs/vld idle" (Workload.Setup.UFS { sync_data = true }) Workload.Setup.VLD random_update_with_idle);
-    ("lfs/vld random+idle", exact_case "lfs/vld idle" (Workload.Setup.LFS { buffer_blocks = 128 }) Workload.Setup.VLD random_update_with_idle);
-    ("vlfs random+idle", exact_case "vlfs idle" (Workload.Setup.VLFS { sync_writes = true }) Workload.Setup.VLD random_update_with_idle);
+    ("ufs/regular small-file", exact_case "ufs/regular" { fs = F_ufs; on = D_regular } small_file);
+    ("ufs/vld small-file", exact_case "ufs/vld" { fs = F_ufs; on = D_vld } small_file);
+    ("lfs/vld small-file", exact_case "lfs/vld" ~lfs:(lfs 256) { fs = F_lfs; on = D_vld } small_file);
+    ("vlfs small-file", exact_case "vlfs" { fs = F_vlfs; on = D_direct } small_file);
+    ("ufs/vld random+idle", exact_case "ufs/vld idle" { fs = F_ufs; on = D_vld } random_update_with_idle);
+    ("lfs/vld random+idle", exact_case "lfs/vld idle" ~lfs:(lfs 128) { fs = F_lfs; on = D_vld } random_update_with_idle);
+    ("vlfs random+idle", exact_case "vlfs idle" { fs = F_vlfs; on = D_direct } random_update_with_idle);
   ]
 
 (* --- tracing must not perturb the simulation -------------------------- *)
 
 let test_trace_does_not_change_timing () =
   let run traced =
-    let r =
-      Workload.Setup.make ~trace:traced ~profile:Disk.Profile.st19101
-        ~host:Host.sparc10 ~fs:(Workload.Setup.UFS { sync_data = true })
-        ~dev:Workload.Setup.VLD ()
-    in
-    ignore (Workload.Small_file.run ~files:40 r);
-    Clock.now r.Workload.Setup.clock
+    let s, _ = rig ~trace:traced { fs = F_ufs; on = D_vld } in
+    ignore (Workload.Small_file.run ~files:40 s);
+    Clock.now s.clock
   in
   let off = run false and on_ = run true in
   Alcotest.(check bool)

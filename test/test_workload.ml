@@ -2,52 +2,47 @@ open Vlog_util
 
 let sparc = Host.sparc10
 
-let make ~fs ~dev =
-  Workload.Setup.make ~seed:0xFEEDL ~cylinders:6 ~profile:Disk.Profile.st19101
-    ~host:sparc ~fs ~dev ()
+let lfs_small = { Lfs.default_config with buffer_blocks = 64 }
 
-let ufs_sync = Workload.Setup.UFS { sync_data = true }
-let lfs_small = Workload.Setup.LFS { buffer_blocks = 64 }
+let make fs on =
+  Experiments.Rigs.rig ~seed:0xFEEDL
+    ~profile:(Disk.Profile.with_cylinders Disk.Profile.st19101 6)
+    ~host:sparc ~lfs:lfs_small { fs; on }
 
 let test_setup_builds_all_four () =
   List.iter
-    (fun (fs, dev) -> ignore (make ~fs ~dev))
-    [
-      (ufs_sync, Workload.Setup.Regular);
-      (ufs_sync, Workload.Setup.VLD);
-      (lfs_small, Workload.Setup.Regular);
-      (lfs_small, Workload.Setup.VLD);
-    ]
+    (fun (fs, on) -> ignore (make fs on))
+    Workload.Rig.[ (F_ufs, D_regular); (F_ufs, D_vld); (F_lfs, D_regular); (F_lfs, D_vld) ]
 
 let test_ops_roundtrip () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.VLD in
-  let fs = rig.Workload.Setup.fs in
-  ignore (Workload.Setup.exn @@ Workload.Fs.create fs "f");
-  ignore (Workload.Setup.exn @@ Workload.Fs.write fs "f" ~off:0 (Bytes.make 4096 'z'));
-  let data, _ = Workload.Setup.exn @@ Workload.Fs.read fs "f" ~off:0 ~len:4096 in
+  let rig, _ = make F_ufs D_vld in
+  let fs = rig.fs in
+  ignore (Workload.Fs.exn @@ Workload.Fs.create fs "f");
+  ignore (Workload.Fs.exn @@ Workload.Fs.write fs "f" ~off:0 (Bytes.make 4096 'z'));
+  let data, _ = Workload.Fs.exn @@ Workload.Fs.read fs "f" ~off:0 ~len:4096 in
   Alcotest.(check bytes) "roundtrip" (Bytes.make 4096 'z') data
 
 let test_ops_failure_raises () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
-  let fs = rig.Workload.Setup.fs in
-  match Workload.Setup.exn @@ Workload.Fs.read fs "missing" ~off:0 ~len:1 with
+  let rig, _ = make F_ufs D_regular in
+  let fs = rig.fs in
+  match Workload.Fs.exn @@ Workload.Fs.read fs "missing" ~off:0 ~len:1 with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected Failure"
 
 let test_elapsed_measures_clock () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
-  let (), ms = Workload.Setup.elapsed rig (fun () -> Clock.advance rig.Workload.Setup.clock 3.5) in
+  let rig, _ = make F_ufs D_regular in
+  let (), ms = Clock.elapsed rig.clock (fun () -> Clock.advance rig.clock 3.5) in
   Alcotest.(check (float 1e-9)) "elapsed" 3.5 ms
 
 let test_idle_advances_clock () =
-  let rig = make ~fs:lfs_small ~dev:Workload.Setup.VLD in
-  let t0 = Clock.now rig.Workload.Setup.clock in
-  Workload.Fs.idle rig.Workload.Setup.fs ~clock:rig.Workload.Setup.clock 250.;
+  let rig, _ = make F_lfs D_vld in
+  let t0 = Clock.now rig.clock in
+  Workload.Fs.idle rig.fs ~clock:rig.clock 250.;
   Alcotest.(check (float 1e-6)) "idle advances exactly" (t0 +. 250.)
-    (Clock.now rig.Workload.Setup.clock)
+    (Clock.now rig.clock)
 
 let test_small_file_driver () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
+  let rig, _ = make F_ufs D_regular in
   let r = Workload.Small_file.run ~files:40 rig in
   Alcotest.(check int) "files" 40 r.Workload.Small_file.files;
   Alcotest.(check bool) "create took time" true (r.Workload.Small_file.create_ms > 0.);
@@ -63,23 +58,23 @@ let test_small_file_normalize () =
   Alcotest.(check (float 1e-9)) "delete 4x" 4. d
 
 let test_large_file_driver () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.VLD in
-  let phases = Workload.Large_file.run ~mb:1 ~sync_phase:true rig in
+  let rig, prng = make F_ufs D_vld in
+  let phases = Workload.Large_file.run ~mb:1 ~sync_phase:true ~prng rig in
   Alcotest.(check int) "6 phases" 6 (List.length phases);
   List.iter
     (fun (_, bw) -> Alcotest.(check bool) "bandwidth positive" true (bw > 0.))
     phases
 
 let test_large_file_no_sync_phase () =
-  let rig = make ~fs:lfs_small ~dev:Workload.Setup.Regular in
-  let phases = Workload.Large_file.run ~mb:1 ~sync_phase:false rig in
+  let rig, prng = make F_lfs D_regular in
+  let phases = Workload.Large_file.run ~mb:1 ~sync_phase:false ~prng rig in
   Alcotest.(check int) "5 phases" 5 (List.length phases);
   Alcotest.(check bool) "no sync phase" true
     (not (List.mem_assoc Workload.Large_file.Random_write_sync phases))
 
 let test_random_update_driver () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
-  let r = Workload.Random_update.run ~updates:50 ~warmup:5 ~file_mb:1. rig in
+  let rig, prng = make F_ufs D_regular in
+  let r = Workload.Random_update.run ~updates:50 ~warmup:5 ~file_mb:1. ~prng rig in
   Alcotest.(check int) "updates" 50 r.Workload.Random_update.updates;
   Alcotest.(check bool) "latency sane" true
     (r.Workload.Random_update.mean_latency_ms > 0.5
@@ -88,26 +83,26 @@ let test_random_update_driver () =
     (r.Workload.Random_update.utilization > 0.)
 
 let test_random_update_breakdown_consistent () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
-  let r = Workload.Random_update.run ~updates:50 ~warmup:5 ~file_mb:1. rig in
+  let rig, prng = make F_ufs D_regular in
+  let r = Workload.Random_update.run ~updates:50 ~warmup:5 ~file_mb:1. ~prng rig in
   let total = Breakdown.total r.Workload.Random_update.breakdown in
   Alcotest.(check (float 0.02)) "breakdown total = wall latency"
     r.Workload.Random_update.mean_latency_ms total
 
 let test_vld_beats_regular_on_updates () =
-  let measure dev =
-    let rig = make ~fs:ufs_sync ~dev in
-    (Workload.Random_update.run ~updates:80 ~warmup:10 ~file_mb:2. rig)
+  let measure on =
+    let rig, prng = make F_ufs on in
+    (Workload.Random_update.run ~updates:80 ~warmup:10 ~file_mb:2. ~prng rig)
       .Workload.Random_update.mean_latency_ms
   in
-  let reg = measure Workload.Setup.Regular and vld = measure Workload.Setup.VLD in
+  let reg = measure D_regular and vld = measure D_vld in
   Alcotest.(check bool)
     (Printf.sprintf "vld %.2f < regular %.2f" vld reg)
     true (vld < reg)
 
 let test_burst_driver () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.VLD in
-  let r = Workload.Burst.run ~bursts:3 ~settle_ms:100. ~file_mb:1. ~burst_kb:64 ~idle_ms:50. rig in
+  let rig, prng = make F_ufs D_vld in
+  let r = Workload.Burst.run ~bursts:3 ~settle_ms:100. ~file_mb:1. ~burst_kb:64 ~idle_ms:50. ~prng rig in
   Alcotest.(check int) "bursts" 3 r.Workload.Burst.bursts;
   Alcotest.(check int) "blocks" 16 r.Workload.Burst.burst_blocks;
   Alcotest.(check bool) "latency positive" true (r.Workload.Burst.latency_ms_per_block > 0.)
@@ -115,8 +110,8 @@ let test_burst_driver () =
 let test_burst_idle_not_counted () =
   (* Foreground latency must not include the idle windows. *)
   let measure idle_ms =
-    let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
-    (Workload.Burst.run ~bursts:3 ~settle_ms:0. ~file_mb:1. ~burst_kb:64 ~idle_ms rig)
+    let rig, prng = make F_ufs D_regular in
+    (Workload.Burst.run ~bursts:3 ~settle_ms:0. ~file_mb:1. ~burst_kb:64 ~idle_ms ~prng rig)
       .Workload.Burst.latency_ms_per_block
   in
   let no_idle = measure 0. and big_idle = measure 1000. in
@@ -236,15 +231,15 @@ let test_face_agrees () =
   Alcotest.(check (list int)) "sizes" [ 1024; 12288 ] sizes
 
 (* A 27-byte name is an error value through the face and a [Failure]
-   through [Setup]'s projection. *)
+   through [Fs.exn]'s projection. *)
 let test_face_errors () =
-  let rig = make ~fs:ufs_sync ~dev:Workload.Setup.Regular in
+  let rig, _ = make F_ufs D_regular in
   let long = String.make 27 'n' in
-  (match Workload.Fs.create rig.Workload.Setup.fs long with
+  (match Workload.Fs.create rig.fs long with
   | Error (`Bad_name _) -> ()
   | Ok _ -> Alcotest.fail "a 27-byte name was accepted"
   | Error e -> Alcotest.failf "wrong error: %a" Blockdev.Fs_error.pp e);
-  match Workload.Setup.exn (Workload.Fs.create rig.Workload.Setup.fs long) with
+  match Workload.Fs.exn (Workload.Fs.create rig.fs long) with
   | exception Failure msg ->
     Alcotest.(check bool) ("failure text: " ^ msg) true
       (String.starts_with ~prefix:"file system error: " msg)
