@@ -372,17 +372,9 @@ let volume_cmd =
       exit 2
     | Ok layout ->
       let n = Volume.n_legs layout in
-      let clock = Vlog_util.Clock.create () in
-      let mk_disk () =
-        Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track
-          ~profile ~clock ()
-      in
-      let disks = Array.init n (fun _ -> mk_disk ()) in
       let vol =
-        Volume.create ~spare:mk_disk ~layout ~leg_kind ~logical_blocks:blocks
-          ~disks
-          ~prng:(Vlog_util.Prng.create ~seed:4242L)
-          ()
+        Workload.Rig.volume ~profile ~clock:(Vlog_util.Clock.create ()) ~layout
+          ~leg_kind ~logical_blocks:blocks ~prng:(Vlog_util.Prng.create ~seed:4242L) ()
       in
       let dev = Volume.device vol in
       let bb = dev.Blockdev.Device.block_bytes in
@@ -498,7 +490,9 @@ let nvm_cmd =
   let backing_arg =
     Arg.(
       value
-      & opt (enum [ ("vld", `Vld); ("regular", `Regular) ]) `Vld
+      & opt
+          (enum Workload.Rig.[ ("vld", W_vld); ("regular", W_regular) ])
+          Workload.Rig.W_vld
       & info [ "backing" ] ~doc:"device behind the staging tier: vld or regular")
   in
   let blocks_arg =
@@ -517,18 +511,15 @@ let nvm_cmd =
   in
   let run actions backing blocks log_bytes profile =
     let clock = Vlog_util.Clock.create () in
-    let disk =
-      Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track ~profile
-        ~clock ()
-    in
+    let disk = Workload.Rig.drive ~profile ~clock (Workload.Rig.D_nvm backing) in
     let prng = Vlog_util.Prng.create ~seed:4242L in
     let inner =
       match backing with
-      | `Vld ->
+      | Workload.Rig.W_vld ->
         Blockdev.Vld.device
           (Blockdev.Vld.create ~disk ~logical_blocks:(max 64 (blocks * 2)) ~prng
              ())
-      | `Regular ->
+      | W_regular ->
         Blockdev.Regular_disk.device
           (Blockdev.Regular_disk.create ~disk ~spare_blocks:8 ())
     in
@@ -556,7 +547,7 @@ let nvm_cmd =
         done;
         Printf.printf "staged %d synchronous writes over %s backing (%s)\n"
           !staged
-          (match backing with `Vld -> "vld" | `Regular -> "regular")
+          (match backing with Workload.Rig.W_vld -> "vld" | W_regular -> "regular")
           dev.Blockdev.Device.name
       | `Status ->
         let s = Nvm.Nvm_wal.status wal in

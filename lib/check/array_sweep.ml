@@ -1,19 +1,7 @@
 open Vlog_util
+module Rig = Workload.Rig
 
 (* ---- Matrix axes ---- *)
-
-type array_config = A_svld | A_sreg | A_raid10
-
-let array_to_string = function
-  | A_svld -> "svld"
-  | A_sreg -> "sreg"
-  | A_raid10 -> "raid10"
-
-let array_of_string = function
-  | "svld" -> Ok A_svld
-  | "sreg" -> Ok A_sreg
-  | "raid10" -> Ok A_raid10
-  | s -> Error (Printf.sprintf "unknown array config %S (svld|sreg|raid10)" s)
 
 type fault = F_drive of Fault.Plan.kind | F_double_death
 
@@ -52,7 +40,7 @@ type config = {
   rounds : int;
   cylinders : int;
   logical_blocks : int;
-  arrays : array_config list;
+  arrays : Rig.array_kind list;
   faults : fault list;
   depths : int list;
   phases : phase list;
@@ -64,7 +52,7 @@ let default =
     rounds = 12;
     cylinders = 3;
     logical_blocks = 48;
-    arrays = [ A_svld; A_sreg; A_raid10 ];
+    arrays = [ Rig.A_svld; A_sreg; A_raid10 ];
     faults =
       [
         F_drive Fault.Plan.Drive_death;
@@ -96,7 +84,7 @@ let smoke =
    rebuild is the same scenario as [death] in [P_rebuild] (the rebuild's
    source peer dies — second failure while resilvering), so it is not a
    separate cell. *)
-let included array fault phase =
+let included (array : Rig.array_kind) fault phase =
   match (array, fault, phase) with
   | (A_svld | A_sreg), F_double_death, _ -> false
   | (A_svld | A_sreg), _, P_rebuild -> false
@@ -110,14 +98,9 @@ let profile c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
 let sector_bytes c =
   (profile c).Disk.Profile.geometry.Disk.Geometry.sector_bytes
 
-let shape = function
-  | A_svld -> (Volume.Stripe 2, Volume.Vld_leg)
-  | A_sreg -> (Volume.Stripe 2, Volume.Regular_leg)
-  | A_raid10 -> (Volume.Stripe_of_mirrors (2, 2), Volume.Vld_leg)
-
-let buffer_policy = function
-  | Volume.Vld_leg -> Disk.Track_buffer.Whole_track
-  | Volume.Regular_leg -> Disk.Track_buffer.Forward_discard
+(* Two spindles per stripe, two mirror pairs for raid10. *)
+let shape (array : Rig.array_kind) =
+  Rig.array_shape array ~spindles:(match array with A_raid10 -> 4 | A_svld | A_sreg -> 2)
 
 let bname b = Printf.sprintf "b%03d" b
 
@@ -148,7 +131,7 @@ let view_of c vol =
    copy).  [loss_required]: the fault destroys data beyond what any
    redundancy can cover, so the sweep must SEE the loss — reads failing
    or recovery refusing — or the stack is lying. *)
-let loss_tolerated array fault phase =
+let loss_tolerated (array : Rig.array_kind) fault phase =
   match (array, fault, phase) with
   | A_raid10, F_double_death, _ -> true
   | A_raid10, F_drive Fault.Plan.Drive_death, P_rebuild -> true
@@ -162,7 +145,7 @@ let loss_tolerated array fault phase =
   | (A_svld | A_sreg), F_drive (Fault.Plan.Drive_hang _), _ -> false
   | (A_svld | A_sreg), _, _ -> true
 
-let loss_required array fault phase =
+let loss_required (array : Rig.array_kind) fault phase =
   match (array, fault, phase) with
   | A_raid10, F_double_death, _ -> true
   | A_raid10, F_drive Fault.Plan.Drive_death, P_rebuild -> true
@@ -170,7 +153,7 @@ let loss_required array fault phase =
   | _ -> false
 
 type cell = {
-  array : array_config;
+  array : Rig.array_kind;
   fault : fault;
   depth : int;
   phase : phase;
@@ -182,21 +165,14 @@ let judge (c : config) { array; fault; depth; phase; case } log =
   let prng = Prng.create ~seed:scenario_seed in
   let layout, leg_kind = shape array in
   let n = Volume.n_legs layout in
-  let prof = profile c in
-  let bp = buffer_policy leg_kind in
-  let mk_disk ?store clk =
-    Disk.Disk_sim.create ~buffer_policy:bp ?store ~profile:prof ~clock:clk ()
-  in
+  let profile = profile c in
+  let spare = array = Rig.A_raid10 in
   let clock = Clock.create () in
-  let disks = Array.init n (fun _ -> mk_disk clock) in
-  let spare_for clk () = mk_disk clk in
-  let has_spare = array = A_raid10 in
   let vol =
-    Volume.create
-      ?spare:(if has_spare then Some (spare_for clock) else None)
-      ~layout ~leg_kind ~logical_blocks:c.logical_blocks ~disks
+    Rig.volume ~spare ~profile ~clock ~layout ~leg_kind ~logical_blocks:c.logical_blocks
       ~prng:(Prng.split prng) ()
   in
+  let disks = Volume.disks vol in
   let dev = Volume.device vol in
   let bb = Volume.block_bytes vol in
   let failf fmt = Cells.failf log fmt in
@@ -373,7 +349,7 @@ let judge (c : config) { array; fault; depth; phase; case } log =
   in
   let mode =
     if tolerated then Oracle.Lax
-    else match array with A_raid10 -> Oracle.Redundant | _ -> Oracle.Strict
+    else match array with Rig.A_raid10 -> Oracle.Redundant | _ -> Oracle.Strict
   in
   let oracle_checks = ref 0 in
   let judge_oracle which v =
@@ -390,15 +366,13 @@ let judge (c : config) { array; fault; depth; phase; case } log =
       (fun d -> Disk.Sector_store.snapshot (Disk.Disk_sim.store d))
       (Volume.disks vol)
   in
-  let clock2 = Clock.create () in
-  let disks2 = Array.map (fun s -> mk_disk ~store:s clock2) stores in
   let recover_lost = ref false in
   let recovered = ref 0 in
   (match
-     Volume.recover
-       ?spare:(if has_spare then Some (spare_for clock2) else None)
-       ~layout ~leg_kind ~logical_blocks:c.logical_blocks ~disks:disks2
-       ~prng:(Prng.create ~seed:(Int64.add scenario_seed 3L)) ()
+     Rig.recover_volume ~spare ~profile ~clock:(Clock.create ()) ~layout ~leg_kind
+       ~logical_blocks:c.logical_blocks
+       ~prng:(Prng.create ~seed:(Int64.add scenario_seed 3L))
+       stores
    with
   | Error msg ->
     recover_lost := true;
@@ -453,13 +427,13 @@ let sweep =
     Cells.keys = [ "array"; "seed"; "fault"; "depth"; "phase"; "case" ];
     coords =
       (fun c x ->
-        [ array_to_string x.array; Int64.to_string c.seed;
+        [ Rig.array_to_string x.array; Int64.to_string c.seed;
           fault_to_string x.fault; string_of_int x.depth;
           phase_to_string x.phase; string_of_int x.case ]);
     cell_of =
       (fun get ->
         let ( let* ) = Result.bind in
-        let* array = array_of_string (get "array") in
+        let* array = Rig.array_of_string (get "array") in
         let* fault = fault_of_string (get "fault") in
         let* depth = Cells.int_value "depth" (get "depth") in
         let* phase = phase_of_string (get "phase") in

@@ -11,7 +11,7 @@
     - the durability {!Oracle} over a block-per-file model of the
       volume ([Redundant] mode when the shape tolerates the fault,
       [Lax] when honest loss is the correct answer);
-    - a crash/remount through [Volume.recover], asserting that losing
+    - a crash/remount through {!Workload.Rig.recover_volume}, asserting that losing
       data is {e reported} (a failed recover or erroring reads), never
       silent.
 
@@ -22,11 +22,6 @@
     leg).  Double-death cells kill both legs of one mirror group and
     require the sweep to see honest data loss — a cell that reads
     everything back cleanly after losing both copies is a {e failure}. *)
-
-type array_config =
-  | A_svld  (** 2-group stripe of VLD legs: capacity, no redundancy *)
-  | A_sreg  (** 2-group stripe of regular-disk legs *)
-  | A_raid10  (** 2 x 2 stripe of mirrors, VLD legs, hot spare *)
 
 type fault =
   | F_drive of Fault.Plan.kind  (** one whole-drive plan on one victim leg *)
@@ -48,7 +43,8 @@ type config = {
   rounds : int;  (** write+read rounds per cell *)
   cylinders : int;
   logical_blocks : int;
-  arrays : array_config list;
+  arrays : Workload.Rig.array_kind list;
+      (** at 2 spindles, and [raid10] at 2 x 2 with a hot spare *)
   faults : fault list;
   depths : int list;  (** commands per window (queue depth driven) *)
   phases : phase list;
@@ -64,7 +60,7 @@ val smoke : config
 (** CI-sized slice: depth 4 only, no latent cells. *)
 
 type cell = {
-  array : array_config;
+  array : Workload.Rig.array_kind;
   fault : fault;
   depth : int;  (** commands per window *)
   phase : phase;
@@ -75,7 +71,7 @@ val sweep : (config, cell) Cells.sweep
 (** One cell: format the volume, prefill every block, install the fault
     per [phase], run [rounds] windows of [depth] writes then [depth]
     reads, settle, judge (volume fsck + oracle + loss honesty), then
-    freeze, [Volume.recover] on fresh drives and judge again.  The
+    freeze, recover the volume on fresh drives and judge again.  The
     verdict is ["ok"], ["data-loss"] (honestly reported) or ["failed"].
 
     Coordinates [array,seed,fault,depth,phase,case]; tallies

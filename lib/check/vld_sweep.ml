@@ -38,8 +38,7 @@ let tag ~logical ~version =
   Char.chr ((1 + (logical * 31) + (version * 7)) land 0xff)
 
 let fresh_disk ?store c clock =
-  Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track ?store
-    ~profile:(profile c) ~clock ()
+  Workload.Rig.drive ?store ~profile:(profile c) ~clock Workload.Rig.D_vld
 
 (* Fault kinds that strike while the workload runs; [Transient_read]
    instead strikes the recovery that follows the crash. *)

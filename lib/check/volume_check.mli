@@ -2,8 +2,8 @@
     below any file system.
 
     Meant to run after the volume has settled (suspects resolved,
-    rebuilds complete) and, post-crash, after [Volume.recover]'s resync
-    pass: every live leg of a group must then return byte-identical
+    rebuilds complete) and, post-crash, after the recovered volume's
+    resync pass: every live leg of a group must then return byte-identical
     content for every block.  Divergence means the resync missed
     something — a real consistency bug, not degraded operation. *)
 

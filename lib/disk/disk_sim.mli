@@ -24,7 +24,8 @@ val create :
   t
 (** A disk with zeroed platters, head parked at cylinder 0 track 0.
     [buffer_policy] defaults to [Forward_discard] (the conventional
-    drive); a VLD creates its disk with [Whole_track].  [store] supplies
+    drive); [Workload.Rig.drive] picks [Whole_track] for a drive under a
+    virtual log.  [store] supplies
     existing platter contents (e.g. a {!Sector_store.snapshot} taken at a
     simulated power failure) instead of zeroed ones; its geometry must
     match the profile's.  [trace] (default {!Trace.null}) observes every

@@ -117,10 +117,7 @@ let block_size ~scale () =
 let map_batching ~scale () =
   let updates = match scale with Rigs.Quick -> 100 | Rigs.Full -> 600 in
   let clock = Clock.create () in
-  let disk =
-    Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track
-      ~profile:Rigs.seagate ~clock ()
-  in
+  let disk = Workload.Rig.drive ~profile:Rigs.seagate ~clock Workload.Rig.D_vld in
   let logical_blocks = Blockdev.Vld.export_blocks (Disk.Disk_sim.geometry disk) in
   let vlog =
     Vlog.Virtual_log.format ~disk (Vlog.Virtual_log.default_config ~logical_blocks)

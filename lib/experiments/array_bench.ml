@@ -1,16 +1,10 @@
 open Vlog_util
+module Rig = Workload.Rig
 
-type rig = Svld | Sreg | Raid10
-
-let rig_to_string = function
-  | Svld -> "svld"
-  | Sreg -> "sreg"
-  | Raid10 -> "raid10"
-
-type cell = { rig : rig; spindles : int; depth : int }
+type cell = { rig : Rig.array_kind; spindles : int; depth : int }
 
 let cell_label c =
-  Printf.sprintf "%s/n%d/d%d" (rig_to_string c.rig) c.spindles c.depth
+  Printf.sprintf "%s/n%d/d%d" (Rig.array_to_string c.rig) c.spindles c.depth
 
 let spindle_counts = [ 1; 2; 4; 8; 16 ]
 let depths = [ 1; 4; 16 ]
@@ -25,10 +19,10 @@ let cells ~scale =
     (fun rig ->
       List.concat_map
         (fun spindles ->
-          if rig = Raid10 && (spindles < 2 || spindles mod 2 <> 0) then []
+          if rig = Rig.A_raid10 && (spindles < 2 || spindles mod 2 <> 0) then []
           else List.map (fun depth -> { rig; spindles; depth }) dps)
         sps)
-    [ Svld; Sreg; Raid10 ]
+    [ Rig.A_svld; A_sreg; A_raid10 ]
 
 type cell_result = {
   c_cell : cell;
@@ -64,19 +58,8 @@ type fault_row = {
 let profile = Disk.Profile.with_cylinders Disk.Profile.st19101 4
 let blocks_per_group = 128
 
-let layout_of c =
-  match c.rig with
-  | Svld | Sreg -> Volume.Stripe c.spindles
-  | Raid10 -> Volume.Stripe_of_mirrors (c.spindles / 2, 2)
-
-let leg_kind_of c =
-  match c.rig with Sreg -> Volume.Regular_leg | Svld | Raid10 -> Volume.Vld_leg
-
 let groups_of c =
-  match layout_of c with
-  | Volume.Stripe k -> k
-  | Volume.Stripe_of_mirrors (k, _) -> k
-  | Volume.Mirror _ -> 1
+  match c.rig with Rig.A_raid10 -> c.spindles / 2 | A_svld | A_sreg -> c.spindles
 
 let rounds ~scale = match scale with Rigs.Quick -> 8 | Rigs.Full -> 32
 
@@ -108,26 +91,21 @@ let pick_round prng ~k ~depth ~bs =
 let run_cell ?(seed = 0) ~scale c =
   let clock = Clock.create () in
   let sink = Trace.create ~clock () in
-  let mk_disk _ =
-    Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track ~trace:sink
-      ~profile ~clock ()
-  in
-  let layout = layout_of c in
-  let disks = Array.init (Volume.n_legs layout) mk_disk in
-  let logical_blocks = blocks_per_group * groups_of c in
+  let k = groups_of c in
+  let logical_blocks = blocks_per_group * k in
   let prng =
     Prng.create
       ~seed:
         (Int64.of_int
            (0x5eed + (seed * 7919) + (c.spindles * 131) + c.depth
-           + match c.rig with Svld -> 1 | Sreg -> 2 | Raid10 -> 3))
+           + match c.rig with Rig.A_svld -> 1 | A_sreg -> 2 | A_raid10 -> 3))
   in
+  let layout, leg_kind = Rig.array_shape c.rig ~spindles:c.spindles in
   let vol =
-    Volume.create ~layout ~leg_kind:(leg_kind_of c) ~logical_blocks ~disks ~prng
-      ()
+    Rig.volume ~trace:sink ~spare:false ~profile ~clock ~layout ~leg_kind ~logical_blocks
+      ~prng ()
   in
   let bs = Volume.block_bytes vol in
-  let k = groups_of c in
   let batch = c.depth * k in
   let total = ref 0 in
   let t0 = Clock.now clock in
@@ -178,18 +156,11 @@ let rebuild_mode_label = function
    while the blocking sweep does not. *)
 let run_rebuild ?(seed = 0) ~scale mode =
   let clock = Clock.create () in
-  let mk_disk _ =
-    Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track ~profile
-      ~clock ()
-  in
-  let disks = Array.init 2 mk_disk in
   let prng = Prng.create ~seed:(Int64.of_int (0xb1d + seed)) in
   let blocks = 192 in
   let vol =
-    Volume.create
-      ~spare:(fun () -> mk_disk ())
-      ~layout:(Volume.Mirror 2) ~leg_kind:Volume.Vld_leg ~logical_blocks:blocks
-      ~disks ~prng ()
+    Rig.volume ~profile ~clock ~layout:(Volume.Mirror 2) ~leg_kind:Volume.Vld_leg
+      ~logical_blocks:blocks ~prng ()
   in
   let bs = Volume.block_bytes vol in
   (* Prefill so the resilver has real content to copy. *)
@@ -267,23 +238,18 @@ let fault_mode_label = function
 let run_fault_mode ?(seed = 0) ~scale mode =
   let clock = Clock.create () in
   let sink = Trace.create ~clock () in
-  let mk_disk () =
-    Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track
-      ~trace:sink ~profile ~clock ()
-  in
-  let disks = Array.init 4 (fun _ -> mk_disk ()) in
   let mode_ix =
     match mode with `Healthy -> 1 | `One_dead -> 2 | `Rebuild_flaky -> 3
   in
   let prng = Prng.create ~seed:(Int64.of_int (0xfa17 + (seed * 7919) + mode_ix)) in
   let k = 2 in
   let logical_blocks = blocks_per_group * k in
-  let spare = match mode with `Rebuild_flaky -> Some mk_disk | _ -> None in
   let vol =
-    Volume.create ?spare
+    Rig.volume ~trace:sink ~spare:(mode = `Rebuild_flaky) ~profile ~clock
       ~layout:(Volume.Stripe_of_mirrors (k, 2))
-      ~leg_kind:Volume.Vld_leg ~logical_blocks ~disks ~prng ()
+      ~leg_kind:Volume.Vld_leg ~logical_blocks ~prng ()
   in
+  let source = (Volume.disks vol).(0) in
   let bs = Volume.block_bytes vol in
   (* prefill so the resilver copies real content and reads have data *)
   (match
@@ -304,7 +270,7 @@ let run_fault_mode ?(seed = 0) ~scale mode =
       Fault.Plan.create (Fault.Plan.Drive_flaky 3) ~trigger:6
         ~seed:(Int64.of_int (0xf1a + seed))
     in
-    Fault.Plan.install p disks.(0));
+    Fault.Plan.install p source);
   let done_ = ref 0 and failed = ref 0 in
   let t0 = Clock.now clock in
   for _ = 1 to rounds ~scale do
@@ -358,11 +324,12 @@ let scalability results =
   in
   let widest =
     List.fold_left
-      (fun acc r -> if r.c_cell.rig = Svld then max acc r.c_cell.spindles else acc)
+      (fun acc r ->
+        if r.c_cell.rig = Rig.A_svld then max acc r.c_cell.spindles else acc)
       1 results
   in
-  let base = iops Svld 1 in
-  if base > 0. then iops Svld widest /. base else 0.
+  let base = iops Rig.A_svld 1 in
+  if base > 0. then iops Rig.A_svld widest /. base else 0.
 
 (* --- the study as jobs, and its report --- *)
 
@@ -385,7 +352,7 @@ let table_of cells =
     (fun c ->
       Table.add_row t
         [
-          rig_to_string c.c_cell.rig;
+          Rig.array_to_string c.c_cell.rig;
           string_of_int c.c_cell.spindles;
           string_of_int c.c_cell.depth;
           Table.cell_f ~decimals:0 c.c_iops;
@@ -434,8 +401,8 @@ let report parts =
   let cell c =
     Json.Obj
       [
-        ("rig", String (rig_to_string c.c_cell.rig)); ("spindles", Int c.c_cell.spindles);
-        ("depth", Int c.c_cell.depth); ("iops", Float c.c_iops); ("n", Int c.c_n);
+        ("rig", String (Rig.array_to_string c.c_cell.rig));
+        ("spindles", Int c.c_cell.spindles); ("depth", Int c.c_cell.depth); ("iops", Float c.c_iops); ("n", Int c.c_n);
         ("mean_ms", Float c.c_mean_ms); ("p50_ms", Float c.c_p50_ms);
         ("p99_ms", Float c.c_p99_ms); ("max_ms", Float c.c_max_ms);
       ]

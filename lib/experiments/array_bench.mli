@@ -15,9 +15,7 @@
     fairness run ({!Tenant.run}).  The fault-under-load curves
     ({!run_fault_mode}) are a separate experiment, [array-faults]. *)
 
-type rig = Svld | Sreg | Raid10
-
-type cell = { rig : rig; spindles : int; depth : int }
+type cell = { rig : Workload.Rig.array_kind; spindles : int; depth : int }
 
 val cell_label : cell -> string
 

@@ -105,10 +105,7 @@ let make_rig ~scale ~policy ~fs seed =
     in
     { dq; submit_nth; finish = (fun () -> ()) }
   | Vlfs ->
-    let disk =
-      Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track
-        ~profile:Rigs.seagate ~clock ()
-    in
+    let disk = Workload.Rig.drive ~profile:Rigs.seagate ~clock Workload.Rig.D_vld in
     let logical_blocks =
       Blockdev.Vld.export_blocks ~sectors_per_block:block_sectors
         (Disk.Disk_sim.geometry disk)

@@ -64,20 +64,16 @@ let buffered_small_files ~scale () =
 let recovery_cost ~scale () =
   let files = match scale with Rigs.Quick -> 50 | Rigs.Full -> 400 in
   let run_once ~clean =
-    let clock = Clock.create () in
-    let disk =
-      Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track
-        ~profile:Rigs.seagate ~clock ()
-    in
-    let fs = Vlfs.format ~disk ~host:Rigs.default_host ~clock Vlfs.default_config in
+    let s, _ = Rigs.rig Workload.Rig.{ fs = F_vlfs; on = D_direct } in
     for i = 0 to files - 1 do
       let name = Printf.sprintf "r%04d" i in
-      (match Vlfs.create fs name with Ok _ -> () | Error _ -> ());
-      match Vlfs.write fs name ~off:0 (Bytes.make 8192 'r') with
+      (match Workload.Fs.create s.fs name with Ok _ -> () | Error _ -> ());
+      match Workload.Fs.write s.fs name ~off:0 (Bytes.make 8192 'r') with
       | Ok _ | Error _ -> ()
     done;
-    if clean then ignore (Vlfs.power_down fs) else ignore (Vlfs.sync fs);
-    match Vlfs.recover ~disk ~host:Rigs.default_host () with
+    if clean then Workload.Fs.shutdown s.fs else ignore (Workload.Fs.sync s.fs);
+    (* recover from the drive exactly as the run left it *)
+    match Vlfs.recover ~disk:s.disks.(0) ~host:Rigs.default_host () with
     | Ok (_, report) -> report
     | Error e -> failwith e
   in

@@ -11,15 +11,9 @@ let blocks = 256
 
 let mk_volume () =
   let clock = Clock.create () in
-  let mk () =
-    Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track
-      ~profile:Rigs.seagate ~clock ()
-  in
-  let disks = Array.init 2 (fun _ -> mk ()) in
   let vol =
-    Volume.create ~spare:mk ~layout:(Volume.Mirror 2)
-      ~leg_kind:Volume.Vld_leg ~logical_blocks:blocks ~disks
-      ~prng:(Prng.create ~seed:1137L) ()
+    Workload.Rig.volume ~profile:Rigs.seagate ~clock ~layout:(Volume.Mirror 2)
+      ~leg_kind:Volume.Vld_leg ~logical_blocks:blocks ~prng:(Prng.create ~seed:1137L) ()
   in
   (vol, clock)
 

@@ -5,7 +5,6 @@ type config = {
   shards : int;
   layout : Volume.layout;
   leg_kind : Volume.leg_kind;
-  queue_policy : Disk.Disk_queue.policy option;
   blocks_per_shard : int;
   ops_per_tenant : int;
   rate_per_s : float;
@@ -18,7 +17,6 @@ let default =
     shards = 4;
     layout = Volume.Mirror 2;
     leg_kind = Volume.Vld_leg;
-    queue_policy = None;
     blocks_per_shard = 128;
     ops_per_tenant = 200;
     rate_per_s = 150.;
@@ -97,14 +95,9 @@ let profile = Disk.Profile.with_cylinders Disk.Profile.st19101 4
 let run_shard ?(trace = false) cfg ~shard ops =
   let clock = Clock.create () in
   let sink = if trace then Trace.create ~clock () else Trace.null in
-  let mk_disk _ =
-    Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Whole_track ~trace:sink
-      ~profile ~clock ()
-  in
-  let disks = Array.init (Volume.n_legs cfg.layout) mk_disk in
   let vol =
-    Volume.create ?queue_policy:cfg.queue_policy ~layout:cfg.layout
-      ~leg_kind:cfg.leg_kind ~logical_blocks:cfg.blocks_per_shard ~disks
+    Workload.Rig.volume ~trace:sink ~spare:false ~profile ~clock ~layout:cfg.layout
+      ~leg_kind:cfg.leg_kind ~logical_blocks:cfg.blocks_per_shard
       ~prng:(Prng.create ~seed:(Int64.add cfg.seed (Int64.of_int (shard * 17))))
       ()
   in

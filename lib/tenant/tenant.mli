@@ -16,8 +16,6 @@ type config = {
   shards : int;  (** independent volume shards *)
   layout : Volume.layout;  (** per-shard layout *)
   leg_kind : Volume.leg_kind;
-  queue_policy : Disk.Disk_queue.policy option;
-      (** [None] = the leg kind's default *)
   blocks_per_shard : int;
   ops_per_tenant : int;
   rate_per_s : float;  (** offered load per tenant, requests/s *)

@@ -26,7 +26,7 @@
      leg is always newest and the group converges to its content.
 
    Data path: each leg owns a tagged command queue ([Disk.Disk_queue],
-   SATF by default for VLD legs) and a local timeline cursor
+   SATF on VLD legs, FIFO on regular legs) and a local timeline cursor
    [busy_until].  A volume operation scatters commands to its legs at an
    arrival instant and services each leg inside its own time window —
    the shared clock is warped to [max at busy_until], the leg's queue
@@ -57,7 +57,7 @@ type policy = {
           (duty cycle); 1.0 = unthrottled *)
 }
 
-let default_policy =
+let policy =
   { timeout_ms = 50.; backoff_ms = 200.; probes_to_kill = 2; rebuild_util = 0.5 }
 
 let layout_shape = function
@@ -103,8 +103,6 @@ type leg = {
 type t = {
   layout : layout;
   leg_kind : leg_kind;
-  policy : policy;
-  queue_policy : Disk.Disk_queue.policy;
   logical_blocks : int;
   group_blocks : int;
   block_bytes : int;
@@ -119,7 +117,7 @@ type t = {
   mutable host_done : (int * Blockdev.Device.ack) list;  (* reversed *)
 }
 
-let default_queue_policy = function
+let queue_policy = function
   | Vld_leg -> Disk.Disk_queue.Satf
   | Regular_leg -> Disk.Disk_queue.Fifo
 
@@ -281,14 +279,14 @@ let media_err leg (e : Blockdev.Device.io_error) =
    deadline instead of completing failed), flaky-drive transients retry
    with seeded backoff, and both are capped by the volume's per-op
    budget so no tag outlives [timeout_ms] of stalling. *)
-let leg_queue ~vol_policy ~queue_policy ~prng disk =
-  Disk.Disk_queue.create ~policy:queue_policy
+let leg_queue ~leg_kind ~prng disk =
+  Disk.Disk_queue.create ~policy:(queue_policy leg_kind)
     ~stall_probe:(fun () ->
       match Disk.Disk_sim.health disk with
       | Disk.Disk_sim.Hung until -> Some until
       | _ -> None)
-    ~retry_backoff:(vol_policy.timeout_ms /. 8.)
-    ~retry_jitter:prng ~stall_budget_ms:vol_policy.timeout_ms ~disk ()
+    ~retry_backoff:(policy.timeout_ms /. 8.)
+    ~retry_jitter:prng ~stall_budget_ms:policy.timeout_ms ~disk ()
 
 (* One submitted leg command within a scatter. *)
 type sub = {
@@ -355,8 +353,7 @@ let start_rebuild_on t leg disk =
      now; in-flight commands against the old drive are orphaned (their
      generation no longer matches) *)
   leg.q <-
-    leg_queue ~vol_policy:t.policy ~queue_policy:t.queue_policy
-      ~prng:(Prng.split t.prng) disk;
+    leg_queue ~leg_kind:t.leg_kind ~prng:(Prng.split t.prng) disk;
   leg.busy_until <- Clock.now t.clock;
   leg.gen <- leg.gen + 1;
   Hashtbl.reset leg.drl;
@@ -423,14 +420,14 @@ let note_failure t leg =
     else begin
       leg.state <- `Suspect;
       leg.failed_probes <- 1;
-      leg.retry_after <- Clock.now t.clock +. t.policy.backoff_ms
+      leg.retry_after <- Clock.now t.clock +. policy.backoff_ms
     end
   | `Suspect ->
     if drive_dead () then kill_leg t leg
     else begin
       leg.failed_probes <- leg.failed_probes + 1;
-      leg.retry_after <- Clock.now t.clock +. t.policy.backoff_ms;
-      if leg.failed_probes > t.policy.probes_to_kill then kill_leg t leg
+      leg.retry_after <- Clock.now t.clock +. policy.backoff_ms;
+      if leg.failed_probes > policy.probes_to_kill then kill_leg t leg
     end
   | `Rebuilding ->
     (* the replacement itself is failing: retire it and pull another spare *)
@@ -501,7 +498,7 @@ let revive t group leg =
     leg.state <- `Healthy;
     Trace.incr t.trace "vol.revives"
   end
-  else leg.retry_after <- Clock.now t.clock +. t.policy.backoff_ms
+  else leg.retry_after <- Clock.now t.clock +. policy.backoff_ms
 
 (* A copy attempt that could not run: distinguish "the resilver target
    itself died mid-copy" — retire it now (a fresh spare is pulled when a
@@ -615,7 +612,7 @@ let rebuild_active t = exists_leg t (fun leg -> leg.state = `Rebuilding)
    cheap — the decayed estimate retries within a few windows and the
    next real copy re-prices it. *)
 let rebuild_pump t ~from ~deadline =
-  let u = Float.min 1. (Float.max 0. t.policy.rebuild_util) in
+  let u = Float.min 1. (Float.max 0. policy.rebuild_util) in
   if u > 0. then
     iter_legs t (fun group leg ->
         (* clamp to the clock as well as the window: an earlier leg's
@@ -698,7 +695,7 @@ let rebuild_to_completion t =
         (* no usable source right now: give hung peers a backoff window
            to come back, then retry *)
         incr blocked;
-        Clock.advance t.clock t.policy.backoff_ms;
+        Clock.advance t.clock policy.backoff_ms;
         probe_suspects t;
         go ()
       end
@@ -739,7 +736,7 @@ let settle t =
           drain_drl t group leg);
     if unsettled () then
       if n > 0 then begin
-        Clock.advance t.clock t.policy.backoff_ms;
+        Clock.advance t.clock policy.backoff_ms;
         go (n - 1)
       end
       else begin
@@ -751,7 +748,7 @@ let settle t =
         rebuild_to_completion t
       end
   in
-  go (4 * (t.policy.probes_to_kill + 2))
+  go (4 * (policy.probes_to_kill + 2))
 
 (* ---- Group operations ---- *)
 
@@ -820,7 +817,7 @@ let gather_group_write t (ctbl : ctbl) ~at wtx =
   in
   let in_budget s =
     (not s.s_suspect)
-    || (find s).Disk.Disk_queue.finished -. at <= t.policy.timeout_ms
+    || (find s).Disk.Disk_queue.finished -. at <= policy.timeout_ms
   in
   let safe = List.exists (fun s -> in_budget s && ok s) wtx.wt_subs in
   let awaited s = (not safe) || in_budget s in
@@ -976,7 +973,7 @@ let gather_group_read t (ctbl : ctbl) ~at ?owner rtx =
     | [] -> (Error (err_of tried), start)
     | leg :: rest ->
       if leg.state = `Dead then failover tried failed start rest
-      else if leg.state = `Suspect && start -. at > t.policy.timeout_ms then
+      else if leg.state = `Suspect && start -. at > policy.timeout_ms then
         (* budget exhausted: no further probing of suspects (healthy
            candidates sort first, so none is being skipped here) *)
         (Error (err_of tried), start)
@@ -1119,12 +1116,12 @@ let group_trim t gi gb =
 
 (* ---- Construction ---- *)
 
-let mk_leg_record ~vol_policy ~queue_policy ~prng ~disk ~idx ~impl ~state =
+let mk_leg_record ~leg_kind ~prng ~disk ~idx ~impl ~state =
   {
     idx;
     impl;
     disk;
-    q = leg_queue ~vol_policy ~queue_policy ~prng disk;
+    q = leg_queue ~leg_kind ~prng disk;
     busy_until = Clock.now (Disk.Disk_sim.clock disk);
     gen = 0;
     state;
@@ -1135,29 +1132,24 @@ let mk_leg_record ~vol_policy ~queue_policy ~prng ~disk ~idx ~impl ~state =
     retry_after = 0.;
   }
 
-let mk ?(policy = default_policy) ?queue_policy ?spare ~layout ~leg_kind
-    ~logical_blocks ~(disks : Disk.Disk_sim.t array) ~prng ~mk_leg () =
+let mk ?spare ~layout ~leg_kind ~logical_blocks ~(disks : Disk.Disk_sim.t array) ~prng
+    ~mk_leg () =
   let k, m = layout_shape layout in
   if Array.length disks <> k * m then
     invalid_arg
       (Printf.sprintf "Volume: layout %s needs %d disks, got %d"
          (layout_to_string layout) (k * m) (Array.length disks));
   if logical_blocks < 1 then invalid_arg "Volume: need at least one logical block";
-  let queue_policy =
-    match queue_policy with Some p -> p | None -> default_queue_policy leg_kind
-  in
   let group_blocks = (logical_blocks + k - 1) / k in
   let groups =
     Array.init k (fun gi ->
         Array.init m (fun li ->
             let idx = (gi * m) + li in
-            mk_leg ~vol_policy:policy ~queue_policy ~group_blocks disks.(idx) idx))
+            mk_leg ~group_blocks disks.(idx) idx))
   in
   {
     layout;
     leg_kind;
-    policy;
-    queue_policy;
     logical_blocks;
     group_blocks;
     block_bytes = leg_block_bytes groups.(0).(0);
@@ -1171,11 +1163,10 @@ let mk ?(policy = default_policy) ?queue_policy ?spare ~layout ~leg_kind
     host_done = [];
   }
 
-let create ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disks
-    ~prng () =
-  mk ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disks ~prng
-    ~mk_leg:(fun ~vol_policy ~queue_policy ~group_blocks disk idx ->
-      mk_leg_record ~vol_policy ~queue_policy ~prng:(Prng.split prng) ~disk ~idx
+let create ?spare ~layout ~leg_kind ~logical_blocks ~disks ~prng () =
+  mk ?spare ~layout ~leg_kind ~logical_blocks ~disks ~prng
+    ~mk_leg:(fun ~group_blocks disk idx ->
+      mk_leg_record ~leg_kind ~prng:(Prng.split prng) ~disk ~idx
         ~impl:(format_leg ~leg_kind ~group_blocks ~prng:(Prng.split prng) disk)
         ~state:`Healthy)
     ()
@@ -1243,12 +1234,11 @@ let resync t report =
     t.groups;
   { report with resync_fixed = !fixed; resync_lost = !lost }
 
-let recover ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disks
-    ~prng () =
+let recover ?spare ~layout ~leg_kind ~logical_blocks ~disks ~prng () =
   let recovered = ref 0 and lost = ref 0 and used_tail = ref 0 in
   let t =
-    mk ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disks ~prng
-      ~mk_leg:(fun ~vol_policy ~queue_policy ~group_blocks:_ disk idx ->
+    mk ?spare ~layout ~leg_kind ~logical_blocks ~disks ~prng
+      ~mk_leg:(fun ~group_blocks:_ disk idx ->
         let impl, state =
           match leg_kind with
           | Regular_leg ->
@@ -1272,7 +1262,7 @@ let recover ?policy ?queue_policy ?spare ~layout ~leg_kind ~logical_blocks ~disk
               incr lost;
               (Reg (Blockdev.Regular_disk.create ~disk ()), `Dead))
         in
-        mk_leg_record ~vol_policy ~queue_policy ~prng:(Prng.split prng) ~disk ~idx
+        mk_leg_record ~leg_kind ~prng:(Prng.split prng) ~disk ~idx
           ~impl ~state)
       ()
   in
@@ -1475,8 +1465,6 @@ let device t =
 (* ---- Introspection (CLI, checkers, tests) ---- *)
 
 let layout t = t.layout
-let policy t = t.policy
-let queue_policy t = t.queue_policy
 let leg_busy_until t ~group ~leg = t.groups.(group).(leg).busy_until
 let n_groups t = Array.length t.groups
 let legs_per_group t = Array.length t.groups.(0)

@@ -16,8 +16,8 @@
     dirty-region set has drained — the crash resync trusts healthy legs,
     so a stale one must never wear the label.
 
-    Data path: each leg owns a tagged {!Disk.Disk_queue.t} (SATF by
-    default for VLD legs, FIFO for regular legs) and a private
+    Data path: each leg owns a tagged {!Disk.Disk_queue.t} (SATF on
+    VLD legs, FIFO on regular legs) and a private
     [busy_until] timeline on the shared clock.  A volume operation
     scatters per-leg commands, runs each leg's queue in its own window
     — warping the shared clock to each leg's dispatch instant — and
@@ -25,7 +25,7 @@
     {e max} of the legs' service times, not their sum, and striped
     operations fan out across spindles concurrently.  Rebuild copies
     ride the target leg's queue as low-priority background tags with a
-    duty-cycle throttle ({!policy.rebuild_util}), so resilvering steals
+    duty-cycle throttle (half of the leg's time), so resilvering steals
     bounded bandwidth from foreground I/O instead of blocking it.
     Administrative paths (probe, resync, settle, {!rebuild_to_completion})
     stay sequential on the shared clock. *)
@@ -37,15 +37,6 @@ type layout =
 
 type leg_kind = Regular_leg | Vld_leg
 
-type policy = {
-  timeout_ms : float;  (** per-operation budget once one leg has the data *)
-  backoff_ms : float;  (** how long a [Suspect] leg is left alone *)
-  probes_to_kill : int;  (** consecutive probe failures that retire a leg *)
-  rebuild_util : float;
-      (** fraction of a rebuilding leg's time background copies may use
-          (duty-cycle throttle); [1.] = unthrottled *)
-}
-
 val n_legs : layout -> int
 (** Drives the layout needs.  Raises [Invalid_argument] on degenerate
     shapes (stripe width < 1, mirror width < 2). *)
@@ -53,8 +44,6 @@ val n_legs : layout -> int
 type t
 
 val create :
-  ?policy:policy ->
-  ?queue_policy:Disk.Disk_queue.policy ->
   ?spare:(unit -> Disk.Disk_sim.t) ->
   layout:layout ->
   leg_kind:leg_kind ->
@@ -64,13 +53,14 @@ val create :
   unit ->
   t
 (** Format a fresh volume over exactly [n_legs layout] drives sharing
-    one clock.  [policy] defaults to a 50 ms budget, 200 ms backoff, 2
-    probes and a rebuild duty cycle of 0.5.  [queue_policy] is the per-leg
-    tagged-queue scheduling policy (default [Satf] for VLD legs, whose
-    eager placement prices itself near the head, and [Fifo] for regular
-    legs).  [spare] supplies a blank
-    drive whenever a leg dies, so rebuilds start automatically; without
-    it dead legs stay dead until {!start_rebuild}. *)
+    one clock.  Failure handling runs on a 50 ms per-operation budget, a
+    200 ms backoff, 2 probes to retire a leg and a rebuild duty cycle of
+    0.5.  Every leg's tagged queue runs [Satf] on VLD legs, whose eager
+    placement prices itself near the head, and [Fifo] on regular legs.
+    [spare] supplies a blank drive whenever a leg dies, so rebuilds
+    start automatically; without it dead legs stay dead until
+    {!start_rebuild}.  [Workload.Rig.volume] builds the drives and
+    calls this. *)
 
 type recovery_report = {
   legs_recovered : int;
@@ -81,8 +71,6 @@ type recovery_report = {
 }
 
 val recover :
-  ?policy:policy ->
-  ?queue_policy:Disk.Disk_queue.policy ->
   ?spare:(unit -> Disk.Disk_sim.t) ->
   layout:layout ->
   leg_kind:leg_kind ->
@@ -217,10 +205,6 @@ val settle : t -> unit
 (** {1 Introspection} *)
 
 val layout : t -> layout
-val policy : t -> policy
-
-val queue_policy : t -> Disk.Disk_queue.policy
-(** The scheduling policy every leg's tagged queue runs. *)
 
 val leg_busy_until : t -> group:int -> leg:int -> float
 (** End of the leg's last service window on its private timeline. *)

@@ -88,10 +88,57 @@ type stack = {
 
 type frozen = { stores : Disk.Sector_store.t array; nvm_image : Bytes.t option }
 
-let buffer_policy = function
-  | D_regular | D_volume (_, VL_regular) | D_nvm W_regular ->
-    Disk.Track_buffer.Forward_discard
-  | D_vld | D_direct | D_volume (_, VL_vld) | D_nvm W_vld -> Disk.Track_buffer.Whole_track
+(* ---- Drives and volumes ---- *)
+
+(* The one buffer rule (Section 4.2): the programmable disk turns its
+   track buffer into whole-track read-ahead under a virtual log (a VLD
+   or VLD leg, VLFS in the firmware); under a regular disk a drive keeps
+   its forward-discard buffer. *)
+let leg_drive ?trace ?store ~profile ~clock leg_kind =
+  Disk.Disk_sim.create
+    ~buffer_policy:
+      (match leg_kind with
+      | Volume.Vld_leg -> Disk.Track_buffer.Whole_track
+      | Volume.Regular_leg -> Disk.Track_buffer.Forward_discard)
+    ?trace ?store ~profile ~clock ()
+
+let drive ?trace ?store ~profile ~clock on =
+  leg_drive ?trace ?store ~profile ~clock
+    (match on with
+    | D_vld | D_direct | D_volume (_, VL_vld) | D_nvm W_vld -> Volume.Vld_leg
+    | D_regular | D_volume (_, VL_regular) | D_nvm W_regular -> Volume.Regular_leg)
+
+let volume ?trace ?(spare = true) ~profile ~clock ~layout ~leg_kind ~logical_blocks ~prng
+    () =
+  let mk () = leg_drive ?trace ~profile ~clock leg_kind in
+  let disks = Array.init (Volume.n_legs layout) (fun _ -> mk ()) in
+  Volume.create ?spare:(if spare then Some mk else None) ~layout ~leg_kind ~logical_blocks
+    ~disks ~prng ()
+
+let recover_volume ?(spare = true) ?(arm = ignore) ~profile ~clock ~layout ~leg_kind
+    ~logical_blocks ~prng stores =
+  let mk ?store () = leg_drive ?store ~profile ~clock leg_kind in
+  let disks = Array.map (fun store -> let d = mk ~store () in arm d; d) stores in
+  Volume.recover
+    ?spare:(if spare then Some (fun () -> mk ()) else None)
+    ~layout ~leg_kind ~logical_blocks ~disks ~prng ()
+
+type array_kind = A_svld | A_sreg | A_raid10
+
+let array_to_string = function A_svld -> "svld" | A_sreg -> "sreg" | A_raid10 -> "raid10"
+
+let array_of_string s =
+  match List.find_opt (fun a -> array_to_string a = s) [ A_svld; A_sreg; A_raid10 ] with
+  | Some a -> Ok a
+  | None -> Error (Printf.sprintf "unknown array config %S (svld|sreg|raid10)" s)
+
+let array_shape a ~spindles =
+  match a with
+  | A_svld -> (Volume.Stripe spindles, Volume.Vld_leg)
+  | A_sreg -> (Volume.Stripe spindles, Volume.Regular_leg)
+  | A_raid10 -> (Volume.Stripe_of_mirrors (spindles / 2, 2), Volume.Vld_leg)
+
+(* ---- The stack builder ---- *)
 
 let vol_shape = function
   | V_stripe -> Volume.Stripe 2
@@ -114,9 +161,6 @@ let format ?(host = Host.free) ?trace ?spare_blocks ?vld_eager_mode ?vld_compact
     ?(ufs = Ufs.default_config) ?(lfs = Lfs.default_config) ?(vlfs = Vlfs.default_config)
     ?(wal = Nvm.Nvm_wal.default_config) ~profile ~logical_blocks ~clock ~prng r =
   check_buildable "Rig.format" r;
-  let drive () =
-    Disk.Disk_sim.create ~buffer_policy:(buffer_policy r.on) ?trace ~profile ~clock ()
-  in
   let mkfs ~dev ~disk =
     match r.fs with
     | F_ufs -> Fs.Ufs (Ufs.format ~dev ~host ~clock ufs)
@@ -125,17 +169,15 @@ let format ?(host = Host.free) ?trace ?spare_blocks ?vld_eager_mode ?vld_compact
   in
   match r.on with
   | D_volume (layout, leg) ->
-    let layout = vol_shape layout in
-    let disks = Array.init (Volume.n_legs layout) (fun _ -> drive ()) in
     let v =
-      Volume.create ~spare:drive ~layout ~leg_kind:(vol_leg_kind leg) ~logical_blocks
-        ~disks ~prng ()
+      volume ?trace ~profile ~clock ~layout:(vol_shape layout)
+        ~leg_kind:(vol_leg_kind leg) ~logical_blocks ~prng ()
     in
-    let dev = Volume.device v in
+    let dev = Volume.device v and disks = Volume.disks v in
     { fs = mkfs ~dev ~disk:disks.(0); dev; disks; vld = None; volume = Some v;
       wal = None; nvm = None; notes = []; clock }
   | D_vld | D_regular | D_direct | D_nvm _ ->
-    let disk = drive () in
+    let disk = drive ?trace ~profile ~clock r.on in
     let vld =
       if vld_backed r.on then
         Some
@@ -171,14 +213,6 @@ let recover ?spare_blocks ?(arm = ignore) ?(ufs = Ufs.default_config)
   check_buildable "Rig.recover" r;
   let ( let* ) = Result.bind in
   let host = Host.free in
-  let drive ?store () =
-    Disk.Disk_sim.create ~buffer_policy:(buffer_policy r.on) ?store ~profile ~clock ()
-  in
-  let recovered store =
-    let d = drive ~store () in
-    arm d;
-    d
-  in
   let mount ~dev ~disk =
     match r.fs with
     | F_ufs -> (
@@ -209,12 +243,12 @@ let recover ?spare_blocks ?(arm = ignore) ?(ufs = Ufs.default_config)
   in
   match r.on with
   | D_volume (layout, leg) ->
-    let disks = Array.map recovered frozen.stores in
     let* v, _ =
-      Volume.recover ~spare:drive ~layout:(vol_shape layout) ~leg_kind:(vol_leg_kind leg)
-        ~logical_blocks ~disks ~prng ()
+      recover_volume ~arm ~profile ~clock ~layout:(vol_shape layout)
+        ~leg_kind:(vol_leg_kind leg) ~logical_blocks ~prng frozen.stores
       |> Result.map_error (( ^ ) "volume recover: ")
     in
+    let disks = Volume.disks v in
     (* Finish any rebuild the recovery started for a dead-on-arrival leg
        before the mount: redundancy must be restorable, not just
        restored-in-principle. *)
@@ -224,7 +258,8 @@ let recover ?spare_blocks ?(arm = ignore) ?(ufs = Ufs.default_config)
     Ok { fs; dev; disks; vld = None; volume = Some v; wal = None; nvm = None; notes;
          clock }
   | D_vld | D_regular | D_direct | D_nvm _ ->
-    let disk = recovered frozen.stores.(0) in
+    let disk = drive ~store:frozen.stores.(0) ~profile ~clock r.on in
+    arm disk;
     let* vld =
       if vld_backed r.on then
         match Blockdev.Vld.recover ~disk ~prng () with

@@ -1,11 +1,14 @@
-(** Rig specs and the one builder behind every file-system stack.
+(** Rig specs and the one builder behind every drive, volume and
+    file-system stack.
 
     A spec names a file system and what it runs on — ["ufs/vld"],
     ["lfs/regular"], ["vlfs/direct"], ["ufs/mirror-vld"],
     ["ufs/nvm-vld"] — and {!format} / {!recover} turn it into a live
     stack: fresh drives, the logical device, the mounted file system.
-    Sizes come in as values; the caller owns the clock and the PRNG (and
-    so its own split order). *)
+    Rigs without a file system take their drives and volumes from
+    {!drive}, {!volume} and {!recover_volume}, as the stacks do.  Sizes
+    come in as values; the caller owns the clock and the PRNG (and so
+    its own split order). *)
 
 type fs_kind = F_ufs | F_lfs | F_vlfs
 
@@ -41,6 +44,62 @@ val of_string : string -> (t, string) result
 (** The inverse of {!to_string}, refusing every stack the builder cannot
     build: UFS and LFS need a logical disk, VLFS runs only directly on
     the platters. *)
+
+(** {1 Drives and volumes}
+
+    Every drive gets the track buffer of the device above it (Section
+    4.2): whole-track read-ahead under a VLD, a VLD leg or VLFS,
+    forward-discard under a regular disk. *)
+
+val drive :
+  ?trace:Trace.sink ->
+  ?store:Disk.Sector_store.t ->
+  profile:Disk.Profile.t ->
+  clock:Vlog_util.Clock.t ->
+  dev_kind ->
+  Disk.Disk_sim.t
+(** A drive for the device [dev_kind] puts on it (an NVM rig's backing
+    device, a volume's legs); [store] supplies its platters. *)
+
+val volume :
+  ?trace:Trace.sink ->
+  ?spare:bool ->
+  profile:Disk.Profile.t ->
+  clock:Vlog_util.Clock.t ->
+  layout:Volume.layout ->
+  leg_kind:Volume.leg_kind ->
+  logical_blocks:int ->
+  prng:Vlog_util.Prng.t ->
+  unit ->
+  Volume.t
+(** A fresh volume over fresh drives.  [spare] (default [true]) supplies
+    hot spares, so a dead leg starts rebuilding on its own. *)
+
+val recover_volume :
+  ?spare:bool ->
+  ?arm:(Disk.Disk_sim.t -> unit) ->
+  profile:Disk.Profile.t ->
+  clock:Vlog_util.Clock.t ->
+  layout:Volume.layout ->
+  leg_kind:Volume.leg_kind ->
+  logical_blocks:int ->
+  prng:Vlog_util.Prng.t ->
+  Disk.Sector_store.t array ->
+  (Volume.t * Volume.recovery_report, string) result
+(** A volume recovered from drives over the frozen platters, in leg
+    order; [arm] sees each drive before any recovery I/O. *)
+
+type array_kind = A_svld | A_sreg | A_raid10
+(** The array study's and array sweep's shapes: a stripe of VLD legs, a
+    stripe of regular legs, a stripe of 2-way VLD mirrors. *)
+
+val array_to_string : array_kind -> string
+val array_of_string : string -> (array_kind, string) result
+
+val array_shape : array_kind -> spindles:int -> Volume.layout * Volume.leg_kind
+(** The shape over [spindles] drives. *)
+
+(** {1 File-system stacks} *)
 
 val small_ufs : Ufs.config
 (** The small synchronous UFS of the crash sweep and the NVM study: 64
@@ -83,8 +142,7 @@ val format :
     disk hiding [spare_blocks] remap spares, a volume, or an NVM-WAL
     over either single-drive device), then a freshly formatted file
     system.  Only the device draws from [prng] (a VLD or a volume).
-    Drives get the buffer policy their device wants: whole-track for a
-    VLD and VLFS, forward-discard for a regular disk.  The file-system
+    Drives and volumes come from {!drive} and {!volume}.  The file-system
     configs default to each file system's [default_config], [host] to
     {!Host.free}.  Raises [Invalid_argument] on a spec {!of_string}
     refuses. *)

@@ -364,11 +364,11 @@ let suites =
         tc "repro spec roundtrip over the full matrix" `Quick
           test_array_repro_roundtrip;
         tc "raid10 masks a mid-batch leg death" `Quick
-          (array_cell Array_sweep.A_raid10
+          (array_cell Workload.Rig.A_raid10
              (Array_sweep.F_drive Fault.Plan.Drive_death)
              Array_sweep.P_batch ~want_loss:false);
         tc "double death is honest loss" `Quick
-          (array_cell Array_sweep.A_raid10 Array_sweep.F_double_death
+          (array_cell Workload.Rig.A_raid10 Array_sweep.F_double_death
              Array_sweep.P_batch ~want_loss:true);
       ] );
     ( "check:degraded",

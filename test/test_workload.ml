@@ -245,6 +245,54 @@ let test_face_errors () =
       (String.starts_with ~prefix:"file system error: " msg)
   | _ -> Alcotest.fail "expected Failure"
 
+(* The builder's buffer rule on every drive a volume runs on, including
+   a hot spare pulled in by a rebuild and the drives of a recovered
+   volume: a read then an earlier block on the same track hits the
+   buffer under a VLD leg (whole-track read-ahead) and misses under a
+   regular leg (forward-discard drops the lower addresses). *)
+let test_leg_buffer_policy () =
+  let profile = Disk.Profile.with_cylinders Disk.Profile.st19101 3 in
+  (* each probe reads a track no earlier probe of that drive touched *)
+  let spt = profile.Disk.Profile.geometry.Disk.Geometry.sectors_per_track in
+  let rereads ~track d =
+    let hits () = (Disk.Disk_sim.stats d).Disk.Disk_sim.buffer_hits in
+    ignore (Disk.Disk_sim.read d ~lba:((track * spt) + 16) ~sectors:8);
+    let before = hits () in
+    ignore (Disk.Disk_sim.read d ~lba:(track * spt) ~sectors:8);
+    hits () - before
+  in
+  List.iter
+    (fun (leg_kind, want, name) ->
+      let check ~track what vol =
+        Array.iteri
+          (fun i d ->
+            Alcotest.(check int) (Printf.sprintf "%s %s leg %d" name what i) want
+              (rereads ~track d))
+          (Volume.disks vol)
+      in
+      let layout = Volume.Mirror 2 and logical_blocks = 32 in
+      let vol =
+        Workload.Rig.volume ~profile ~clock:(Clock.create ()) ~layout ~leg_kind
+          ~logical_blocks ~prng:(Prng.create ~seed:3L) ()
+      in
+      check ~track:1 "fresh" vol;
+      Volume.kill vol ~group:0 ~leg:1;
+      (match Volume.start_rebuild vol ~group:0 ~leg:1 with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      check ~track:2 "with spare" vol;
+      let stores =
+        Array.map (fun d -> Disk.Sector_store.snapshot (Disk.Disk_sim.store d))
+          (Volume.disks vol)
+      in
+      match
+        Workload.Rig.recover_volume ~profile ~clock:(Clock.create ()) ~layout ~leg_kind
+          ~logical_blocks ~prng:(Prng.create ~seed:4L) stores
+      with
+      | Ok (v, _) -> check ~track:3 "recovered" v
+      | Error e -> Alcotest.fail e)
+    [ (Volume.Regular_leg, 0, "regular"); (Volume.Vld_leg, 1, "vld") ]
+
 let suites =
   [
     ( "workload:setup",
@@ -254,6 +302,7 @@ let suites =
         Alcotest.test_case "failure raises" `Quick test_ops_failure_raises;
         Alcotest.test_case "elapsed" `Quick test_elapsed_measures_clock;
         Alcotest.test_case "idle advances clock" `Quick test_idle_advances_clock;
+        Alcotest.test_case "drives get their leg's buffer" `Quick test_leg_buffer_policy;
       ] );
     ( "workload:drivers",
       [
