@@ -230,7 +230,7 @@ let faults_cmd =
             (Fault.Plan.kind_to_string k))
         nvm;
       exit 2);
-    { default with seed; kinds; triggers = (if quick then min triggers 6 else triggers) }
+    { seed; kinds; triggers = (if quick then min triggers 6 else triggers) }
   in
   sweep_cmd "faults" sweep ~default ~default_seed:default.seed
     ~doc:
@@ -709,9 +709,13 @@ let trace_cmd =
           None
       & info [] ~docv:"WORKLOAD"
           ~doc:
-            "small-file, random-update, seq-read or tenant-mix (a sharded \
-             multi-tenant write mix on a mirrored volume; the metrics summary \
-             then includes the per-tenant fairness table)")
+            "small-file, random-update, seq-read or tenant-mix.  seq-read \
+             writes one $(b,--ops)-block file, syncs it, drops the caches and \
+             reads it back; LFS still serves the blocks of its open segment \
+             from memory, so at the default $(b,--ops) an LFS trace shows no \
+             disk reads (at 200, 125 blocks come from disk).  tenant-mix is a \
+             sharded multi-tenant write mix on a mirrored volume; the metrics \
+             summary then includes the per-tenant fairness table")
   in
   let fs_arg =
     Arg.(
@@ -742,7 +746,8 @@ let trace_cmd =
   let ops_arg =
     Arg.(
       value & opt int 40
-      & info [ "ops" ] ~doc:"workload size (files to create / updates to apply)")
+      & info [ "ops" ]
+          ~doc:"workload size (files to create / updates to apply / blocks to read)")
   in
   let run workload fs dev profile host out metrics flame ops =
     let sink =
@@ -750,9 +755,8 @@ let trace_cmd =
       | `Tenants ->
         (* One shard so every tenant's stream shares the spindles — the
            interesting fairness case — with one live sink across them. *)
-        let cfg = { Tenant.default with Tenant.shards = 1; ops_per_tenant = ops } in
-        let schedule = Tenant.plan cfg in
-        let _, sink = Tenant.run_shard ~trace:true cfg ~shard:0 schedule.(0) in
+        let schedule = Tenant.plan { Tenant.shards = 1; ops_per_tenant = ops } in
+        let _, sink = Tenant.run_shard ~trace:true ~shard:0 schedule.(0) in
         sink
       | (`Small | `Random | `Seq) as w ->
         (* VLFS is the disk's firmware: [--dev] does not apply. *)
@@ -766,7 +770,9 @@ let trace_cmd =
           ignore (Workload.Random_update.run ~updates:ops ~warmup:0 ~file_mb:2. ~prng s)
         | `Seq ->
           (* Write one [ops]-block file through the buffer, sync it out, drop
-             caches, and stream it back: a read-path trace with a cold cache. *)
+             caches, and stream it back: a read-path trace with a cold cache,
+             except that LFS serves the blocks still in its open segment from
+             memory (every block at the default [ops]). *)
           let bs = s.dev.block_bytes in
           ignore (Workload.Fs.exn @@ Workload.Fs.create s.fs "seq");
           ignore

@@ -13,7 +13,10 @@ type t = {
 }
 
 
-let create ?(sectors_per_block = 8) ?spare_blocks ~disk () =
+(* 4 KB blocks, like the VLD's. *)
+let sectors_per_block = 8
+
+let create ?spare_blocks ~disk () =
   let g = Disk.Disk_sim.geometry disk in
   if g.Disk.Geometry.sectors_per_track mod sectors_per_block <> 0 then
     invalid_arg "Regular_disk.create: block must divide the track";

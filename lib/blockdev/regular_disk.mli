@@ -4,9 +4,8 @@
 
 type t
 
-val create :
-  ?sectors_per_block:int -> ?spare_blocks:int -> disk:Disk.Disk_sim.t -> unit -> t
-(** Default 8 sectors (4 KB blocks).  [spare_blocks] (default 0) reserves
+val create : ?spare_blocks:int -> disk:Disk.Disk_sim.t -> unit -> t
+(** 4 KB (8-sector) blocks.  [spare_blocks] (default 0) reserves
     that many blocks at the end of the disk as a spare pool, hidden from
     the logical space: grown write defects are remapped onto it, the way
     drive firmware handles bad sectors. *)

@@ -20,28 +20,30 @@ let of_vlog ~compaction_policy ~prng vlog =
     block_bytes = Vlog.Virtual_log.block_bytes vlog;
   }
 
-let export_blocks ?(sectors_per_block = 8) geometry =
+(* Every VLD formats 4 KB blocks: [Virtual_log.recover]'s scan fallback
+   probes 8-sector blocks. *)
+let sectors_per_block = 8
+
+let export_blocks geometry =
   let total = Disk.Geometry.total_sectors geometry / sectors_per_block in
   total - (1 + (total / 900)) - 8
 
-let create ?(eager_mode = Vlog.Eager.Sweep) ?(switch_free_fraction = 0.25)
-    ?(compaction_policy = Vlog.Compactor.Random_target) ?(sectors_per_block = 8) ~disk
-    ~logical_blocks ~prng () =
+let create ?(eager_mode = Vlog.Eager.Sweep)
+    ?(compaction_policy = Vlog.Compactor.Random_target) ~disk ~logical_blocks ~prng () =
   let cfg =
     {
       (Vlog.Virtual_log.default_config ~logical_blocks) with
       Vlog.Virtual_log.sectors_per_block;
       eager_mode;
-      switch_free_fraction;
     }
   in
   of_vlog ~compaction_policy ~prng (Vlog.Virtual_log.format ~disk cfg)
 
-let recover ?(eager_mode = Vlog.Eager.Sweep) ?(switch_free_fraction = 0.25)
-    ?(compaction_policy = Vlog.Compactor.Random_target) ~disk ~prng () =
-  match Vlog.Virtual_log.recover ~eager_mode ~switch_free_fraction ~disk () with
+let recover ~disk ~prng () =
+  match Vlog.Virtual_log.recover ~disk () with
   | Error _ as e -> e
-  | Ok (vlog, report) -> Ok (of_vlog ~compaction_policy ~prng vlog, report)
+  | Ok (vlog, report) ->
+    Ok (of_vlog ~compaction_policy:Vlog.Compactor.Random_target ~prng vlog, report)
 
 let disk t = t.disk
 let vlog t = t.vlog
@@ -309,11 +311,10 @@ module Queued = struct
     mutable map_backlog : (int * int option) list; (* newest first *)
   }
 
-  let create ?(policy = Disk.Disk_queue.Satf) ?stall_probe ?(map_batch = 16) vld
-      =
+  let create ?(policy = Disk.Disk_queue.Satf) ?(map_batch = 16) vld =
     {
       vld;
-      dq = Disk.Disk_queue.create ~policy ?stall_probe ~disk:vld.disk ();
+      dq = Disk.Disk_queue.create ~policy ~disk:vld.disk ();
       map_batch;
       map_backlog = [];
     }

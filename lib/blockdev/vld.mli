@@ -12,33 +12,31 @@ type t
 
 val create :
   ?eager_mode:Vlog.Eager.mode ->
-  ?switch_free_fraction:float ->
   ?compaction_policy:Vlog.Compactor.target_policy ->
-  ?sectors_per_block:int ->
   disk:Disk.Disk_sim.t ->
   logical_blocks:int ->
   prng:Vlog_util.Prng.t ->
   unit ->
   t
-(** Format a fresh VLD.  The disk should have been created with the
-    [Whole_track] buffer policy (Section 4.2's read-ahead fix); this is
-    the caller's choice so experiments can also measure the unfixed
+(** Format a fresh VLD of 4 KB (8-sector) blocks.  Defaults: [Sweep]
+    eager placement with its 25 % track-switch threshold and
+    [Random_target] compaction.  The disk should have been created with
+    the [Whole_track] buffer policy (Section 4.2's read-ahead fix); this
+    is the caller's choice so experiments can also measure the unfixed
     behaviour. *)
 
-val export_blocks : ?sectors_per_block:int -> Disk.Geometry.t -> int
+val export_blocks : Disk.Geometry.t -> int
 (** The logical size a VLD exports over a whole drive of this geometry:
-    every physical block (default 8 sectors) less the virtual log's map
-    pieces ([1 + total/900]) and the 8-block allocation reserve. *)
+    every 8-sector physical block less the virtual log's map pieces
+    ([1 + total/900]) and the 8-block allocation reserve. *)
 
 val recover :
-  ?eager_mode:Vlog.Eager.mode ->
-  ?switch_free_fraction:float ->
-  ?compaction_policy:Vlog.Compactor.target_policy ->
   disk:Disk.Disk_sim.t ->
   prng:Vlog_util.Prng.t ->
   unit ->
   (t * Vlog.Virtual_log.recovery_report, string) result
-(** Bring up a VLD from the platters after a crash or power-down. *)
+(** Bring up a VLD from the platters after a crash or power-down, in the
+    defaults' [Sweep] placement and [Random_target] compaction. *)
 
 val device : t -> Device.t
 val disk : t -> Disk.Disk_sim.t
@@ -87,7 +85,6 @@ module Queued : sig
 
   val create :
     ?policy:Disk.Disk_queue.policy ->
-    ?stall_probe:(unit -> float option) ->
     ?map_batch:int ->
     vld ->
     t

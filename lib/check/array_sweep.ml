@@ -38,21 +38,14 @@ let phase_of_string = function
 type config = {
   seed : int64;
   rounds : int;
-  cylinders : int;
-  logical_blocks : int;
-  arrays : Rig.array_kind list;
   faults : fault list;
   depths : int list;
-  phases : phase list;
 }
 
 let default =
   {
     seed = 9203L;
     rounds = 12;
-    cylinders = 3;
-    logical_blocks = 48;
-    arrays = [ Rig.A_svld; A_sreg; A_raid10 ];
     faults =
       [
         F_drive Fault.Plan.Drive_death;
@@ -62,7 +55,6 @@ let default =
         F_double_death;
       ];
     depths = [ 1; 4; 16 ];
-    phases = [ P_batch; P_drain; P_rebuild ];
   }
 
 let smoke =
@@ -93,10 +85,11 @@ let included (array : Rig.array_kind) fault phase =
 
 (* ---- Rig plumbing ---- *)
 
-let profile c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
-
-let sector_bytes c =
-  (profile c).Disk.Profile.geometry.Disk.Geometry.sector_bytes
+(* Every cell's volume exports [logical_blocks] over 3-cylinder st19101
+   legs. *)
+let logical_blocks = 48
+let profile = Disk.Profile.with_cylinders Disk.Profile.st19101 3
+let sector_bytes = profile.Disk.Profile.geometry.Disk.Geometry.sector_bytes
 
 (* Two spindles per stripe, two mirror pairs for raid10. *)
 let shape (array : Rig.array_kind) =
@@ -112,10 +105,10 @@ let block_of_name n =
 (* The oracle's view of the live volume: one single-block file per
    logical block, always present, its content whatever the volume reads
    back (errors surface honestly as [`Io]). *)
-let view_of c vol =
+let view_of vol =
   let dev = Volume.device vol in
   {
-    Oracle.v_files = (fun () -> List.init c.logical_blocks bname);
+    Oracle.v_files = (fun () -> List.init logical_blocks bname);
     v_size = (fun _ -> Some (Volume.block_bytes vol));
     v_read_block =
       (fun name _fb ->
@@ -165,11 +158,10 @@ let judge (c : config) { array; fault; depth; phase; case } log =
   let prng = Prng.create ~seed:scenario_seed in
   let layout, leg_kind = shape array in
   let n = Volume.n_legs layout in
-  let profile = profile c in
   let spare = array = Rig.A_raid10 in
   let clock = Clock.create () in
   let vol =
-    Rig.volume ~spare ~profile ~clock ~layout ~leg_kind ~logical_blocks:c.logical_blocks
+    Rig.volume ~spare ~profile ~clock ~layout ~leg_kind ~logical_blocks
       ~prng:(Prng.split prng) ()
   in
   let disks = Volume.disks vol in
@@ -178,22 +170,22 @@ let judge (c : config) { array; fault; depth; phase; case } log =
   let failf fmt = Cells.failf log fmt in
   let now () = Clock.now clock in
   (* Oracle model: block b <-> single-block file "b%03d". *)
-  let oracle = Oracle.create ~sector_bytes:(sector_bytes c) in
+  let oracle = Oracle.create ~sector_bytes in
   List.iter
     (fun b ->
       Oracle.begin_create oracle (bname b);
       Oracle.commit_create oracle (bname b))
-    (List.init c.logical_blocks Fun.id);
+    (List.init logical_blocks Fun.id);
   let buf tag = Bytes.make bb tag in
   (* Prefill every block before any fault exists: all must land. *)
   let prefill_tag = 'A' in
   List.iter
     (fun b ->
       Oracle.begin_write oracle (bname b) ~fblock:0 ~tag:prefill_tag ~size:bb)
-    (List.init c.logical_blocks Fun.id);
+    (List.init logical_blocks Fun.id);
   let pre =
     Volume.write_batch_report vol ~at:(now ())
-      (List.init c.logical_blocks (fun b -> (b, buf prefill_tag)))
+      (List.init logical_blocks (fun b -> (b, buf prefill_tag)))
   in
   (match pre.Volume.wr_failed with
   | [] -> ()
@@ -256,7 +248,7 @@ let judge (c : config) { array; fault; depth; phase; case } log =
      full depth in its tagged queue. *)
   let wprng = Prng.split prng in
   let sample k =
-    let a = Array.init c.logical_blocks Fun.id in
+    let a = Array.init logical_blocks Fun.id in
     for i = Array.length a - 1 downto 1 do
       let j = Prng.int wprng (i + 1) in
       let t = a.(i) in
@@ -327,13 +319,13 @@ let judge (c : config) { array; fault; depth; phase; case } log =
            match dev.Blockdev.Device.read b with
            | Ok _ -> false
            | Error _ -> true)
-         (List.init c.logical_blocks Fun.id))
+         (List.init logical_blocks Fun.id))
   in
   let online_lost = scan_failures vol in
   if online_lost > 0 && not tolerated then
     failf "%d/%d blocks unreadable after settle on a shape that should \
            tolerate this fault"
-      online_lost c.logical_blocks;
+      online_lost logical_blocks;
   let allowed =
     Report.Unflushed :: (if tolerated then [ Report.Io_unreadable ] else [])
   in
@@ -354,7 +346,7 @@ let judge (c : config) { array; fault; depth; phase; case } log =
   let oracle_checks = ref 0 in
   let judge_oracle which v =
     incr oracle_checks;
-    List.iter (failf "%s oracle: %s" which) (Oracle.check oracle ~mode (view_of c v))
+    List.iter (failf "%s oracle: %s" which) (Oracle.check oracle ~mode (view_of v))
   in
   judge_volume "online" vol;
   judge_oracle "online" vol;
@@ -370,7 +362,7 @@ let judge (c : config) { array; fault; depth; phase; case } log =
   let recovered = ref 0 in
   (match
      Rig.recover_volume ~spare ~profile ~clock:(Clock.create ()) ~layout ~leg_kind
-       ~logical_blocks:c.logical_blocks
+       ~logical_blocks
        ~prng:(Prng.create ~seed:(Int64.add scenario_seed 3L))
        stores
    with
@@ -384,7 +376,7 @@ let judge (c : config) { array; fault; depth; phase; case } log =
     if remount_lost > 0 then recover_lost := true;
     if remount_lost > 0 && not tolerated then
       failf "%d/%d blocks unreadable after crash recovery" remount_lost
-        c.logical_blocks;
+        logical_blocks;
     judge_volume "remount" vol2;
     judge_oracle "remount" vol2);
   let loss_observed = online_lost > 0 || !recover_lost in
@@ -417,10 +409,10 @@ let cells (c : config) =
                   if included array fault phase then
                     Some (fun case -> { array; fault; depth; phase; case })
                   else None)
-                c.phases)
+                [ P_batch; P_drain; P_rebuild ])
             c.depths)
         c.faults)
-    c.arrays
+    [ Rig.A_svld; A_sreg; A_raid10 ]
 
 let sweep =
   {

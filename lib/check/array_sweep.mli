@@ -41,14 +41,12 @@ type phase =
 type config = {
   seed : int64;
   rounds : int;  (** write+read rounds per cell *)
-  cylinders : int;
-  logical_blocks : int;
-  arrays : Workload.Rig.array_kind list;
-      (** at 2 spindles, and [raid10] at 2 x 2 with a hot spare *)
   faults : fault list;
   depths : int list;  (** commands per window (queue depth driven) *)
-  phases : phase list;
 }
+(** Every configuration sweeps the three arrays (the two stripes at 2
+    spindles, [raid10] at 2 x 2 with a hot spare) and all three phases,
+    over a 48-block volume on 3-cylinder st19101 legs. *)
 
 val default : config
 (** The full matrix: {stripe-vld, stripe-regular, raid10} x

@@ -35,9 +35,6 @@ let all_rigs : Rig.t list =
 
 type config = {
   seed : int64;
-  ops : int;
-  cylinders : int;
-  logical_blocks : int;
   triggers : int list;
   kinds : Fault.Plan.kind list;
   rigs : Rig.t list;
@@ -66,9 +63,6 @@ let default_vol_rigs : Rig.t list =
 let default =
   {
     seed = 9203L;
-    ops = 30;
-    cylinders = 3;
-    logical_blocks = 300;
     triggers = [ 0; 2; 5; 9; 14; 20; 33 ];
     kinds =
       [
@@ -126,27 +120,27 @@ let smoke =
 
 (* ---- Rig plumbing ---- *)
 
-let disk_profile c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
-
-let sector_bytes c =
-  (disk_profile c).Disk.Profile.geometry.Disk.Geometry.sector_bytes
+(* Every cell runs [ops] workload operations on a [cylinders]-cylinder
+   st19101 whose VLD exports [logical_blocks]. *)
+let ops = 30
+let cylinders = 3
+let logical_blocks = 300
+let disk_profile = Disk.Profile.with_cylinders Disk.Profile.st19101 cylinders
+let sector_bytes = disk_profile.Disk.Profile.geometry.Disk.Geometry.sector_bytes
 
 let spare_blocks = 8
 
 let lfs_cfg =
   {
-    Lfs.default_config with
     Lfs.segment_blocks = 16;
     buffer_blocks = 8;
     cache_blocks = 32;
-    reserve_segments = 2;
     checkpoint_interval = 2;
     n_inodes = 64;
   }
 
 let vlfs_cfg =
   {
-    Vlfs.default_config with
     Vlfs.n_inodes = 32;
     sync_writes = true;
     buffer_blocks = 16;
@@ -154,14 +148,13 @@ let vlfs_cfg =
   }
 
 (* Every sweep stack is formatted and remounted at the same sizes. *)
-let format c ?wal rig ~prng =
+let format ?wal rig ~prng =
   Rig.format ~spare_blocks ~ufs:Rig.small_ufs ~lfs:lfs_cfg ~vlfs:vlfs_cfg ?wal
-    ~profile:(disk_profile c) ~logical_blocks:c.logical_blocks ~clock:(Clock.create ())
-    ~prng rig
+    ~profile:disk_profile ~logical_blocks ~clock:(Clock.create ()) ~prng rig
 
-let recover c ?(profile = disk_profile c) ?wal ?arm rig ~prng frozen =
+let recover ?(profile = disk_profile) ?wal ?arm rig ~prng frozen =
   Rig.recover ~spare_blocks ~ufs:Rig.small_ufs ~lfs:lfs_cfg ~vlfs:vlfs_cfg ?wal ?arm
-    ~profile ~logical_blocks:c.logical_blocks ~clock:(Clock.create ()) ~prng rig frozen
+    ~profile ~logical_blocks ~clock:(Clock.create ()) ~prng rig frozen
 
 (* The one fsck dispatch: each file system's own invariant checker. *)
 let fsck = function
@@ -234,13 +227,13 @@ let view_of fs =
    is updated around each operation; a raised [Power_cut] freezes the
    workload mid-operation, a raised [Io_error] stops it (the way a
    kernel remounts a failing disk read-only). *)
-let run_workload (c : config) fs oracle ~wprng ~cut =
+let run_workload fs oracle ~wprng ~cut =
   let bb = Fs.block_bytes fs in
   let version = ref 0 in
   let sync_each = Fs.sync_each fs in
   let barrier_if_sync () = if sync_each then Oracle.barrier oracle in
   try
-     for opi = 1 to c.ops do
+     for opi = 1 to ops do
        let small = Prng.int wprng 5 < 2 in
        let name =
          if small then "s" ^ string_of_int (Prng.int wprng 2)
@@ -397,22 +390,22 @@ let judge (c : config) { rig; kind; trigger; case } log =
   (* A WAL rig's device gets a generator of its own; the others split
      theirs off the scenario's, ahead of the workload's. *)
   let s =
-    format c ~wal rig
+    format ~wal rig
       ~prng:
         (match rig.on with
         | D_nvm _ -> Prng.create ~seed:scenario_seed
         | _ -> Prng.split prng)
   in
   let remount ?arm frozen =
-    recover c ~wal ?arm rig ~prng:(Prng.create ~seed:scenario_seed) frozen
+    recover ~wal ?arm rig ~prng:(Prng.create ~seed:scenario_seed) frozen
     |> Result.map_error (( ^ ) "mount aborted: ")
   in
   let plan = Fault.Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 1L) in
   let at_recovery = plain rig && not (workload_time kind) in
   if not at_recovery then arm s ~case plan;
-  let oracle = Oracle.create ~sector_bytes:(sector_bytes c) in
+  let oracle = Oracle.create ~sector_bytes in
   let cut = ref false in
-  run_workload c s.fs oracle ~wprng:(Prng.split prng) ~cut;
+  run_workload s.fs oracle ~wprng:(Prng.split prng) ~cut;
   Fault.Plan.flush plan;
   if not !cut then park s (failf "%s");
   let frozen = Rig.freeze s in
@@ -518,8 +511,8 @@ let image_rig fs : Rig.t =
 
 (* Where [name]'s on-disk inode (its part 0, for LFS and VLFS) lives:
    the sector it starts in, its byte offset there, and its length. *)
-let inode_extent c fs name =
-  let sb = sector_bytes c in
+let inode_extent fs name =
+  let sb = sector_bytes in
   let entries =
     match fs with
     | Fs.Ufs t -> Ufs.dir_entries t
@@ -585,10 +578,9 @@ let expect_degraded which keep fs =
            which Blockdev.Fs_error.pp e))
 
 let degraded_demo fsk : (unit, string) result =
-  let c = default in
   let rig = image_rig fsk in
   let which = Rig.fs_name fsk in
-  let s = format c rig ~prng:(demo_prng ()) in
+  let s = format rig ~prng:(demo_prng ()) in
   let write name ch =
     or_die which (Fs.create s.fs name);
     or_die which (Fs.write s.fs name ~off:0 (Bytes.make 1024 ch))
@@ -602,11 +594,11 @@ let degraded_demo fsk : (unit, string) result =
     done;
   write "victim" 'v';
   Fs.shutdown s.fs;
-  match inode_extent c s.fs "victim" with
+  match inode_extent s.fs "victim" with
   | Error e -> Error (which ^ ": " ^ e)
   | Ok (lba, _, _) -> (
     Disk.Sector_store.rot (Disk.Disk_sim.store s.disks.(0)) ~lba ~sectors:1 (demo_prng ());
-    match recover c rig ~prng:(demo_prng ()) (Rig.freeze s) with
+    match recover rig ~prng:(demo_prng ()) (Rig.freeze s) with
     | Error e -> Error (which ^ ": mount aborted: " ^ e)
     | Ok m -> expect_degraded which "keep" m.fs)
 
@@ -621,7 +613,7 @@ let corruption_of_string = function
   | "rot" -> Ok C_rot
   | s -> Error (Printf.sprintf "unknown corruption %S (none|dangling|checksum|rot)" s)
 
-let profile_string c = Printf.sprintf "st19101:%d" c.cylinders
+let profile_string = Printf.sprintf "st19101:%d" cylinders
 
 let parse_profile s =
   match String.split_on_char ':' s with
@@ -649,12 +641,11 @@ let parse_profile s =
    - [C_rot] decays a metadata sector so the ECC itself fails on read. *)
 let make_image ~fs ~corrupt : (Image.header * Disk.Sector_store.t, string) result
     =
-  let c = default in
   let rig = image_rig fs in
   let prng = Prng.create ~seed:0x13A6EL in
-  let s = format c rig ~prng in
+  let s = format rig ~prng in
   let store = Disk.Disk_sim.store s.disks.(0) in
-  let sb = sector_bytes c in
+  let sb = sector_bytes in
   List.iter
     (fun (n, len, ch) ->
       or_die "mkimage" (Fs.create s.fs n);
@@ -679,14 +670,14 @@ let make_image ~fs ~corrupt : (Image.header * Disk.Sector_store.t, string) resul
       Disk.Sector_store.corrupt store ~lba:0 ~sectors:1 prng;
       Disk.Sector_store.corrupt store ~lba:(Ufs.block_bytes t / sb) ~sectors:1 prng;
       Ok ()
-    | _ -> Result.map (fun ext -> damage_inode ext corrupt) (inode_extent c s.fs "b")
+    | _ -> Result.map (fun ext -> damage_inode ext corrupt) (inode_extent s.fs "b")
   in
   match damage with
   | Error e -> Error ("mkimage: " ^ e)
   | Ok () ->
     Ok
       ( { Image.fs = Rig.fs_name rig.fs; dev = Rig.dev_name rig.on;
-          profile = profile_string c },
+          profile = profile_string },
         store )
 
 (* ---- vlsim fsck: remount an image and hold it to account ---- *)
@@ -731,7 +722,7 @@ let fsck_image (h : Image.header) store : (fsck_result, string) result =
   let* rig = Rig.of_string (h.Image.fs ^ "/" ^ h.Image.dev) in
   let* m =
     if plain rig then
-      recover default ~profile rig ~prng:(Prng.create ~seed:0x5EC7L)
+      recover ~profile rig ~prng:(Prng.create ~seed:0x5EC7L)
         { stores = [| store |]; nvm_image = None }
     else Error "volume and nvm rigs span more than one drive image"
   in

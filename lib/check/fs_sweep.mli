@@ -7,9 +7,6 @@
 
 type config = {
   seed : int64;
-  ops : int;                      (** workload operations per scenario *)
-  cylinders : int;
-  logical_blocks : int;           (** VLD logical size *)
   triggers : int list;            (** I/O counts after which the fault arms *)
   kinds : Fault.Plan.kind list;
   rigs : Workload.Rig.t list;
@@ -51,7 +48,9 @@ type cell = {
 
 val sweep : (config, cell) Cells.sweep
 (** One cell: workload under fault, freeze, remount, fsck (plus the
-    volume checker on volume rigs), oracle, idempotence.  Every rig runs
+    volume checker on volume rigs), oracle, idempotence.  The workload
+    is 30 operations on a 3-cylinder st19101 whose VLD exports 300
+    logical blocks.  Every rig runs
     the same judging pipeline on a stack {!Workload.Rig} formats,
     freezes and recovers; a rig only says where the plan strikes, how a
     clean shutdown parks it, which fsck findings its media may honestly

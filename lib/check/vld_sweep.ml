@@ -3,33 +3,29 @@ module Plan = Fault.Plan
 
 type config = {
   seed : int64;
-  ops : int;
-  logical_blocks : int;
-  hot_blocks : int;
-  cylinders : int;
   triggers : int;
   kinds : Plan.kind list;
-  tail_modes : bool list;
 }
 
 let default =
   {
     seed = 7101L;
-    ops = 20;
-    logical_blocks = 300;
-    hot_blocks = 48;
-    cylinders = 3;
     triggers = 22;
     kinds =
       [ Plan.Power_cut; Plan.Torn_write; Plan.Grown_defect; Plan.Bit_rot;
         Plan.Transient_read 2 ];
-    tail_modes = [ false; true ];
   }
 
 let smoke =
   { default with kinds = [ Plan.Torn_write; Plan.Power_cut ]; triggers = 3 }
 
-let profile c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
+(* Each workload runs [ops] operations over the first [hot_blocks] of a
+   [logical_blocks] VLD (forcing overwrites) on a drive shrunk to three
+   cylinders to stay fast. *)
+let ops = 20
+let logical_blocks = 300
+let hot_blocks = 48
+let profile = Disk.Profile.with_cylinders Disk.Profile.st19101 3
 
 (* Committed-content tag for (logical block, version): distinct within any
    realistic per-block history, so a recovered block identifies which
@@ -37,8 +33,8 @@ let profile c = Disk.Profile.with_cylinders Disk.Profile.st19101 c.cylinders
 let tag ~logical ~version =
   Char.chr ((1 + (logical * 31) + (version * 7)) land 0xff)
 
-let fresh_disk ?store c clock =
-  Workload.Rig.drive ?store ~profile:(profile c) ~clock Workload.Rig.D_vld
+let fresh_disk ?store clock =
+  Workload.Rig.drive ?store ~profile ~clock Workload.Rig.D_vld
 
 (* Fault kinds that strike while the workload runs; [Transient_read]
    instead strikes the recovery that follows the crash. *)
@@ -62,12 +58,9 @@ type cell = { kind : Plan.kind; trigger : int; with_tail : bool; case : int }
 let judge (c : config) { kind; trigger; with_tail; case } log =
   let scenario_seed = Int64.add c.seed (Int64.of_int (case * 7919)) in
   let clock = Clock.create () in
-  let disk = fresh_disk c clock in
+  let disk = fresh_disk clock in
   let prng = Prng.create ~seed:scenario_seed in
-  let vld =
-    Blockdev.Vld.create ~disk ~logical_blocks:c.logical_blocks
-      ~prng:(Prng.split prng) ()
-  in
+  let vld = Blockdev.Vld.create ~disk ~logical_blocks ~prng:(Prng.split prng) () in
   let plan = Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 1L) in
   if workload_time kind then Plan.install plan disk;
   let dev = Blockdev.Vld.device vld in
@@ -75,13 +68,13 @@ let judge (c : config) { kind; trigger; with_tail; case } log =
   (* Per-block committed history, newest first; [None] = absent.  Updated
      only after an operation returns, so a power cut mid-operation leaves
      the model at the last committed state — exactly what recovery owes. *)
-  let hist = Array.make c.logical_blocks [ None ] in
+  let hist = Array.make logical_blocks [ None ] in
   let wprng = Prng.split prng in
   let version = ref 0 in
   let cut = ref false in
   (try
-     for _ = 1 to c.ops do
-       let l = Prng.int wprng c.hot_blocks in
+     for _ = 1 to ops do
+       let l = Prng.int wprng hot_blocks in
        if Prng.int wprng 6 = 0 then begin
          dev.Blockdev.Device.trim l;
          if List.hd hist.(l) <> None then hist.(l) <- None :: hist.(l)
@@ -105,7 +98,7 @@ let judge (c : config) { kind; trigger; with_tail; case } log =
   let recovery_plan = ref None in
   let recover_from store ~faulty =
     let clock2 = Clock.create () in
-    let disk2 = fresh_disk ~store c clock2 in
+    let disk2 = fresh_disk ~store clock2 in
     if faulty then begin
       let p = Plan.create kind ~trigger ~seed:(Int64.add scenario_seed 2L) in
       Plan.install p disk2;
@@ -120,7 +113,7 @@ let judge (c : config) { kind; trigger; with_tail; case } log =
     | Ok (vld2, report) -> Some (vld2, report, disk2)
   in
   let mapping vld2 =
-    Array.init c.logical_blocks (fun l ->
+    Array.init logical_blocks (fun l ->
         Vlog.Virtual_log.lookup (Blockdev.Vld.vlog vld2) l)
   in
   let degraded = ref false in
@@ -139,7 +132,7 @@ let judge (c : config) { kind; trigger; with_tail; case } log =
       List.exists (fun d -> d >= lba && d < lba + spb) damaged
     in
     let divergent = ref 0 in
-    for l = 0 to c.logical_blocks - 1 do
+    for l = 0 to logical_blocks - 1 do
       let latest = List.hd hist.(l) in
       match Vlog.Virtual_log.lookup (Blockdev.Vld.vlog vld2) l with
       | None ->
@@ -184,7 +177,8 @@ let judge (c : config) { kind; trigger; with_tail; case } log =
     verdict = "ok";
   }
 
-(* The matrix in canonical order: tail-major, then kind, then trigger. *)
+(* The matrix in canonical order: tail-major (without the tail record,
+   then with it), then kind, then trigger. *)
 let cells (c : config) =
   List.concat_map
     (fun with_tail ->
@@ -193,7 +187,7 @@ let cells (c : config) =
           List.init c.triggers (fun trigger case ->
               { kind; trigger; with_tail; case }))
         c.kinds)
-    c.tail_modes
+    [ false; true ]
 
 let sweep =
   {

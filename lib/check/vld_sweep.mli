@@ -21,14 +21,13 @@
 
 type config = {
   seed : int64;  (** master seed; every scenario derives from it *)
-  ops : int;  (** logical operations per workload *)
-  logical_blocks : int;
-  hot_blocks : int;  (** workload writes land on this prefix, forcing overwrites *)
-  cylinders : int;  (** disk size; sweeps shrink the drive to stay fast *)
   triggers : int;  (** boundaries swept per kind: faults at accesses [0..triggers-1] *)
   kinds : Fault.Plan.kind list;
-  tail_modes : bool list;  (** whether to power down (write the tail) before freezing *)
 }
+(** Every cell runs 20 writes and trims over the first 48 blocks of a
+    300-block VLD (forcing overwrites) on a 3-cylinder st19101, once
+    without and once with a power-down that writes the tail record
+    before the freeze. *)
 
 val default : config
 (** 5 kinds × 22 triggers × 2 tail modes = 220 scenarios, of which

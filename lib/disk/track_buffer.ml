@@ -2,16 +2,12 @@ type policy = Forward_discard | Whole_track
 
 type slot = { track_index : int; lo : int; hi : int; mutable age : int }
 
-type t = {
-  policy : policy;
-  slots : int;
-  mutable entries : slot list;
-  mutable tick : int;
-}
+type t = { policy : policy; mutable entries : slot list; mutable tick : int }
 
-let create ?(slots = 2) policy =
-  if slots <= 0 then invalid_arg "Track_buffer.create: slots must be positive";
-  { policy; slots; entries = []; tick = 0 }
+(* Tracks' worth of buffer the drive has under [Whole_track]. *)
+let slots = 2
+
+let create policy = { policy; entries = []; tick = 0 }
 
 let policy t = t.policy
 
@@ -38,7 +34,7 @@ let note_read t ~track_index ~sector ~sectors_per_track =
     | Whole_track ->
       (* retain up to slots-1 other tracks, youngest first *)
       let sorted = List.sort (fun a b -> compare b.age a.age) others in
-      List.filteri (fun i _ -> i < t.slots - 1) sorted
+      List.filteri (fun i _ -> i < slots - 1) sorted
   in
   t.entries <- entry :: keep
 

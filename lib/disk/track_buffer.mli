@@ -16,10 +16,9 @@ type policy = Forward_discard | Whole_track
 
 type t
 
-val create : ?slots:int -> policy -> t
-(** [slots] is how many tracks' worth of buffer the drive has (default 2,
-    only meaningful under [Whole_track]; [Forward_discard] keeps one
-    range). *)
+val create : policy -> t
+(** The drive's buffer holds two tracks under [Whole_track];
+    [Forward_discard] keeps one range. *)
 
 val policy : t -> policy
 

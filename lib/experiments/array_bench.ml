@@ -310,8 +310,8 @@ let run_fault_mode ?(seed = 0) ~scale mode =
 
 let fairness_config ~scale =
   match scale with
-  | Rigs.Quick -> { Tenant.default with Tenant.shards = 2; ops_per_tenant = 60 }
-  | Rigs.Full -> { Tenant.default with Tenant.shards = 4; ops_per_tenant = 250 }
+  | Rigs.Quick -> { Tenant.shards = 2; ops_per_tenant = 60 }
+  | Rigs.Full -> { Tenant.shards = 4; ops_per_tenant = 250 }
 
 let scalability results =
   let iops rig spindles =
@@ -341,7 +341,7 @@ let jobs ?seed ~scale () =
       (fun m ->
         ("rebuild/" ^ rebuild_mode_label m, fun () -> Rebuild (run_rebuild ?seed ~scale m)))
       [ `Healthy; `Throttled; `Blocking ]
-  @ [ ("fairness", fun () -> Fairness (Tenant.run ~jobs:1 (fairness_config ~scale))) ]
+  @ [ ("fairness", fun () -> Fairness (Tenant.run (fairness_config ~scale))) ]
 
 let table_of cells =
   let t =

@@ -71,7 +71,7 @@ type part = Cell of cell_result | Rebuild of rebuild_row | Fairness of Tenant.re
 
 val jobs : ?seed:int -> scale:Rigs.scale -> unit -> (string * (unit -> part)) list
 (** The study as {!Suite} jobs: one per grid cell, one per rebuild
-    mode, and one fairness run ({!Tenant.run} with [~jobs:1]).
+    mode, and one fairness run ({!Tenant.run}).
     Labels are the cell label, [rebuild/<mode>] and [fairness]. *)
 
 val report : part list -> string * Vlog_util.Json.t

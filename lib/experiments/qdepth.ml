@@ -106,14 +106,8 @@ let make_rig ~scale ~policy ~fs seed =
     { dq; submit_nth; finish = (fun () -> ()) }
   | Vlfs ->
     let disk = Workload.Rig.drive ~profile:Rigs.seagate ~clock Workload.Rig.D_vld in
-    let logical_blocks =
-      Blockdev.Vld.export_blocks ~sectors_per_block:block_sectors
-        (Disk.Disk_sim.geometry disk)
-    in
-    let vld =
-      Blockdev.Vld.create ~sectors_per_block:block_sectors ~disk ~logical_blocks
-        ~prng:(Prng.split prng) ()
-    in
+    let logical_blocks = Blockdev.Vld.export_blocks (Disk.Disk_sim.geometry disk) in
+    let vld = Blockdev.Vld.create ~disk ~logical_blocks ~prng:(Prng.split prng) () in
     (* Bring the device to a realistic utilization before measuring;
        the measured phase overwrites blocks within the filled range. *)
     let filled =

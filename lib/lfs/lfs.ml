@@ -2,10 +2,8 @@ open Vlog_util
 
 type config = {
   segment_blocks : int;
-  partial_segment_threshold : float;
   buffer_blocks : int;
   cache_blocks : int;
-  reserve_segments : int;
   checkpoint_interval : int;
   n_inodes : int;
 }
@@ -13,13 +11,18 @@ type config = {
 let default_config =
   {
     segment_blocks = 128;
-    partial_segment_threshold = 0.75;
     buffer_blocks = 1561; (* 6.1 MB of 4 KB blocks *)
     cache_blocks = 1536;
-    reserve_segments = 2;
     checkpoint_interval = 16;
     n_inodes = 4096;
   }
+
+(* A flush seals its segment once the segment is this full, and writes a
+   partial segment below it (the paper's 75 % rule). *)
+let partial_segment_threshold = 0.75
+
+(* Segments held back for the cleaner to write into. *)
+let reserve_segments = 2
 
 type error = Blockdev.Fs_error.t
 
@@ -200,7 +203,7 @@ let blank ~dev ~host ~clock cfg ~n_segments =
 let format ~dev ~host ~clock cfg =
   let block_bytes = dev.Blockdev.Device.block_bytes in
   let n_segments = (dev.Blockdev.Device.n_blocks - seg_start) / cfg.segment_blocks in
-  if n_segments <= cfg.reserve_segments + 1 then invalid_arg "Lfs.format: device too small";
+  if n_segments <= reserve_segments + 1 then invalid_arg "Lfs.format: device too small";
   if cfg.segment_blocks - 2 > (block_bytes - 32) / 20 then
     invalid_arg "Lfs.format: segment larger than the summary can describe";
   let t = blank ~dev ~host ~clock cfg ~n_segments in
@@ -309,7 +312,7 @@ let live_blocks t = Array.fold_left ( + ) 0 t.live
 let utilization t =
   float_of_int (live_blocks t) /. float_of_int (t.n_segments * t.cfg.segment_blocks)
 
-let user_capacity t = (t.n_segments - t.cfg.reserve_segments - 1) * seg_capacity t
+let user_capacity t = (t.n_segments - reserve_segments - 1) * seg_capacity t
 
 (* ---- serialization ---- *)
 
@@ -448,7 +451,7 @@ let decode_summary ~block_bytes ~seg buf =
 
 let rec ensure_open t =
   if t.open_seg < 0 then begin
-    if (not t.cleaning) && free_segments t <= t.cfg.reserve_segments then
+    if (not t.cleaning) && free_segments t <= reserve_segments then
       ignore (force_clean t);
     (* Cleaning appends, so it may itself have opened a segment. *)
     if t.open_seg < 0 then begin
@@ -668,7 +671,7 @@ and force_clean t =
          reserve.  Live copies accumulate in the open segment and only seal
          when it is actually full (inside [append]) — sealing half-empty
          segments after every clean would hand back the space just gained. *)
-      let target_free = t.cfg.reserve_segments + 2 in
+      let target_free = reserve_segments + 2 in
       let rec go guard =
         if guard > 0 && free_segments t < target_free then
           match clean_one_segment t with
@@ -727,7 +730,7 @@ and flush_inner t =
   (* Partial-segment threshold rule. *)
   (if t.open_seg >= 0 && t.open_count > 0 then
      let fill = float_of_int t.open_count /. float_of_int (seg_capacity t) in
-     let seal = fill >= t.cfg.partial_segment_threshold in
+     let seal = fill >= partial_segment_threshold in
      bd := Breakdown.add !bd (write_open_segment t ~seal));
   !bd
 
@@ -939,7 +942,7 @@ let fsync t name =
 (* Worth cleaning only while fragmented segments exist and free space is
    scarce enough that the next buffer flush could block on the cleaner. *)
 let idle_clean_target t =
-  t.cfg.reserve_segments + 2 + ((t.cfg.buffer_blocks + seg_capacity t - 1) / seg_capacity t)
+  reserve_segments + 2 + ((t.cfg.buffer_blocks + seg_capacity t - 1) / seg_capacity t)
 
 let has_fragmented_segment t =
   let cap = seg_capacity t in
@@ -991,7 +994,7 @@ let idle_clean ?target_free t ~deadline =
   if !cleaned > 0 && t.open_seg >= 0 && t.open_count > 0 then begin
     let seal =
       float_of_int t.open_count /. float_of_int (seg_capacity t)
-      >= t.cfg.partial_segment_threshold
+      >= partial_segment_threshold
     in
     ignore (write_open_segment t ~seal)
   end;
@@ -1088,7 +1091,7 @@ let item_history t summaries =
 let recover ~dev ~host ~clock cfg =
   let block_bytes = dev.Blockdev.Device.block_bytes in
   let n_segments = (dev.Blockdev.Device.n_blocks - seg_start) / cfg.segment_blocks in
-  if n_segments <= cfg.reserve_segments + 1 then Error "Lfs.recover: device too small"
+  if n_segments <= reserve_segments + 1 then Error "Lfs.recover: device too small"
   else begin
     let t = blank ~dev ~host ~clock cfg ~n_segments in
     let layout_error = ref None in

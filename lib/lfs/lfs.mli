@@ -20,15 +20,16 @@ type t
 
 type config = {
   segment_blocks : int;            (** 128 blocks = 512 KB *)
-  partial_segment_threshold : float; (** 0.75 in the paper's experiments *)
   buffer_blocks : int;             (** write buffer (a.k.a. NVRAM), 6.1 MB *)
   cache_blocks : int;              (** read cache capacity *)
-  reserve_segments : int;          (** segments the cleaner may write into *)
   checkpoint_interval : int;       (** seals between checkpoint writes *)
   n_inodes : int;
 }
 
 val default_config : config
+(** Every LFS also keeps two reserve segments for the cleaner to write
+    into and seals a segment once a flush fills 75 % of it (the paper's
+    partial-segment rule). *)
 
 val format :
   dev:Blockdev.Device.t -> host:Host.t -> clock:Vlog_util.Clock.t -> config -> t

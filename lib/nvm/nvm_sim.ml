@@ -48,17 +48,17 @@ type t = {
   mutable auto_drains : int;
 }
 
-let create ?(profile = default_profile) ?image ?(trace = Trace.null) ~clock () =
+let create ?image ?(trace = Trace.null) ~clock () =
   let persisted =
     match image with
-    | None -> Bytes.make profile.size_bytes '\000'
+    | None -> Bytes.make default_profile.size_bytes '\000'
     | Some img ->
-      if Bytes.length img <> profile.size_bytes then
+      if Bytes.length img <> default_profile.size_bytes then
         invalid_arg "Nvm_sim.create: image size does not match profile";
       Bytes.copy img
   in
   {
-    profile;
+    profile = default_profile;
     clock;
     trace;
     merged = Bytes.copy persisted;

@@ -30,15 +30,9 @@ type profile = {
 
 type t
 
-val create :
-  ?profile:profile ->
-  ?image:Bytes.t ->
-  ?trace:Trace.sink ->
-  clock:Vlog_util.Clock.t ->
-  unit ->
-  t
-(** A fresh NVM region, by default an 8 MiB one with 300 ns loads, 700 ns
-    stores, 2 GB/s, a 500 ns persist barrier and a 16 KiB volatile front.
+val create : ?image:Bytes.t -> ?trace:Trace.sink -> clock:Vlog_util.Clock.t -> unit -> t
+(** A fresh NVM region: an 8 MiB one with 300 ns loads, 700 ns stores,
+    2 GB/s, a 500 ns persist barrier and a 16 KiB volatile front.
     It is zeroed unless [image] supplies existing persisted
     contents (e.g. a {!snapshot} taken at a simulated power failure; it
     is copied, and must be exactly [profile.size_bytes] long). *)

@@ -121,12 +121,18 @@ let replay_scan img =
 type config = {
   destage_util : float;
   log_bytes : int option;
-  max_stage_run : int;
-  destage_batch : int;
 }
 
-let default_config =
-  { destage_util = 0.5; log_bytes = None; max_stage_run = 4; destage_batch = 8 }
+let default_config = { destage_util = 0.5; log_bytes = None }
+
+(* Multi-block writes of at most this many blocks are staged (one record
+   per block, a single persist); larger runs drain the log and bypass
+   straight to the backing device. *)
+let max_stage_run = 4
+
+(* Staged entries submitted to the backing device per submit/drain
+   window. *)
+let destage_batch = 8
 
 (* A staged entry's payload lives only in the NVM log; destage and
    overlay reads fetch it from there (and pay the NVM load for it). *)
@@ -265,12 +271,12 @@ let drain t =
             ~retries:3
         | [] -> assert false)
     else
-      match destage_window t ~limit:t.cfg.destage_batch with
+      match destage_window t ~limit:destage_batch with
       | Ok _ -> go (budget - 1)
       | Error _ when remaining t > 0 && budget > 1 -> go (budget - 1)
       | Error e -> Error e
   in
-  go (3 + ((remaining t + t.cfg.destage_batch - 1) / max 1 t.cfg.destage_batch))
+  go (3 + ((remaining t + destage_batch - 1) / destage_batch))
 
 (* The duty-cycle pump, mirroring the volume layer's rebuild_util: a
    window [now, deadline) grants [destage_util] of its span; destage
@@ -367,7 +373,7 @@ let dev_write t block payload =
 let dev_write_run t block payload =
   let bb = t.inner.Device.block_bytes in
   let n = (Bytes.length payload + bb - 1) / bb in
-  if n <= t.cfg.max_stage_run then begin
+  if n <= max_stage_run then begin
     let pairs =
       List.init n (fun i ->
           let len = min bb (Bytes.length payload - (i * bb)) in

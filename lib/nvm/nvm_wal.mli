@@ -58,18 +58,14 @@ type config = {
   log_bytes : int option;
       (** cap the log region below the NVM size — [None] uses the whole
           device.  Tiny caps exercise the backpressure path. *)
-  max_stage_run : int;
-      (** multi-block writes of at most this many blocks are staged
-          (one record per block, a single persist); larger runs drain
-          the log and bypass straight to the backing device *)
-  destage_batch : int;
-      (** staged entries submitted to the backing device per
-          submit/drain window *)
 }
 
 val default_config : config
-(** [destage_util = 0.5], whole-device log, [max_stage_run = 4],
-    [destage_batch = 8]. *)
+(** [destage_util = 0.5] and a whole-device log.  Every tier stages a
+    multi-block write of at most 4 blocks (one record per block, a
+    single persist); a larger run first drains the log, then bypasses it
+    straight to the backing device.  The destager submits 8 staged
+    entries per submit/drain window. *)
 
 type t
 

@@ -1,27 +1,14 @@
 open Vlog_util
 
-type config = {
-  tenants : int;
-  shards : int;
-  layout : Volume.layout;
-  leg_kind : Volume.leg_kind;
-  blocks_per_shard : int;
-  ops_per_tenant : int;
-  rate_per_s : float;
-  seed : int64;
-}
+type config = { shards : int; ops_per_tenant : int }
 
-let default =
-  {
-    tenants = 4;
-    shards = 4;
-    layout = Volume.Mirror 2;
-    leg_kind = Volume.Vld_leg;
-    blocks_per_shard = 128;
-    ops_per_tenant = 200;
-    rate_per_s = 150.;
-    seed = 0x7e4a47L;
-  }
+(* Four tenants, each offering 150 requests/s, on shards of 128 blocks
+   mirrored over two VLD legs; every schedule and shard derives from one
+   seed. *)
+let tenants = 4
+let rate_per_s = 150.
+let blocks_per_shard = 128
+let seed = 0x7e4a47L
 
 type op = { o_tenant : int; o_at : float; o_block : int }
 
@@ -40,16 +27,13 @@ let shard_of ~shards ~tenant ~idx =
   Int64.to_int (Int64.logand z 0x3FFFFFFFL) mod shards
 
 let plan cfg =
-  if cfg.tenants < 1 || cfg.shards < 1 then
-    invalid_arg "Tenant.plan: need at least one tenant and one shard";
+  if cfg.shards < 1 then invalid_arg "Tenant.plan: need at least one shard";
   let buckets = Array.make cfg.shards [] in
-  for t = 0 to cfg.tenants - 1 do
-    let prng =
-      Prng.create ~seed:(Int64.add cfg.seed (Int64.of_int ((t + 1) * 0x10001)))
-    in
+  for t = 0 to tenants - 1 do
+    let prng = Prng.create ~seed:(Int64.add seed (Int64.of_int ((t + 1) * 0x10001))) in
     let arrivals =
-      Workload.Open_loop.arrivals ~prng ~process:Workload.Open_loop.Poisson
-        ~rate_per_s:cfg.rate_per_s ~start:0. cfg.ops_per_tenant
+      Workload.Open_loop.arrivals ~prng ~process:Workload.Open_loop.Poisson ~rate_per_s
+        ~start:0. cfg.ops_per_tenant
     in
     List.iteri
       (fun i at ->
@@ -65,7 +49,7 @@ let plan cfg =
       List.rev ops
       |> List.stable_sort (fun a b -> compare a.o_at b.o_at)
       |> List.map (fun o ->
-             let b = !next mod cfg.blocks_per_shard in
+             let b = !next mod blocks_per_shard in
              incr next;
              { o with o_block = b }))
     buckets
@@ -92,13 +76,13 @@ type result = {
 
 let profile = Disk.Profile.with_cylinders Disk.Profile.st19101 4
 
-let run_shard ?(trace = false) cfg ~shard ops =
+let run_shard ?(trace = false) ~shard ops =
   let clock = Clock.create () in
   let sink = if trace then Trace.create ~clock () else Trace.null in
   let vol =
-    Workload.Rig.volume ~trace:sink ~spare:false ~profile ~clock ~layout:cfg.layout
-      ~leg_kind:cfg.leg_kind ~logical_blocks:cfg.blocks_per_shard
-      ~prng:(Prng.create ~seed:(Int64.add cfg.seed (Int64.of_int (shard * 17))))
+    Workload.Rig.volume ~trace:sink ~spare:false ~profile ~clock ~layout:(Volume.Mirror 2)
+      ~leg_kind:Volume.Vld_leg ~logical_blocks:blocks_per_shard
+      ~prng:(Prng.create ~seed:(Int64.add seed (Int64.of_int (shard * 17))))
       ()
   in
   let bs = Volume.block_bytes vol in
@@ -117,9 +101,9 @@ let run_shard ?(trace = false) cfg ~shard ops =
   in
   (samples, sink)
 
-let summarize cfg samples ~elapsed_ms =
+let summarize samples ~elapsed_ms =
   let per_tenant =
-    List.init cfg.tenants (fun t ->
+    List.init tenants (fun t ->
         let mine = List.filter (fun (t', _, _) -> t' = t) samples in
         let lats = List.map (fun (_, _, l) -> l) mine in
         let n = List.length lats in
@@ -173,27 +157,15 @@ let summarize cfg samples ~elapsed_ms =
       (if elapsed_ms > 0. then float_of_int total_ops /. elapsed_ms *. 1000. else 0.);
   }
 
-let run ?jobs cfg =
-  let jobs = match jobs with Some j -> j | None -> Par.default_jobs () in
+let run cfg =
   let schedule = plan cfg in
-  let shard_ids = List.init cfg.shards Fun.id in
-  let results =
-    (* samples only: a trace sink would not survive the Marshal pipe *)
-    Par.map ~jobs (fun s -> fst (run_shard cfg ~shard:s schedule.(s))) shard_ids
-  in
   let samples =
-    List.concat_map
-      (function
-        | Ok rs -> rs
-        | Error e ->
-          failwith
-            (Printf.sprintf "Tenant.run: shard %d failed: %s" e.Par.index
-               (Par.reason_to_string e.Par.reason)))
-      results
+    List.concat
+      (List.init cfg.shards (fun s -> fst (run_shard ~shard:s schedule.(s))))
   in
   (* Shards are independent timelines running concurrently: the study's
      simulated span is the slowest shard's span. *)
   let elapsed_ms =
     List.fold_left (fun a (_, at, l) -> Float.max a (at +. l)) 0. samples
   in
-  summarize cfg samples ~elapsed_ms
+  summarize samples ~elapsed_ms

@@ -4,26 +4,19 @@
     of small writes to one shared namespace.  A namespace hash maps
     every request onto one of [s] independent volume shards — each shard
     its own clock, spindles and {!Volume.t} — so the shard simulations
-    are embarrassingly parallel and fan out across cores via {!Par.map}.
-    Every disk command a request scatters carries its tenant as the
+    share no state and run one after another.  Every disk command a request scatters carries its tenant as the
     queue [owner] tag, so the drives' trace sinks accumulate per-tenant
     latency histograms ({!Trace.pp_summary} renders them as a fairness
     table), while the driver records exact per-request wall latencies at
     the host for the merged fairness report. *)
 
 type config = {
-  tenants : int;  (** client streams *)
   shards : int;  (** independent volume shards *)
-  layout : Volume.layout;  (** per-shard layout *)
-  leg_kind : Volume.leg_kind;
-  blocks_per_shard : int;
   ops_per_tenant : int;
-  rate_per_s : float;  (** offered load per tenant, requests/s *)
-  seed : int64;
 }
-
-val default : config
-(** 4 tenants, 4 mirrored VLD shards, 200 ops each at 150 req/s. *)
+(** Every study runs 4 tenants, each offering 150 requests/s, against
+    128-block shards mirrored over two VLD legs, all seeded from one
+    fixed seed. *)
 
 type op = {
   o_tenant : int;
@@ -62,7 +55,6 @@ type result = {
 
 val run_shard :
   ?trace:bool ->
-  config ->
   shard:int ->
   op list ->
   (int * float * float) list * Trace.sink
@@ -74,7 +66,6 @@ val run_shard :
     queue histograms {!Trace.pp_summary} renders as a fairness table;
     otherwise the returned sink is {!Trace.null}. *)
 
-val run : ?jobs:int -> config -> result
-(** The full study: {!plan}, fan the shards across [jobs] workers
-    (default {!Par.default_jobs}), merge and summarize.  Deterministic
-    in [config] regardless of [jobs]. *)
+val run : config -> result
+(** The full study: {!plan}, simulate every shard, merge and
+    summarize.  Deterministic in [config]. *)

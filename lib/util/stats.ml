@@ -76,42 +76,3 @@ module Acc = struct
   let stddev t = if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int t.n)
   let total t = t.total
 end
-
-module Histogram = struct
-  type t = { limit : float; width : float; counts : int array; mutable total : int }
-
-  let create ~buckets ~limit =
-    if buckets <= 0 then invalid_arg "Histogram.create: buckets must be positive";
-    if limit <= 0. then invalid_arg "Histogram.create: limit must be positive";
-    {
-      limit;
-      width = limit /. float_of_int buckets;
-      counts = Array.make (buckets + 1) 0;
-      total = 0;
-    }
-
-  let add t x =
-    let buckets = Array.length t.counts - 1 in
-    let idx =
-      if x >= t.limit || x < 0. then buckets
-      else
-        let i = int_of_float (x /. t.width) in
-        if i >= buckets then buckets else i
-    in
-    t.counts.(idx) <- t.counts.(idx) + 1;
-    t.total <- t.total + 1
-
-  let count t = t.total
-  let bucket_counts t = Array.copy t.counts
-
-  let pp ppf t =
-    let buckets = Array.length t.counts - 1 in
-    for i = 0 to buckets - 1 do
-      if t.counts.(i) > 0 then
-        Format.fprintf ppf "[%.2f,%.2f): %d@." (float_of_int i *. t.width)
-          (float_of_int (i + 1) *. t.width)
-          t.counts.(i)
-    done;
-    if t.counts.(buckets) > 0 then
-      Format.fprintf ppf "[%.2f,inf): %d@." t.limit t.counts.(buckets)
-end

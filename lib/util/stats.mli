@@ -37,17 +37,3 @@ module Acc : sig
   val stddev : t -> float
   val total : t -> float
 end
-
-(** Fixed-bucket histogram over [\[0, limit)] with uniform bucket width;
-    values at or beyond [limit] land in an overflow bucket. *)
-module Histogram : sig
-  type t
-
-  val create : buckets:int -> limit:float -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val bucket_counts : t -> int array
-  (** Length [buckets + 1]; last entry is the overflow bucket. *)
-
-  val pp : Format.formatter -> t -> unit
-end

@@ -5,7 +5,6 @@ type config = {
   sync_writes : bool;
   buffer_blocks : int;
   cache_blocks : int;
-  switch_free_fraction : float;
 }
 
 let default_config =
@@ -14,7 +13,6 @@ let default_config =
     sync_writes = true;
     buffer_blocks = 1561;
     cache_blocks = 1536;
-    switch_free_fraction = 0.25;
   }
 
 type error = Blockdev.Fs_error.t
@@ -183,13 +181,10 @@ let make ~disk ~vlog ~host ~clock cfg =
   }
 
 let format ~disk ~host ~clock cfg =
-  let vcfg =
-    {
-      (Vlog.Virtual_log.default_config ~logical_blocks:(cfg.n_inodes * max_parts)) with
-      Vlog.Virtual_log.switch_free_fraction = cfg.switch_free_fraction;
-    }
+  let vlog =
+    Vlog.Virtual_log.format ~disk
+      (Vlog.Virtual_log.default_config ~logical_blocks:(cfg.n_inodes * max_parts))
   in
-  let vlog = Vlog.Virtual_log.format ~disk vcfg in
   let t = make ~disk ~vlog ~host ~clock cfg in
   Bytes.set t.inode_used dir_inum '\001';
   let dirn = { inum = dir_inum; size = 0; blocks = [||] } in

@@ -32,12 +32,12 @@ type config = {
   sync_writes : bool;  (** flush after every write (the fsync-heavy mode) *)
   buffer_blocks : int; (** write-buffer capacity for the async mode *)
   cache_blocks : int;
-  switch_free_fraction : float; (** eager-writing track-fill threshold *)
 }
 
 val default_config : config
-(** 2048 inodes, synchronous, 6.1 MB buffer when async, 6 MB cache,
-    25 % switch threshold. *)
+(** 2048 inodes, synchronous, 6.1 MB buffer when async, 6 MB cache.  The
+    virtual log under it keeps {!Vlog.Virtual_log.default_config}'s
+    placement (the 25 % track-switch threshold). *)
 
 val format :
   disk:Disk.Disk_sim.t -> host:Host.t -> clock:Vlog_util.Clock.t -> config -> t

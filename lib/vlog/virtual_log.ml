@@ -4,18 +4,14 @@ type config = {
   logical_blocks : int;
   sectors_per_block : int;
   eager_mode : Eager.mode;
-  switch_free_fraction : float;
-  checkpoint_interval : int;
 }
 
 let default_config ~logical_blocks =
-  {
-    logical_blocks;
-    sectors_per_block = 8;
-    eager_mode = Eager.Sweep;
-    switch_free_fraction = 0.25;
-    checkpoint_interval = 64;
-  }
+  { logical_blocks; sectors_per_block = 8; eager_mode = Eager.Sweep }
+
+(* A checkpoint node is written every this many node writes, bounding
+   recovery depth. *)
+let checkpoint_interval = 64L
 
 type piece = {
   idx : int;
@@ -146,10 +142,7 @@ let write_node t piece ~txn_id ~commit =
      history a recovery must walk.  One is written when takeover pointers
      would overflow the node, and periodically regardless (the analogue
      of VLFS writing its inode map out at intervals). *)
-  let periodic =
-    t.cfg.checkpoint_interval > 0
-    && Int64.rem t.seq (Int64.of_int t.cfg.checkpoint_interval) = 0L
-  in
+  let periodic = Int64.rem t.seq checkpoint_interval = 0L in
   let kind, ptrs =
     if periodic || List.length inherited > Map_codec.max_ptrs then
       (Map_codec.Checkpoint, dedup_ptrs (checkpoint_ptrs t piece.idx))
@@ -331,10 +324,7 @@ let format ~disk cfg =
     invalid_arg "Virtual_log.format: too many map pieces for checkpoint nodes";
   let freemap = Freemap.create ~profile:(Disk.Disk_sim.profile disk) ~sectors_per_block:cfg.sectors_per_block in
   check_capacity ~freemap ~logical_blocks:cfg.logical_blocks ~n_pieces:(Array.length pieces);
-  let eager =
-    Eager.create ~mode:cfg.eager_mode ~switch_free_fraction:cfg.switch_free_fraction ~disk
-      ~freemap ()
-  in
+  let eager = Eager.create ~mode:cfg.eager_mode ~disk ~freemap () in
   Freemap.occupy freemap landing_pba;
   let t =
     {
@@ -383,28 +373,20 @@ type recovery_report = {
 }
 
 (* Rebuild in-memory state from recovered piece nodes. *)
-let rebuild ~disk ~eager_mode ~switch_free_fraction ~logical_blocks ~sectors_per_block
-    ~recovered =
+let rebuild ~disk ~logical_blocks ~sectors_per_block ~recovered =
   let g = Disk.Disk_sim.geometry disk in
   let block_bytes = sectors_per_block * g.Disk.Geometry.sector_bytes in
   let entries_per_piece = Map_codec.max_entries ~block_bytes in
   let pieces = make_pieces ~logical_blocks ~entries_per_piece in
   let freemap = Freemap.create ~profile:(Disk.Disk_sim.profile disk) ~sectors_per_block in
-  let eager = Eager.create ~mode:eager_mode ~switch_free_fraction ~disk ~freemap () in
+  let eager = Eager.create ~disk ~freemap () in
   Freemap.occupy freemap landing_pba;
   let t =
     {
       disk;
       freemap;
       eager;
-      cfg =
-        {
-          logical_blocks;
-          sectors_per_block;
-          eager_mode;
-          switch_free_fraction;
-          checkpoint_interval = (default_config ~logical_blocks).checkpoint_interval;
-        };
+      cfg = { (default_config ~logical_blocks) with sectors_per_block };
       block_bytes;
       entries_per_piece;
       pieces;
@@ -601,7 +583,7 @@ let scan ~disk ~sectors_per_block =
   let recovered = Hashtbl.fold (fun _ v acc -> v :: acc) nodes [] in
   (recovered, !bd, !scanned, !uncommitted, !unreadable)
 
-let recover_untraced ~eager_mode ~switch_free_fraction ~disk () =
+let recover_untraced ~disk =
   (* Probe the landing zone with the smallest sensible block (one sector
      holds the whole record; we read 8 sectors to cover the common 4 KB
      layout, then re-read nothing: config comes from the record). *)
@@ -649,8 +631,7 @@ let recover_untraced ~eager_mode ~switch_free_fraction ~disk () =
               0 recovered
         in
         let t =
-          rebuild ~disk ~eager_mode ~switch_free_fraction ~logical_blocks
-            ~sectors_per_block ~recovered
+          rebuild ~disk ~logical_blocks ~sectors_per_block ~recovered
         in
         let bd2 = clear_tail t.block_bytes in
         Ok
@@ -689,8 +670,8 @@ let recover_untraced ~eager_mode ~switch_free_fraction ~disk () =
       let bd_acc = Breakdown.add bd0 bd1 in
       if List.length recovered >= tail.Map_codec.n_pieces then begin
         let t =
-          rebuild ~disk ~eager_mode ~switch_free_fraction
-            ~logical_blocks:tail.Map_codec.logical_blocks ~sectors_per_block ~recovered
+          rebuild ~disk ~logical_blocks:tail.Map_codec.logical_blocks ~sectors_per_block
+            ~recovered
         in
         let bd2 = clear_tail t.block_bytes in
         Ok
@@ -718,13 +699,13 @@ let recover_untraced ~eager_mode ~switch_free_fraction ~disk () =
          is self-describing enough to infer the configuration. *)
       fresh_scan bd0)
 
-let recover ?(eager_mode = Eager.Sweep) ?(switch_free_fraction = 0.25) ~disk () =
+let recover ~disk () =
   (* The recovery span is exited without an explicit breakdown: it
      records the fold of its children (every platter read and the
      landing-zone clear), which is exact by construction. *)
   let tr = Disk.Disk_sim.trace disk in
   let sp = if Trace.enabled tr then Trace.enter tr "vlog.recover" else Vlog_util.Io.no_span in
-  let r = recover_untraced ~eager_mode ~switch_free_fraction ~disk () in
+  let r = recover_untraced ~disk in
   Trace.exit tr sp;
   r
 

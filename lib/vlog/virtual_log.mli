@@ -27,15 +27,12 @@ type config = {
   logical_blocks : int;
   sectors_per_block : int;
   eager_mode : Eager.mode;
-  switch_free_fraction : float;
-  checkpoint_interval : int;
-      (** write a checkpoint node every this many node writes (bounds
-          recovery depth); 0 disables periodic checkpoints *)
 }
 
 val default_config : logical_blocks:int -> config
-(** 4 KB blocks (8 sectors), [Sweep] eager mode, 25 % switch threshold,
-    checkpoint every 64 node writes. *)
+(** 4 KB blocks (8 sectors) and [Sweep] eager mode.  The track-switch
+    threshold is {!Eager.create}'s 25 %, and a checkpoint node is written
+    every 64 node writes (bounding recovery depth). *)
 
 val format : disk:Disk.Disk_sim.t -> config -> t
 (** Initialize a fresh virtual log on the disk: reserves the landing
@@ -91,14 +88,9 @@ type recovery_report = {
   duration : Vlog_util.Breakdown.t;
 }
 
-val recover :
-  ?eager_mode:Eager.mode ->
-  ?switch_free_fraction:float ->
-  disk:Disk.Disk_sim.t ->
-  unit ->
-  (t * recovery_report, string) result
+val recover : disk:Disk.Disk_sim.t -> unit -> (t * recovery_report, string) result
 (** Rebuild the virtual log from the platters alone (after a crash or a
-    clean power-down).  Clears the tail record after using it, as the
+    clean power-down).  The recovered log places in [Sweep] eager mode.  Clears the tail record after using it, as the
     paper prescribes, so a later crash cannot trust a stale record.
     Defect-tolerant: transient read errors are retried, an unreadable or
     corrupt landing zone falls back to the signature scan, and corrupt

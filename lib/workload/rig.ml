@@ -191,7 +191,7 @@ let format ?(host = Host.free) ?trace ?spare_blocks ?vld_eager_mode ?vld_compact
     let nvm, wal =
       match r.on with
       | D_nvm _ ->
-        let nvm = Nvm.Nvm_sim.create ~clock () in
+        let nvm = Nvm.Nvm_sim.create ?trace ~clock () in
         (Some nvm, Some (Nvm.Nvm_wal.create ~config:wal ~nvm ~inner ()))
       | _ -> (None, None)
     in

@@ -132,7 +132,7 @@ let test_buffer_whole_track () =
   Alcotest.(check bool) "hit lower too" true (Track_buffer.hit b ~track_index:3 ~sector:5 ~sectors:2)
 
 let test_buffer_whole_track_lru () =
-  let b = Track_buffer.create ~slots:2 Track_buffer.Whole_track in
+  let b = Track_buffer.create Track_buffer.Whole_track in
   Track_buffer.note_read b ~track_index:1 ~sector:0 ~sectors_per_track:72;
   Track_buffer.note_read b ~track_index:2 ~sector:0 ~sectors_per_track:72;
   Track_buffer.note_read b ~track_index:3 ~sector:0 ~sectors_per_track:72;

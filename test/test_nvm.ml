@@ -17,7 +17,7 @@ let make_stack ?(log_bytes = None) () =
       ~prng:(Prng.create ~seed:7L) ()
   in
   let nvm = Nvm.Nvm_sim.create ~clock () in
-  let cfg = { Nvm.Nvm_wal.default_config with destage_util = 0.; log_bytes } in
+  let cfg = { Nvm.Nvm_wal.destage_util = 0.; log_bytes } in
   let wal =
     Nvm.Nvm_wal.create ~config:cfg ~nvm ~inner:(Blockdev.Vld.device vld) ()
   in
@@ -263,7 +263,7 @@ let test_log_holds_one_record () =
   let nvm = Nvm.Nvm_sim.create ~clock () in
   let create n =
     let config =
-      { Nvm.Nvm_wal.default_config with destage_util = 0.; log_bytes = Some n }
+      { Nvm.Nvm_wal.destage_util = 0.; log_bytes = Some n }
     in
     Nvm.Nvm_wal.create ~config ~nvm ~inner ()
   in
@@ -290,6 +290,30 @@ let test_log_holds_one_record () =
       | Error _ -> Alcotest.failf "read of block %d failed" block)
     [ (0, 'c'); (1, 'b'); (2, 'd') ]
 
+(* A run of up to four blocks stages one record per block; a five-block
+   run drains the log first and bypasses it to the backing device. *)
+let test_stage_run_boundary () =
+  let _, _, _, wal = make_stack () in
+  let dev = Nvm.Nvm_wal.device wal and inner = Nvm.Nvm_wal.inner wal in
+  let write_run block n fill =
+    match dev.Blockdev.Device.write_run block (Bytes.make (n * block_bytes) fill) with
+    | Ok c -> Io.counter c "nvm_staged"
+    | Error _ -> Alcotest.failf "%d-block run refused" n
+  in
+  let entries () = (Nvm.Nvm_wal.status wal).Nvm.Nvm_wal.st_entries in
+  Alcotest.(check int) "4-block run staged" 4 (write_run 0 4 'a');
+  Alcotest.(check int) "4 records in the log" 4 (entries ());
+  Alcotest.(check int) "5-block run not staged" 0 (write_run 8 5 'b');
+  Alcotest.(check int) "log empty" 0 (entries ());
+  List.iter
+    (fun (block, fill) ->
+      match inner.Blockdev.Device.read block with
+      | Ok (bytes, _) ->
+        Alcotest.(check char) (Printf.sprintf "block %d on the backing device" block)
+          fill (Bytes.get bytes 0)
+      | Error _ -> Alcotest.failf "read of block %d failed" block)
+    (List.init 4 (fun b -> (b, 'a')) @ List.init 5 (fun b -> (8 + b, 'b')))
+
 let suites =
   [
     ("nvm:codec", List.map QCheck_alcotest.to_alcotest qcheck_codec);
@@ -302,5 +326,6 @@ let suites =
           test_tiny_log_backpressure;
         Alcotest.test_case "log region holds one record" `Quick
           test_log_holds_one_record;
+        Alcotest.test_case "stage-run boundary" `Quick test_stage_run_boundary;
       ] );
   ]

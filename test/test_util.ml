@@ -110,13 +110,6 @@ let test_acc_matches_list () =
   Alcotest.(check (float 1e-6)) "stddev" (Stats.stddev xs) (Stats.Acc.stddev acc);
   Alcotest.(check int) "n" 1000 (Stats.Acc.n acc)
 
-let test_histogram () =
-  let h = Stats.Histogram.create ~buckets:4 ~limit:4. in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.7; 3.9; 7. ];
-  let counts = Stats.Histogram.bucket_counts h in
-  Alcotest.(check (array int)) "counts" [| 1; 2; 0; 1; 1 |] counts;
-  Alcotest.(check int) "total" 5 (Stats.Histogram.count h)
-
 (* ---- Checksum ---- *)
 
 let test_checksum_deterministic () =
@@ -364,13 +357,6 @@ let qcheck_tests =
       (fun (xs, p) ->
         let v = Stats.percentile p xs in
         v >= List.fold_left min infinity xs && v <= List.fold_left max neg_infinity xs);
-    Test.make ~name:"histogram conserves count" ~count:200
-      (list (float_range (-10.) 50.))
-      (fun xs ->
-        let h = Stats.Histogram.create ~buckets:8 ~limit:32. in
-        List.iter (Stats.Histogram.add h) xs;
-        Stats.Histogram.count h = List.length xs
-        && Array.fold_left ( + ) 0 (Stats.Histogram.bucket_counts h) = List.length xs);
     Test.make ~name:"breakdown add is componentwise" ~count:200
       (pair (quad (float_range 0. 9.) (float_range 0. 9.) (float_range 0. 9.) (float_range 0. 9.))
          (quad (float_range 0. 9.) (float_range 0. 9.) (float_range 0. 9.) (float_range 0. 9.)))
@@ -416,7 +402,6 @@ let suites =
         Alcotest.test_case "percentile empty" `Quick test_percentile_empty;
         Alcotest.test_case "summary" `Quick test_summary;
         Alcotest.test_case "acc matches list" `Quick test_acc_matches_list;
-        Alcotest.test_case "histogram" `Quick test_histogram;
       ] );
     ( "util:checksum",
       [

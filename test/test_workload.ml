@@ -293,6 +293,21 @@ let test_leg_buffer_policy () =
       | Error e -> Alcotest.fail e)
     [ (Volume.Regular_leg, 0, "regular"); (Volume.Vld_leg, 1, "vld") ]
 
+(* An NVM rig's staging tier counts its persist barriers into the
+   stack's trace sink. *)
+let test_nvm_rig_traced () =
+  let s, _ =
+    Experiments.Rigs.rig ~trace:true
+      ~profile:(Disk.Profile.with_cylinders Disk.Profile.st19101 6)
+      { fs = F_ufs; on = D_nvm W_vld }
+  in
+  let sink = Disk.Disk_sim.trace s.disks.(0) in
+  ignore (Workload.Fs.exn @@ Workload.Fs.create s.fs "f");
+  let before = Trace.counter sink "nvm.persists" in
+  ignore (Workload.Fs.exn @@ Workload.Fs.write s.fs "f" ~off:0 (Bytes.make 4096 'n'));
+  Alcotest.(check bool) "the write persisted through the NVM" true
+    (Trace.counter sink "nvm.persists" > before)
+
 let suites =
   [
     ( "workload:setup",
@@ -303,6 +318,7 @@ let suites =
         Alcotest.test_case "elapsed" `Quick test_elapsed_measures_clock;
         Alcotest.test_case "idle advances clock" `Quick test_idle_advances_clock;
         Alcotest.test_case "drives get their leg's buffer" `Quick test_leg_buffer_policy;
+        Alcotest.test_case "nvm rig counts persists" `Quick test_nvm_rig_traced;
       ] );
     ( "workload:drivers",
       [
