@@ -44,25 +44,31 @@ let max_retries = 3
 
 (* One attempt per call, the cost so far carried in [bd]: no closure and
    no ref, so the read path allocates nothing of its own. *)
-let rec read_attempt disk ~span ~block ~lba ~sectors ~bd attempts =
-  let r, cost = Disk.Disk_sim.read_checked ~scsi:(attempts = 0) disk ~lba ~sectors in
+let rec read_attempt disk ~span ~block ~lba ~sectors buf ~pos ~bd attempts =
+  let r, cost =
+    Disk.Disk_sim.read_checked_into ~scsi:(attempts = 0) disk ~lba ~sectors buf ~pos
+  in
   let bd = Vlog_util.Breakdown.add bd cost in
   match r with
-  | Ok data ->
+  | Ok () ->
     let tr = Disk.Disk_sim.trace disk in
     if attempts > 0 then Trace.incr tr ~by:attempts "dev.read_retries";
     Trace.exit tr ~bd span;
-    Ok (data, Vlog_util.Io.make ~span ~counters:(retry_counters attempts) bd)
+    Ok (Vlog_util.Io.make ~span ~counters:(retry_counters attempts) bd)
   | Error e when e.Disk.Disk_sim.transient && attempts < max_retries ->
-    read_attempt disk ~span ~block ~lba ~sectors ~bd (attempts + 1)
+    read_attempt disk ~span ~block ~lba ~sectors buf ~pos ~bd (attempts + 1)
   | Error e ->
     let tr = Disk.Disk_sim.trace disk in
     if attempts > 0 then Trace.incr tr ~by:attempts "dev.failed_retries";
     Trace.exit tr ~bd span;
     Error (err ~op:`Read ~block ~e ~retries:attempts)
 
-let read_retrying disk ~span ~block ~lba ~sectors =
-  read_attempt disk ~span ~block ~lba ~sectors ~bd:Vlog_util.Breakdown.zero 0
+let read_retrying disk ~span ~block ~lba ~sectors buf ~pos =
+  read_attempt disk ~span ~block ~lba ~sectors buf ~pos ~bd:Vlog_util.Breakdown.zero 0
+
+let check_window ~block_bytes count buf ~pos =
+  if pos < 0 || pos + (count * block_bytes) > Bytes.length buf then
+    invalid_arg "Device.read_into: buffer window out of bounds"
 
 let merge_counters a b =
   List.fold_left
@@ -75,6 +81,7 @@ let merge_counters a b =
 type req =
   | Read of int
   | Read_run of int * int
+  | Read_into of int * int * Bytes.t * int
   | Write of int * Bytes.t
   | Write_run of int * Bytes.t
 
@@ -91,6 +98,8 @@ type t = {
   trace : Trace.sink;
   read : int -> (Bytes.t * Vlog_util.Io.completion, io_error) result;
   read_run : int -> int -> (Bytes.t * Vlog_util.Io.completion, io_error) result;
+  read_into :
+    int -> int -> Bytes.t -> pos:int -> (Vlog_util.Io.completion, io_error) result;
   write : int -> Bytes.t -> (Vlog_util.Io.completion, io_error) result;
   write_run : int -> Bytes.t -> (Vlog_util.Io.completion, io_error) result;
   submit : req -> int;
@@ -101,15 +110,14 @@ type t = {
   utilization : unit -> float;
 }
 
-(* The host-side FIFO queue adapter every implementation's [device]
-   constructor uses: submissions accumulate, [drain] services them in
-   submission order through the synchronous closures, [poll] hands the
+(* The host-side FIFO queue adapter: submissions accumulate, [drain]
+   services them in submission order through [serve], [poll] hands the
    acks over exactly once.  Because service happens at the barrier in
    FIFO order, submit-then-drain of a single request is byte-identical
    to calling the synchronous closure directly — which is how the
    raising wrappers below are derived.  Devices with a genuinely
    reordering drive queue (the VLD) expose that separately. *)
-let sync_queue ~read ~read_run ~write ~write_run =
+let fifo serve =
   let next = ref 0 in
   let backlog = ref [] (* newest first *) in
   let acked = ref [] (* newest first *) in
@@ -125,21 +133,53 @@ let sync_queue ~read ~read_run ~write ~write_run =
     out
   in
   let drain () =
-    let serve (tag, req) =
-      let ack =
-        match req with
-        | Read b -> Result.map (fun (d, c) -> Data (d, c)) (read b)
-        | Read_run (b, n) -> Result.map (fun (d, c) -> Data (d, c)) (read_run b n)
-        | Write (b, buf) -> Result.map (fun c -> Done c) (write b buf)
-        | Write_run (b, buf) -> Result.map (fun c -> Done c) (write_run b buf)
-      in
-      acked := (tag, ack) :: !acked
-    in
-    List.iter serve (List.rev !backlog);
+    List.iter (fun (tag, req) -> acked := (tag, serve req) :: !acked) (List.rev !backlog);
     backlog := [];
     poll ()
   in
   (submit, poll, drain)
+
+let serve ~read ~read_run ~read_into ~write ~write_run = function
+  | Read b -> Result.map (fun (d, c) -> Data (d, c)) (read b)
+  | Read_run (b, n) -> Result.map (fun (d, c) -> Data (d, c)) (read_run b n)
+  | Read_into (b, n, buf, pos) -> Result.map (fun c -> Done c) (read_into b n buf ~pos)
+  | Write (b, buf) -> Result.map (fun c -> Done c) (write b buf)
+  | Write_run (b, buf) -> Result.map (fun c -> Done c) (write_run b buf)
+
+let sync_queue ~read ~read_run ~write ~write_run =
+  let read_into b n buf ~pos =
+    Result.map
+      (fun (d, c) ->
+        Bytes.blit d 0 buf pos (Bytes.length d);
+        c)
+      (read_run b n)
+  in
+  fifo (serve ~read ~read_run ~read_into ~write ~write_run)
+
+let make ~name ~block_bytes ~n_blocks ~trace ~read ~read_into ~write ~write_run ~trim
+    ~idle ~utilization =
+  let read_run b n =
+    let buf = Bytes.create (max 0 n * block_bytes) in
+    Result.map (fun c -> (buf, c)) (read_into b n buf ~pos:0)
+  in
+  let submit, poll, drain = fifo (serve ~read ~read_run ~read_into ~write ~write_run) in
+  {
+    name;
+    block_bytes;
+    n_blocks;
+    trace;
+    read;
+    read_run;
+    read_into;
+    write;
+    write_run;
+    submit;
+    poll;
+    drain;
+    trim;
+    idle;
+    utilization;
+  }
 
 let exn = function Ok v -> v | Error e -> raise (Io_error e)
 
@@ -163,6 +203,7 @@ let done_ = function
 
 let read t block = data (rw t (Read block))
 let read_run t block count = data (rw t (Read_run (block, count)))
+let read_into t block count buf ~pos = done_ (rw t (Read_into (block, count, buf, pos)))
 let write t block buf = done_ (rw t (Write (block, buf)))
 let write_run t block buf = done_ (rw t (Write_run (block, buf)))
 

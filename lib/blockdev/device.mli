@@ -17,13 +17,13 @@
     triple: [submit] enqueues a request and returns a tag, [poll]
     collects finished (tag, ack) pairs, and [drain] is a barrier that
     services everything outstanding.  The exception-style wrappers
-    ({!read}, {!read_run}, {!write}, {!write_run}) are derived {e once}
-    as submit-then-drain over this interface, so a file system calling
-    {!read} is just a queue-depth-1 host of the async API.  Most devices
-    implement the triple with {!sync_queue} (host-side FIFO, service at
-    the barrier — byte-identical to calling the sync closures directly);
-    a device backed by a reordering drive queue ({!Disk.Disk_queue})
-    exposes its native batched front separately.
+    ({!read}, {!read_run}, {!read_into}, {!write}, {!write_run}) are
+    derived {e once} as submit-then-drain over this interface, so a file
+    system calling {!read} is just a queue-depth-1 host of the async
+    API.  Most devices are built with {!make} (host-side FIFO, service
+    at the barrier — byte-identical to calling the sync closures
+    directly); a device backed by a reordering drive queue
+    ({!Disk.Disk_queue}) exposes its native batched front separately.
 
     {2 Buffer ownership}
 
@@ -34,7 +34,14 @@
     to keep (onto the platter, into a log, into a staging record) and
     never holds on to the buffer itself, so a caller may refill and
     resubmit one buffer for every write — LFS sends every full segment
-    from one. *)
+    from one.
+
+    A [read_into]'s buffer is the caller's too: the device writes
+    exactly the window [[pos, pos + count * block_bytes)] of it, nothing
+    outside, and keeps no reference once the request completes.  On
+    [Error] the window's contents are unspecified.  Each device has one
+    run-read implementation, its [read_into]; [read_run] is that read
+    into a fresh buffer, with the same spans, counters and breakdown. *)
 
 type io_error = {
   op : [ `Read | `Write ];
@@ -82,11 +89,16 @@ val max_retries : int
 
 val read_retrying :
   Disk.Disk_sim.t -> span:Trace.span -> block:int -> lba:int -> sectors:int ->
-  (Bytes.t * Vlog_util.Io.completion, io_error) result
-(** Read one block's [sectors] from [lba], retrying transients up to
-    {!max_retries} times (SCSI overhead on the first attempt only),
-    counting [dev.read_retries] or [dev.failed_retries], and closing
-    [span] over the summed cost. *)
+  Bytes.t -> pos:int -> (Vlog_util.Io.completion, io_error) result
+(** Read one block's [sectors] from [lba] into [buf] at [pos], retrying
+    transients up to {!max_retries} times (SCSI overhead on the first
+    attempt only), counting [dev.read_retries] or [dev.failed_retries],
+    and closing [span] over the summed cost. *)
+
+val check_window : block_bytes:int -> int -> Bytes.t -> pos:int -> unit
+(** [check_window ~block_bytes count buf ~pos] raises [Invalid_argument]
+    unless [count] blocks fit in [buf] from byte [pos] on: every
+    [read_into] checks its window before touching the disk. *)
 
 val merge_counters : (string * int) list -> (string * int) list -> (string * int) list
 (** Pointwise sum of two counter deltas (multi-block operations fold
@@ -95,6 +107,8 @@ val merge_counters : (string * int) list -> (string * int) list -> (string * int
 type req =
   | Read of int
   | Read_run of int * int  (** block, count *)
+  | Read_into of int * int * Bytes.t * int
+      (** block, count, buf, pos; acked with [Done] *)
   | Write of int * Bytes.t
   | Write_run of int * Bytes.t
 
@@ -119,6 +133,10 @@ type t = {
       (** [read_run block count] reads [count] consecutive logical
           blocks; the device exploits whatever physical contiguity it
           has. *)
+  read_into :
+    int -> int -> Bytes.t -> pos:int -> (Vlog_util.Io.completion, io_error) result;
+      (** [read_into block count buf ~pos] is {!field-read_run} into [buf]
+          from byte [pos] on (see the ownership rule above). *)
   write : int -> Bytes.t -> (Vlog_util.Io.completion, io_error) result;
       (** Synchronous single-block write: when it returns [Ok], the
           block is on the platter (and, for a VLD, its map update is
@@ -128,7 +146,7 @@ type t = {
           transaction). *)
   submit : req -> int;
       (** Enqueue a request, returning its tag.  Nothing is serviced
-          until {!poll}'s producer runs — for a {!sync_queue} device
+          until {!poll}'s producer runs — for a {!make} device
           that is the next [drain]. *)
   poll : unit -> (int * ack) list;
       (** Finished requests since the last poll, each tag exactly
@@ -149,16 +167,39 @@ type t = {
       (** Physically occupied fraction of the device. *)
 }
 
+val make :
+  name:string ->
+  block_bytes:int ->
+  n_blocks:int ->
+  trace:Trace.sink ->
+  read:(int -> (Bytes.t * Vlog_util.Io.completion, io_error) result) ->
+  read_into:
+    (int -> int -> Bytes.t -> pos:int -> (Vlog_util.Io.completion, io_error) result) ->
+  write:(int -> Bytes.t -> (Vlog_util.Io.completion, io_error) result) ->
+  write_run:(int -> Bytes.t -> (Vlog_util.Io.completion, io_error) result) ->
+  trim:(int -> unit) ->
+  idle:(float -> unit) ->
+  utilization:(unit -> float) ->
+  t
+(** A device over its synchronous closures.  [read_run] is derived as
+    allocate-then-[read_into], and [(submit, poll, drain)] is a
+    host-side FIFO over the closures: submissions accumulate and are
+    serviced in submission order at the [drain] barrier.
+    Submit-then-drain of a single request is byte-identical to the
+    direct synchronous call. *)
+
 val sync_queue :
   read:(int -> (Bytes.t * Vlog_util.Io.completion, io_error) result) ->
   read_run:(int -> int -> (Bytes.t * Vlog_util.Io.completion, io_error) result) ->
   write:(int -> Bytes.t -> (Vlog_util.Io.completion, io_error) result) ->
   write_run:(int -> Bytes.t -> (Vlog_util.Io.completion, io_error) result) ->
   (req -> int) * (unit -> (int * ack) list) * (unit -> (int * ack) list)
-(** [(submit, poll, drain)] implemented as a host-side FIFO over the
-    given synchronous closures: submissions accumulate and are serviced
-    in submission order at the [drain] barrier.  Submit-then-drain of a
-    single request is byte-identical to the direct synchronous call. *)
+(** The same FIFO as {!make}'s over four closures, serving [Read_into]
+    as [read_run] plus a blit.  It exists only for
+    [perfbench/meter.ml], which re-wraps a device's closures in timers
+    and rebuilds its queue with this form; that directory is the
+    repository benchmark's fixed source, so the form stays until a
+    change to the benchmark moves the meter to {!make}. *)
 
 val exn : ('a, io_error) result -> 'a
 (** [exn r] is [v] when [r = Ok v]; raises {!Io_error} otherwise.  The
@@ -170,6 +211,7 @@ val exn : ('a, io_error) result -> 'a
 
 val read : t -> int -> Bytes.t * Vlog_util.Breakdown.t
 val read_run : t -> int -> int -> Bytes.t * Vlog_util.Breakdown.t
+val read_into : t -> int -> int -> Bytes.t -> pos:int -> Vlog_util.Breakdown.t
 val write : t -> int -> Bytes.t -> Vlog_util.Breakdown.t
 val write_run : t -> int -> Bytes.t -> Vlog_util.Breakdown.t
 

@@ -59,12 +59,17 @@ let phys t block =
 
 let err = Device.err
 
-(* Bounded-retry read of one logical block at its current physical home. *)
-let read_result t block =
+(* Bounded-retry read of one logical block at its current physical
+   home, into [buf] at [pos]. *)
+let read_block_into t block buf ~pos =
   check t block 1;
   let sp = dev_span t "dev.read" block 1 in
   Device.read_retrying t.disk ~span:sp ~block ~lba:(phys t block * t.sectors_per_block)
-    ~sectors:t.sectors_per_block
+    ~sectors:t.sectors_per_block buf ~pos
+
+let read_result t block =
+  let buf = Bytes.create t.block_bytes in
+  Result.map (fun c -> (buf, c)) (read_block_into t block buf ~pos:0)
 
 let note_written t block =
   if Bytes.get t.ever_written block = '\000' then begin
@@ -130,24 +135,23 @@ let merge_counters = Device.merge_counters
 (* Multi-block requests stream as one disk command when nothing in the
    range is remapped or faulty; otherwise fall back to per-block service
    so one bad sector cannot take down the whole transfer. *)
-let read_run_result t block count =
+let read_into_result t block count buf ~pos =
   check t block count;
+  Device.check_window ~block_bytes:t.block_bytes count buf ~pos;
   let sp = dev_span t "dev.read_run" block count in
   (* [acc] carries the cost of a failed streaming attempt into the
      per-block fallback so the fold stays strictly chronological. *)
   let per_block acc =
-    let out = Bytes.create (count * t.block_bytes) in
     let bd = ref acc in
     let counters = ref [] in
     let rec go i =
       if i >= count then begin
         Trace.exit (sink t) ~bd:!bd sp;
-        Ok (out, Io.make ~span:sp ~counters:!counters !bd)
+        Ok (Io.make ~span:sp ~counters:!counters !bd)
       end
       else
-        match read_result t (block + i) with
-        | Ok (data, c) ->
-          Bytes.blit data 0 out (i * t.block_bytes) t.block_bytes;
+        match read_block_into t (block + i) buf ~pos:(pos + (i * t.block_bytes)) with
+        | Ok c ->
           bd := Breakdown.add !bd c.Io.breakdown;
           counters := merge_counters !counters c.Io.counters;
           go (i + 1)
@@ -160,13 +164,13 @@ let read_run_result t block count =
   if run_remapped t block count then per_block Breakdown.zero
   else
     let r, bd =
-      Disk.Disk_sim.read_checked t.disk ~lba:(block * t.sectors_per_block)
-        ~sectors:(count * t.sectors_per_block)
+      Disk.Disk_sim.read_checked_into t.disk ~lba:(block * t.sectors_per_block)
+        ~sectors:(count * t.sectors_per_block) buf ~pos
     in
     match r with
-    | Ok data ->
+    | Ok () ->
       Trace.exit (sink t) ~bd sp;
-      Ok (data, Io.make ~span:sp bd)
+      Ok (Io.make ~span:sp bd)
     | Error _ -> per_block bd
 
 let write_run_result t block buf =
@@ -211,24 +215,9 @@ let write_run_result t block buf =
     | Error _ -> per_block bd
 
 let device t =
-  let submit, poll, drain =
-    Device.sync_queue ~read:(read_result t) ~read_run:(read_run_result t)
-      ~write:(write_result t) ~write_run:(write_run_result t)
-  in
-  {
-    Device.name = "regular";
-    block_bytes = t.block_bytes;
-    n_blocks = t.n_blocks;
-    trace = sink t;
-    read = read_result t;
-    read_run = read_run_result t;
-    write = write_result t;
-    write_run = write_run_result t;
-    submit;
-    poll;
-    drain;
-    trim = (fun block -> check t block 1);
-    idle = (fun _ -> ());
-    utilization =
-      (fun () -> float_of_int t.written_count /. float_of_int t.n_blocks);
-  }
+  Device.make ~name:"regular" ~block_bytes:t.block_bytes ~n_blocks:t.n_blocks
+    ~trace:(sink t) ~read:(read_result t) ~read_into:(read_into_result t)
+    ~write:(write_result t) ~write_run:(write_run_result t)
+    ~trim:(fun block -> check t block 1)
+    ~idle:(fun _ -> ())
+    ~utilization:(fun () -> float_of_int t.written_count /. float_of_int t.n_blocks)

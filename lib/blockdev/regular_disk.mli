@@ -29,15 +29,17 @@ val write_result : t -> int -> Bytes.t -> (Vlog_util.Io.completion, Device.io_er
     means the spare pool is exhausted.  The completion reports
     ["retries"] and ["remaps"] counters when either happened. *)
 
-val read_run_result :
-  t -> int -> int -> (Bytes.t * Vlog_util.Io.completion, Device.io_error) result
-(** Multi-block read: one streamed disk command when the range is clean,
-    per-block fallback when remapped or faulty. *)
+val read_into_result :
+  t -> int -> int -> Bytes.t -> pos:int -> (Vlog_util.Io.completion, Device.io_error) result
+(** [read_into_result t block count buf ~pos] is the multi-block read,
+    into [buf] from byte [pos] on: one streamed disk command when the
+    range is clean, per-block fallback (still into [buf], after the
+    failed attempt's cost) when remapped or faulty. *)
 
 val write_run_result :
   t -> int -> Bytes.t -> (Vlog_util.Io.completion, Device.io_error) result
 (** Multi-block write, same streaming/fallback policy as
-    {!read_run_result}. *)
+    {!read_into_result}. *)
 
 val remapped_blocks : t -> int
 (** Entries in the grown-defect list. *)

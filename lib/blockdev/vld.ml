@@ -83,18 +83,21 @@ let read_result t block =
     Trace.exit (sink t) ~bd sp;
     Ok (Bytes.make t.block_bytes '\000', Io.make ~span:sp bd)
   | Some pba ->
-    Device.read_retrying t.disk ~span:sp ~block
-      ~lba:(Vlog.Freemap.lba_of_block (Vlog.Virtual_log.freemap t.vlog) pba)
-      ~sectors:t.sectors_per_block
+    let buf = Bytes.create t.block_bytes in
+    Result.map
+      (fun c -> (buf, c))
+      (Device.read_retrying t.disk ~span:sp ~block
+         ~lba:(Vlog.Freemap.lba_of_block (Vlog.Virtual_log.freemap t.vlog) pba)
+         ~sectors:t.sectors_per_block buf ~pos:0)
 
 (* Group consecutive logical blocks whose physical locations are also
    consecutive into single platter requests. *)
-let read_run_result t block count =
+let read_into_result t block count buf ~pos =
   check t block count;
+  Device.check_window ~block_bytes:t.block_bytes count buf ~pos;
   let sp = dev_span t "dev.read_run" block count in
-  (* Every block of [out] is either read into place or, unmapped,
+  (* Every block of the window is either read into place or, unmapped,
      zero-filled: no per-run buffer, no up-front fill. *)
-  let out = Bytes.create (count * t.block_bytes) in
   let bd = ref Breakdown.zero in
   let first_op = ref true in
   let issue ~off ~pba ~blocks =
@@ -104,7 +107,7 @@ let read_run_result t block count =
       Disk.Disk_sim.read_checked_into ~scsi t.disk
         ~lba:(Vlog.Freemap.lba_of_block (Vlog.Virtual_log.freemap t.vlog) pba)
         ~sectors:(blocks * t.sectors_per_block)
-        out ~pos:(off * t.block_bytes)
+        buf ~pos:(pos + (off * t.block_bytes))
     in
     bd := Breakdown.add !bd cost;
     match r with
@@ -119,7 +122,7 @@ let read_run_result t block count =
     else
       match Vlog.Virtual_log.lookup t.vlog (block + i) with
       | None -> (
-        Bytes.fill out (i * t.block_bytes) t.block_bytes '\000';
+        Bytes.fill buf (pos + (i * t.block_bytes)) t.block_bytes '\000';
         match flush () with
         | Ok () -> go (i + 1) (i + 1) 0 0
         | Error _ as e -> e)
@@ -137,7 +140,7 @@ let read_run_result t block count =
   | Ok () ->
     if !first_op then bd := scsi_only t;
     Trace.exit (sink t) ~bd:!bd sp;
-    Ok (out, Io.make ~span:sp !bd)
+    Ok (Io.make ~span:sp !bd)
 
 let allocate ?(lead_time = 0.) t =
   match Vlog.Eager.choose ~lead_time (Vlog.Virtual_log.eager t.vlog) with
@@ -265,27 +268,10 @@ let idle t dt =
   end
 
 let device t =
-  let submit, poll, drain =
-    Device.sync_queue ~read:(read_result t) ~read_run:(read_run_result t)
-      ~write:(write_result t) ~write_run:(write_run_result t)
-  in
-  {
-    Device.name = "vld";
-    block_bytes = t.block_bytes;
-    n_blocks = logical_blocks t;
-    trace = sink t;
-    read = read_result t;
-    read_run = read_run_result t;
-    write = write_result t;
-    write_run = write_run_result t;
-    submit;
-    poll;
-    drain;
-    trim = trim t;
-    idle = idle t;
-    utilization =
-      (fun () -> Vlog.Freemap.utilization (Vlog.Virtual_log.freemap t.vlog));
-  }
+  Device.make ~name:"vld" ~block_bytes:t.block_bytes ~n_blocks:(logical_blocks t)
+    ~trace:(sink t) ~read:(read_result t) ~read_into:(read_into_result t)
+    ~write:(write_result t) ~write_run:(write_run_result t) ~trim:(trim t) ~idle:(idle t)
+    ~utilization:(fun () -> Vlog.Freemap.utilization (Vlog.Virtual_log.freemap t.vlog))
 
 (* --- Native drive-side queue --------------------------------------------
 

@@ -61,10 +61,12 @@ val write_result : t -> int -> Bytes.t -> (Vlog_util.Io.completion, Device.io_er
     completion reports a ["reallocs"] counter when defects forced
     reallocation. *)
 
-val read_run_result :
-  t -> int -> int -> (Bytes.t * Vlog_util.Io.completion, Device.io_error) result
-(** Multi-block read; consecutive logical blocks whose physical homes
-    are also consecutive stream as single platter requests. *)
+val read_into_result :
+  t -> int -> int -> Bytes.t -> pos:int -> (Vlog_util.Io.completion, Device.io_error) result
+(** [read_into_result t block count buf ~pos] is the multi-block read,
+    into [buf] from byte [pos] on; consecutive logical blocks whose
+    physical homes are also consecutive stream as single platter
+    requests, and unmapped blocks are zero-filled. *)
 
 val write_run_result :
   t -> int -> Bytes.t -> (Vlog_util.Io.completion, Device.io_error) result

@@ -12,21 +12,10 @@
 
     Writes that overflow the volatile front drain oldest-first into the
     persisted image automatically (the ADR queue has finite depth), so
-    the legally-losable window is bounded by
-    [profile.volatile_front_bytes].
+    the legally-losable window is bounded by the 16 KiB volatile front.
 
     All timing goes through the shared {!Vlog_util.Clock.t}, so NVM
     operations interleave on the same simulated timeline as the disks. *)
-
-type profile = {
-  size_bytes : int;  (** capacity of the region *)
-  read_latency_ms : float;  (** fixed cost per load *)
-  write_latency_ms : float;  (** fixed cost per store *)
-  bandwidth_bytes_per_ms : float;  (** streaming transfer rate *)
-  persist_latency_ms : float;  (** cost of a {!persist} barrier *)
-  volatile_front_bytes : int;
-      (** bytes of recently-stored data a power cut may tear *)
-}
 
 type t
 
@@ -35,9 +24,8 @@ val create : ?image:Bytes.t -> ?trace:Trace.sink -> clock:Vlog_util.Clock.t -> u
     2 GB/s, a 500 ns persist barrier and a 16 KiB volatile front.
     It is zeroed unless [image] supplies existing persisted
     contents (e.g. a {!snapshot} taken at a simulated power failure; it
-    is copied, and must be exactly [profile.size_bytes] long). *)
+    is copied, and must be exactly {!size} bytes long). *)
 
-val profile : t -> profile
 val clock : t -> Vlog_util.Clock.t
 val size : t -> int
 

@@ -407,27 +407,25 @@ let dev_read t block =
     in
     Ok (bytes, Io.make bd)
 
-let dev_read_run t block count =
+let dev_read_into t block count buf ~pos =
   let bb = t.inner.Device.block_bytes in
   let overlaps =
     let rec go i = i < count && (Hashtbl.mem t.overlay (block + i) || go (i + 1)) in
     go 0
   in
-  if not overlaps then t.inner.Device.read_run block count
+  if not overlaps then t.inner.Device.read_into block count buf ~pos
   else begin
-    let buf = Bytes.create (count * bb) in
+    Device.check_window ~block_bytes:bb count buf ~pos;
     let rec go i acc =
-      if i >= count then Ok acc
+      if i >= count then Ok (Io.make acc)
       else
         match dev_read t (block + i) with
         | Error e -> Error e
         | Ok (bytes, c) ->
-          Bytes.blit bytes 0 buf (i * bb) bb;
+          Bytes.blit bytes 0 buf (pos + (i * bb)) bb;
           go (i + 1) (Breakdown.add acc (Io.bd c))
     in
-    match go 0 Breakdown.zero with
-    | Error e -> Error e
-    | Ok bd -> Ok (buf, Io.make bd)
+    go 0 Breakdown.zero
   end
 
 let dev_idle t dt =
@@ -438,27 +436,13 @@ let dev_idle t dt =
   if rest > 1e-9 then t.inner.Device.idle rest
 
 let device t =
-  let read = dev_read t in
-  let read_run = dev_read_run t in
-  let write = dev_write t in
-  let write_run = dev_write_run t in
-  let submit, poll, drain_q = Device.sync_queue ~read ~read_run ~write ~write_run in
-  {
-    Device.name = "nvmwal(" ^ t.inner.Device.name ^ ")";
-    block_bytes = t.inner.Device.block_bytes;
-    n_blocks = t.inner.Device.n_blocks;
-    trace = t.inner.Device.trace;
-    read;
-    read_run;
-    write;
-    write_run;
-    submit;
-    poll;
-    drain = drain_q;
-    trim = (fun b -> t.inner.Device.trim b);
-    idle = dev_idle t;
-    utilization = (fun () -> t.inner.Device.utilization ());
-  }
+  let inner = t.inner in
+  Device.make
+    ~name:("nvmwal(" ^ inner.Device.name ^ ")")
+    ~block_bytes:inner.Device.block_bytes ~n_blocks:inner.Device.n_blocks
+    ~trace:inner.Device.trace ~read:(dev_read t) ~read_into:(dev_read_into t)
+    ~write:(dev_write t) ~write_run:(dev_write_run t) ~trim:inner.Device.trim
+    ~idle:(dev_idle t) ~utilization:inner.Device.utilization
 
 (* ---- Recovery ------------------------------------------------------ *)
 

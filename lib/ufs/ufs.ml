@@ -50,6 +50,7 @@ type t = {
   mutable inode_rover : int;
   mutable dir : dir_block array;
   cache : Buffer_cache.t;
+  ra_buf : Bytes.t; (* read-ahead destination: [readahead_blocks] blocks *)
   frag_slots : (int, bool array) Hashtbl.t; (* frag block -> slot occupancy *)
   frag_data : (int, Bytes.t) Hashtbl.t; (* authoritative frag block contents *)
   mutable last_frag_block : int; (* preferred frag block for new tails *)
@@ -132,6 +133,7 @@ let blank ~dev ~host ~clock cfg =
         inode_rover = 0;
         dir = [||];
         cache = Buffer_cache.create ~capacity:cfg.cache_blocks;
+        ra_buf = Bytes.create (max 0 cfg.readahead_blocks * block_bytes);
         frag_slots = Hashtbl.create 64;
         frag_data = Hashtbl.create 64;
         last_frag_block = -1;
@@ -653,58 +655,57 @@ let write t name ~off data =
       if t.mode <> `Rw then Error `Read_only
       else write_inner t name ~init:Breakdown.zero ~off data)
 
-(* Group the device blocks backing file blocks [first..last] into
-   physically consecutive runs and read each run in one request.
-   [label] names the group span ("ufs.rblocks" or "ufs.readahead"). *)
-let read_file_blocks t inode ~first ~last ~insert_cache ~label =
+(* Read file blocks [first..last] into [dst], block [i] at
+   [(i - first) * block_bytes].  Uncached blocks whose device blocks are
+   consecutive go down as one run, read straight into place; cache hits
+   are copied in and holes zero-filled.  Every block read from the
+   device enters the cache as its own copy, in file order.  [label]
+   names the group span ("ufs.rblocks" or "ufs.readahead"). *)
+let read_file_blocks t inode ~first ~last dst ~label =
   let tr = sink t in
   let sp = Trace.enter tr label in
+  let bb = t.block_bytes in
+  let at i = (i - first) * bb in
   let bd = ref Breakdown.zero in
-  let chunks = ref [] in
-  let flush run =
-    match run with
-    | [] -> ()
-    | (b0, _) :: _ as run ->
-      let count = List.length run in
-      let data, cost = Blockdev.Device.read_run t.dev b0 count in
-      bd := Breakdown.add !bd cost;
-      List.iteri
-        (fun k (b, i) ->
-          let piece = Bytes.sub data (k * t.block_bytes) t.block_bytes in
-          if insert_cache then bd := Breakdown.add !bd (cache_insert t b piece ~dirty:false);
-          chunks := (i, piece) :: !chunks)
-        run
+  (* The pending run: file blocks [i0, i0 + n) on device blocks [b0, b0 + n). *)
+  let flush ~i0 ~b0 ~n =
+    if n > 0 then begin
+      bd := Breakdown.add !bd (Blockdev.Device.read_into t.dev b0 n dst ~pos:(at i0));
+      for k = 0 to n - 1 do
+        let piece = Bytes.sub dst (at (i0 + k)) bb in
+        bd := Breakdown.add !bd (cache_insert t (b0 + k) piece ~dirty:false)
+      done
+    end
   in
-  let rec go i run =
-    if i > last then flush (List.rev run)
+  let rec go i ~i0 ~b0 ~n =
+    if i > last then flush ~i0 ~b0 ~n
     else begin
       let b = Inode.get_block inode i in
       if b < 0 then begin
-        flush (List.rev run);
-        chunks := (i, Bytes.make t.block_bytes '\000') :: !chunks;
-        go (i + 1) []
+        flush ~i0 ~b0 ~n;
+        Bytes.fill dst (at i) bb '\000';
+        go (i + 1) ~i0:(i + 1) ~b0:0 ~n:0
       end
       else
         match Buffer_cache.find t.cache b with
         | Some bytes ->
           Trace.incr tr "ufs.cache_hits";
-          flush (List.rev run);
-          chunks := (i, bytes) :: !chunks;
-          go (i + 1) []
-        | None -> (
-          (* The accumulator is newest-first: continue the run only when
-             this block directly follows the previous one. *)
-          match run with
-          | (b_prev, _) :: _ when b <> b_prev + 1 ->
-            flush (List.rev run);
-            go (i + 1) [ (b, i) ]
-          | _ -> go (i + 1) ((b, i) :: run))
+          flush ~i0 ~b0 ~n;
+          Bytes.blit bytes 0 dst (at i) bb;
+          go (i + 1) ~i0:(i + 1) ~b0:0 ~n:0
+        | None ->
+          (* Continue the run only when this block directly follows it. *)
+          if n > 0 && b = b0 + n then go (i + 1) ~i0 ~b0 ~n:(n + 1)
+          else begin
+            flush ~i0 ~b0 ~n;
+            go (i + 1) ~i0:i ~b0:b ~n:1
+          end
     end
   in
-  go first [];
+  go first ~i0:first ~b0:0 ~n:0;
   let total = !bd in
   Trace.exit tr ~bd:total sp;
-  (List.sort (fun (a, _) (b, _) -> compare a b) !chunks, total)
+  total
 
 let read_op t name ~off ~len =
   match lookup t name with
@@ -724,20 +725,15 @@ let read_op t name ~off ~len =
           Ok (Bytes.sub contents ((slot * t.frag_bytes) + off) len, !bd)
         | None ->
           let first = off / t.block_bytes and last = (off + len - 1) / t.block_bytes in
-          let chunks, cost =
-            read_file_blocks t inode ~first ~last ~insert_cache:true ~label:"ufs.rblocks"
+          (* The reply is read block-aligned and trimmed to the request. *)
+          let whole = Bytes.create ((last - first + 1) * t.block_bytes) in
+          bd :=
+            Breakdown.add !bd
+              (read_file_blocks t inode ~first ~last whole ~label:"ufs.rblocks");
+          let skip = off - (first * t.block_bytes) in
+          let out =
+            if skip = 0 && len = Bytes.length whole then whole else Bytes.sub whole skip len
           in
-          bd := Breakdown.add !bd cost;
-          (* [chunks] covers every block of [first..last], so the blits
-             below overwrite every byte of [out]. *)
-          let out = Bytes.create len in
-          List.iter
-            (fun (i, piece) ->
-              let block_off = i * t.block_bytes in
-              let lo = max off block_off
-              and hi = min (off + len) (block_off + t.block_bytes) in
-              if hi > lo then Bytes.blit piece (lo - block_off) out (lo - off) (hi - lo))
-            chunks;
           (* Sequential-read detection drives read-ahead. *)
           if off = file.seq_off then file.seq_hits <- file.seq_hits + 1
           else file.seq_hits <- 0;
@@ -756,13 +752,11 @@ let read_op t name ~off ~len =
                     b >= 0 && Buffer_cache.find t.cache b = None)
                   (List.init (ra_last - ra_first + 1) (fun k -> ra_first + k))
               in
-              if uncached then begin
-                let _, cost =
-                  read_file_blocks t inode ~first:ra_first ~last:ra_last
-                    ~insert_cache:true ~label:"ufs.readahead"
-                in
-                bd := Breakdown.add !bd cost
-              end
+              if uncached then
+                bd :=
+                  Breakdown.add !bd
+                    (read_file_blocks t inode ~first:ra_first ~last:ra_last t.ra_buf
+                       ~label:"ufs.readahead")
             end
           end;
           Ok (out, !bd)

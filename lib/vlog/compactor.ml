@@ -25,10 +25,18 @@ type t = {
   policy : target_policy;
   mutable current : int option; (* target track being emptied, resumable *)
   mutable totals : run_stats;
+  scratch : Bytes.t; (* one block: every move passes through it *)
 }
 
 let create ?(policy = Random_target) ~vlog ~prng () =
-  { vlog; prng; policy; current = None; totals = zero_stats }
+  {
+    vlog;
+    prng;
+    policy;
+    current = None;
+    totals = zero_stats;
+    scratch = Bytes.create (Virtual_log.block_bytes vlog);
+  }
 
 let total t = t.totals
 
@@ -141,11 +149,16 @@ let compact_track t ~track ~deadline =
           | None -> result := Some `Stuck
           | Some dest ->
             let lba = Freemap.lba_of_block freemap pba in
-            let data, _ = Disk.Disk_sim.read ~scsi:false (disk t) ~lba ~sectors:spb in
+            (match
+               Disk.Disk_sim.read_checked_into ~scsi:false (disk t) ~lba ~sectors:spb
+                 t.scratch ~pos:0
+             with
+            | Ok (), _ -> ()
+            | Error e, _ -> raise (Disk.Disk_sim.Media_failure e));
             Freemap.occupy freemap dest;
             ignore
               (Disk.Disk_sim.write ~scsi:false (disk t)
-                 ~lba:(Freemap.lba_of_block freemap dest) data);
+                 ~lba:(Freemap.lba_of_block freemap dest) t.scratch);
             moves := (logical, Some dest) :: !moves;
             incr moved_blocks)
     end

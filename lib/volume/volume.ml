@@ -1316,6 +1316,9 @@ let exec t ?owner ~at (req : Blockdev.Device.req) : Blockdev.Device.ack =
     match req with
     | Read b -> ("vol.read", b, 1)
     | Read_run (b, n) -> ("vol.read_run", b, n)
+    | Read_into (b, n, buf, pos) ->
+      Blockdev.Device.check_window ~block_bytes:bb n buf ~pos;
+      ("vol.read_run", b, n)
     | Write (b, buf) ->
       check_write t (b, buf);
       ("vol.write", b, 1)
@@ -1329,24 +1332,26 @@ let exec t ?owner ~at (req : Blockdev.Device.req) : Blockdev.Device.ack =
   let sp = dev_span t name block count in
   let ack : Blockdev.Device.ack =
     match req with
-    | Read _ | Read_run _ -> (
+    | Read _ | Read_run _ | Read_into _ -> (
       match read_batch t ?owner ~at (List.init count (fun i -> block + i)) with
       | Error e -> Error e
-      | Ok pieces ->
-        let data, bd =
-          match pieces with
-          | [ piece ] -> piece
-          | _ ->
-            let out = Bytes.create (count * bb) in
-            let bd = ref Breakdown.zero in
-            List.iteri
-              (fun i (d, cost) ->
-                Bytes.blit d 0 out (i * bb) bb;
-                bd := Breakdown.add !bd cost)
-              pieces;
-            (out, !bd)
+      | Ok pieces -> (
+        let c =
+          Io.make ~span:sp
+            (List.fold_left (fun acc (_, cost) -> Breakdown.add acc cost) Breakdown.zero pieces)
         in
-        Ok (Data (data, Io.make ~span:sp bd)))
+        let gather buf ~pos =
+          List.iteri (fun i (d, _) -> Bytes.blit d 0 buf (pos + (i * bb)) bb) pieces
+        in
+        match (req, pieces) with
+        | Read _, [ (d, _) ] -> Ok (Data (d, c))
+        | Read_into (_, _, buf, pos), _ ->
+          gather buf ~pos;
+          Ok (Done c)
+        | _ ->
+          let buf = Bytes.create (count * bb) in
+          gather buf ~pos:0;
+          Ok (Data (buf, c))))
     | Write (_, buf) | Write_run (_, buf) -> (
       let piece i = if count = 1 then buf else Bytes.sub buf (i * bb) bb in
       match write_batch t ?owner ~at (List.init count (fun i -> (block + i, piece i))) with
@@ -1451,6 +1456,8 @@ let device t =
     trace = t.trace;
     read = (fun b -> data_of (exec t ~at:(Clock.now t.clock) (Read b)));
     read_run = (fun b n -> data_of (exec t ~at:(Clock.now t.clock) (Read_run (b, n))));
+    read_into =
+      (fun b n buf ~pos -> done_of (exec t ~at:(Clock.now t.clock) (Read_into (b, n, buf, pos))));
     write = (fun b buf -> done_of (exec t ~at:(Clock.now t.clock) (Write (b, buf))));
     write_run =
       (fun b buf -> done_of (exec t ~at:(Clock.now t.clock) (Write_run (b, buf))));

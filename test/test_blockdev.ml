@@ -386,6 +386,85 @@ let test_vld_read_run_one_buffer () =
   if allocated > 1.5 *. float_of_int (n * bb) then
     Alcotest.failf "read_run of %d bytes allocated %.0f bytes" (n * bb) allocated
 
+(* The [read_into] contract, checked against [read_run] on identically
+   built devices (a read moves the head, so each side needs its own):
+   at a nonzero [pos] of a larger, sentinel-filled buffer it writes
+   exactly its window, with [read_run]'s bytes and breakdown; and a
+   queue rebuilt from the four closures with [Device.sync_queue], as
+   perfbench's meter rebuilds it, serves [Read_into] the same way. *)
+let check_read_into name (mk : unit -> Device.t) ~block ~count =
+  let want, want_bd = Device.read_run (mk ()) block count in
+  let into what (dev : Device.t) =
+    let bb = dev.Device.block_bytes in
+    let pos = bb + 3 and window = count * bb in
+    let buf = Bytes.make (window + (2 * bb) + 5) '\xa5' in
+    let bd = Device.read_into dev block count buf ~pos in
+    Bytes.iteri
+      (fun i c ->
+        if (i < pos || i >= pos + window) && c <> '\xa5' then
+          Alcotest.failf "%s (%s): byte %d outside the window was written" name what i)
+      buf;
+    Alcotest.(check bytes) (Printf.sprintf "%s (%s): bytes" name what) want
+      (Bytes.sub buf pos window);
+    if bd <> want_bd then
+      Alcotest.failf "%s (%s): breakdown %a, read_run's %a" name what Breakdown.pp bd
+        Breakdown.pp want_bd
+  in
+  into "native" (mk ());
+  let d = mk () in
+  let submit, poll, drain =
+    Device.sync_queue ~read:d.Device.read ~read_run:d.Device.read_run
+      ~write:d.Device.write ~write_run:d.Device.write_run
+  in
+  into "sync_queue" { d with submit; poll; drain }
+
+let pattern dev n =
+  let bb = dev.Device.block_bytes in
+  Bytes.init (n * bb) (fun i -> Char.chr (((i * 13) + (i / bb)) land 0xff))
+
+let test_regular_read_into () =
+  check_read_into "regular" ~block:5 ~count:10 (fun () ->
+      let dev, _ = make_regular () in
+      ignore (Device.write_run dev 5 (pattern dev 10));
+      dev)
+
+(* A run that crosses a remapped block goes block by block, each one
+   still read straight into the caller's window. *)
+let test_regular_read_into_remapped () =
+  let mk () =
+    let clock = Clock.create () in
+    let disk = Disk.Disk_sim.create ~profile ~clock () in
+    let rd = Regular_disk.create ~disk ~spare_blocks:4 () in
+    let dev = Regular_disk.device rd in
+    Fault.Plan.install (Fault.Plan.create Fault.Plan.Grown_defect ~trigger:0 ~seed:5L) disk;
+    ignore (Device.write dev 7 (block_of_tag dev 'R'));
+    Alcotest.(check int) "block 7 remapped" 1 (Regular_disk.remapped_blocks rd);
+    ignore (Device.write_run dev 8 (pattern dev 4));
+    dev
+  in
+  check_read_into "regular, remapped" mk ~block:5 ~count:8
+
+let test_vld_read_into () =
+  check_read_into "vld mapped" ~block:20 ~count:9 (fun () ->
+      let _, dev, _ = make_vld () in
+      ignore (Device.write_run dev 20 (pattern dev 9));
+      dev);
+  check_read_into "vld unmapped" ~block:700 ~count:6 (fun () ->
+      let _, dev, _ = make_vld () in
+      ignore (Device.write_run dev 20 (pattern dev 9));
+      dev);
+  (* Blocks written one at a time between writes elsewhere land in
+     several physical runs, around a hole. *)
+  check_read_into "vld fragmented" ~block:40 ~count:12 (fun () ->
+      let _, dev, _ = make_vld () in
+      for i = 0 to 11 do
+        if i <> 5 then begin
+          ignore (Device.write dev (40 + i) (block_of_tag dev (Char.chr (65 + i))));
+          ignore (Device.write dev (400 + i) (block_of_tag dev 'z'))
+        end
+      done;
+      dev)
+
 let suites =
   [
     ( "blockdev",
@@ -397,6 +476,10 @@ let suites =
         Alcotest.test_case "vld run" `Quick test_vld_run;
         Alcotest.test_case "vld run read: one output buffer" `Quick
           test_vld_read_run_one_buffer;
+        Alcotest.test_case "regular read_into" `Quick test_regular_read_into;
+        Alcotest.test_case "regular read_into across a remap" `Quick
+          test_regular_read_into_remapped;
+        Alcotest.test_case "vld read_into" `Quick test_vld_read_into;
         Alcotest.test_case "vld faster on random sync" `Quick test_vld_sync_write_faster_than_regular;
         Alcotest.test_case "trim releases" `Quick test_vld_trim_releases;
         Alcotest.test_case "overwrite detection" `Quick test_vld_overwrite_detection;

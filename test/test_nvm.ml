@@ -314,6 +314,20 @@ let test_stage_run_boundary () =
       | Error _ -> Alcotest.failf "read of block %d failed" block)
     (List.init 4 (fun b -> (b, 'a')) @ List.init 5 (fun b -> (8 + b, 'b')))
 
+(* [read_into] over the WAL: a run with no staged block goes to the
+   backing device's [read_into]; a run over staged blocks goes block by
+   block, each staged one from NVM. *)
+let test_read_into () =
+  let mk () =
+    let _, _, _, wal = make_stack () in
+    let inner = Nvm.Nvm_wal.inner wal in
+    ignore (Blockdev.Device.write_run inner 0 (Test_blockdev.pattern inner 16));
+    stage_writes wal [ (3, 's'); (5, 't') ];
+    Nvm.Nvm_wal.device wal
+  in
+  Test_blockdev.check_read_into "nvm-wal staged" mk ~block:1 ~count:8;
+  Test_blockdev.check_read_into "nvm-wal clean" mk ~block:8 ~count:6
+
 let suites =
   [
     ("nvm:codec", List.map QCheck_alcotest.to_alcotest qcheck_codec);
@@ -327,5 +341,6 @@ let suites =
         Alcotest.test_case "log region holds one record" `Quick
           test_log_holds_one_record;
         Alcotest.test_case "stage-run boundary" `Quick test_stage_run_boundary;
+        Alcotest.test_case "read_into" `Quick test_read_into;
       ] );
   ]

@@ -421,6 +421,32 @@ let qcheck_tests =
           model true);
   ]
 
+(* A cold, block-aligned read goes down as run reads straight into the
+   reply: it allocates the reply and the cache's own copy of each block,
+   and no run buffer on top (one block's worth of slack covers the
+   bookkeeping, about 2.2 KB). *)
+let test_cold_read_allocation () =
+  let fs, _ = make_fs ~on_vld:true () in
+  let bb = 4096 and n = 16 in
+  let payload = Bytes.init (n * bb) (fun i -> Char.chr (((i * 7) + (i / bb)) land 0xff)) in
+  ignore (ok (Ufs.create fs "cold"));
+  ignore (ok (Ufs.write fs "cold" ~off:0 payload));
+  let read () =
+    Ufs.drop_caches fs;
+    let before = Gc.allocated_bytes () in
+    let got, _ = ok (Ufs.read fs "cold" ~off:0 ~len:(n * bb)) in
+    (got, Gc.allocated_bytes () -. before)
+  in
+  let got, _ = read () in
+  Alcotest.(check bytes) "contents" payload got;
+  (* The least of a few reads, so a GC slice that happens to run (and
+     allocate) inside one of them does not count. *)
+  let allocated = List.fold_left min infinity (List.init 5 (fun _ -> snd (read ()))) in
+  let budget = float_of_int (((2 * n) + 1) * bb) in
+  if allocated > budget then
+    Alcotest.failf "cold %d-block read allocated %.0f bytes (budget %.0f)" n allocated
+      budget
+
 let suites =
   [
     ( "ufs:files",
@@ -448,6 +474,8 @@ let suites =
         Alcotest.test_case "readahead" `Quick test_sequential_read_uses_readahead;
         Alcotest.test_case "runs on vld" `Quick test_runs_on_vld;
       ] );
+    ( "ufs:alloc",
+      [ Alcotest.test_case "cold read: reply and cache copies only" `Quick test_cold_read_allocation ] );
     ( "ufs:inode",
       [
         Alcotest.test_case "codec roundtrip" `Quick test_inode_codec_roundtrip;

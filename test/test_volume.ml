@@ -557,6 +557,21 @@ let golden_expected = "4b860b347317469f4eb7ef509c6274f2"
 let test_golden_pin () =
   Alcotest.(check string) "simulated behaviour unchanged" golden_expected (golden_digest ())
 
+(* [read_into] on a RAID-10 of VLD legs gathers the run's pieces from
+   both groups into the caller's window, exactly as [read_run] returns
+   them. *)
+let test_raid10_read_into () =
+  Test_blockdev.check_read_into "raid10" ~block:2 ~count:9 (fun () ->
+      let clock = Clock.create () in
+      let disks = Array.init 4 (fun _ -> mk_disk clock) in
+      let dev =
+        Volume.device
+          (Volume.create ~layout:(Volume.Stripe_of_mirrors (2, 2)) ~leg_kind:Volume.Vld_leg
+             ~logical_blocks ~disks ~prng:(Prng.create ~seed:43L) ())
+      in
+      ignore (Blockdev.Device.write_run dev 0 (Test_blockdev.pattern dev 12));
+      dev)
+
 let suites =
   [
     ( "volume:golden", [ Alcotest.test_case "every I/O face pin" `Quick test_golden_pin ] );
@@ -582,5 +597,6 @@ let suites =
         Alcotest.test_case "mirror write = max of legs" `Quick
           test_mirror_write_completes_at_max_of_legs;
         Alcotest.test_case "stripe fans out" `Quick test_stripe_fans_out;
+        Alcotest.test_case "raid10 read_into" `Quick test_raid10_read_into;
       ] );
   ]
