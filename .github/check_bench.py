@@ -49,7 +49,7 @@ def check_qdepth(r, scale):
 
 
 def check_array(r, scale):
-    keys(r, {'cells', 'scalability', 'rebuild', 'fairness'}, 'array')
+    keys(r, {'cells', 'scalability', 'rebuild'}, 'array')
     cells = set()
     for c in r['cells']:
         keys(c, {'rig', 'spindles', 'depth', 'iops', 'n', 'mean_ms', 'p50_ms', 'p99_ms',
@@ -66,10 +66,6 @@ def check_array(r, scale):
     assert set(modes) == {'healthy', 'throttled', 'blocking'}, sorted(modes)
     assert r['rebuild']['within_budget'] is True, r['rebuild']
     assert modes['throttled']['progress'] > 0, modes['throttled']
-    f = r['fairness']
-    assert f['tenants'] >= 2 and f['total_ops'] > 0, f
-    assert f['p99_ratio'] >= 1 and f['tput_ratio'] >= 1, f
-    assert len(f['per_tenant']) == f['tenants'], f
 
 
 def check_array_faults(r, scale):

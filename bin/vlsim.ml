@@ -704,18 +704,15 @@ let trace_cmd =
                   ("small-file", `Small);
                   ("random-update", `Random);
                   ("seq-read", `Seq);
-                  ("tenant-mix", `Tenants);
                 ]))
           None
       & info [] ~docv:"WORKLOAD"
           ~doc:
-            "small-file, random-update, seq-read or tenant-mix.  seq-read \
-             writes one $(b,--ops)-block file, syncs it, drops the caches and \
-             reads it back; LFS still serves the blocks of its open segment \
-             from memory, so at the default $(b,--ops) an LFS trace shows no \
-             disk reads (at 200, 125 blocks come from disk).  tenant-mix is a \
-             sharded multi-tenant write mix on a mirrored volume; the metrics \
-             summary then includes the per-tenant fairness table")
+            "small-file, random-update or seq-read.  seq-read writes one \
+             $(b,--ops)-block file, syncs it, drops the caches and reads it \
+             back; LFS still serves the blocks of its open segment from \
+             memory, so at the default $(b,--ops) an LFS trace shows no disk \
+             reads (at 200, 125 blocks come from disk)")
   in
   let fs_arg =
     Arg.(
@@ -750,39 +747,28 @@ let trace_cmd =
           ~doc:"workload size (files to create / updates to apply / blocks to read)")
   in
   let run workload fs dev profile host out metrics flame ops =
-    let sink =
-      match workload with
-      | `Tenants ->
-        (* One shard so every tenant's stream shares the spindles — the
-           interesting fairness case — with one live sink across them. *)
-        let schedule = Tenant.plan { Tenant.shards = 1; ops_per_tenant = ops } in
-        let _, sink = Tenant.run_shard ~trace:true ~shard:0 schedule.(0) in
-        sink
-      | (`Small | `Random | `Seq) as w ->
-        (* VLFS is the disk's firmware: [--dev] does not apply. *)
-        let on = if fs = Workload.Rig.F_vlfs then Workload.Rig.D_direct else dev in
-        let s, prng =
-          Experiments.Rigs.rig ~seed:0xC0FFEEL ~trace:true ~profile ~host { fs; on }
-        in
-        (match w with
-        | `Small -> ignore (Workload.Small_file.run ~files:ops s)
-        | `Random ->
-          ignore (Workload.Random_update.run ~updates:ops ~warmup:0 ~file_mb:2. ~prng s)
-        | `Seq ->
-          (* Write one [ops]-block file through the buffer, sync it out, drop
-             caches, and stream it back: a read-path trace with a cold cache,
-             except that LFS serves the blocks still in its open segment from
-             memory (every block at the default [ops]). *)
-          let bs = s.dev.block_bytes in
-          ignore (Workload.Fs.exn @@ Workload.Fs.create s.fs "seq");
-          ignore
-            (Workload.Fs.exn
-            @@ Workload.Fs.write s.fs "seq" ~off:0 (Bytes.make (ops * bs) 's'));
-          ignore (Workload.Fs.sync s.fs);
-          Workload.Fs.drop_caches s.fs;
-          ignore (Workload.Fs.exn @@ Workload.Fs.read s.fs "seq" ~off:0 ~len:(ops * bs)));
-        Disk.Disk_sim.trace s.disks.(0)
+    (* VLFS is the disk's firmware: [--dev] does not apply. *)
+    let on = if fs = Workload.Rig.F_vlfs then Workload.Rig.D_direct else dev in
+    let s, prng =
+      Experiments.Rigs.rig ~seed:0xC0FFEEL ~trace:true ~profile ~host { fs; on }
     in
+    (match workload with
+    | `Small -> ignore (Workload.Small_file.run ~files:ops s)
+    | `Random ->
+      ignore (Workload.Random_update.run ~updates:ops ~warmup:0 ~file_mb:2. ~prng s)
+    | `Seq ->
+      (* Write one [ops]-block file through the buffer, sync it out, drop
+         caches, and stream it back: a read-path trace with a cold cache,
+         except that LFS serves the blocks still in its open segment from
+         memory (every block at the default [ops]). *)
+      let bs = s.dev.block_bytes in
+      ignore (Workload.Fs.exn @@ Workload.Fs.create s.fs "seq");
+      ignore
+        (Workload.Fs.exn @@ Workload.Fs.write s.fs "seq" ~off:0 (Bytes.make (ops * bs) 's'));
+      ignore (Workload.Fs.sync s.fs);
+      Workload.Fs.drop_caches s.fs;
+      ignore (Workload.Fs.exn @@ Workload.Fs.read s.fs "seq" ~off:0 ~len:(ops * bs)));
+    let sink = Disk.Disk_sim.trace s.disks.(0) in
     (match out with
     | Some file ->
       let oc = open_out file in

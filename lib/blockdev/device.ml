@@ -40,8 +40,6 @@ let span tr name block count =
       name
   else Vlog_util.Io.no_span
 
-let max_retries = 3
-
 (* One attempt per call, the cost so far carried in [bd]: no closure and
    no ref, so the read path allocates nothing of its own. *)
 let rec read_attempt disk ~span ~block ~lba ~sectors buf ~pos ~bd attempts =
@@ -55,7 +53,7 @@ let rec read_attempt disk ~span ~block ~lba ~sectors buf ~pos ~bd attempts =
     if attempts > 0 then Trace.incr tr ~by:attempts "dev.read_retries";
     Trace.exit tr ~bd span;
     Ok (Vlog_util.Io.make ~span ~counters:(retry_counters attempts) bd)
-  | Error e when e.Disk.Disk_sim.transient && attempts < max_retries ->
+  | Error e when e.Disk.Disk_sim.transient && attempts < Disk.Disk_sim.max_retries ->
     read_attempt disk ~span ~block ~lba ~sectors buf ~pos ~bd (attempts + 1)
   | Error e ->
     let tr = Disk.Disk_sim.trace disk in

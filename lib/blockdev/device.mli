@@ -84,16 +84,13 @@ val span : Trace.sink -> string -> int -> int -> Trace.span
 (** [span tr name block count] opens a device request's span, tagged
     with its block range; {!Vlog_util.Io.no_span} when tracing is off. *)
 
-val max_retries : int
-(** 3: the transient-error retries a bounded-retry loop allows. *)
-
 val read_retrying :
   Disk.Disk_sim.t -> span:Trace.span -> block:int -> lba:int -> sectors:int ->
   Bytes.t -> pos:int -> (Vlog_util.Io.completion, io_error) result
 (** Read one block's [sectors] from [lba] into [buf] at [pos], retrying
-    transients up to {!max_retries} times (SCSI overhead on the first
-    attempt only), counting [dev.read_retries] or [dev.failed_retries],
-    and closing [span] over the summed cost. *)
+    transients up to {!Disk.Disk_sim.max_retries} times (SCSI overhead
+    on the first attempt only), counting [dev.read_retries] or
+    [dev.failed_retries], and closing [span] over the summed cost. *)
 
 val check_window : block_bytes:int -> int -> Bytes.t -> pos:int -> unit
 (** [check_window ~block_bytes count buf ~pos] raises [Invalid_argument]

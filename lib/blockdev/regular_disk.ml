@@ -103,7 +103,7 @@ let write_result t block buf =
         Device.retry_counters attempts @ if remaps > 0 then [ ("remaps", remaps) ] else []
       in
       Ok (Io.make ~span:sp ~counters !bd)
-    | Error e when e.Disk.Disk_sim.transient && attempts < Device.max_retries ->
+    | Error e when e.Disk.Disk_sim.transient && attempts < Disk.Disk_sim.max_retries ->
       go (attempts + 1) remaps
     | Error e when e.Disk.Disk_sim.transient ->
       (* Retries exhausted on a transient error: the drive is hung or

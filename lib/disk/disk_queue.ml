@@ -38,7 +38,7 @@ type cmd = {
   c_background : bool;
       (* low-priority tag: dispatched only when no foreground command is
          eligible (rebuild copies, scrubbing) *)
-  c_owner : string option;  (* tenant attribution for fairness counters *)
+  c_owner : string option;  (* latency tag: feeds [queue.<owner>.lat] *)
   mutable c_not_before : float;
       (* a stalled tag may not be re-dispatched before this instant *)
   mutable c_stalls : int;
@@ -205,11 +205,7 @@ let finish t c outcome bd ~started =
   if c.c_background then Trace.incr sink "queue.background_completions";
   match c.c_owner with
   | None -> ()
-  | Some o ->
-    (* tag → tenant attribution: per-tenant latency histograms and op
-       counters, rendered as a fairness table by [Trace.pp_summary] *)
-    Trace.observe sink ("tenant." ^ o ^ ".lat") (finished -. c.c_submitted);
-    Trace.incr sink ("tenant." ^ o ^ ".ops")
+  | Some o -> Trace.observe sink ("queue." ^ o ^ ".lat") (finished -. c.c_submitted)
 
 (* In-flight failure policy for a transiently failed tag.  A hang (the
    stall probe yields a deadline) stalls just this tag behind the

@@ -116,10 +116,11 @@ val submit : ?at:float -> ?background:bool -> ?owner:string -> t -> op -> int
     arrival timestamp; it may lie in the simulated future (open-loop
     arrivals) but not in the past.  [background] (default false) marks a
     low-priority tag: it dispatches only when no foreground command is
-    eligible (rebuild copies, scrubbing).  [owner] attributes the tag to
-    a tenant — each completion then feeds the [tenant.<owner>.lat]
-    histogram and [tenant.<owner>.ops] counter of the disk's trace sink,
-    the raw material for per-tenant fairness reporting. *)
+    eligible (rebuild copies, scrubbing).  [owner] is a latency tag: each
+    completion of a tagged command feeds its submit-to-completion time
+    into the [queue.<owner>.lat] histogram of the disk's trace sink, so
+    a study measures only the commands it tags (untagged prefill stays
+    out). *)
 
 val pending : t -> int
 (** Commands submitted but not yet completed (queued or stalled). *)

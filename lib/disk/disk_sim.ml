@@ -352,6 +352,18 @@ let read ?scsi t ~lba ~sectors =
   | Ok data, bd -> (data, bd)
   | Error e, _ -> raise (Media_failure e)
 
+let max_retries = 3
+
+let read_retrying ~scsi ~bd t ~lba ~sectors =
+  let rec go bd retries =
+    let r, cost = read_checked ~scsi:(scsi && retries = 0) t ~lba ~sectors in
+    let bd = Breakdown.add bd cost in
+    match r with
+    | Error e when e.transient && retries < max_retries -> go bd (retries + 1)
+    | r -> (r, retries, bd)
+  in
+  go bd 0
+
 let write_checked ?(scsi = true) t ~lba buf =
   let g = geometry t in
   let sb = g.Geometry.sector_bytes in

@@ -128,6 +128,20 @@ val read_checked_into :
 (** {!read_checked} into [buf] from byte [pos] on, with no buffer of its
     own.  On [Error] the range of [buf] is left untouched. *)
 
+val max_retries : int
+(** 3: the transient-error retries every bounded-retry loop allows —
+    {!read_retrying}, the block devices' read-into and write loops. *)
+
+val read_retrying :
+  scsi:bool -> bd:Vlog_util.Breakdown.t -> t -> lba:int -> sectors:int ->
+  (Bytes.t, media_error) result * int * Vlog_util.Breakdown.t
+(** {!read_checked}, retrying transient errors up to {!max_retries}
+    times; permanent errors and ECC mismatches return at once.  [scsi]
+    charges the command overhead on the first attempt only.  Returns the
+    last attempt's outcome, the retries made (0 when the first attempt
+    answered) and [bd] with every attempt's cost added to it in order,
+    so a caller's running total stays one left-to-right sum. *)
+
 val write_checked :
   ?scsi:bool -> t -> lba:int -> Bytes.t ->
   (unit, media_error) result * Vlog_util.Breakdown.t

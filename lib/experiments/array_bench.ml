@@ -122,7 +122,7 @@ let run_cell ?(seed = 0) ~scale c =
   done;
   let elapsed = Clock.now clock -. t0 in
   let h =
-    match Trace.histogram sink "tenant.fg.lat" with
+    match Trace.histogram sink "queue.fg.lat" with
     | Some h -> h
     | None -> failwith "array: no per-command latency histogram"
   in
@@ -284,7 +284,7 @@ let run_fault_mode ?(seed = 0) ~scale mode =
   done;
   let elapsed = Clock.now clock -. t0 in
   let h =
-    match Trace.histogram sink "tenant.fg.lat" with
+    match Trace.histogram sink "queue.fg.lat" with
     | Some h -> h
     | None -> failwith "array faults: no per-command latency histogram"
   in
@@ -308,11 +308,6 @@ let run_fault_mode ?(seed = 0) ~scale mode =
     fr_rebuilt = rebuilt;
   }
 
-let fairness_config ~scale =
-  match scale with
-  | Rigs.Quick -> { Tenant.shards = 2; ops_per_tenant = 60 }
-  | Rigs.Full -> { Tenant.shards = 4; ops_per_tenant = 250 }
-
 let scalability results =
   let iops rig spindles =
     List.fold_left
@@ -333,7 +328,7 @@ let scalability results =
 
 (* --- the study as jobs, and its report --- *)
 
-type part = Cell of cell_result | Rebuild of rebuild_row | Fairness of Tenant.result
+type part = Cell of cell_result | Rebuild of rebuild_row
 
 let jobs ?seed ~scale () =
   List.map (fun c -> (cell_label c, fun () -> Cell (run_cell ?seed ~scale c))) (cells ~scale)
@@ -341,7 +336,6 @@ let jobs ?seed ~scale () =
       (fun m ->
         ("rebuild/" ^ rebuild_mode_label m, fun () -> Rebuild (run_rebuild ?seed ~scale m)))
       [ `Healthy; `Throttled; `Blocking ]
-  @ [ ("fairness", fun () -> Fairness (Tenant.run (fairness_config ~scale))) ]
 
 let table_of cells =
   let t =
@@ -365,11 +359,6 @@ let table_of cells =
 let report parts =
   let cells = List.filter_map (function Cell c -> Some c | _ -> None) parts in
   let rebuild = List.filter_map (function Rebuild r -> Some r | _ -> None) parts in
-  let f =
-    match List.find_map (function Fairness f -> Some f | _ -> None) parts with
-    | Some f -> f
-    | None -> invalid_arg "Array_bench.report: no fairness part"
-  in
   let p99 mode =
     List.fold_left (fun a r -> if r.rb_mode = mode then r.rb_p99_ms else a) 0. rebuild
   in
@@ -392,12 +381,6 @@ let report parts =
     rebuild;
   Printf.bprintf b "  throttled within budget (%.1fx healthy p99): %b\n" rebuild_budget
     within_budget;
-  Printf.bprintf b
-    "\ntenants: %d ops across %d tenants, %.0f IOPS aggregate, fairness p99 max/min \
-     %.2f, tput max/min %.2f\n"
-    f.Tenant.total_ops
-    (List.length f.Tenant.per_tenant)
-    f.Tenant.agg_iops f.Tenant.fairness.Tenant.p99_ratio f.Tenant.fairness.Tenant.tput_ratio;
   let cell c =
     Json.Obj
       [
@@ -415,14 +398,6 @@ let report parts =
         ("completed", Bool rb.rb_completed);
       ]
   in
-  let tenant (s : Tenant.tenant_stats) =
-    Json.Obj
-      [
-        ("tenant", Int s.Tenant.tenant); ("ops", Int s.Tenant.ops);
-        ("mean_ms", Float s.Tenant.mean_ms); ("p50_ms", Float s.Tenant.p50_ms);
-        ("p99_ms", Float s.Tenant.p99_ms); ("tput_iops", Float s.Tenant.tput_iops);
-      ]
-  in
   ( Buffer.contents b,
     Json.Obj
       [
@@ -435,15 +410,6 @@ let report parts =
             [
               ("budget_x_healthy_p99", Float rebuild_budget); ("within_budget", Bool within_budget);
               ("modes", List (List.map mode rebuild));
-            ] );
-        ( "fairness",
-          Obj
-            [
-              ("tenants", Int (List.length f.Tenant.per_tenant));
-              ("total_ops", Int f.Tenant.total_ops); ("agg_iops", Float f.Tenant.agg_iops);
-              ("p99_ratio", Float f.Tenant.fairness.Tenant.p99_ratio);
-              ("tput_ratio", Float f.Tenant.fairness.Tenant.tput_ratio);
-              ("per_tenant", List (List.map tenant f.Tenant.per_tenant));
             ] );
       ] )
 

@@ -9,10 +9,9 @@
     tagged queue holds a full window for its policy (SATF on VLD legs)
     to reorder.
 
-    Two companion studies ride along: foreground p99 under rebuild
+    One companion study rides along: foreground p99 under rebuild
     (healthy vs. throttled background resilver vs. the blocking cursor
-    sweep, with a stated p99 budget), and the sharded multi-tenant
-    fairness run ({!Tenant.run}).  The fault-under-load curves
+    sweep, with a stated p99 budget).  The fault-under-load curves
     ({!run_fault_mode}) are a separate experiment, [array-faults]. *)
 
 type cell = { rig : Workload.Rig.array_kind; spindles : int; depth : int }
@@ -67,19 +66,17 @@ val run_fault_mode :
     spare, or a resilver pumped in idle windows while the surviving
     source runs flaky bursts. *)
 
-type part = Cell of cell_result | Rebuild of rebuild_row | Fairness of Tenant.result
+type part = Cell of cell_result | Rebuild of rebuild_row
 
 val jobs : ?seed:int -> scale:Rigs.scale -> unit -> (string * (unit -> part)) list
-(** The study as {!Suite} jobs: one per grid cell, one per rebuild
-    mode, and one fairness run ({!Tenant.run}).
-    Labels are the cell label, [rebuild/<mode>] and [fairness]. *)
+(** The study as {!Suite} jobs: one per grid cell and one per rebuild
+    mode.  Labels are the cell label and [rebuild/<mode>]. *)
 
 val report : part list -> string * Vlog_util.Json.t
-(** Merge the finished {!jobs}: the IOPS table plus the scalability,
-    rebuild and fairness summaries, and the JSON object with keys
-    [cells], [scalability] (with the ≥8× criterion), [rebuild] (modes
-    and the budget verdict) and [fairness] (per-tenant rows and the
-    spread ratios). *)
+(** Merge the finished {!jobs}: the IOPS table plus the scalability and
+    rebuild summaries, and the JSON object with keys [cells],
+    [scalability] (with the ≥8× criterion) and [rebuild] (modes and the
+    budget verdict). *)
 
 val fault_modes : [ `Healthy | `One_dead | `Rebuild_flaky ] list
 val fault_mode_label : [ `Healthy | `One_dead | `Rebuild_flaky ] -> string

@@ -210,8 +210,7 @@ let run_cell ?(seed = 0) ~scale (c : cell) =
           Array.of_list
             (Workload.Open_loop.arrivals
                ~prng:(Prng.create ~seed:(seed_of ~seed c 3))
-               ~process:Workload.Open_loop.Poisson ~rate_per_s:rate_ops_s
-               ~start:(Clock.now clock) n)
+               ~rate_per_s:rate_ops_s ~start:(Clock.now clock) n)
         in
         let start = Clock.now clock in
         let lats, last =

@@ -330,46 +330,6 @@ let pp_summary ppf sink =
     if cs <> [] then begin
       Format.fprintf ppf "@.%-40s %12s@." "counter" "value";
       List.iter (fun (k, v) -> Format.fprintf ppf "%-40s %12d@." k v) cs
-    end;
-    (* Per-tenant fairness: every [tenant.<name>.lat] histogram (fed by
-       the disk queues' tag→tenant attribution) becomes a row, with the
-       spread ratios a fairness claim is judged by. *)
-    let tenants =
-      List.filter_map
-        (fun name ->
-          if String.length name > 11
-             && String.sub name 0 7 = "tenant."
-             && String.sub name (String.length name - 4) 4 = ".lat"
-          then
-            let tenant = String.sub name 7 (String.length name - 11) in
-            Option.map (fun h -> (tenant, h)) (histogram sink name)
-          else None)
-        names
-    in
-    if tenants <> [] then begin
-      Format.fprintf ppf "@.%-16s %8s %10s %10s %10s %10s@." "tenant" "ops"
-        "mean ms" "p50 ms" "p99 ms" "max ms";
-      List.iter
-        (fun (tenant, h) ->
-          let n = Histogram.count h in
-          if n > 0 then
-            Format.fprintf ppf "%-16s %8d %10.4f %10.4f %10.4f %10.4f@." tenant n
-              (Histogram.sum h /. float_of_int n)
-              (Histogram.percentile h 50.) (Histogram.percentile h 99.)
-              (Histogram.max_value h))
-        tenants;
-      let live = List.filter (fun (_, h) -> Histogram.count h > 0) tenants in
-      if List.length live >= 2 then begin
-        let spread f =
-          let vs = List.map (fun (_, h) -> f h) live in
-          let lo = List.fold_left Float.min infinity vs
-          and hi = List.fold_left Float.max neg_infinity vs in
-          if lo > 0. then hi /. lo else infinity
-        in
-        Format.fprintf ppf "fairness: p99 max/min %.2f, ops max/min %.2f@."
-          (spread (fun h -> Histogram.percentile h 99.))
-          (spread (fun h -> float_of_int (Histogram.count h)))
-      end
     end
 
 (* Aggregate spans by their name-path and render as an indented tree:

@@ -135,10 +135,7 @@ val to_jsonl : sink -> string
 
 val pp_summary : Format.formatter -> sink -> unit
 (** Metrics summary: per-span-name latency table (count, mean, p50,
-    p90, p99, max) and the counters.  When [tenant.<name>.lat]
-    histograms are present (the disk queues' tag→tenant attribution), a
-    per-tenant table follows — ops, mean, p50, p99, max per tenant —
-    closed by the fairness spread ratios (p99 max/min, ops max/min). *)
+    p90, p99, max) and the counters. *)
 
 val pp_flamegraph : Format.formatter -> sink -> unit
 (** Text flamegraph: spans aggregated by name-path, indented by depth,

@@ -349,26 +349,14 @@ let create t name =
           | Ok fbd -> Ok (Breakdown.add bd fbd)
           | Error (e, _) -> Error e))
 
-let max_read_retries = 3
-
-(* Defect-tolerant fetch of one physical block: retry transient errors
-   up to [max_read_retries] times, folding every attempt's cost into
-   [bd]; [scsi] charges the command overhead on the first attempt.
-   Returns the outcome with the retries made — counting them is the
-   caller's choice. *)
+(* Defect-tolerant fetch of one physical block
+   ({!Disk.Disk_sim.read_retrying}): the outcome, the retries made —
+   counting them is the caller's choice — and [bd] plus every attempt's
+   cost. *)
 let read_pba_retrying t ~scsi ~bd pba =
-  let lba = Vlog.Freemap.lba_of_block (fm t) pba in
-  let rec go attempts =
-    let r, cost =
-      Disk.Disk_sim.read_checked ~scsi:(scsi && attempts = 0) t.disk ~lba ~sectors:t.spb
-    in
-    bd := Breakdown.add !bd cost;
-    match r with
-    | Error e when e.Disk.Disk_sim.transient && attempts < max_read_retries ->
-      go (attempts + 1)
-    | r -> (r, attempts)
-  in
-  go 0
+  Disk.Disk_sim.read_retrying ~scsi ~bd t.disk
+    ~lba:(Vlog.Freemap.lba_of_block (fm t) pba)
+    ~sectors:t.spb
 
 let read_data_block t vn fb =
   match Hashtbl.find_opt t.pending (vn.inum, fb) with
@@ -389,16 +377,15 @@ let read_data_block t vn fb =
            its own span. *)
         let tr = sink t in
         let sp = Trace.enter tr "vlfs.rblock" in
-        let bd = ref Breakdown.zero in
-        match read_pba_retrying t ~scsi:true ~bd pba with
-        | Ok bytes, attempts ->
+        match read_pba_retrying t ~scsi:true ~bd:Breakdown.zero pba with
+        | Ok bytes, retries, bd ->
           ignore (Ufs.Buffer_cache.insert t.cache pba bytes ~dirty:false);
-          if attempts > 0 then Trace.incr tr ~by:attempts "vlfs.read_retries";
-          Trace.exit tr ~bd:!bd sp;
-          (bytes, !bd)
-        | Error e, attempts ->
-          Trace.exit tr ~bd:!bd sp;
-          raise (Io_abort (Blockdev.Device.err ~op:`Read ~block:pba ~e ~retries:attempts))
+          if retries > 0 then Trace.incr tr ~by:retries "vlfs.read_retries";
+          Trace.exit tr ~bd sp;
+          (bytes, bd)
+        | Error e, retries, bd ->
+          Trace.exit tr ~bd sp;
+          raise (Io_abort (Blockdev.Device.err ~op:`Read ~block:pba ~e ~retries))
     end
 
 let free_headroom t =
@@ -769,11 +756,13 @@ let recover ~disk ~host ?(config = default_config) () =
     let read_pba pba =
       if pba < 0 || pba >= n_phys then None
       else
-        match read_pba_retrying t ~scsi:false ~bd pba with
-        | Ok bytes, attempts ->
-          if attempts > 0 then Trace.incr (sink t) ~by:attempts "vlfs.read_retries";
+        let r, retries, total = read_pba_retrying t ~scsi:false ~bd:!bd pba in
+        bd := total;
+        match r with
+        | Ok bytes ->
+          if retries > 0 then Trace.incr (sink t) ~by:retries "vlfs.read_retries";
           Some bytes
-        | Error _, _ -> None
+        | Error _ -> None
     in
     (* Load every mapped inode; its part-0 header sizes the pointer
        array, later parts fill it in.  Unverifiable parts skip the whole
@@ -992,7 +981,8 @@ let verify_media t =
     (* Retry transients like every other read path: only permanent
        damage is a media finding.  Uncounted and uncharged. *)
     let read_raw pba =
-      Result.to_option (fst (read_pba_retrying t ~scsi:false ~bd:(ref Breakdown.zero) pba))
+      let r, _, _ = read_pba_retrying t ~scsi:false ~bd:Breakdown.zero pba in
+      Result.to_option r
     in
     Hashtbl.iter
       (fun inum vn ->

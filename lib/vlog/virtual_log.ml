@@ -431,22 +431,13 @@ let rebuild ~disk ~logical_blocks ~sectors_per_block ~recovered =
 
 (* Checked read with bounded retry: transient errors are retried a few
    times (drives do this in firmware); permanent errors and ECC
-   mismatches surface as [Error]. *)
-let max_read_retries = 3
-
+   mismatches surface as [Error].  The cost is the attempts' own sum,
+   which the caller adds to its running total. *)
 let read_retry ~disk ~lba ~sectors =
-  let bd = ref Breakdown.zero in
-  let rec go attempts =
-    let r, cost = Disk.Disk_sim.read_checked ~scsi:false disk ~lba ~sectors in
-    bd := Breakdown.add !bd cost;
-    match r with
-    | Ok data -> Ok data
-    | Error e when e.Disk.Disk_sim.transient && attempts < max_read_retries ->
-      go (attempts + 1)
-    | Error e -> Error e
+  let r, _, bd =
+    Disk.Disk_sim.read_retrying ~scsi:false ~bd:Breakdown.zero disk ~lba ~sectors
   in
-  let r = go 0 in
-  (r, !bd)
+  (r, bd)
 
 let read_block ~disk ~sectors_per_block pba =
   read_retry ~disk ~lba:(pba * sectors_per_block) ~sectors:sectors_per_block

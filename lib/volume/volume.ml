@@ -885,7 +885,7 @@ type rtx = {
 (* Candidate order: healthy legs first, then the rebuilt region of a
    rebuilding leg, then suspects past their backoff (the read doubles
    as the probe).  Blocks in a leg's DRL are never read from it. *)
-let submit_group_read t ~at ?owner gi gb ~block =
+let submit_group_read t ~at gi gb ~block =
   let group = t.groups.(gi) in
   let eligible leg =
     (not (Hashtbl.mem leg.drl gb))
@@ -916,14 +916,14 @@ let submit_group_read t ~at ?owner gi gb ~block =
   let first, rest =
     match candidates with
     | [] -> (None, [])
-    | leg :: rest -> (Some (submit_leg t leg ~at ?owner gb None), rest)
+    | leg :: rest -> (Some (submit_leg t leg ~at gb None), rest)
   in
   { rt_block = block; rt_gi = gi; rt_gb = gb; rt_first = first; rt_rest = rest }
 
 (* Gather one read scatter, failing over through the remaining
    candidates in their own windows.  Once one candidate has been tried,
    the per-op budget stops further probing of suspects. *)
-let gather_group_read t (ctbl : ctbl) ~at ?owner rtx =
+let gather_group_read t (ctbl : ctbl) ~at rtx =
   let err_of tried =
     match tried with
     | Some e -> { e with Blockdev.Device.block = rtx.rt_block }
@@ -979,7 +979,7 @@ let gather_group_read t (ctbl : ctbl) ~at ?owner rtx =
         (Error (err_of tried), start)
       else begin
         Clock.warp t.clock start;
-        let s = submit_leg t leg ~at:start ?owner rtx.rt_gb None in
+        let s = submit_leg t leg ~at:start rtx.rt_gb None in
         let cs = run_leg t leg ~at:start in
         attempt tried failed s (List.assoc s.s_tag cs) rest
       end
@@ -1066,14 +1066,14 @@ let write_batch_report t ?owner ~at items =
 
 (* The read engine: the first candidate of every block is submitted at
    the arrival instant; failover rounds run per block at gather time. *)
-let read_batch_report t ?owner ~at blocks =
+let read_batch_report t ~at blocks =
   List.iter (fun b -> check t b 1) blocks;
   Clock.warp t.clock at;
   let txs =
     List.map
       (fun b ->
         let gi, gb = locate t b in
-        submit_group_read t ~at ?owner gi gb ~block:b)
+        submit_group_read t ~at gi gb ~block:b)
       blocks
   in
   let legs =
@@ -1085,7 +1085,7 @@ let read_batch_report t ?owner ~at blocks =
   let data = ref [] and failed = ref [] in
   List.iter
     (fun tx ->
-      let r, fin = gather_group_read t ctbl ~at ?owner tx in
+      let r, fin = gather_group_read t ctbl ~at tx in
       completion := Float.max !completion fin;
       match r with
       | Ok (d, bd) -> data := (tx.rt_block, d, bd) :: !data
@@ -1100,8 +1100,8 @@ let write_batch t ?owner ~at items =
   | [] -> Ok r.wr_bd
   | f :: _ -> Error f.be_error
 
-let read_batch t ?owner ~at blocks =
-  let r = read_batch_report t ?owner ~at blocks in
+let read_batch t ~at blocks =
+  let r = read_batch_report t ~at blocks in
   match r.rr_failed with
   | [] -> Ok (List.map (fun (_, d, bd) -> (d, bd)) r.rr_data)
   | f :: _ -> Error f.be_error
@@ -1310,7 +1310,7 @@ let recover ?spare ~layout ~leg_kind ~logical_blocks ~disks ~prng () =
 
 let dev_span t name block count = Blockdev.Device.span t.trace name block count
 
-let exec t ?owner ~at (req : Blockdev.Device.req) : Blockdev.Device.ack =
+let exec t ~at (req : Blockdev.Device.req) : Blockdev.Device.ack =
   let bb = t.block_bytes in
   let name, block, count =
     match req with
@@ -1333,7 +1333,7 @@ let exec t ?owner ~at (req : Blockdev.Device.req) : Blockdev.Device.ack =
   let ack : Blockdev.Device.ack =
     match req with
     | Read _ | Read_run _ | Read_into _ -> (
-      match read_batch t ?owner ~at (List.init count (fun i -> block + i)) with
+      match read_batch t ~at (List.init count (fun i -> block + i)) with
       | Error e -> Error e
       | Ok pieces -> (
         let c =
@@ -1354,7 +1354,7 @@ let exec t ?owner ~at (req : Blockdev.Device.req) : Blockdev.Device.ack =
           Ok (Data (buf, c))))
     | Write (_, buf) | Write_run (_, buf) -> (
       let piece i = if count = 1 then buf else Bytes.sub buf (i * bb) bb in
-      match write_batch t ?owner ~at (List.init count (fun i -> (block + i, piece i))) with
+      match write_batch t ~at (List.init count (fun i -> (block + i, piece i))) with
       | Error e -> Error e
       | Ok bd -> Ok (Done (Io.make ~span:sp bd)))
   in
@@ -1373,8 +1373,7 @@ let done_of : Blockdev.Device.ack -> _ = function
   | Ok (Data _) -> assert false
   | Error e -> Error e
 
-let write_result_at t ?owner ~at block buf =
-  done_of (exec t ?owner ~at (Write (block, buf)))
+let write_result_at t ~at block buf = done_of (exec t ~at (Write (block, buf)))
 
 (* ---- Native host queue ----
 

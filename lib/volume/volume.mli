@@ -105,9 +105,10 @@ val device : t -> Blockdev.Device.t
     and leaves the clock {e at the batch's completion}, so
     [Clock.now - at] is its wall latency.  [at] may lie anywhere on the
     timeline: a closed-loop driver submits each replacement op at its
-    predecessor's completion instant.  [owner] tags every disk command
-    the batch scatters, feeding per-tenant latency histograms in the
-    legs' trace sinks.  Every block must lie inside the volume and
+    predecessor's completion instant.  A write batch's [owner] tags
+    every disk command it scatters ({!Disk.Disk_queue.submit}), so the
+    legs' trace sinks hold a [queue.<owner>.lat] latency histogram of
+    just those commands.  Every block must lie inside the volume and
     every write buffer must be exactly one block, or the call raises
     [Invalid_argument] before anything is submitted.
 
@@ -139,7 +140,7 @@ type read_report = {
 val write_batch_report :
   t -> ?owner:string -> at:float -> (int * Bytes.t) list -> write_report
 
-val read_batch_report : t -> ?owner:string -> at:float -> int list -> read_report
+val read_batch_report : t -> at:float -> int list -> read_report
 
 val write_batch :
   t ->
@@ -153,21 +154,18 @@ val write_batch :
 
 val read_batch :
   t ->
-  ?owner:string ->
   at:float ->
   int list ->
   ((Bytes.t * Vlog_util.Breakdown.t) list, Blockdev.Device.io_error) result
 
 val write_result_at :
   t ->
-  ?owner:string ->
   at:float ->
   int ->
   Bytes.t ->
   (Vlog_util.Io.completion, Blockdev.Device.io_error) result
 (** One block written as the device's [write] does — under a
-    [vol.write] trace span — but arriving at [at] and attributed to
-    [owner]. *)
+    [vol.write] trace span — but arriving at [at]. *)
 
 (** {1 Failure management} *)
 

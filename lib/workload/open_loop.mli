@@ -1,4 +1,4 @@
-(** Open-loop arrival processes.
+(** Open-loop Poisson arrivals.
 
     The paper's workloads are closed loops: one request at a time, the
     next issued when the last completes, so the drive never sees a
@@ -13,22 +13,9 @@
     deterministic from the PRNG; it neither reads nor advances the
     clock. *)
 
-type process =
-  | Poisson
-      (** memoryless: exponential interarrivals at the offered rate *)
-  | Bursty of { burst : int; spread_ms : float }
-      (** arrivals come in bursts of [burst] requests whose starts are
-          Poisson at [rate / burst] (so the offered load matches), each
-          burst's requests spread uniformly over [spread_ms] *)
-
 val arrivals :
-  prng:Vlog_util.Prng.t ->
-  process:process ->
-  rate_per_s:float ->
-  start:float ->
-  int ->
-  float list
-(** [arrivals ~prng ~process ~rate_per_s ~start n] is [n] arrival
-    timestamps (ms), sorted non-decreasing, beginning at or after
-    [start], with long-run rate [rate_per_s] requests per simulated
-    second. *)
+  prng:Vlog_util.Prng.t -> rate_per_s:float -> start:float -> int -> float list
+(** [arrivals ~prng ~rate_per_s ~start n] is [n] Poisson arrival
+    timestamps (ms): exponential interarrivals at [rate_per_s] requests
+    per simulated second, sorted non-decreasing, beginning at or after
+    [start]. *)

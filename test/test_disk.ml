@@ -282,6 +282,67 @@ let test_sim_bounds () =
       let total = Geometry.total_sectors (Disk_sim.geometry disk) in
       ignore (Disk_sim.write disk ~lba:(total - 1) (Bytes.make 1024 'x')))
 
+(* [failures] transient errors, then clean reads: the bounded retry
+   answers after exactly [max_retries] retries and gives up after one
+   more failure, folding each attempt's cost into the caller's running
+   breakdown in order, and charging SCSI on the first attempt only.  A
+   twin disk replays the same attempts by hand for the expected sum. *)
+let test_sim_read_retrying () =
+  let flaky failures =
+    let disk, _ = make_disk () in
+    ignore (Disk_sim.write disk ~lba:64 (Bytes.make 4096 'r'));
+    let left = ref failures in
+    Disk_sim.set_injector disk
+      (Some
+         {
+           Disk_sim.on_read =
+             (fun ~lba:_ ~sectors:_ ->
+               if !left > 0 then begin
+                 decr left;
+                 Some Disk_sim.Transient_read
+               end
+               else None);
+           on_write = (fun ~lba:_ ~sectors:_ -> None);
+         });
+    disk
+  in
+  let start = Breakdown.of_other 1.5 in
+  let by_hand failures =
+    let disk = flaky failures in
+    let attempts = min (failures + 1) (Disk_sim.max_retries + 1) in
+    let bd = ref start in
+    for i = 0 to attempts - 1 do
+      let _, cost = Disk_sim.read_checked ~scsi:(i = 0) disk ~lba:64 ~sectors:8 in
+      bd := Breakdown.add !bd cost
+    done;
+    !bd
+  in
+  let same_bd what expect got =
+    List.iter
+      (fun (field, f) -> check_float (what ^ " " ^ field) (f expect) (f got))
+      Breakdown.
+        [
+          ("scsi", fun b -> b.scsi); ("locate", fun b -> b.locate);
+          ("transfer", fun b -> b.transfer); ("other", fun b -> b.other);
+        ]
+  in
+  Alcotest.(check int) "bound" 3 Disk_sim.max_retries;
+  (match
+     Disk_sim.read_retrying ~scsi:true ~bd:start (flaky 3) ~lba:64 ~sectors:8
+   with
+  | Ok data, retries, bd ->
+    Alcotest.(check bytes) "data after 3 failures" (Bytes.make 4096 'r') data;
+    Alcotest.(check int) "3 retries" 3 retries;
+    check_float "scsi once" 2.3 bd.Breakdown.scsi;
+    same_bd "3 failures" (by_hand 3) bd
+  | Error _, _, _ -> Alcotest.fail "3 transient failures must be retried away");
+  match Disk_sim.read_retrying ~scsi:true ~bd:start (flaky 4) ~lba:64 ~sectors:8 with
+  | Error e, retries, bd ->
+    Alcotest.(check bool) "transient" true e.Disk_sim.transient;
+    Alcotest.(check int) "gave up after 3 retries" 3 retries;
+    same_bd "4 failures" (by_hand 4) bd
+  | Ok _, _, _ -> Alcotest.fail "a 4th transient failure must surface"
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -351,6 +412,7 @@ let suites =
         Alcotest.test_case "estimate close" `Quick test_sim_estimate_close_to_actual;
         Alcotest.test_case "stats" `Quick test_sim_stats;
         Alcotest.test_case "bounds" `Quick test_sim_bounds;
+        Alcotest.test_case "read_retrying bound" `Quick test_sim_read_retrying;
       ] );
     ("disk:properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

@@ -327,8 +327,9 @@ let test_background_yields () =
 
 (* A Hosted op runs its service closure inside the leg's window: the
    clock it sees is the command's start time, its outcome is reported
-   verbatim, and [owner] attribution lands in the disk's trace sink as
-   a [tenant.<o>.lat] histogram observation. *)
+   verbatim, and its [owner] latency tag lands in the disk's trace sink
+   as a [queue.<o>.lat] histogram observation, with no per-owner
+   counter beside it. *)
 let test_hosted_op () =
   let clock = Clock.create () in
   let sink = Trace.create ~clock () in
@@ -361,10 +362,15 @@ let test_hosted_op () =
       "completion covers the service time" (!service_started +. 2.5)
       c.Disk_queue.finished
   | cs -> Alcotest.failf "expected 1 completion, got %d" (List.length cs));
-  match Trace.histogram sink "tenant.bob.lat" with
+  (match Trace.histogram sink "queue.bob.lat" with
   | Some h ->
-    Alcotest.(check int) "one attributed command" 1 (Trace.Histogram.count h)
-  | None -> Alcotest.fail "owner attribution missing from the trace sink"
+    Alcotest.(check int) "one tagged command" 1 (Trace.Histogram.count h)
+  | None -> Alcotest.fail "owner latency tag missing from the trace sink");
+  Alcotest.(check (list string))
+    "no per-owner op counter" []
+    (List.filter_map
+       (fun (name, _) -> if Filename.check_suffix name ".ops" then Some name else None)
+       (Trace.counters sink))
 
 (* ---- scheduler properties ---- *)
 

@@ -500,7 +500,7 @@ let golden_digest () =
     [ 1; 3; 5 ];
   (* a timestamped write arriving behind the clock *)
   let at = Clock.now clock -. 3. in
-  ack_line "write_at" (done_ (Volume.write_result_at vol ~owner:"late" ~at 6 (fill dev 'L')));
+  ack_line "write_at" (done_ (Volume.write_result_at vol ~at 6 (fill dev 'L')));
   lat "write_at" clock at;
   let rebuild_states what =
     line "%s %s %s" what
@@ -514,7 +514,7 @@ let golden_digest () =
   Volume.rebuild_step vol ~copies:6;
   rebuild_states "after step";
   let at = Clock.now clock in
-  (match Volume.read_batch vol ~owner:"fg" ~at [ 0; 1; 2; 3; 30; 31 ] with
+  (match Volume.read_batch vol ~at [ 0; 1; 2; 3; 30; 31 ] with
   | Ok pieces ->
     List.iter (fun (d, bd) -> line "read_batch %s %h" (md5 d) (Breakdown.total bd)) pieces
   | Error e -> line "read_batch error %s" (err e));

@@ -128,27 +128,17 @@ let arrival_gen =
   QCheck.(
     triple (int_range 0 0xFFFF) (* seed *)
       (int_range 1 400) (* n *)
-      (pair
-         (int_range 1 2000) (* rate per second *)
-         (oneofl
-            [
-              Workload.Open_loop.Poisson;
-              Workload.Open_loop.Bursty { burst = 4; spread_ms = 2. };
-              Workload.Open_loop.Bursty { burst = 8; spread_ms = 0.5 };
-            ])))
+      (int_range 1 2000) (* rate per second *))
 
 let open_loop_qcheck =
   let open QCheck in
   [
     Test.make ~name:"open-loop schedules are sorted and start on time" ~count:100
       arrival_gen
-      (fun (seed, n, (rate, process)) ->
+      (fun (seed, n, rate) ->
         let prng = Prng.create ~seed:(Int64.of_int seed) in
         let start = 5. in
-        let ts =
-          Workload.Open_loop.arrivals ~prng ~process ~rate_per_s:(float_of_int rate)
-            ~start n
-        in
+        let ts = Workload.Open_loop.arrivals ~prng ~rate_per_s:(float_of_int rate) ~start n in
         List.length ts = n && sorted ts && List.for_all (fun t -> t >= start) ts);
     Test.make
       ~name:"poisson interarrival mean tracks 1/rate for large n" ~count:20
@@ -157,8 +147,7 @@ let open_loop_qcheck =
         let n = 2000 in
         let prng = Prng.create ~seed:(Int64.of_int seed) in
         let ts =
-          Workload.Open_loop.arrivals ~prng ~process:Workload.Open_loop.Poisson
-            ~rate_per_s:(float_of_int rate) ~start:0. n
+          Workload.Open_loop.arrivals ~prng ~rate_per_s:(float_of_int rate) ~start:0. n
         in
         match ts with
         | [] -> false
