@@ -8,14 +8,14 @@ type t = {
   block_bytes : int;
 }
 
-let of_vlog ~compaction_policy ~prng vlog =
+let of_vlog ~prng vlog =
   let disk = Vlog.Virtual_log.disk vlog in
   let cfg = Vlog.Virtual_log.config vlog in
   let sectors_per_block = cfg.Vlog.Virtual_log.sectors_per_block in
   {
     disk;
     vlog;
-    compactor = Vlog.Compactor.create ~policy:compaction_policy ~vlog ~prng ();
+    compactor = Vlog.Compactor.create ~vlog ~prng ();
     sectors_per_block;
     block_bytes = Vlog.Virtual_log.block_bytes vlog;
   }
@@ -28,22 +28,17 @@ let export_blocks geometry =
   let total = Disk.Geometry.total_sectors geometry / sectors_per_block in
   total - (1 + (total / 900)) - 8
 
-let create ?(eager_mode = Vlog.Eager.Sweep)
-    ?(compaction_policy = Vlog.Compactor.Random_target) ~disk ~logical_blocks ~prng () =
+let create ~disk ~logical_blocks ~prng () =
   let cfg =
-    {
-      (Vlog.Virtual_log.default_config ~logical_blocks) with
-      Vlog.Virtual_log.sectors_per_block;
-      eager_mode;
-    }
+    { (Vlog.Virtual_log.default_config ~logical_blocks) with Vlog.Virtual_log.sectors_per_block }
   in
-  of_vlog ~compaction_policy ~prng (Vlog.Virtual_log.format ~disk cfg)
+  of_vlog ~prng (Vlog.Virtual_log.format ~disk cfg)
 
 let recover ~disk ~prng () =
   match Vlog.Virtual_log.recover ~disk () with
   | Error _ as e -> e
   | Ok (vlog, report) ->
-    Ok (of_vlog ~compaction_policy:Vlog.Compactor.Random_target ~prng vlog, report)
+    Ok (of_vlog ~prng vlog, report)
 
 let disk t = t.disk
 let vlog t = t.vlog

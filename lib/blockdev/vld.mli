@@ -11,19 +11,16 @@
 type t
 
 val create :
-  ?eager_mode:Vlog.Eager.mode ->
-  ?compaction_policy:Vlog.Compactor.target_policy ->
   disk:Disk.Disk_sim.t ->
   logical_blocks:int ->
   prng:Vlog_util.Prng.t ->
   unit ->
   t
-(** Format a fresh VLD of 4 KB (8-sector) blocks.  Defaults: [Sweep]
-    eager placement with its 25 % track-switch threshold and
-    [Random_target] compaction.  The disk should have been created with
-    the [Whole_track] buffer policy (Section 4.2's read-ahead fix); this
-    is the caller's choice so experiments can also measure the unfixed
-    behaviour. *)
+(** Format a fresh VLD of 4 KB (8-sector) blocks, with [Sweep] eager
+    placement at its 25 % track-switch threshold and random compaction
+    targets.  The disk should have been created with the [Whole_track]
+    buffer policy (Section 4.2's read-ahead fix); this is the caller's
+    choice so experiments can also measure the unfixed behaviour. *)
 
 val export_blocks : Disk.Geometry.t -> int
 (** The logical size a VLD exports over a whole drive of this geometry:
@@ -35,8 +32,8 @@ val recover :
   prng:Vlog_util.Prng.t ->
   unit ->
   (t * Vlog.Virtual_log.recovery_report, string) result
-(** Bring up a VLD from the platters after a crash or power-down, in the
-    defaults' [Sweep] placement and [Random_target] compaction. *)
+(** Bring up a VLD from the platters after a crash or power-down, with
+    the same placement and compaction as {!create}. *)
 
 val device : t -> Device.t
 val disk : t -> Disk.Disk_sim.t

@@ -1,53 +1,5 @@
 open Vlog_util
 
-let counts_of_scale = function Rigs.Quick -> (120, 20) | Rigs.Full -> (600, 60)
-
-let eager_mode ~scale () =
-  let updates, warmup = counts_of_scale scale in
-  let t =
-    Table.create ~title:"Ablation: eager-write search mode (UFS on VLD, 92% util)"
-      ~columns:[ "Mode"; "Latency/4KB"; "Utilization" ]
-  in
-  List.iter
-    (fun (label, mode) ->
-      let s, prng = Rigs.rig ~seed:0xAB1L ~vld_eager_mode:mode Workload.Rig.{ fs = F_ufs; on = D_vld } in
-      let file_mb = Rigs.file_mb_for_utilization s 0.92 in
-      let r = Workload.Random_update.run ~updates ~warmup ~file_mb ~prng s in
-      Table.add_row t
-        [
-          label;
-          Table.cell_ms r.Workload.Random_update.mean_latency_ms;
-          Table.cell_pct r.Workload.Random_update.utilization;
-        ])
-    [ ("one-direction sweep (paper)", Vlog.Eager.Sweep); ("bidirectional nearest", Vlog.Eager.Nearest) ];
-  t
-
-let compaction_policy ~scale () =
-  let bursts = match scale with Rigs.Quick -> 4 | Rigs.Full -> 10 in
-  let t =
-    Table.create ~title:"Ablation: compaction target policy (UFS on VLD, 80% util)"
-      ~columns:[ "Policy"; "Latency/4KB (idle 0.3s)"; "Blocks moved" ]
-  in
-  List.iter
-    (fun (label, policy) ->
-      let s, prng = Rigs.rig ~seed:0xAB2L ~vld_compaction:policy Workload.Rig.{ fs = F_ufs; on = D_vld } in
-      let file_mb = Rigs.file_mb_for_utilization s 0.8 in
-      let r = Workload.Burst.run ~bursts ~file_mb ~burst_kb:512 ~idle_ms:300. ~prng s in
-      let moved =
-        match s.vld with
-        | Some vld ->
-          string_of_int
-            (Vlog.Compactor.total (Blockdev.Vld.compactor vld)).Vlog.Compactor.blocks_moved
-        | None -> "-"
-      in
-      Table.add_row t
-        [ label; Table.cell_ms r.Workload.Burst.latency_ms_per_block; moved ])
-    [
-      ("random target (paper)", Vlog.Compactor.Random_target);
-      ("emptiest-first", Vlog.Compactor.Emptiest_first);
-    ];
-  t
-
 (* Formula (9): locate cost of placing one 4 KB logical block out of
    physical allocation units of b sectors, at 50% utilization. *)
 let block_size ~scale () =

@@ -1,14 +1,5 @@
 (** Ablation benches for the design choices DESIGN.md calls out. *)
 
-val eager_mode : scale:Rigs.scale -> unit -> Vlog_util.Table.t
-(** One-direction cylinder sweep (the paper's anti-trapping rule) vs
-    bidirectional nearest search, on the random-sync-update benchmark at
-    high utilization. *)
-
-val compaction_policy : scale:Rigs.scale -> unit -> Vlog_util.Table.t
-(** Random compaction-target choice (the paper's) vs emptiest-first, on
-    the burst/idle benchmark. *)
-
 val block_size : scale:Rigs.scale -> unit -> Vlog_util.Table.t
 (** Formula (9) validation: expected locate cost of writing a 4 KB
     logical block using physical allocation units of 1-8 sectors, model

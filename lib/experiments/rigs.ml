@@ -8,12 +8,12 @@ let default_host = Host.sparc10
 let buffered_vlfs = { Vlfs.default_config with Vlfs.sync_writes = false }
 
 let rig ?(seed = 0x5EEDL) ?(profile = seagate) ?(host = default_host) ?(trace = false)
-    ?vld_eager_mode ?vld_compaction ?lfs ?vlfs (spec : Workload.Rig.t) =
+    ?lfs ?vlfs (spec : Workload.Rig.t) =
   let clock = Clock.create () in
   let trace = if trace then Trace.create ~clock () else Trace.null in
   let prng = Prng.create ~seed in
   let s =
-    Workload.Rig.format ~host ~trace ?vld_eager_mode ?vld_compaction ?lfs ?vlfs ~profile
+    Workload.Rig.format ~host ~trace ?lfs ?vlfs ~profile
       ~logical_blocks:(Blockdev.Vld.export_blocks profile.Disk.Profile.geometry)
       ~clock
       (* Only a VLD draws from the generator it is given; the workloads

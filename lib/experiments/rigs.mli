@@ -19,8 +19,6 @@ val rig :
   ?profile:Disk.Profile.t ->
   ?host:Host.t ->
   ?trace:bool ->
-  ?vld_eager_mode:Vlog.Eager.mode ->
-  ?vld_compaction:Vlog.Compactor.target_policy ->
   ?lfs:Lfs.config ->
   ?vlfs:Vlfs.config ->
   Workload.Rig.t ->

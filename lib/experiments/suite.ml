@@ -99,8 +99,6 @@ let plan ?seed ~scale name : plan =
         ^ "\n"
         ^ render (Vlfs_bench.recovery_cost ~scale ()))
   | "volume" -> table Volume_bench.run
-  | "ablation-mode" -> table Ablations.eager_mode
-  | "ablation-compact" -> table Ablations.compaction_policy
   | "ablation-blocksize" -> table Ablations.block_size
   | "ablation-mapbatch" -> table Ablations.map_batching
   | "qdepth" ->
@@ -138,9 +136,8 @@ let plan ?seed ~scale name : plan =
 let names =
   [
     "table1"; "fig1"; "fig2"; "fig6"; "fig7"; "fig8"; "table2"; "fig10";
-    "fig11"; "apps"; "vlfs"; "volume"; "ablation-mode"; "ablation-compact";
-    "ablation-blocksize"; "ablation-mapbatch"; "qdepth"; "array";
-    "array-faults"; "nvm";
+    "fig11"; "apps"; "vlfs"; "volume"; "ablation-blocksize";
+    "ablation-mapbatch"; "qdepth"; "array"; "array-faults"; "nvm";
   ]
 
 (* Type erasure at the job boundary: sub-results travel marshalled, and

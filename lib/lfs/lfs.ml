@@ -85,7 +85,6 @@ type t = {
   mutable open_seg : int; (* -1 = none *)
   mutable open_count : int;
   seg_buf : Bytes.t; (* the open segment's data run, [seg_capacity] blocks *)
-  spill : Bytes.t; (* one block: the slot past [seg_capacity], see [append] *)
   live : int array; (* per segment: blocks [is_live] holds for *)
   mutable seals : int;
   mutable checkpoint_slot : int;
@@ -186,7 +185,6 @@ let blank ~dev ~host ~clock cfg ~n_segments =
     open_seg = -1;
     open_count = 0;
     seg_buf = Bytes.make ((cfg.segment_blocks - 2) * block_bytes) '\000';
-    spill = Bytes.make block_bytes '\000';
     live = Array.make n_segments 0;
     seals = 0;
     checkpoint_slot = 0;
@@ -240,10 +238,6 @@ let seg_base t seg = seg_start + (seg * t.cfg.segment_blocks)
    so a torn summary write can never destroy the only description of
    data already on the platter. *)
 let seg_capacity t = t.cfg.segment_blocks - 2
-
-(* Where an open-segment slot's bytes live: (buffer, offset). *)
-let slot_bytes t slot =
-  if slot < seg_capacity t then (t.seg_buf, slot * t.block_bytes) else (t.spill, 0)
 
 (* ---- liveness ---- *)
 
@@ -510,13 +504,10 @@ and write_open_segment t ~seal =
           else
             (* A full run goes out straight from [seg_buf], which the
                device hands back on completion; a partial run is a
-               prefix, so it takes a copy, as does the rare run one past
-               capacity (see [append]). *)
-            let cap = seg_capacity t in
+               prefix, so it takes a copy. *)
             let run =
-              if count = cap then t.seg_buf
-              else if count < cap then Bytes.sub t.seg_buf 0 (count * t.block_bytes)
-              else Bytes.cat t.seg_buf t.spill
+              if count = seg_capacity t then t.seg_buf
+              else Bytes.sub t.seg_buf 0 (count * t.block_bytes)
             in
             let bd = Blockdev.Device.write_run t.dev (base + 2) run in
             (* Trusted once written; a raising rewrite left earlier slots intact. *)
@@ -545,28 +536,26 @@ and write_open_segment t ~seal =
    writes) segments as they fill.  A cleaner copy names its victim block
    in [from] (else -1): when that is [on_media], its digest is copied.
 
-   Known defect, kept so that every simulated number stays as it was:
-   when the second [ensure_open] has to run a forced clean, the clean can
-   leave the open segment exactly full, and this block then takes the
-   slot one past [seg_capacity] — the next segment's first summary
-   slot.  The next append seals, so the slot is never more than one
-   past; it lives in [spill]. *)
+   Opening a segment may run a forced clean, whose own appends can fill
+   the new segment, so it seals and reopens until a slot is free. *)
 and append t blkid src ~off ~from =
   ensure_open t;
-  let bd =
-    if t.open_count >= seg_capacity t then write_open_segment t ~seal:true else Breakdown.zero
-  in
-  ensure_open t;
+  let bd = ref Breakdown.zero in
+  while t.open_count >= seg_capacity t do
+    bd := Breakdown.add !bd (write_open_segment t ~seal:true);
+    ensure_open t
+  done;
+  let bd = !bd in
   let slot = t.open_count in
-  assert (slot <= seg_capacity t);
+  assert (slot < seg_capacity t);
   let addr = seg_base t t.open_seg + 2 + slot in
-  let buf, pos = slot_bytes t slot in
-  Bytes.blit src off buf pos t.block_bytes;
+  let pos = slot * t.block_bytes in
+  Bytes.blit src off t.seg_buf pos t.block_bytes;
   if from >= 0 && Bytes.get t.on_media from = '\001' then
     Bytes.blit t.digests (from * 8) t.digests (addr * 8) 8
   else
     Bytes.set_int64_le t.digests (addr * 8)
-      (Checksum.add_words Checksum.empty buf ~pos ~len:t.block_bytes);
+      (Checksum.add_words Checksum.empty t.seg_buf ~pos ~len:t.block_bytes);
   Bytes.set t.on_media addr '\000';
   t.open_count <- slot + 1;
   (* The old location dies; the new one is live unless the owner is
@@ -786,8 +775,7 @@ let read_data_block t ln i =
   | None ->
     let b = lnode_block ln i and first = seg_base t t.open_seg + 2 in
     if t.open_seg >= 0 && b >= first && b < first + t.open_count then
-      let buf, pos = slot_bytes t (b - first) in
-      (buf, pos, Breakdown.zero)
+      (t.seg_buf, (b - first) * t.block_bytes, Breakdown.zero)
     else if b < 0 then (Bytes.make t.block_bytes '\000', 0, Breakdown.zero)
     else begin
       match Ufs.Buffer_cache.find t.cache b with

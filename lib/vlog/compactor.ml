@@ -1,7 +1,5 @@
 open Vlog_util
 
-type target_policy = Random_target | Emptiest_first
-
 type run_stats = {
   tracks_emptied : int;
   blocks_moved : int;
@@ -22,17 +20,15 @@ let add_stats a b =
 type t = {
   vlog : Virtual_log.t;
   prng : Prng.t;
-  policy : target_policy;
   mutable current : int option; (* target track being emptied, resumable *)
   mutable totals : run_stats;
   scratch : Bytes.t; (* one block: every move passes through it *)
 }
 
-let create ?(policy = Random_target) ~vlog ~prng () =
+let create ~vlog ~prng () =
   {
     vlog;
     prng;
-    policy;
     current = None;
     totals = zero_stats;
     scratch = Bytes.create (Virtual_log.block_bytes vlog);
@@ -72,17 +68,7 @@ let eligible_targets t =
 let pick_target t =
   match eligible_targets t with
   | [] -> None
-  | candidates -> (
-    match t.policy with
-    | Random_target -> Some (Prng.pick t.prng (Array.of_list candidates))
-    | Emptiest_first ->
-      let freemap = fm t in
-      let emptier a b =
-        compare (Freemap.occupied_in_track freemap b) (Freemap.occupied_in_track freemap a)
-      in
-      (match List.sort (fun a b -> emptier b a) candidates with
-      | tr :: _ -> Some tr
-      | [] -> None))
+  | candidates -> Some (Prng.pick t.prng (Array.of_list candidates))
 
 (* Occupied blocks of a track, classified. *)
 type occupant = Data of int * int (* pba, logical *) | Map_piece of int (* piece idx *)

@@ -7,10 +7,7 @@
     data at small granularity, so it profits from short idle intervals —
     the property Figure 11 measures.
 
-    Targets are chosen randomly among eligible tracks, as in the paper;
-    an [Emptiest_first] policy is provided for the ablation bench. *)
-
-type target_policy = Random_target | Emptiest_first
+    Targets are chosen randomly among eligible tracks, as in the paper. *)
 
 type t
 
@@ -21,7 +18,7 @@ type run_stats = {
   ms_used : float;
 }
 
-val create : ?policy:target_policy -> vlog:Virtual_log.t -> prng:Vlog_util.Prng.t -> unit -> t
+val create : vlog:Virtual_log.t -> prng:Vlog_util.Prng.t -> unit -> t
 
 val run : t -> deadline:float -> run_stats
 (** Compact until the next block move would not finish before the

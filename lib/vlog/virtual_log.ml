@@ -3,11 +3,10 @@ open Vlog_util
 type config = {
   logical_blocks : int;
   sectors_per_block : int;
-  eager_mode : Eager.mode;
 }
 
 let default_config ~logical_blocks =
-  { logical_blocks; sectors_per_block = 8; eager_mode = Eager.Sweep }
+  { logical_blocks; sectors_per_block = 8 }
 
 (* A checkpoint node is written every this many node writes, bounding
    recovery depth. *)
@@ -324,7 +323,7 @@ let format ~disk cfg =
     invalid_arg "Virtual_log.format: too many map pieces for checkpoint nodes";
   let freemap = Freemap.create ~profile:(Disk.Disk_sim.profile disk) ~sectors_per_block:cfg.sectors_per_block in
   check_capacity ~freemap ~logical_blocks:cfg.logical_blocks ~n_pieces:(Array.length pieces);
-  let eager = Eager.create ~mode:cfg.eager_mode ~disk ~freemap () in
+  let eager = Eager.create ~disk ~freemap () in
   Freemap.occupy freemap landing_pba;
   let t =
     {

@@ -26,7 +26,6 @@ type t
 type config = {
   logical_blocks : int;
   sectors_per_block : int;
-  eager_mode : Eager.mode;
 }
 
 val default_config : logical_blocks:int -> config

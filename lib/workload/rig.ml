@@ -157,8 +157,7 @@ let regular ?spare_blocks disk =
 let check_buildable who r =
   match buildable r with Ok () -> () | Error e -> invalid_arg (who ^ ": " ^ e)
 
-let format ?(host = Host.free) ?trace ?spare_blocks ?vld_eager_mode ?vld_compaction
-    ?(ufs = Ufs.default_config) ?(lfs = Lfs.default_config) ?(vlfs = Vlfs.default_config)
+let format ?(host = Host.free) ?trace ?spare_blocks ?(ufs = Ufs.default_config) ?(lfs = Lfs.default_config) ?(vlfs = Vlfs.default_config)
     ?(wal = Nvm.Nvm_wal.default_config) ~profile ~logical_blocks ~clock ~prng r =
   check_buildable "Rig.format" r;
   let mkfs ~dev ~disk =
@@ -180,9 +179,7 @@ let format ?(host = Host.free) ?trace ?spare_blocks ?vld_eager_mode ?vld_compact
     let disk = drive ?trace ~profile ~clock r.on in
     let vld =
       if vld_backed r.on then
-        Some
-          (Blockdev.Vld.create ?eager_mode:vld_eager_mode ?compaction_policy:vld_compaction
-             ~disk ~logical_blocks ~prng ())
+        Some (Blockdev.Vld.create ~disk ~logical_blocks ~prng ())
       else None
     in
     let inner =

@@ -126,8 +126,6 @@ val format :
   ?host:Host.t ->
   ?trace:Trace.sink ->
   ?spare_blocks:int ->
-  ?vld_eager_mode:Vlog.Eager.mode ->
-  ?vld_compaction:Vlog.Compactor.target_policy ->
   ?ufs:Ufs.config ->
   ?lfs:Lfs.config ->
   ?vlfs:Vlfs.config ->

@@ -193,8 +193,6 @@ let test_apps_vld_wins_sync_commits () =
   table_nonempty (Apps.run ~scale:Rigs.Quick ())
 
 let test_ablations_render () =
-  table_nonempty (Ablations.eager_mode ~scale:Rigs.Quick ());
-  table_nonempty (Ablations.compaction_policy ~scale:Rigs.Quick ());
   table_nonempty (Ablations.map_batching ~scale:Rigs.Quick ())
 
 let test_ablation_blocksize_matched_is_best () =

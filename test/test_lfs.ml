@@ -278,10 +278,10 @@ let test_utilization_reflects_live_data () =
    through the read cache.  The digest covers the final simulated time,
    the drive's counters, the cleaner's counters and every written sector
    on the platter, so any change to a device request, a byte written or a
-   cleaner decision shows up.  The expected string was recorded before
-   the segment path was made copy-free. *)
+   cleaner decision shows up.  [step] runs after every op, numbered
+   from 0, and may only look. *)
 
-let golden_digest () =
+let golden_run ?(step = fun _ _ -> ()) () =
   let clock = Clock.create () in
   let disk =
     Disk.Disk_sim.create ~buffer_policy:Disk.Track_buffer.Forward_discard
@@ -303,7 +303,11 @@ let golden_digest () =
   done;
   ignore (ok (Lfs.create fs "tmp"));
   let block = Bytes.create 4096 in
-  let idle = ref 0 in
+  let idle = ref 0 and n = ref 0 in
+  let after_op () =
+    step fs !n;
+    incr n
+  in
   for round = 0 to 79 do
     for op = 0 to 39 do
       let f = Prng.int prng n_files in
@@ -318,12 +322,19 @@ let golden_digest () =
       else begin
         ignore (ok (Lfs.delete fs "tmp"));
         ignore (ok (Lfs.create fs "tmp"))
-      end
+      end;
+      after_op ()
     done;
     let window = [| 2.; 30.; 120. |].(round mod 3) in
-    idle := !idle + Lfs.idle_clean fs ~deadline:(Clock.now clock +. window)
+    idle := !idle + Lfs.idle_clean fs ~deadline:(Clock.now clock +. window);
+    after_op ()
   done;
   ignore (Lfs.sync fs);
+  after_op ();
+  (fs, disk, clock, !idle)
+
+let golden_digest () =
+  let fs, disk, clock, idle = golden_run () in
   let store = Disk.Disk_sim.store disk in
   let sectors = Disk.Geometry.total_sectors (Disk.Disk_sim.geometry disk) in
   let sum = ref Checksum.empty in
@@ -337,17 +348,45 @@ let golden_digest () =
   Printf.sprintf
     "util=%h idle=%d clock=%h reads=%d writes=%d sr=%d sw=%d hits=%d busy=%h cleaned=%d \
      copied=%d forced=%d sectors=%s"
-    (Lfs.utilization fs) !idle (Clock.now clock) d.reads d.writes d.sectors_read
+    (Lfs.utilization fs) idle (Clock.now clock) d.reads d.writes d.sectors_read
     d.sectors_written d.buffer_hits d.busy_ms c.Lfs.segments_cleaned c.blocks_copied
     c.forced_cleans (Checksum.to_hex !sum)
 
 let golden_expected =
-  "util=0x1.575d75d75d75dp-1 idle=252 clock=0x1.03a958p+14 reads=756 writes=2107 \
-   sr=96768 sw=108256 hits=77 busy=0x1.d1be499999962p+13 cleaned=756 copied=6029 \
-   forced=103 sectors=fc12780b82c0132c"
+  "util=0x1.5659659659659p-1 idle=255 clock=0x1.0711bp+14 reads=767 writes=2156 \
+   sr=98176 sw=110856 hits=79 busy=0x1.d88ef9999996ep+13 cleaned=767 copied=6227 \
+   forced=103 sectors=7d1380cca0e426f6"
 
 let test_golden_pin () =
   Alcotest.(check string) "simulated behaviour unchanged" golden_expected (golden_digest ())
+
+(* The first two blocks of every segment are its summary slots: after
+   every op of the golden run, no file block points into one and no
+   block other than a summary owns one. *)
+let test_no_block_in_summary_slot () =
+  let step fs n =
+    let start = Lfs.segment_area_start fs
+    and seg_blocks = (Lfs.config fs).Lfs.segment_blocks in
+    let summary_slot b = b >= start && (b - start) mod seg_blocks < 2 in
+    List.iter
+      (fun (name, inum) ->
+        match Lfs.inode_blocks fs inum with
+        | None -> ()
+        | Some (_, blocks) ->
+          Array.iteri
+            (fun i b ->
+              if summary_slot b then
+                Alcotest.failf "op %d: %s block %d lives in summary slot %d" n name i b)
+            blocks)
+      (Lfs.dir_entries fs);
+    for b = start to start + (Lfs.n_segments fs * seg_blocks) - 1 do
+      match Lfs.owner_of fs b with
+      | Some (Lfs.Data _ | Inode_part _ | Imap_chunk _) when summary_slot b ->
+        Alcotest.failf "op %d: summary slot %d owned by a non-summary block" n b
+      | _ -> ()
+    done
+  in
+  ignore (golden_run ~step ())
 
 (* ---- live counters ---- *)
 
@@ -655,7 +694,11 @@ let suites =
         Alcotest.test_case "idle respects deadline" `Quick test_idle_clean_respects_deadline;
         Alcotest.test_case "read a copy in the open segment" `Quick test_read_cleaner_copy;
       ] );
-    ("lfs:golden", [ Alcotest.test_case "burst/idle pin" `Quick test_golden_pin ]);
+    ( "lfs:golden",
+      [
+        Alcotest.test_case "burst/idle pin" `Quick test_golden_pin;
+        Alcotest.test_case "no block in a summary slot" `Quick test_no_block_in_summary_slot;
+      ] );
     ( "lfs:counters",
       [
         Alcotest.test_case "fsck accepts open segment" `Quick test_check_open_segment;

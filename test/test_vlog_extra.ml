@@ -180,23 +180,6 @@ let test_compactor_noop_on_empty_disk () =
   let stats = Compactor.run compactor ~deadline:(Clock.now clock +. 1000.) in
   Alcotest.(check int) "nothing to move" 0 stats.Compactor.blocks_moved
 
-let test_compactor_emptiest_first_policy () =
-  let disk, vlog = make_vlog ~logical_blocks:800 () in
-  let prng = Prng.create ~seed:10L in
-  for i = 0 to 600 do
-    ignore (write_block vlog disk i 'e')
-  done;
-  for i = 0 to 600 do
-    if i mod 4 <> 0 then ignore (Virtual_log.update vlog [ (i, None) ])
-  done;
-  let compactor = Compactor.create ~policy:Compactor.Emptiest_first ~vlog ~prng () in
-  let clock = Disk.Disk_sim.clock disk in
-  let stats = Compactor.run compactor ~deadline:(Clock.now clock +. 20_000.) in
-  Alcotest.(check bool) "emptied" true (stats.Compactor.tracks_emptied > 0);
-  match Virtual_log.check_invariants vlog with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
-
 let suites =
   [
     ( "vlog:extra",
@@ -211,6 +194,5 @@ let suites =
         Alcotest.test_case "lead time matters" `Quick test_eager_lead_time_changes_choice;
         Alcotest.test_case "soft exclusion" `Quick test_soft_exclusion_falls_back;
         Alcotest.test_case "compactor noop" `Quick test_compactor_noop_on_empty_disk;
-        Alcotest.test_case "emptiest-first" `Quick test_compactor_emptiest_first_policy;
       ] );
   ]
